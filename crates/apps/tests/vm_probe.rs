@@ -1,8 +1,8 @@
-//! Diagnostic probe: confirm the bytecode tier actually executes the
+//! Diagnostic probe: confirm the bytecode VM actually executes the
 //! pyfront-transformed π body (frames > 0), surface fallback reasons, and
 //! hold the quickening/inline-cache counter invariants.
 
-use omp4rs::{Icvs, MinipyQuicken, MinipyVm};
+use omp4rs::{Icvs, MinipyVm};
 use omp4rs_apps::{pi, Mode};
 
 /// Serialize tests that flip the process-global ICVs / interpreter modes.
@@ -39,10 +39,7 @@ fn pure_pi_runs_on_the_vm() {
 fn quicken_counters_hold_their_invariants_on_pure_pi() {
     let _guard = lock();
     let before = Icvs::current();
-    Icvs::update(|i| {
-        i.minipy_vm = MinipyVm::On;
-        i.minipy_quicken = MinipyQuicken::On;
-    });
+    Icvs::update(|i| i.minipy_vm = MinipyVm::On);
     minipy::stats::reset();
     minipy::stats::set_enabled(true);
     let out = pi::run(Mode::Pure, 2, &pi::Params { n: 20_000 }).expect("pi runs");
@@ -72,7 +69,7 @@ fn quicken_counters_hold_their_invariants_on_pure_pi() {
         stats.quicken_rewrites
     );
     // PR 3 drove Pure-mode π's per-object lock traffic down to a constant
-    // handful (the shared accumulator); the quickened tier must not reopen
+    // handful (the shared accumulator); quickening must not reopen
     // that regression by boxing through locked containers.
     assert!(
         stats.obj_lock_acquisitions <= 4,
@@ -88,7 +85,6 @@ fn ic_totals_match_dispatch_counts_on_a_known_program() {
     // execution (the `range` cell fill, then hits) and `n` `CallMethod`
     // executions (`xs.append`), and nothing else consults a dispatch IC.
     let prev = minipy::bytecode::set_mode(minipy::bytecode::VmMode::On);
-    let prev_q = minipy::bytecode::set_quicken_mode(minipy::bytecode::QuickenMode::On);
     minipy::stats::reset();
     minipy::stats::set_enabled(true);
     let interp = minipy::Interp::new().capture_output();
@@ -97,7 +93,6 @@ fn ic_totals_match_dispatch_counts_on_a_known_program() {
         .expect("program runs");
     let stats = minipy::stats::snapshot();
     minipy::stats::set_enabled(false);
-    minipy::bytecode::set_quicken_mode(prev_q);
     minipy::bytecode::set_mode(prev);
     let dispatches = 1 + 10; // LoadFree(range) + 10 x CallMethod(append)
     assert_eq!(

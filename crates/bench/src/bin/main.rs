@@ -84,18 +84,11 @@ fn main() {
     }
     let (median, sigma) = median_sigma(&mut samples);
     if json {
-        // The VM tri-state matters for interpreted modes: record what this
+        // The VM switch matters for interpreted modes: record what this
         // process resolved so baselines are self-describing.
-        let icvs = omp4rs::Icvs::current();
-        let vm = match icvs.minipy_vm {
+        let vm = match omp4rs::Icvs::current().minipy_vm {
             omp4rs::MinipyVm::Off => "off",
-            omp4rs::MinipyVm::Auto => "auto",
             omp4rs::MinipyVm::On => "on",
-        };
-        let quicken = match icvs.minipy_quicken {
-            omp4rs::MinipyQuicken::Off => "off",
-            omp4rs::MinipyQuicken::Auto => "auto",
-            omp4rs::MinipyQuicken::On => "on",
         };
         let list = samples
             .iter()
@@ -109,7 +102,7 @@ fn main() {
         // than Hybrid" reading of BENCH_pi.json.
         println!(
             "{{\"app\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"scale\":{},\
-             \"effective_scale\":{:.6},\"minipy_vm\":\"{}\",\"minipy_quicken\":\"{}\",\
+             \"effective_scale\":{:.6},\"minipy_vm\":\"{}\",\
              \"repeats\":{},\"median_s\":{:.6},\"sigma_s\":{:.6},\"samples_s\":[{}],\"check\":{:.9}}}",
             app.name(),
             mode.name(),
@@ -117,7 +110,6 @@ fn main() {
             scale,
             scale * mode_scale(mode),
             vm,
-            quicken,
             repeat,
             median,
             sigma,

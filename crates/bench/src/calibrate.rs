@@ -83,6 +83,7 @@ mod tests {
 
     #[test]
     fn primitives_have_sane_magnitudes() {
+        let _lock = crate::timing_lock();
         let c = measure_primitives();
         assert!(c.mutex_claim > 0.0 && c.mutex_claim < 1e-5, "{c:?}");
         assert!(c.atomic_claim > 0.0 && c.atomic_claim < 1e-5, "{c:?}");
@@ -93,6 +94,7 @@ mod tests {
     #[test]
     fn mutex_claim_costs_at_least_as_much_as_atomic() {
         // The design premise of the paper's cruntime.
+        let _lock = crate::timing_lock();
         let c = measure_primitives();
         assert!(
             c.mutex_claim >= c.atomic_claim * 0.8,

@@ -31,6 +31,14 @@ pub mod figures;
 pub mod profile;
 pub mod traceprobe;
 
+/// Serializes the unit tests that time real work, so one timing test's
+/// threads never compete with another's for this host's CPUs.
+#[cfg(test)]
+pub(crate) fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use calibrate::{measure_primitives, PrimitiveCosts};
 pub use figures::{
     sim_sweep, sim_sweep_report, workload_for, AppKind, MeasuredCost, SWEEP_THREADS,

@@ -516,6 +516,12 @@ impl Drop for InstallGuard {
     }
 }
 
+/// Serializes the unit tests that move the process-wide dependence
+/// counters, so a sibling's deferrals cannot land between one test's
+/// counter snapshots.
+#[cfg(test)]
+pub(crate) static COUNTER_TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,8 +531,24 @@ mod tests {
         TaskNode::new(Backend::Atomic, Box::new(|| {}))
     }
 
-    fn graph() -> DepGraph {
-        DepGraph::new(Arc::new(Notifier::new()))
+    /// A fresh graph that holds [`COUNTER_TEST_LOCK`] for its lifetime.
+    struct TestGraph {
+        graph: DepGraph,
+        _lock: parking_lot::MutexGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for TestGraph {
+        type Target = DepGraph;
+        fn deref(&self) -> &DepGraph {
+            &self.graph
+        }
+    }
+
+    fn graph() -> TestGraph {
+        TestGraph {
+            _lock: COUNTER_TEST_LOCK.lock(),
+            graph: DepGraph::new(Arc::new(Notifier::new())),
+        }
     }
 
     fn insert(g: &DepGraph, deps: &[Dep]) -> (u64, Arc<TaskNode>, bool) {

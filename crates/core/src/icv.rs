@@ -49,16 +49,11 @@ pub struct Icvs {
     /// (`OMP4RS_STEAL_CAP`). `None` sizes deques from recorded queue
     /// high-water marks; see [`crate::tasks`].
     pub steal_cap: Option<usize>,
-    /// The minipy bytecode-tier setting (`OMP4RS_MINIPY_VM`). The core
+    /// The minipy bytecode-VM switch (`OMP4RS_MINIPY_VM`). The core
     /// runtime has no interpreter dependency, so this is configuration only;
     /// the pyfront bridge mirrors it into `minipy::bytecode::set_mode` when
     /// an interpreter is installed. See `docs/ENVIRONMENT.md`.
     pub minipy_vm: MinipyVm,
-    /// The minipy VM quickening-tier setting (`OMP4RS_MINIPY_QUICKEN`).
-    /// Like [`Icvs::minipy_vm`], configuration only: the pyfront bridge
-    /// mirrors it into `minipy::bytecode::set_quicken_mode` when an
-    /// interpreter is installed. See `docs/ENVIRONMENT.md`.
-    pub minipy_quicken: MinipyQuicken,
     /// `wait-policy-var`: what waiting threads do (`OMP_WAIT_POLICY`).
     /// `Active` spins a large bounded budget before parking; `Passive` (the
     /// default) parks almost immediately. Resolved to a spin-iteration
@@ -102,55 +97,26 @@ pub struct Icvs {
     pub watchdog: Option<std::time::Duration>,
 }
 
-/// Tri-state for the minipy bytecode VM (`OMP4RS_MINIPY_VM`); mirrors
+/// The minipy bytecode-VM switch (`OMP4RS_MINIPY_VM`); mirrors
 /// `minipy::bytecode::VmMode` without pulling the interpreter into the core
 /// runtime's dependency graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MinipyVm {
-    /// Tree-walk everything (the pre-VM interpreter).
+    /// Tree-walk everything (the oracle, for debugging).
     Off,
     /// Compile VM-supported functions lazily on first call. The default.
     #[default]
-    Auto,
-    /// Like `Auto`, plus eager compilation at `@omp` decoration time.
     On,
 }
 
 impl MinipyVm {
     /// Parse the `OMP4RS_MINIPY_VM` spellings (same table as
-    /// `minipy::bytecode::VmMode::parse`). `None` keeps the default.
+    /// `minipy::bytecode::VmMode::parse`; `auto` is a spelling of `on`).
+    /// `None` keeps the default.
     pub fn parse(text: &str) -> Option<MinipyVm> {
         match text.trim().to_ascii_lowercase().as_str() {
             "off" | "false" | "0" | "no" => Some(MinipyVm::Off),
-            "auto" => Some(MinipyVm::Auto),
-            "on" | "true" | "1" | "yes" => Some(MinipyVm::On),
-            _ => None,
-        }
-    }
-}
-
-/// Tri-state for the minipy VM's quickening tier (`OMP4RS_MINIPY_QUICKEN`);
-/// mirrors `minipy::bytecode::QuickenMode` without pulling the interpreter
-/// into the core runtime's dependency graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MinipyQuicken {
-    /// Generic tier-1 dispatch only (no quickening, no inline caches).
-    Off,
-    /// Quickened opcodes and inline caches, boxed registers. The default.
-    #[default]
-    Auto,
-    /// Like `Auto`, plus the unboxed per-frame register tag plane.
-    On,
-}
-
-impl MinipyQuicken {
-    /// Parse the `OMP4RS_MINIPY_QUICKEN` spellings (same table as
-    /// `minipy::bytecode::QuickenMode::parse`). `None` keeps the default.
-    pub fn parse(text: &str) -> Option<MinipyQuicken> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "off" | "false" | "0" | "no" => Some(MinipyQuicken::Off),
-            "auto" => Some(MinipyQuicken::Auto),
-            "on" | "true" | "1" | "yes" => Some(MinipyQuicken::On),
+            "on" | "auto" | "true" | "1" | "yes" => Some(MinipyVm::On),
             _ => None,
         }
     }
@@ -170,8 +136,7 @@ impl Default for Icvs {
             tool: None,
             adaptive: AdaptiveMode::Full,
             steal_cap: None,
-            minipy_vm: MinipyVm::Auto,
-            minipy_quicken: MinipyQuicken::Auto,
+            minipy_vm: MinipyVm::On,
             wait_policy: crate::sync::WaitPolicy::Passive,
             spin: None,
             pool: true,
@@ -269,11 +234,6 @@ impl Icvs {
         if let Ok(text) = std::env::var("OMP4RS_MINIPY_VM") {
             if let Some(vm) = MinipyVm::parse(&text) {
                 icvs.minipy_vm = vm;
-            }
-        }
-        if let Ok(text) = std::env::var("OMP4RS_MINIPY_QUICKEN") {
-            if let Some(q) = MinipyQuicken::parse(&text) {
-                icvs.minipy_quicken = q;
             }
         }
         if let Ok(text) = std::env::var("OMP_WAIT_POLICY") {
@@ -399,19 +359,10 @@ mod tests {
     #[test]
     fn parse_minipy_vm() {
         assert_eq!(MinipyVm::parse("off"), Some(MinipyVm::Off));
-        assert_eq!(MinipyVm::parse(" Auto "), Some(MinipyVm::Auto));
+        assert_eq!(MinipyVm::parse(" Auto "), Some(MinipyVm::On));
         assert_eq!(MinipyVm::parse("ON"), Some(MinipyVm::On));
         assert_eq!(MinipyVm::parse("maybe"), None);
-        assert_eq!(Icvs::default().minipy_vm, MinipyVm::Auto);
-    }
-
-    #[test]
-    fn parse_minipy_quicken() {
-        assert_eq!(MinipyQuicken::parse("off"), Some(MinipyQuicken::Off));
-        assert_eq!(MinipyQuicken::parse(" Auto "), Some(MinipyQuicken::Auto));
-        assert_eq!(MinipyQuicken::parse("ON"), Some(MinipyQuicken::On));
-        assert_eq!(MinipyQuicken::parse("maybe"), None);
-        assert_eq!(Icvs::default().minipy_quicken, MinipyQuicken::Auto);
+        assert_eq!(Icvs::default().minipy_vm, MinipyVm::On);
     }
 
     #[test]

@@ -88,6 +88,6 @@ pub use exec::{
     WorkerCtx,
 };
 pub use faults::{FaultPlan, FaultSite, InjectedFault};
-pub use icv::{Icvs, MinipyQuicken, MinipyVm};
+pub use icv::{Icvs, MinipyVm};
 pub use sync::{Backend, WaitPolicy};
 pub use team::Team;

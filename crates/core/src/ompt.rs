@@ -2146,7 +2146,11 @@ mod tests {
             assert!(enabled());
             record(7, EventKind::TaskCreate { deferred: true });
             record(7, EventKind::TaskComplete);
-            let evs = events();
+            // Collection is process-wide: regions run by sibling tests
+            // record too while this session is on. Keep this thread's.
+            let mut me = 0;
+            with_ring(|ring| me = ring.tid);
+            let evs: Vec<Event> = events().into_iter().filter(|e| e.thread == me).collect();
             assert_eq!(evs.len(), 2);
             assert!(evs.iter().all(|e| e.region == 7));
             // Events appear in per-thread program order.

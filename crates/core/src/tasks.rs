@@ -881,6 +881,7 @@ mod tests {
 
     #[test]
     fn depend_chain_overrides_lifo_order() {
+        let _lock = crate::depgraph::COUNTER_TEST_LOCK.lock();
         for backend in both() {
             let q = TaskQueue::with_threads(backend, Arc::new(Notifier::new()), 1);
             let order = Arc::new(Mutex::new(Vec::new()));
@@ -910,6 +911,7 @@ mod tests {
 
     #[test]
     fn cancel_releases_held_dependents() {
+        let _lock = crate::depgraph::COUNTER_TEST_LOCK.lock();
         for backend in both() {
             let q = TaskQueue::with_threads(backend, Arc::new(Notifier::new()), 1);
             let hits = Arc::new(AtomicUsize::new(0));

@@ -24,11 +24,18 @@ fn cfg(backend: Backend, threads: usize) -> ParallelConfig {
     ParallelConfig::new().num_threads(threads).backend(backend)
 }
 
-/// Run `f` with the cancel-var ICV enabled, serialized against the other
-/// ICV-flipping tests in this binary.
+/// Serializes every test in this binary. They share process-global state:
+/// an armed fault plan counts (and faults) every thread's events, not just
+/// the arming test's, and the cancel-var ICV is one global flag.
+static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+fn global_lock() -> std::sync::MutexGuard<'static, ()> {
+    GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` with the cancel-var ICV enabled, holding [`GLOBAL_LOCK`].
 fn with_cancellation(f: impl FnOnce()) {
-    static ICV_LOCK: Mutex<()> = Mutex::new(());
-    let _lock = ICV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = global_lock();
     let before = Icvs::current();
     Icvs::update(|icvs| icvs.cancellation = true);
     let result = catch_unwind(AssertUnwindSafe(f));
@@ -40,6 +47,7 @@ fn with_cancellation(f: impl FnOnce()) {
 
 #[test]
 fn panic_at_first_barrier_arrival_reraises_bounded() {
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF001).panic_at(FaultSite::BarrierArrival, 1));
         let start = Instant::now();
@@ -66,6 +74,7 @@ fn panic_at_the_implicit_end_barrier_is_caught() {
     // With an empty body the first barrier arrival IS the implicit region-end
     // barrier — the panic unwinds outside the body's catch_unwind and must
     // still poison the team rather than strand the teammates parked there.
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF002).panic_at(FaultSite::BarrierArrival, 1));
         let start = Instant::now();
@@ -81,6 +90,7 @@ fn panic_at_the_implicit_end_barrier_is_caught() {
 
 #[test]
 fn panic_inside_a_task_is_contained_then_reraised() {
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF003).panic_at(FaultSite::TaskExecute, 1));
         let executed = AtomicUsize::new(0);
@@ -112,6 +122,7 @@ fn panic_inside_a_task_is_contained_then_reraised() {
 
 #[test]
 fn panic_at_a_chunk_claim_poisons_the_loop() {
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF004).panic_at(FaultSite::ChunkClaim, 5));
         let executed = AtomicUsize::new(0);
@@ -172,6 +183,7 @@ fn cancel_for_stops_remaining_chunk_claims() {
 #[test]
 fn cancel_is_inert_when_the_icv_is_disabled() {
     // OMP_CANCELLATION defaults to false: cancel is a no-op returning false.
+    let _lock = global_lock();
     let executed = AtomicUsize::new(0);
     parallel_region(&cfg(Backend::Atomic, 2), |ctx| {
         ctx.for_each(
@@ -260,6 +272,7 @@ fn tasks_submitted_by_one_thread_are_stolen_by_teammates() {
     // the witness that cross-thread stealing actually happened. The task
     // count stays at the deque-capacity floor (8) so nothing spills into the
     // shared overflow bag — the only way a teammate gets work is stealing.
+    let _lock = global_lock();
     for backend in BACKENDS {
         let session = omp4rs::ompt::session(omp4rs::ompt::ToolConfig::default());
         let executed = AtomicUsize::new(0);
@@ -290,6 +303,7 @@ fn tasks_submitted_by_one_thread_are_stolen_by_teammates() {
 fn injected_panic_in_a_stolen_task_poisons_without_hanging() {
     // Panics must stay first-wins and bounded even when the failing task may
     // be executing on a thief's stack rather than its submitter's.
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF006).panic_at(FaultSite::TaskExecute, 10));
         let executed = AtomicUsize::new(0);
@@ -352,6 +366,7 @@ fn cancel_taskgroup_drains_loaded_deques_across_threads() {
 
 #[test]
 fn delay_injection_slows_but_does_not_break() {
+    let _lock = global_lock();
     let guard = faults::arm(FaultPlan::new(0xF005).delay_at(
         FaultSite::BarrierArrival,
         1,

@@ -22,11 +22,19 @@ fn cfg(backend: Backend, threads: usize) -> ParallelConfig {
     ParallelConfig::new().num_threads(threads).backend(backend)
 }
 
-/// Run `f` with an ICV tweak applied, serialized against the other
-/// ICV-flipping tests in this binary, restoring the previous ICVs after.
+/// Serializes every test in this binary. They share process-global state:
+/// an armed fault plan faults *any* thread's worker dispatch, not just the
+/// arming test's, and the ICVs are one global set.
+static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+fn global_lock() -> std::sync::MutexGuard<'static, ()> {
+    GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` with an ICV tweak applied, holding [`GLOBAL_LOCK`], restoring
+/// the previous ICVs after.
 fn with_icvs(tweak: impl FnOnce(&mut Icvs), f: impl FnOnce()) {
-    static ICV_LOCK: Mutex<()> = Mutex::new(());
-    let _lock = ICV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = global_lock();
     let before = Icvs::current();
     Icvs::update(tweak);
     let result = catch_unwind(AssertUnwindSafe(f));
@@ -41,6 +49,7 @@ fn with_icvs(tweak: impl FnOnce(&mut Icvs), f: impl FnOnce()) {
 /// with every thread participating.
 #[test]
 fn panicking_region_then_successful_region_on_same_pool() {
+    let _lock = global_lock();
     for backend in BACKENDS {
         let result = catch_unwind(AssertUnwindSafe(|| {
             parallel_region(&cfg(backend, 4), |ctx| {
@@ -132,6 +141,7 @@ fn nested_parallel_inside_pooled_region() {
 /// panic re-raises on the master — while the pool recycles the thread.
 #[test]
 fn worker_dispatch_fault_poisons_region_not_pool() {
+    let _lock = global_lock();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF007).panic_at(FaultSite::WorkerDispatch, 1));
         let start = Instant::now();
@@ -198,6 +208,7 @@ fn pool_icv_off_bypasses_the_pool() {
 /// shards — `scripts/ci.sh` re-runs this binary under several counts.
 #[test]
 fn single_shard_keeps_legacy_counter_shape() {
+    let _lock = global_lock();
     if pool::shard_count() != 1 {
         return;
     }
@@ -228,6 +239,7 @@ fn single_shard_keeps_legacy_counter_shape() {
 /// pool, so allow retries — but a hot path that *never* reuses is broken.
 #[test]
 fn back_to_back_regions_reuse_pooled_workers() {
+    let _lock = global_lock();
     for round in 0.. {
         parallel_region(&cfg(Backend::Atomic, 4), |_ctx| {});
         let before = pool::stats();

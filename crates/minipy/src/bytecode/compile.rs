@@ -14,7 +14,7 @@
 //! The compiler is deliberately conservative: anything whose tree-walker
 //! semantics the VM cannot reproduce *exactly* (nested `def`, `lambda`,
 //! `try`/`except`, imports, late `global` declarations, …) falls back, so
-//! `OMP4RS_MINIPY_VM=auto` is always safe to leave on.
+//! the VM (`OMP4RS_MINIPY_VM=on`, the default) is always safe to leave on.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1178,7 +1178,7 @@ impl<'a> Compiler<'a> {
             let obj = self.operand(value)?;
             let attr = self.name_idx(attr);
             // Method calls get an inline-cache slot like intrinsics: the
-            // quickening tier caches the receiver-type dispatch there.
+            // VM caches the receiver-type dispatch there.
             let site = self.n_sites;
             self.n_sites += 1;
             self.emit(Op::CallMethod {

@@ -11,7 +11,7 @@ use super::opcode::{CompiledCode, Reg};
 /// An unboxed numeric operand: the register-plane dual of `Value::Int` /
 /// `Value::Float`. Everything the quickened arithmetic handlers touch moves
 /// through this type, so no `Value` is constructed (or dropped) on the hot
-/// path when the unboxed tier is on.
+/// path.
 #[derive(Debug, Clone, Copy)]
 pub enum Num {
     /// An `int` (`Value::Int` dual).
@@ -78,12 +78,11 @@ const TAG_QUEUED: u8 = 0x4;
 /// closure chain, exactly like the tree-walker's dynamic name lookup for a
 /// local that has not been assigned yet on this path.
 ///
-/// Under the unboxed tier (`OMP4RS_MINIPY_QUICKEN=on`) a register may live
-/// in the `tags`/`raw` plane instead of `regs`: quickened numeric handlers
-/// read and write registers there without boxing, and the dispatch loop
-/// materializes the boxed `Value`s back into `regs` before any instruction
-/// that is not tag-aware (calls, container builds, returns — the escape
-/// points).
+/// A register may live in the `tags`/`raw` plane instead of `regs`:
+/// quickened numeric handlers read and write registers there without
+/// boxing, and the dispatch loop materializes the boxed `Value`s back into
+/// `regs` before any instruction that is not tag-aware (calls, container
+/// builds, returns — the escape points).
 pub struct Frame {
     /// The register file: `[locals][temporaries][constants]`.
     pub regs: Vec<Value>,
@@ -100,7 +99,7 @@ pub struct Frame {
     pub blocks: Vec<u32>,
     /// The exception being unwound through a `finally` block.
     pub pending: Option<PyErr>,
-    /// Unboxed-register kind tags (empty unless the unboxed tier is on).
+    /// Unboxed-register kind tags, one per register.
     tags: Vec<u8>,
     /// Unboxed register payloads (`i64` bits or `f64` bits, per `tags`).
     raw: Vec<u64>,
@@ -111,43 +110,32 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Allocate the register file for `code`, preloading its constants.
-    /// `unbox` arms the unboxed-register tag plane (quicken tier `on`).
-    pub fn new(code: &CompiledCode, unbox: bool) -> Frame {
-        let mut regs = vec![Value::None; code.n_regs as usize];
+    /// Allocate the register file and its tag plane for `code`, preloading
+    /// its constants.
+    pub fn new(code: &CompiledCode) -> Frame {
+        let n = code.n_regs as usize;
+        let mut regs = vec![Value::None; n];
+        let mut tags = vec![TAG_BOXED; n];
+        let mut raw = vec![0; n];
         for (i, c) in code.consts.iter().enumerate() {
-            regs[code.const_base as usize + i] = c.clone();
-        }
-        let mut tags = if unbox {
-            vec![0; code.n_regs as usize]
-        } else {
-            Vec::new()
-        };
-        let mut raw = if unbox {
-            vec![0; code.n_regs as usize]
-        } else {
-            Vec::new()
-        };
-        if unbox {
+            let slot = code.const_base as usize + i;
             // Numeric constants live in the tag plane permanently: tagged
             // but never queued, so `materialize` never resets them and
             // `read_num` hits the fast path for every constant operand. The
             // boxed copy in `regs` stays identical, so generic handlers
             // reading the register boxed observe the same value.
-            for (i, c) in code.consts.iter().enumerate() {
-                let slot = code.const_base as usize + i;
-                match c {
-                    Value::Int(v) => {
-                        tags[slot] = TAG_INT;
-                        raw[slot] = *v as u64;
-                    }
-                    Value::Float(v) => {
-                        tags[slot] = TAG_FLOAT;
-                        raw[slot] = v.to_bits();
-                    }
-                    _ => {}
+            match c {
+                Value::Int(v) => {
+                    tags[slot] = TAG_INT;
+                    raw[slot] = *v as u64;
                 }
+                Value::Float(v) => {
+                    tags[slot] = TAG_FLOAT;
+                    raw[slot] = v.to_bits();
+                }
+                _ => {}
             }
+            regs[slot] = c.clone();
         }
         Frame {
             regs,
@@ -175,9 +163,7 @@ impl Frame {
     pub fn clear_local(&mut self, slot: Reg) {
         self.set[slot as usize / 64] &= !(1u64 << (slot % 64));
         self.regs[slot as usize] = Value::None;
-        if let Some(t) = self.tags.get_mut(slot as usize) {
-            *t &= TAG_QUEUED;
-        }
+        self.tags[slot as usize] &= TAG_QUEUED;
     }
 
     /// Write a register, marking locals as assigned.
@@ -186,11 +172,9 @@ impl Frame {
         if reg < self.n_locals {
             self.set[reg as usize / 64] |= 1u64 << (reg % 64);
         }
-        if let Some(t) = self.tags.get_mut(reg as usize) {
-            // Boxed write supersedes any unboxed value; keep the queued bit
-            // so the slot stays tracked (materialize skips boxed tags).
-            *t &= TAG_QUEUED;
-        }
+        // Boxed write supersedes any unboxed value; keep the queued bit so
+        // the slot stays tracked (materialize skips boxed tags).
+        self.tags[reg as usize] &= TAG_QUEUED;
         self.regs[reg as usize] = v;
     }
 
@@ -231,7 +215,7 @@ impl Frame {
         Ok(self.regs[reg as usize].clone())
     }
 
-    // ---- unboxed tag plane (quicken tier `on`) --------------------------
+    // ---- unboxed tag plane -----------------------------------------------
 
     /// Read a register as an unboxed number: from the tag plane when the
     /// register is unboxed, otherwise from the boxed `Value`. `None` when
@@ -239,13 +223,8 @@ impl Frame {
     /// the specialized handler's guard failure.
     #[inline(always)]
     pub fn read_num(&self, reg: Reg) -> Option<Num> {
-        let i = reg as usize;
-        if let Some(t) = self.tags.get(i) {
-            match t & TAG_KIND {
-                TAG_INT => return Some(Num::I(self.raw[i] as i64)),
-                TAG_FLOAT => return Some(Num::F(f64::from_bits(self.raw[i]))),
-                _ => {}
-            }
+        if let Some(n) = self.unboxed_num(reg) {
+            return Some(n);
         }
         match self.read_ref(reg)? {
             Value::Int(v) => Some(Num::I(*v)),
@@ -254,14 +233,20 @@ impl Frame {
         }
     }
 
-    /// Write a numeric result: into the tag plane when the unboxed tier is
-    /// on (no `Value` constructed), boxed otherwise.
+    /// The register's unboxed payload, or `None` when it is boxed.
+    #[inline(always)]
+    fn unboxed_num(&self, reg: Reg) -> Option<Num> {
+        let i = reg as usize;
+        match self.tags[i] & TAG_KIND {
+            TAG_INT => Some(Num::I(self.raw[i] as i64)),
+            TAG_FLOAT => Some(Num::F(f64::from_bits(self.raw[i]))),
+            _ => None,
+        }
+    }
+
+    /// Write a numeric result into the tag plane (no `Value` constructed).
     #[inline(always)]
     pub fn write_num(&mut self, reg: Reg, n: Num) {
-        if self.tags.is_empty() {
-            self.write(reg, n.to_value());
-            return;
-        }
         if reg < self.n_locals {
             self.set[reg as usize / 64] |= 1u64 << (reg % 64);
         }
@@ -282,12 +267,10 @@ impl Frame {
     /// read path).
     #[inline(always)]
     pub fn truthy_unboxed(&self, reg: Reg) -> Option<bool> {
-        let i = reg as usize;
-        match self.tags.get(i)? & TAG_KIND {
-            TAG_INT => Some(self.raw[i] as i64 != 0),
-            TAG_FLOAT => Some(f64::from_bits(self.raw[i]) != 0.0),
-            _ => None,
-        }
+        Some(match self.unboxed_num(reg)? {
+            Num::I(v) => v != 0,
+            Num::F(v) => v != 0.0,
+        })
     }
 
     /// Whether any register is pending materialization.
@@ -301,9 +284,7 @@ impl Frame {
     /// payload (e.g. a list reference) must reject unboxed registers.
     #[inline(always)]
     pub fn is_unboxed(&self, reg: Reg) -> bool {
-        self.tags
-            .get(reg as usize)
-            .is_some_and(|t| t & TAG_KIND != 0)
+        self.tags[reg as usize] & TAG_KIND != TAG_BOXED
     }
 
     /// Box every unboxed register back into `regs` (the escape point: the
@@ -330,15 +311,10 @@ impl Frame {
     /// `NameError` as for [`Frame::read`].
     #[inline(always)]
     pub fn read_boxed(&self, reg: Reg, code: &CompiledCode, closure: &Env) -> Result<Value, PyErr> {
-        let i = reg as usize;
-        if let Some(t) = self.tags.get(i) {
-            match t & TAG_KIND {
-                TAG_INT => return Ok(Value::Int(self.raw[i] as i64)),
-                TAG_FLOAT => return Ok(Value::Float(f64::from_bits(self.raw[i]))),
-                _ => {}
-            }
+        match self.unboxed_num(reg) {
+            Some(n) => Ok(n.to_value()),
+            None => self.read(reg, code, closure),
         }
-        self.read(reg, code, closure)
     }
 
     /// Tag-aware register copy for the quickened `Copy` handler: forwards
@@ -346,14 +322,8 @@ impl Frame {
     /// the source is boxed (caller takes the generic copy path).
     #[inline]
     pub fn copy_unboxed(&mut self, dst: Reg, src: Reg) -> bool {
-        let i = src as usize;
-        let Some(t) = self.tags.get(i) else {
+        let Some(n) = self.unboxed_num(src) else {
             return false;
-        };
-        let n = match t & TAG_KIND {
-            TAG_INT => Num::I(self.raw[i] as i64),
-            TAG_FLOAT => Num::F(f64::from_bits(self.raw[i])),
-            _ => return false,
         };
         self.write_num(dst, n);
         true

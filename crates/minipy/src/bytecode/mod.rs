@@ -25,36 +25,33 @@
 //!
 //! # Mode selection (`OMP4RS_MINIPY_VM`)
 //!
-//! The tier is governed by a tri-state ICV, mirrored in
+//! The VM is a two-state debug switch, mirrored in
 //! `omp4rs::icv::Icvs::minipy_vm` and documented in `docs/ENVIRONMENT.md`:
 //!
-//! * [`VmMode::Off`] — every call tree-walks (the pre-VM behavior).
-//! * [`VmMode::Auto`] — the default: functions whose bodies use only
+//! * [`VmMode::On`] — the default: functions whose bodies use only
 //!   VM-supported constructs are compiled lazily on first call; everything
 //!   else falls back to the tree-walker per function.
-//! * [`VmMode::On`] — like `Auto`, but the pyfront `@omp` decorator also
-//!   compiles the transformed function and its generated parallel bodies
-//!   eagerly at decoration time, so no compile latency lands on the first
-//!   parallel region and fallback reasons surface immediately.
+//! * [`VmMode::Off`] — every call tree-walks. The tree-walker is the
+//!   semantic oracle the differential suites hold the VM to.
 //!
 //! Fallback always preserves semantics, GIL toggling, and the
 //! `minipy.gil.*` / `minipy.obj_lock.*` counters — a function the VM cannot
 //! compile behaves exactly as before. Compile results (including negative
 //! ones) are cached per function definition, so the decision is paid once.
 //!
-//! # Tier 2 (`OMP4RS_MINIPY_QUICKEN`)
+//! # Quickening
 //!
-//! On top of the compiled tier sits an adaptive specialization tier governed
-//! by [`QuickenMode`]: generic instructions rewrite themselves in place to
-//! type-specialized variants on first execution (guard-and-deopt back to
-//! generic on mismatch), cached dispatch sites become uniform inline caches
-//! with hit/miss counters, and — at `on` — provably-local `int`/`float`
-//! registers are kept unboxed in a per-frame tag plane. See
-//! [`vm`] for the state machine and escape rules.
+//! The VM has one dispatch tier, and it is adaptive: generic instructions
+//! rewrite themselves in place to type-specialized variants on first
+//! execution (guard-and-deopt back to generic on mismatch), dispatch sites
+//! are inline caches with hit/miss counters, straight-line `range` loop
+//! bodies run fused, and provably-local `int`/`float` registers are kept
+//! unboxed in a per-frame tag plane. See [`vm`] for the state machine and
+//! escape rules.
 //!
 //! # Observability
 //!
-//! The tier publishes `minipy.vm.*` counters through [`crate::stats`] (the
+//! The VM publishes `minipy.vm.*` counters through [`crate::stats`] (the
 //! pyfront bridge copies them into the `omp4rs::ompt` registry): compiled
 //! functions, cumulative compile nanoseconds, VM frames entered, dispatched
 //! ops, and per-reason fallback counts (`minipy.vm.fallback.<reason>`).
@@ -74,131 +71,37 @@ use crate::stats;
 pub use compile::FallbackReason;
 pub use opcode::{CompiledCode, Op};
 
-/// The `OMP4RS_MINIPY_VM` tri-state: how much execution the bytecode tier
-/// takes over.
+/// The `OMP4RS_MINIPY_VM` switch: whether the bytecode VM runs at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VmMode {
-    /// Tree-walk everything (the pre-VM interpreter).
+    /// Tree-walk everything (the oracle, for debugging).
     Off,
     /// Compile VM-supported functions lazily on first call; per-function
     /// fallback to the tree-walker otherwise. The default.
     #[default]
-    Auto,
-    /// Like `Auto`, plus eager compilation of `@omp`-transformed functions
-    /// (and their generated parallel bodies) at decoration time.
     On,
 }
 
 impl VmMode {
-    /// Parse the `OMP4RS_MINIPY_VM` spellings. `None` for unrecognized text
-    /// (the caller keeps the default).
+    /// Parse the `OMP4RS_MINIPY_VM` spellings (`auto` is a spelling of
+    /// `on`). `None` for unrecognized text (the caller keeps the default).
     pub fn parse(text: &str) -> Option<VmMode> {
         match text.trim().to_ascii_lowercase().as_str() {
             "off" | "false" | "0" | "no" => Some(VmMode::Off),
-            "auto" => Some(VmMode::Auto),
-            "on" | "true" | "1" | "yes" => Some(VmMode::On),
+            "on" | "auto" | "true" | "1" | "yes" => Some(VmMode::On),
             _ => None,
         }
     }
-
-    fn from_u8(v: u8) -> VmMode {
-        match v {
-            1 => VmMode::Off,
-            3 => VmMode::On,
-            _ => VmMode::Auto,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            VmMode::Off => 1,
-            VmMode::Auto => 2,
-            VmMode::On => 3,
-        }
-    }
 }
 
-/// The `OMP4RS_MINIPY_QUICKEN` tri-state: how aggressive the VM's tier-2
-/// specialization (quickened opcodes, inline caches, unboxed registers) is.
-///
-/// The tier only changes *how* instructions execute, never *what* they
-/// compute: every specialized handler shares its semantics helpers with the
-/// tree-walker and deoptimizes back to the generic form on any guard
-/// failure, so all three settings are differential-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QuickenMode {
-    /// Generic dispatch only — the exact tier-1 VM (the A/B baseline).
-    Off,
-    /// Quickened opcodes plus inline caches, with boxed register writes.
-    /// The default.
-    #[default]
-    Auto,
-    /// Like `Auto`, plus the unboxed-register tag plane: provably-local
-    /// `int`/`float` values stay out of `Value` inside a bytecode body and
-    /// are materialized only at escape points.
-    On,
-}
-
-impl QuickenMode {
-    /// Parse the `OMP4RS_MINIPY_QUICKEN` spellings (same table as
-    /// [`VmMode::parse`]). `None` for unrecognized text.
-    pub fn parse(text: &str) -> Option<QuickenMode> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "off" | "false" | "0" | "no" => Some(QuickenMode::Off),
-            "auto" => Some(QuickenMode::Auto),
-            "on" | "true" | "1" | "yes" => Some(QuickenMode::On),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> QuickenMode {
-        match v {
-            1 => QuickenMode::Off,
-            3 => QuickenMode::On,
-            _ => QuickenMode::Auto,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            QuickenMode::Off => 1,
-            QuickenMode::Auto => 2,
-            QuickenMode::On => 3,
-        }
-    }
-}
-
-/// 0 = uninitialized (read the environment on first use).
+/// 0 = uninitialized (read the environment on first use), 1 = off, 2 = on.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// 0 = uninitialized (read the environment on first use).
-static QUICKEN: AtomicU8 = AtomicU8::new(0);
-
-/// The current quickening mode (initialized from `OMP4RS_MINIPY_QUICKEN` on
-/// first read).
-pub fn quicken_mode() -> QuickenMode {
-    match QUICKEN.load(Ordering::Relaxed) {
-        0 => {
-            let m = std::env::var("OMP4RS_MINIPY_QUICKEN")
-                .ok()
-                .as_deref()
-                .and_then(QuickenMode::parse)
-                .unwrap_or_default();
-            // Racing first reads agree (same env), so a plain store is fine.
-            QUICKEN.store(m.as_u8(), Ordering::Relaxed);
-            m
-        }
-        v => QuickenMode::from_u8(v),
+fn mode_to_u8(m: VmMode) -> u8 {
+    match m {
+        VmMode::Off => 1,
+        VmMode::On => 2,
     }
-}
-
-/// Set the quickening mode, returning the previous one. Used by the pyfront
-/// bridge (mirroring `Icvs::minipy_quicken`) and by tests/benchmarks that
-/// sweep the tier in-process.
-pub fn set_quicken_mode(m: QuickenMode) -> QuickenMode {
-    let prev = quicken_mode();
-    QUICKEN.store(m.as_u8(), Ordering::SeqCst);
-    prev
 }
 
 /// The current VM mode (initialized from `OMP4RS_MINIPY_VM` on first read).
@@ -211,18 +114,20 @@ pub fn mode() -> VmMode {
                 .and_then(VmMode::parse)
                 .unwrap_or_default();
             // Racing first reads agree (same env), so a plain store is fine.
-            MODE.store(m.as_u8(), Ordering::Relaxed);
+            MODE.store(mode_to_u8(m), Ordering::Relaxed);
             m
         }
-        v => VmMode::from_u8(v),
+        1 => VmMode::Off,
+        _ => VmMode::On,
     }
 }
 
 /// Set the VM mode, returning the previous one. Used by the pyfront bridge
-/// (to mirror the `Icvs` value) and by tests/benchmarks that sweep modes.
+/// (to mirror the `Icvs` value) and by tests that compare the VM with the
+/// tree-walker.
 pub fn set_mode(m: VmMode) -> VmMode {
     let prev = mode();
-    MODE.store(m.as_u8(), Ordering::SeqCst);
+    MODE.store(mode_to_u8(m), Ordering::SeqCst);
     prev
 }
 
@@ -277,10 +182,10 @@ pub fn lookup_or_compile(def: &Arc<FuncDef>) -> Option<Arc<CompiledCode>> {
 }
 
 /// Eagerly compile a definition and (recursively) every function defined
-/// inside it. Used by the pyfront `@omp` decorator under [`VmMode::On`]: the
-/// nested definitions are the generated parallel bodies — the hot paths —
-/// so warming them at decoration time keeps compile latency out of the
-/// first parallel region.
+/// inside it. The nested definitions of an `@omp` function are its
+/// generated parallel bodies — the hot paths — so a caller that wants
+/// compile cost measured apart from execution (a benchmark's set-up phase)
+/// warms them here instead of at first call.
 pub fn precompile_def(def: &Arc<FuncDef>) {
     let _ = lookup_or_compile(def);
     precompile_nested(&def.body);
@@ -348,32 +253,17 @@ mod tests {
     fn mode_spellings() {
         assert_eq!(VmMode::parse("off"), Some(VmMode::Off));
         assert_eq!(VmMode::parse(" ON "), Some(VmMode::On));
-        assert_eq!(VmMode::parse("auto"), Some(VmMode::Auto));
+        assert_eq!(VmMode::parse("auto"), Some(VmMode::On));
         assert_eq!(VmMode::parse("0"), Some(VmMode::Off));
         assert_eq!(VmMode::parse("1"), Some(VmMode::On));
         assert_eq!(VmMode::parse("bogus"), None);
-        assert_eq!(VmMode::default(), VmMode::Auto);
-    }
-
-    #[test]
-    fn quicken_spellings() {
-        assert_eq!(QuickenMode::parse("off"), Some(QuickenMode::Off));
-        assert_eq!(QuickenMode::parse(" ON "), Some(QuickenMode::On));
-        assert_eq!(QuickenMode::parse("auto"), Some(QuickenMode::Auto));
-        assert_eq!(QuickenMode::parse("no"), Some(QuickenMode::Off));
-        assert_eq!(QuickenMode::parse("bogus"), None);
-        assert_eq!(QuickenMode::default(), QuickenMode::Auto);
-    }
-
-    #[test]
-    fn quicken_mode_round_trips() {
-        let prev = set_quicken_mode(QuickenMode::On);
-        assert_eq!(quicken_mode(), QuickenMode::On);
-        assert_eq!(set_quicken_mode(prev), QuickenMode::On);
+        assert_eq!(VmMode::default(), VmMode::On);
     }
 
     #[test]
     fn mode_round_trips() {
+        // Flipping to `Off` would race the parallel tests that run code
+        // through the VM, so round-trip through the default.
         let prev = set_mode(VmMode::On);
         assert_eq!(mode(), VmMode::On);
         assert_eq!(set_mode(prev), VmMode::On);

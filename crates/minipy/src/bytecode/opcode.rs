@@ -217,7 +217,7 @@ pub enum Op {
         /// Destination register.
         dst: Reg,
         /// Per-frame inline-cache slot (caches the receiver-type method
-        /// dispatch under the quickening tier).
+        /// dispatch).
         site: u16,
         /// Receiver register.
         obj: Reg,
@@ -405,7 +405,7 @@ pub struct CompiledCode {
     pub ops: Vec<Op>,
     /// Per-instruction specialization state ([`quick`] constants). Lives
     /// beside the immutable instruction stream as an atomic plane so the
-    /// quickening tier can rewrite instructions "in place" while the
+    /// VM can quicken instructions "in place" while the
     /// `Arc<CompiledCode>` is shared across threads — a CAS on the state
     /// byte, not a mutation of [`CompiledCode::ops`].
     pub quick: Vec<AtomicU8>,
@@ -413,7 +413,7 @@ pub struct CompiledCode {
     /// body is straight-line register-only numeric work
     /// (`Binary`/`AugLocal`/`Copy`/`LoadFree`) closed by its own back-edge
     /// `Jump`, this holds the body length **plus one** (so `0` means
-    /// ineligible). Computed once at compile time so the quickened tier
+    /// ineligible). Computed once at compile time so the fused handler
     /// ([`quick::FUSED_RANGE`]) never rescans the instruction stream.
     pub fused: Vec<u16>,
     /// Per-instruction source line (innermost enclosing statement; 0 for

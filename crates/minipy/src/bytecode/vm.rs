@@ -1,6 +1,6 @@
 //! The dispatch-loop virtual machine.
 //!
-//! [`call_compiled`] is the compiled-tier twin of the tree-walker's
+//! [`call_compiled`] is the compiled twin of the tree-walker's
 //! interpreted call path: it binds arguments into register slots (with the
 //! tree-walker's exact arity/keyword error messages), then dispatches the
 //! instruction stream over a flat [`Frame`]. Semantics — including error
@@ -12,13 +12,14 @@
 //! statement; compiled code ticks on loop back-edges and calls instead. Each
 //! loop iteration and each call boundary therefore remains a potential
 //! switch point (what CPython's eval loop guarantees), while straight-line
-//! arithmetic runs untouched — that is the point of the tier.
+//! arithmetic runs untouched — that is the point of the VM.
 //!
-//! # Quickening (tier 2, `OMP4RS_MINIPY_QUICKEN`)
+//! # Quickening
 //!
-//! Under [`QuickenMode::Auto`]/[`QuickenMode::On`] the dispatch loop runs
-//! `step_quick` instead of the generic `step`. Each instruction slot
-//! carries a specialization state byte (`CompiledCode::quick`):
+//! The dispatch loop runs `step_quick`, which handles control flow and the
+//! specialized forms inline and reaches the generic `step` out of line.
+//! Each instruction slot carries a specialization state byte
+//! (`CompiledCode::quick`):
 //!
 //! * `UNSEEN` — the first execution profiles the actual operand types and
 //!   CAS-rewrites the slot to a specialized state (`BIN_II`, `BIN_FF`,
@@ -29,23 +30,23 @@
 //!   mismatch the slot CAS-deopts to `GENERIC` permanently, counting
 //!   `minipy.vm.quicken.deopts`, and the generic handler runs (so a failed
 //!   guard has no side effects and identical semantics).
-//! * `GENERIC` — the tier-1 handler, with the dispatch-site inline caches
+//! * `GENERIC` — the generic handler, with the dispatch-site inline caches
 //!   ([`super::frame::IcEntry`]) armed and counted.
 //!
 //! Every specialized arithmetic handler calls the *same* semantic helpers
 //! as the tree-walker (`int_binary`, `float_binary`, the `py_eq` coercion
 //! table), so values, errors, and error messages cannot drift.
 //!
-//! # Unboxed registers ([`QuickenMode::On`])
+//! # Unboxed registers
 //!
-//! The frame grows a tag plane: specialized numeric handlers write results
+//! Every frame carries a tag plane: specialized numeric handlers write results
 //! as raw `i64`/`f64` bits instead of `Value`s, and read operands from the
 //! plane. Tag-aware instructions (`Jump`, conditional jumps, `Copy`,
 //! `Return`, the specialized handlers themselves) execute without boxing;
 //! any other instruction is an escape point — the loop calls
 //! [`Frame::materialize`] first, so generic handlers (and anything that
 //! leaks a register into a call, container, cell, or closure) always see
-//! exactly the boxed state a tier-1 execution would have produced.
+//! exactly the boxed state a boxed-only execution would have produced.
 
 use crate::ast::{BinOp, CmpOp};
 use crate::env::Env;
@@ -62,7 +63,6 @@ use std::sync::Arc;
 
 use super::frame::{Frame, IcEntry, Num};
 use super::opcode::{quick as qk, CompiledCode, Op, Reg, NO_KW};
-use super::QuickenMode;
 
 /// What one dispatched instruction asks the loop to do next.
 enum Ctl {
@@ -91,28 +91,18 @@ pub fn call_compiled(
     code: &Arc<CompiledCode>,
     args: Args,
 ) -> Result<Value, PyErr> {
-    // The tier is resolved once per frame: `off` pays nothing (the generic
-    // tier-1 loop, bit for bit), `auto`/`on` take the quickened dispatcher.
-    // The loop is monomorphized per tier so each release-mode dispatch loop
-    // inlines exactly one stepper (merging them bloats the hot loop body
-    // and costs more than the quickening wins back).
-    let qm = super::quicken_mode();
-    let mut frame = Frame::new(code, qm == QuickenMode::On);
+    let mut frame = Frame::new(code);
     bind_args(f, code, &mut frame, args)?;
     let mut ops = 0u64;
-    let result = if qm == QuickenMode::Off {
-        run_frame::<false>(interp, f, code, &mut frame, &mut ops)
-    } else {
-        run_frame::<true>(interp, f, code, &mut frame, &mut ops)
-    };
+    let result = run_frame(interp, f, code, &mut frame, &mut ops);
     if stats::enabled() {
         stats::add_vm_frame(ops);
     }
     result
 }
 
-/// The dispatch loop, monomorphized over the tier (`QUICK` = quickened).
-fn run_frame<const QUICK: bool>(
+/// The dispatch loop.
+fn run_frame(
     interp: &Interp,
     f: &FuncValue,
     code: &CompiledCode,
@@ -122,11 +112,7 @@ fn run_frame<const QUICK: bool>(
     let mut pc = 0usize;
     loop {
         *ops += 1;
-        match if QUICK {
-            step_quick(interp, f, code, frame, pc, ops)
-        } else {
-            step(interp, f, code, frame, pc)
-        } {
+        match step_quick(interp, f, code, frame, pc, ops) {
             Ok(Ctl::Next) => pc += 1,
             Ok(Ctl::Jump(target)) => pc = target,
             Ok(Ctl::Ret(v)) => break Ok(v),
@@ -232,14 +218,15 @@ fn read_args(
     Ok(pos)
 }
 
-/// Dispatch one instruction.
+/// Dispatch one instruction generically: the handler for ops with no
+/// quickened fast path and the target of every deopt.
 ///
-/// Force-inlined into the dispatch loop only under optimization: in debug
-/// builds the unoptimized inlined frame (no stack-slot reuse across the big
-/// match) would multiply per-recursion-level stack usage — `step` is also
-/// inlined into [`step_ic`], so a recursive interpreted call would carry two
-/// copies per level.
-#[cfg_attr(not(debug_assertions), inline(always))]
+/// Kept out of line (rather than inlining this whole match into
+/// [`step_quick`]) so the numeric hot loop stays cache-resident. Dispatch
+/// sites run with their inline caches armed and counted — `LoadFree` cell
+/// fills, `CallMethod` receiver-type dispatch, and `CallIntrinsic` callable
+/// caching each record a `minipy.vm.ic.*` hit or miss per execution.
+#[inline(never)]
 fn step(
     interp: &Interp,
     f: &FuncValue,
@@ -294,8 +281,16 @@ fn step(
         }
         Op::LoadFree { dst, cell, name } => {
             let v = match &frame.cells[*cell as usize] {
-                Some(c) => c.read().clone(),
+                Some(c) => {
+                    if stats::enabled() {
+                        stats::count_ic(true);
+                    }
+                    c.read().clone()
+                }
                 None => {
+                    if stats::enabled() {
+                        stats::count_ic(false);
+                    }
                     let nm = &code.names[*name as usize];
                     let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
                     let v = c.read().clone();
@@ -417,7 +412,7 @@ fn step(
         }
         Op::CallMethod {
             dst,
-            site: _,
+            site,
             obj,
             attr,
             argbase,
@@ -431,12 +426,44 @@ fn step(
             let nm = &code.names[*attr as usize];
             interp.gil().tick();
             let v = if let Value::Opaque(o) = &receiver {
+                // Opaque attribute tables are dynamic — never cached.
+                if stats::enabled() {
+                    stats::count_ic(false);
+                }
                 match o.get_attr(nm) {
                     Some(callable) => interp.call_value(&callable, call_args)?,
                     None => methods::call_method(interp, &receiver, nm, call_args)?,
                 }
             } else {
-                methods::call_method(interp, &receiver, nm, call_args)?
+                let cached = match &frame.ics[*site as usize] {
+                    IcEntry::Method(tag, func) => Some((*tag, *func)),
+                    _ => None,
+                };
+                let dispatch = match (cached, methods::resolve_dispatch(&receiver)) {
+                    (Some((tag, func)), Some((t, _))) if tag == t => {
+                        if stats::enabled() {
+                            stats::count_ic(true);
+                        }
+                        Some(func)
+                    }
+                    (_, Some((t, func))) => {
+                        if stats::enabled() {
+                            stats::count_ic(false);
+                        }
+                        frame.ics[*site as usize] = IcEntry::Method(t, func);
+                        Some(func)
+                    }
+                    (_, None) => {
+                        if stats::enabled() {
+                            stats::count_ic(false);
+                        }
+                        None
+                    }
+                };
+                match dispatch {
+                    Some(func) => func(interp, &receiver, nm, call_args)?,
+                    None => methods::call_method(interp, &receiver, nm, call_args)?,
+                }
             };
             frame.write(*dst, v);
         }
@@ -455,6 +482,9 @@ fn step(
                 IcEntry::Callable(v) => Some(v.clone()),
                 _ => None,
             };
+            if stats::enabled() {
+                stats::count_ic(cached.is_some());
+            }
             let v = match cached {
                 Some(callable) => interp.call_value(&callable, call_args)?,
                 None => {
@@ -683,14 +713,14 @@ fn deopt(code: &CompiledCode, pc: usize, from: u8) {
     }
 }
 
-/// Dispatch one instruction under the quickened tier.
+/// Dispatch one instruction.
 ///
-/// One primary match, parallel to the tier-1 stepper: tag-aware control ops
-/// run directly, each quickenable op loads its slot state and runs its
+/// One primary match over the hot ops: tag-aware control ops run
+/// directly, each quickenable op loads its slot state and runs its
 /// specialized handler inline when the operand guard holds, and dispatch
-/// sites take the counted-IC generic handler. `UNSEEN` profiling, deopts,
-/// and post-deopt generic execution live out of line in [`quick_fallback`]
-/// so the hot loop body stays compact.
+/// sites and everything else take the generic [`step`]. `UNSEEN`
+/// profiling, deopts, and post-deopt generic execution live out of line in
+/// [`quick_fallback`] so the hot loop body stays compact.
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn step_quick(
     interp: &Interp,
@@ -929,11 +959,11 @@ fn step_quick(
                     // once-per-frame lazy fill (counted as the IC miss).
                     // Frame bootstrap, not an operand-shape change — no
                     // deopt.
-                    None => return step_ic(interp, f, code, frame, pc),
+                    None => return step(interp, f, code, frame, pc),
                 };
                 if let Some(n) = n {
                     // A filled cell holding a number: one IC hit, exactly
-                    // as the generic tier counts this execution.
+                    // as the generic handler counts this execution.
                     if stats::enabled() {
                         stats::count_ic(true);
                     }
@@ -942,7 +972,7 @@ fn step_quick(
                 }
                 // The cell no longer holds a number: operand-shape change.
                 deopt(code, pc, qk::LOAD_FREE_NUM);
-                return step_ic(interp, f, code, frame, pc);
+                return step(interp, f, code, frame, pc);
             }
             quick_fallback(interp, f, code, frame, pc)
         }
@@ -950,30 +980,15 @@ fn step_quick(
             if frame.has_unboxed() {
                 frame.materialize();
             }
-            step_ic(interp, f, code, frame, pc)
+            step(interp, f, code, frame, pc)
         }
         op => {
             if frame.has_unboxed() && !unbox_safe(op) {
                 frame.materialize();
             }
-            step_generic(interp, f, code, frame, pc)
+            step(interp, f, code, frame, pc)
         }
     }
-}
-
-/// Out-of-line tier-1 dispatch for ops the quickened tier has no fast path
-/// for. A plain call (rather than re-inlining [`step`]'s whole match into
-/// the quickened loop) keeps the numeric hot loop cache-resident; the off
-/// tier still gets `step` fully inlined via `run_frame::<false>`.
-#[inline(never)]
-fn step_generic(
-    interp: &Interp,
-    f: &FuncValue,
-    code: &CompiledCode,
-    frame: &mut Frame,
-    pc: usize,
-) -> Result<Ctl, PyErr> {
-    step(interp, f, code, frame, pc)
 }
 
 /// Execute a fused `range` loop ([`qk::FUSED_RANGE`]): the `IterNext`, its
@@ -987,12 +1002,12 @@ fn step_generic(
 ///   the back-edge `Jump` would have ticked.
 /// * **Errors and guard failures** — the handler bails via
 ///   `Ctl::Jump(sub_pc)` *without executing the failing instruction* (the
-///   arithmetic helpers are pure, so nothing has happened); the per-op tier
+///   arithmetic helpers are pure, so nothing has happened); the per-op dispatch
 ///   re-executes it and raises the identical error with the correct
 ///   per-instruction line annotation.
 /// * **Counters** — `executed` tracks every completed sub-instruction so
 ///   `vm_ops` matches per-op execution exactly, and a fused `LoadFree`
-///   counts its IC hit exactly as the generic tier would.
+///   counts its IC hit exactly as the generic handler would.
 #[inline(never)]
 fn run_fused(
     interp: &Interp,
@@ -1162,7 +1177,7 @@ fn decode_fused(code: &CompiledCode, pc: usize, body: usize, out: &mut [FusedOp]
 
 /// Execute one pre-decoded fused-body instruction against the tag plane.
 /// Returns `false` — with **no effects** — when an operand guard fails or
-/// the operation would raise; the caller bails so the per-op tier
+/// the operation would raise; the caller bails so the per-op dispatch
 /// re-executes the instruction and raises the identical error.
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn exec_fused(frame: &mut Frame, m: &FusedOp, cache: &mut Option<Num>, stats_on: bool) -> bool {
@@ -1245,7 +1260,7 @@ fn exec_fused(frame: &mut Frame, m: &FusedOp, cache: &mut Option<Num>, stats_on:
                 }
             };
             // One dispatch, one IC hit — cached or not, exactly as the
-            // generic tier counts this execution.
+            // generic handler counts this execution.
             if stats_on {
                 stats::count_ic(true);
             }
@@ -1303,7 +1318,7 @@ fn quick_fallback(
     if frame.has_unboxed() && !unbox_safe(&code.ops[pc]) {
         frame.materialize();
     }
-    step_ic(interp, f, code, frame, pc)
+    step(interp, f, code, frame, pc)
 }
 
 /// Pick the specialized state matching a slot's live operand shapes, or
@@ -1382,7 +1397,7 @@ fn profile(f: &FuncValue, code: &CompiledCode, frame: &Frame, pc: usize) -> u8 {
 }
 
 /// Store a specialized arithmetic result: numeric values go to the tag
-/// plane (unboxed under `on`, boxed under `auto`), anything else boxes.
+/// plane unboxed, anything else boxes.
 #[inline]
 fn write_num_result(frame: &mut Frame, dst: Reg, r: Result<Value, PyErr>) -> Result<Ctl, PyErr> {
     match r? {
@@ -1391,143 +1406,6 @@ fn write_num_result(frame: &mut Frame, dst: Reg, r: Result<Value, PyErr>) -> Res
         v => frame.write(dst, v),
     }
     Ok(Ctl::Next)
-}
-
-/// The `GENERIC` tier under quickening: identical to [`step`] except that
-/// the dispatch-site inline caches are armed and counted — `LoadFree` cell
-/// fills, `CallMethod` receiver-type dispatch, and `CallIntrinsic` callable
-/// caching each record a `minipy.vm.ic.*` hit or miss per execution.
-fn step_ic(
-    interp: &Interp,
-    f: &FuncValue,
-    code: &CompiledCode,
-    frame: &mut Frame,
-    pc: usize,
-) -> Result<Ctl, PyErr> {
-    let closure = &f.closure;
-    match &code.ops[pc] {
-        Op::LoadFree { dst, cell, name } => {
-            let v = match &frame.cells[*cell as usize] {
-                Some(c) => {
-                    if stats::enabled() {
-                        stats::count_ic(true);
-                    }
-                    c.read().clone()
-                }
-                None => {
-                    if stats::enabled() {
-                        stats::count_ic(false);
-                    }
-                    let nm = &code.names[*name as usize];
-                    let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
-                    let v = c.read().clone();
-                    frame.cells[*cell as usize] = Some(c);
-                    v
-                }
-            };
-            frame.write(*dst, v);
-            Ok(Ctl::Next)
-        }
-        Op::CallMethod {
-            dst,
-            site,
-            obj,
-            attr,
-            argbase,
-            argc,
-            kw,
-        } => {
-            let pos = read_args(frame, code, closure, *argbase, *argc)?;
-            let kwargs = read_kwargs(frame, code, closure, *argbase + *argc, *kw)?;
-            let call_args = Args { pos, kw: kwargs };
-            let receiver = frame.read(*obj, code, closure)?;
-            let nm = &code.names[*attr as usize];
-            interp.gil().tick();
-            let v = if let Value::Opaque(o) = &receiver {
-                // Opaque attribute tables are dynamic — never cached.
-                if stats::enabled() {
-                    stats::count_ic(false);
-                }
-                match o.get_attr(nm) {
-                    Some(callable) => interp.call_value(&callable, call_args)?,
-                    None => methods::call_method(interp, &receiver, nm, call_args)?,
-                }
-            } else {
-                let cached = match &frame.ics[*site as usize] {
-                    IcEntry::Method(tag, func) => Some((*tag, *func)),
-                    _ => None,
-                };
-                let dispatch = match (cached, methods::resolve_dispatch(&receiver)) {
-                    (Some((tag, func)), Some((t, _))) if tag == t => {
-                        if stats::enabled() {
-                            stats::count_ic(true);
-                        }
-                        Some(func)
-                    }
-                    (_, Some((t, func))) => {
-                        if stats::enabled() {
-                            stats::count_ic(false);
-                        }
-                        frame.ics[*site as usize] = IcEntry::Method(t, func);
-                        Some(func)
-                    }
-                    (_, None) => {
-                        if stats::enabled() {
-                            stats::count_ic(false);
-                        }
-                        None
-                    }
-                };
-                match dispatch {
-                    Some(func) => func(interp, &receiver, nm, call_args)?,
-                    None => methods::call_method(interp, &receiver, nm, call_args)?,
-                }
-            };
-            frame.write(*dst, v);
-            Ok(Ctl::Next)
-        }
-        Op::CallIntrinsic {
-            dst,
-            site,
-            base,
-            attr,
-            argbase,
-            argc,
-        } => {
-            let pos = read_args(frame, code, closure, *argbase, *argc)?;
-            let call_args = Args::positional(pos);
-            interp.gil().tick();
-            let cached = match &frame.ics[*site as usize] {
-                IcEntry::Callable(v) => Some(v.clone()),
-                _ => None,
-            };
-            if stats::enabled() {
-                stats::count_ic(cached.is_some());
-            }
-            let v = match cached {
-                Some(callable) => interp.call_value(&callable, call_args)?,
-                None => {
-                    let base_nm = &code.names[*base as usize];
-                    let attr_nm = &code.names[*attr as usize];
-                    let receiver = closure.get(base_nm).ok_or_else(|| name_err(base_nm))?;
-                    if let Value::Opaque(o) = &receiver {
-                        match o.get_attr(attr_nm) {
-                            Some(callable) => {
-                                frame.ics[*site as usize] = IcEntry::Callable(callable.clone());
-                                interp.call_value(&callable, call_args)?
-                            }
-                            None => methods::call_method(interp, &receiver, attr_nm, call_args)?,
-                        }
-                    } else {
-                        methods::call_method(interp, &receiver, attr_nm, call_args)?
-                    }
-                }
-            };
-            frame.write(*dst, v);
-            Ok(Ctl::Next)
-        }
-        _ => step(interp, f, code, frame, pc),
-    }
 }
 
 /// Read a call's keyword arguments (values follow the positionals).

@@ -275,7 +275,7 @@ impl Interp {
     }
 
     fn call_interpreted_inner(&self, f: &Arc<FuncValue>, mut args: Args) -> Result<Value, PyErr> {
-        // Compiled tier: when the VM is enabled and this definition is
+        // Bytecode VM: when the VM is enabled and this definition is
         // VM-eligible, execute bytecode instead of tree-walking. Fallback is
         // per-function and the compile decision is cached per definition.
         if crate::bytecode::enabled() {

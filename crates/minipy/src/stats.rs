@@ -71,7 +71,7 @@ pub struct InterpStats {
     pub obj_lock_acquisitions: u64,
     /// How many of those found the lock already held by another thread.
     pub obj_lock_contended: u64,
-    /// Function definitions compiled by the bytecode tier.
+    /// Function definitions compiled by the bytecode VM.
     pub vm_compiles: u64,
     /// Cumulative bytecode-compilation nanoseconds.
     pub vm_compile_ns: u64,
@@ -83,7 +83,7 @@ pub struct InterpStats {
     /// Bytecode instructions dispatched.
     pub vm_ops: u64,
     /// Generic instructions rewritten in place to a type-specialized
-    /// variant by the quickening tier (at most one per instruction slot).
+    /// variant by quickening (at most one per instruction slot).
     pub quicken_rewrites: u64,
     /// Specialized instructions deoptimized back to the generic form on a
     /// guard failure (at most one per instruction slot, so always

@@ -1,63 +1,50 @@
-//! Differential harness: every corpus program runs under all three
-//! `OMP4RS_MINIPY_VM` settings — and, on the VM, under all three
-//! `OMP4RS_MINIPY_QUICKEN` settings — and must produce identical stdout,
-//! results, and errors (message *and* line). (`off`, `off`) is the
-//! reference tree-walker; every other cell routes through the bytecode
-//! tier (generic, quickened, or quickened+unboxed) and must be
-//! observationally indistinguishable — including for programs the compiler
-//! rejects (nested `def`, `try`/`except`, …), where the per-function
-//! fallback has to preserve semantics exactly.
+//! Differential harness: every corpus program runs under both
+//! `OMP4RS_MINIPY_VM` settings and must produce identical stdout, results,
+//! and errors (message *and* line). `off` is the reference tree-walker;
+//! `on` routes through the bytecode VM (quickened opcodes, inline caches,
+//! unboxed registers, fused range loops) and must be observationally
+//! indistinguishable — including for programs the compiler rejects (nested
+//! `def`, `try`/`except`, …), where the per-function fallback has to
+//! preserve semantics exactly.
 
-use minipy::bytecode::{self, QuickenMode, VmMode};
+use minipy::bytecode::{self, VmMode};
 use minipy::Interp;
 use proptest::prelude::*;
 
-/// `set_mode`/`set_quicken_mode` are process-global; serialize every
-/// differential comparison so concurrently running tests in this binary
-/// cannot observe each other's mode flips.
+/// `set_mode` is process-global; serialize every differential comparison
+/// so concurrently running tests in this binary cannot observe each other's
+/// mode flips.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run one program under one (VM, quicken) cell: (outcome, stdout). Errors
-/// are collapsed to `Display@line` so the comparison covers message and
+/// Run one program under one VM mode: (outcome, stdout). Errors are
+/// collapsed to `Display@line` so the comparison covers message and
 /// attribution.
-fn run_with(src: &str, mode: VmMode, quicken: QuickenMode) -> (Result<(), String>, String) {
+fn run_with(src: &str, mode: VmMode) -> (Result<(), String>, String) {
     let prev = bytecode::set_mode(mode);
-    let prev_q = bytecode::set_quicken_mode(quicken);
     let interp = Interp::new().capture_output();
     let result = interp
         .run(src)
         .map(|_| ())
         .map_err(|e| format!("{e}@{:?}", e.line));
     let out = interp.output().unwrap_or_default();
-    bytecode::set_quicken_mode(prev_q);
     bytecode::set_mode(prev);
     (result, out)
 }
 
-/// Every non-reference (VM, quicken) cell the differential sweep covers:
-/// the generic VM tiers, then the quickened tier and the unboxed tier on
-/// top of the full VM.
-const CELLS: &[(VmMode, QuickenMode)] = &[
-    (VmMode::Auto, QuickenMode::Off),
-    (VmMode::On, QuickenMode::Off),
-    (VmMode::On, QuickenMode::Auto),
-    (VmMode::On, QuickenMode::On),
-];
+/// The cells the differential sweep compares: the tree-walker oracle,
+/// then the VM.
+const CELLS: [VmMode; 2] = [VmMode::Off, VmMode::On];
 
-/// Assert every VM/quicken cell matches the tree-walker exactly.
+/// Assert the VM matches the tree-walker exactly.
 fn differential(src: &str) {
     let _guard = lock();
-    let reference = run_with(src, VmMode::Off, QuickenMode::Off);
-    for (mode, quicken) in CELLS {
-        let got = run_with(src, *mode, *quicken);
-        assert_eq!(
-            got, reference,
-            "vm={mode:?} quicken={quicken:?} diverges from tree-walker on:\n{src}"
-        );
-    }
+    let [oracle, vm] = CELLS;
+    let reference = run_with(src, oracle);
+    let got = run_with(src, vm);
+    assert_eq!(got, reference, "vm diverges from tree-walker on:\n{src}");
 }
 
 /// The hand-written corpus: one program per construct family the VM lowers,
@@ -142,7 +129,7 @@ fn corpus_is_mode_invariant() {
 #[test]
 fn vm_actually_executes_the_eligible_corpus() {
     // Guard against the suite passing vacuously (e.g. every program falling
-    // back): under `on`, the corpus must push frames through the VM.
+    // back): under the VM, the corpus must push frames through the VM.
     let _guard = lock();
     let prev = bytecode::set_mode(VmMode::On);
     minipy::stats::reset();
@@ -163,13 +150,12 @@ fn vm_actually_executes_the_eligible_corpus() {
 
 #[test]
 fn quickening_actually_rewrites_and_deopts_on_the_corpus() {
-    // Anti-vacuity guard for the quicken sweep: if specialization never
-    // fired (or guards never failed), the differential cells above would
-    // pass without testing the tier at all. The corpus must drive both
+    // Anti-vacuity guard for quickening: if specialization never fired (or
+    // guards never failed), the differential cells above would pass without
+    // testing the specialized handlers at all. The corpus must drive both
     // counters, and the rewrite/deopt invariant must hold.
     let _guard = lock();
     let prev = bytecode::set_mode(VmMode::On);
-    let prev_q = bytecode::set_quicken_mode(QuickenMode::On);
     minipy::stats::reset();
     minipy::stats::set_enabled(true);
     for src in CORPUS {
@@ -178,7 +164,6 @@ fn quickening_actually_rewrites_and_deopts_on_the_corpus() {
     }
     let stats = minipy::stats::snapshot();
     minipy::stats::set_enabled(false);
-    bytecode::set_quicken_mode(prev_q);
     bytecode::set_mode(prev);
     assert!(
         stats.quicken_rewrites > 0,
@@ -203,7 +188,7 @@ fn quickening_actually_rewrites_and_deopts_on_the_corpus() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random arithmetic expressions evaluate identically on both tiers
+    /// Random arithmetic expressions evaluate identically on the VM and the tree-walker
     /// (division and modulo run against 0 too — the error path must match).
     #[test]
     fn random_expressions_are_mode_invariant(

@@ -203,19 +203,11 @@ fn blocking<R>(interp: &Interp, f: impl FnOnce() -> R) -> R {
 /// per interpreter (later calls replace the mode).
 pub fn install(interp: &Interp, mode: ExecMode) {
     // Mirror the `OMP4RS_MINIPY_VM` ICV into the interpreter's bytecode
-    // tier. `Icvs` owns the env parse (and test overrides via
+    // VM. `Icvs` owns the env parse (and test overrides via
     // `Icvs::update`); the interpreter only sees the resolved mode.
-    let icvs = omp4rs::Icvs::current();
-    minipy::bytecode::set_mode(match icvs.minipy_vm {
+    minipy::bytecode::set_mode(match omp4rs::Icvs::current().minipy_vm {
         omp4rs::MinipyVm::Off => minipy::bytecode::VmMode::Off,
-        omp4rs::MinipyVm::Auto => minipy::bytecode::VmMode::Auto,
         omp4rs::MinipyVm::On => minipy::bytecode::VmMode::On,
-    });
-    // Same mirror for the VM's quickening tier (`OMP4RS_MINIPY_QUICKEN`).
-    minipy::bytecode::set_quicken_mode(match icvs.minipy_quicken {
-        omp4rs::MinipyQuicken::Off => minipy::bytecode::QuickenMode::Off,
-        omp4rs::MinipyQuicken::Auto => minipy::bytecode::QuickenMode::Auto,
-        omp4rs::MinipyQuicken::On => minipy::bytecode::QuickenMode::On,
     });
     let runtime = build_runtime_module(mode);
     interp.set_global("__omp", runtime.clone());
@@ -305,16 +297,8 @@ fn make_omp_callable(options: OmpOptions) -> Value {
                     };
                     interp.write_stdout(&minipy::print_module(&module));
                 }
-                let def = Arc::new(new_def);
-                // `OMP4RS_MINIPY_VM=on`: compile the transformed function
-                // and its generated parallel bodies at decoration time, so
-                // no compile latency lands on the first parallel region and
-                // fallback reasons surface immediately.
-                if minipy::bytecode::mode() == minipy::bytecode::VmMode::On {
-                    minipy::bytecode::precompile_def(&def);
-                }
                 Ok(Value::Func(Arc::new(FuncValue {
-                    def,
+                    def: Arc::new(new_def),
                     closure: fv.closure.clone(),
                     name: fv.name.clone(),
                     defaults: fv.defaults.clone(),

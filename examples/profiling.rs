@@ -56,7 +56,7 @@ fn main() {
         ompt::set_counter("minipy.gil.hold_ns", stats.gil_hold_ns);
         ompt::set_counter("minipy.obj_lock.acquisitions", stats.obj_lock_acquisitions);
         ompt::set_counter("minipy.obj_lock.contended", stats.obj_lock_contended);
-        // Bytecode-tier counters: in the default `OMP4RS_MINIPY_VM=auto`,
+        // Bytecode-VM counters: in the default `OMP4RS_MINIPY_VM=on`,
         // Pure mode's parallel body runs compiled (frames/ops nonzero) while
         // the decorated outer function tree-walks (one `nested-def` fallback).
         ompt::set_counter("minipy.vm.compiles", stats.vm_compiles);

@@ -66,11 +66,11 @@ OVERHEADBIN=target/release/overhead
 
 # ---------------------------------------------------------------- pi: modes
 # mode-id:minipy-vm rows. Compiled never enters the interpreter, so the VM
-# setting is irrelevant there; one row records it as "auto" for reference.
+# setting is irrelevant there; one row records it as "on" for reference.
 ROWS=(
-    "0:off" "0:auto" "0:on"   # Pure: tree-walker vs bytecode VM
-    "1:off" "1:auto" "1:on"   # Hybrid: same contrast, atomic runtime
-    "2:auto"                  # Compiled: native closures (VM-independent)
+    "0:off" "0:on"   # Pure: tree-walker vs bytecode VM
+    "1:off" "1:on"   # Hybrid: same contrast, atomic runtime
+    "2:on"           # Compiled: native closures (VM-independent)
 )
 
 # Equal-effective-scale Compiled row: Pure/Hybrid run at effective scale
@@ -92,29 +92,7 @@ emit_pi() { # mode vm threads scale repeat
 for row in "${ROWS[@]}"; do
     emit_pi "${row%%:*}" "${row##*:}" "$THREADS" "$SCALE" "$REPEAT"
 done
-emit_pi 2 auto "$THREADS" "$EQ_SCALE" "$REPEAT"   # Compiled, equal problem
-
-# -------------------------------------------------------------- pi: quicken
-# VM tier-2 cells: interpreted modes on the bytecode VM under each
-# OMP4RS_MINIPY_QUICKEN tier. `off` is the tier-1 baseline, `auto` quickens
-# after profiling (the default), `on` additionally starts frames with the
-# unboxed register plane armed. The off-vs-on Pure contrast at equal scale
-# is the headline quickening speedup EXPERIMENTS.md quotes.
-quicken=""
-emit_quicken() { # mode quicken threads scale repeat
-    local line
-    echo "==> mode=$1 OMP4RS_MINIPY_VM=on OMP4RS_MINIPY_QUICKEN=$2 threads=$3 scale=$4 repeat=$5" >&2
-    line=$(OMP4RS_MINIPY_VM=on OMP4RS_MINIPY_QUICKEN="$2" "$BIN" "$1" pi "$3" "$4" --json --repeat "$5")
-    echo "    $line" >&2
-    quicken+="${quicken:+,
-  }$line"
-}
-
-for mode in 0 1; do            # Pure, Hybrid (Compiled never interprets)
-    for tier in off auto on; do
-        emit_quicken "$mode" "$tier" "$THREADS" "$SCALE" "$REPEAT"
-    done
-done
+emit_pi 2 on "$THREADS" "$EQ_SCALE" "$REPEAT"   # Compiled, equal problem
 
 # ---------------------------------------------------------------- pi: sweep
 # Thread sweep for the headline interpreted mode (Hybrid) and Compiled,
@@ -125,7 +103,7 @@ IFS=',' read -ra SWEEP <<< "$SWEEP_THREADS"
 for t in "${SWEEP[@]}"; do
     for mode in 1 2; do
         echo "==> sweep mode=$mode threads=$t repeat=$SWEEP_REPEAT" >&2
-        line=$(OMP4RS_MINIPY_VM=auto "$BIN" "$mode" pi "$t" "$SCALE" --json --repeat "$SWEEP_REPEAT")
+        line=$(OMP4RS_MINIPY_VM=on "$BIN" "$mode" pi "$t" "$SCALE" --json --repeat "$SWEEP_REPEAT")
         echo "    $line" >&2
         sweep+="${sweep:+,
   }$line"
@@ -140,9 +118,6 @@ cat > "$OUT" <<EOF
  "scale": $SCALE,
  "runs": [
   $runs
- ],
- "quicken": [
-  $quicken
  ],
  "sweep": [
   $sweep

@@ -17,15 +17,17 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo build --release
 fi
 run cargo test -q
+# Test-order independence: tests that share process-global state must hold
+# the guard their siblings take, whatever the scheduling. Run the whole
+# workspace serially and at a high thread count; either run failing fails CI.
+run cargo test -q --workspace -- --test-threads=1
+run cargo test -q --workspace -- --test-threads=8
 # Bytecode-VM equivalence: both differential suites named explicitly so a
-# test-filter or package-list change can never silently drop them, and under
-# both quickening tiers — `off` pins the tier-1 baseline, `on` forces the
-# quickened dispatch (specialized opcodes, inline caches, unboxed registers,
-# fused range loops) through the same semantic oracle.
-for quicken in off on; do
-    run env OMP4RS_MINIPY_QUICKEN="$quicken" cargo test -q -p minipy --test vm_differential
-    run env OMP4RS_MINIPY_QUICKEN="$quicken" cargo test -q -p omp4rs-apps --test vm_differential
-done
+# test-filter or package-list change can never silently drop them. Each
+# holds the VM (quickened opcodes, inline caches, unboxed registers, fused
+# range loops) to the tree-walker oracle.
+run cargo test -q -p minipy --test vm_differential
+run cargo test -q -p omp4rs-apps --test vm_differential
 # Task-dependence runtime: depgraph ordering (chain/diamond/WAR-WAW),
 # child-scoped taskwait, observable priority, taskgroup cancellation and
 # deadlines, the dep-release fault site, and the seeded chaos accounting

@@ -7,30 +7,19 @@
 //! The minipy-level harness (`crates/minipy/tests/vm_differential.rs`)
 //! covers the language; this one covers the `__omp` intrinsic opcodes
 //! (`CallIntrinsic` chunk claims, barriers, reduction merges) and the
-//! `Icvs::minipy_vm` -> `bytecode::set_mode` /
-//! `Icvs::minipy_quicken` -> `bytecode::set_quicken_mode` mirrors in
-//! `install`. The VM cells also sweep the quickening tier (generic,
-//! quickened, quickened+unboxed).
+//! `Icvs::minipy_vm` -> `bytecode::set_mode` mirror in `install`.
 
 use std::sync::Mutex;
 
 use minipy::{Interp, Value};
-use omp4rs::{Icvs, MinipyQuicken, MinipyVm};
+use omp4rs::{Icvs, MinipyVm};
 use omp4rs_apps::modes::close;
 use omp4rs_pyfront::{ExecMode, Runner};
 
 const EXEC_MODES: [ExecMode; 2] = [ExecMode::Pure, ExecMode::Hybrid];
 
-/// Every (VM, quicken) cell the sweeps cover. The first cell is the
-/// tree-walking reference; the rest route through the bytecode tier with
-/// progressively more of the quickening machinery enabled.
-const CELLS: [(MinipyVm, MinipyQuicken); 5] = [
-    (MinipyVm::Off, MinipyQuicken::Off),
-    (MinipyVm::Auto, MinipyQuicken::Off),
-    (MinipyVm::On, MinipyQuicken::Off),
-    (MinipyVm::On, MinipyQuicken::Auto),
-    (MinipyVm::On, MinipyQuicken::On),
-];
+/// The cells the sweeps cover: the tree-walking reference, then the VM.
+const CELLS: [MinipyVm; 2] = [MinipyVm::Off, MinipyVm::On];
 
 /// Serialize ICV flips (`minipy_vm`, `cancellation`) across this binary's
 /// concurrently running tests.
@@ -39,21 +28,16 @@ fn icv_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run one program under one (exec mode, vm setting, quicken setting):
-/// call `entry(args)` and return (outcome, stdout). The caller holds the
-/// ICV lock.
+/// Run one program under one (exec mode, vm setting): call `entry(args)`
+/// and return (outcome, stdout). The caller holds the ICV lock.
 fn run_case(
     exec: ExecMode,
     vm: MinipyVm,
-    quicken: MinipyQuicken,
     src: &str,
     entry: &str,
     args: Vec<Value>,
 ) -> (Result<Value, String>, String) {
-    Icvs::update(|i| {
-        i.minipy_vm = vm;
-        i.minipy_quicken = quicken;
-    });
+    Icvs::update(|i| i.minipy_vm = vm);
     // `install` (via Runner) mirrors the ICV into `minipy::bytecode`.
     let runner = Runner::with_interp(Interp::new().capture_output(), exec);
     runner.run(src).expect("program loads");
@@ -73,15 +57,13 @@ fn differential(src: &str, entry: &str, args: &[Value]) {
         // `Value` has no `PartialEq`; a debug rendering is canonical for
         // the ints/floats/lists this corpus returns.
         let canon = |(r, out): (Result<Value, String>, String)| (r.map(|v| format!("{v:?}")), out);
-        let (ref_vm, ref_q) = CELLS[0];
-        let reference = canon(run_case(exec, ref_vm, ref_q, src, entry, args.to_vec()));
-        for (vm, quicken) in &CELLS[1..] {
-            let got = canon(run_case(exec, *vm, *quicken, src, entry, args.to_vec()));
-            assert_eq!(
-                got, reference,
-                "{exec:?}/{vm:?}/quicken={quicken:?} diverges from the tree-walker for {entry}"
-            );
-        }
+        let [oracle, vm] = CELLS;
+        let reference = canon(run_case(exec, oracle, src, entry, args.to_vec()));
+        let got = canon(run_case(exec, vm, src, entry, args.to_vec()));
+        assert_eq!(
+            got, reference,
+            "{exec:?}/{vm:?} diverges from the tree-walker for {entry}"
+        );
     }
     Icvs::reset(before);
 }
@@ -211,17 +193,14 @@ def pi(n):
     let _guard = icv_lock();
     let before = Icvs::current();
     for exec in EXEC_MODES {
-        for (vm, quicken) in CELLS {
-            let (result, out) = run_case(exec, vm, quicken, src, "pi", vec![Value::Int(50_000)]);
+        for vm in CELLS {
+            let (result, out) = run_case(exec, vm, src, "pi", vec![Value::Int(50_000)]);
             let value = result.expect("pi runs").as_float().expect("a float");
             assert!(
                 close(value, std::f64::consts::PI, 1e-6),
-                "{exec:?}/{vm:?}/quicken={quicken:?}: pi={value}"
+                "{exec:?}/{vm:?}: pi={value}"
             );
-            assert!(
-                out.is_empty(),
-                "{exec:?}/{vm:?}/quicken={quicken:?}: unexpected stdout {out:?}"
-            );
+            assert!(out.is_empty(), "{exec:?}/{vm:?}: unexpected stdout {out:?}");
         }
     }
     Icvs::reset(before);
@@ -251,11 +230,10 @@ def count_until_cancel(n):
     let before = Icvs::current();
     Icvs::update(|i| i.cancellation = true);
     for exec in EXEC_MODES {
-        for (vm, quicken) in CELLS {
+        for vm in CELLS {
             let (result, _) = run_case(
                 exec,
                 vm,
-                quicken,
                 src,
                 "count_until_cancel",
                 vec![Value::Int(100_000)],
@@ -266,7 +244,7 @@ def count_until_cancel(n):
                 .expect("int");
             assert!(
                 (10..1_000).contains(&executed),
-                "{exec:?}/{vm:?}/quicken={quicken:?}: cancel did not bound the loop \
+                "{exec:?}/{vm:?}: cancel did not bound the loop \
                  (executed={executed})"
             );
         }
@@ -313,9 +291,9 @@ def work(n):
 }
 
 #[test]
-fn quicken_settings_actually_change_the_dispatch_tier() {
-    // Same vacuity guard for the quickening tier, through the full pyfront
-    // pipeline: `off` must never rewrite an instruction, `on` must.
+fn default_settings_quicken_the_pyfront_pipeline() {
+    // Same vacuity guard for quickening, through the full pyfront pipeline
+    // at the default ICVs: the VM must specialize instructions.
     let src = r#"
 from omp4py import *
 
@@ -329,30 +307,19 @@ def work(n):
 "#;
     let _guard = icv_lock();
     let before = Icvs::current();
-    let rewrites_under = |quicken: MinipyQuicken| {
-        Icvs::update(|i| {
-            i.minipy_vm = MinipyVm::On;
-            i.minipy_quicken = quicken;
-        });
-        let runner = Runner::new(ExecMode::Pure);
-        runner.run(src).expect("program loads");
-        minipy::stats::reset();
-        let total = runner
-            .call_global("work", vec![Value::Int(10_000)])
-            .expect("work runs")
-            .as_int()
-            .expect("int");
-        assert_eq!(total, 10_000 * 9_999 / 2);
-        minipy::stats::snapshot().quicken_rewrites
-    };
-    assert_eq!(
-        rewrites_under(MinipyQuicken::Off),
-        0,
-        "quicken=off must run the generic tier"
-    );
+    Icvs::update(|i| i.minipy_vm = MinipyVm::default());
+    let runner = Runner::new(ExecMode::Pure);
+    runner.run(src).expect("program loads");
+    minipy::stats::reset();
+    let total = runner
+        .call_global("work", vec![Value::Int(10_000)])
+        .expect("work runs")
+        .as_int()
+        .expect("int");
+    assert_eq!(total, 10_000 * 9_999 / 2);
     assert!(
-        rewrites_under(MinipyQuicken::On) > 0,
-        "quicken=on must specialize instructions"
+        minipy::stats::snapshot().quicken_rewrites > 0,
+        "the default VM must specialize instructions"
     );
     Icvs::reset(before);
 }
