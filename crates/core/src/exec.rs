@@ -554,8 +554,8 @@ fn run_worker<'env, F>(
     // itself — there is no sibling waiter to trip the deadline for it.
     let _interrupt = {
         let team = Arc::clone(&team);
-        crate::faults::set_delay_interrupt(Box::new(move || {
-            team.is_cancelled() || team.deadline_probe()
+        crate::faults::set_delay_interrupt(Box::new(move |site| {
+            team.is_cancelled() || team.deadline_probe(site.construct())
         }))
     };
     crate::ompt::record(

@@ -71,6 +71,18 @@ impl FaultSite {
             FaultSite::DepRelease => "dep-release",
         }
     }
+
+    /// The construct a thread stalled at this site is blocked in, as
+    /// reported by [`crate::OmpError::RegionTimeout`]: a stall at a barrier
+    /// arrival times out in `barrier`, whichever thread trips the deadline.
+    pub(crate) fn construct(self) -> &'static str {
+        match self {
+            FaultSite::BarrierArrival => "barrier",
+            FaultSite::TaskExecute | FaultSite::DepRelease => "task",
+            FaultSite::ChunkClaim => "for",
+            FaultSite::WorkerDispatch => "region",
+        }
+    }
 }
 
 impl fmt::Display for FaultSite {
@@ -238,12 +250,16 @@ thread_local! {
     /// `TEST_LOCK`; this flag converts that silent hang into a clear panic.
     static ARMED_HERE: Cell<bool> = const { Cell::new(false) };
 
-    /// Per-thread interrupt predicate polled by injected delays: when it
-    /// returns `true` (e.g. the worker's region was cancelled or poisoned),
-    /// the remainder of the delay is abandoned so a "stalled" worker can
-    /// observe a deadline trip and exit instead of pinning the region open.
-    static DELAY_INTERRUPT: RefCell<Option<Box<dyn Fn() -> bool>>> = const { RefCell::new(None) };
+    /// Per-thread interrupt predicate polled by injected delays with the
+    /// stalled site: when it returns `true` (e.g. the worker's region was
+    /// cancelled or poisoned), the remainder of the delay is abandoned so a
+    /// "stalled" worker can observe a deadline trip and exit instead of
+    /// pinning the region open.
+    static DELAY_INTERRUPT: RefCell<Option<DelayInterrupt>> = const { RefCell::new(None) };
 }
+
+/// An injected delay's interrupt predicate, given the stalled site.
+type DelayInterrupt = Box<dyn Fn(FaultSite) -> bool>;
 
 /// Injected delays sleep in slices of at most this, polling the interrupt
 /// predicate between slices.
@@ -252,7 +268,7 @@ const DELAY_SLICE: Duration = Duration::from_millis(5);
 /// RAII installer for the per-thread delay interrupt; restores the previous
 /// predicate (usually `None`) on drop.
 pub(crate) struct InterruptGuard {
-    prev: Option<Box<dyn Fn() -> bool>>,
+    prev: Option<DelayInterrupt>,
 }
 
 impl Drop for InterruptGuard {
@@ -264,15 +280,15 @@ impl Drop for InterruptGuard {
 /// Install a delay-interrupt predicate for the calling thread (see
 /// [`DELAY_INTERRUPT`]). Used by the pooled-region worker loop so injected
 /// stalls become recoverable once the region is poisoned.
-pub(crate) fn set_delay_interrupt(pred: Box<dyn Fn() -> bool>) -> InterruptGuard {
+pub(crate) fn set_delay_interrupt(pred: DelayInterrupt) -> InterruptGuard {
     let prev = DELAY_INTERRUPT.with(|cell| cell.borrow_mut().replace(pred));
     InterruptGuard { prev }
 }
 
 /// Whether the calling thread's installed interrupt predicate (if any) says
-/// to abandon an in-progress injected delay.
-fn delay_interrupted() -> bool {
-    DELAY_INTERRUPT.with(|cell| cell.borrow().as_ref().is_some_and(|pred| pred()))
+/// to abandon an in-progress injected delay at `site`.
+fn delay_interrupted(site: FaultSite) -> bool {
+    DELAY_INTERRUPT.with(|cell| cell.borrow().as_ref().is_some_and(|pred| pred(site)))
 }
 
 /// Guard returned by [`arm`]: disarms the plan when dropped and holds the
@@ -389,7 +405,7 @@ fn on_event_armed(site: FaultSite) {
         let until = std::time::Instant::now() + base.mul_f64(factor);
         loop {
             let now = std::time::Instant::now();
-            if now >= until || delay_interrupted() {
+            if now >= until || delay_interrupted(site) {
                 break;
             }
             std::thread::sleep(DELAY_SLICE.min(until - now));
@@ -512,7 +528,7 @@ mod tests {
         ));
         // Predicate fires immediately: the two-minute stall collapses to at
         // most a couple of slices.
-        let _interrupt = set_delay_interrupt(Box::new(|| true));
+        let _interrupt = set_delay_interrupt(Box::new(|_| true));
         let start = std::time::Instant::now();
         on_event(FaultSite::BarrierArrival);
         assert!(

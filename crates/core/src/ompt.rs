@@ -539,10 +539,14 @@ struct LocalRing {
 
 impl Drop for LocalRing {
     fn drop(&mut self) {
+        // Check the generation under `DRAIN`, which `reset` holds while it
+        // bumps the epoch: checked outside it, a thread exiting during a
+        // reset could pass the check and then retire its stale events and
+        // drop count into the new generation.
+        let _guard = DRAIN.lock();
         if self.epoch != RING_EPOCH.load(Ordering::SeqCst) {
             return;
         }
-        let _guard = DRAIN.lock();
         let (batch, dropped) = {
             let mut s = self.ring.state.lock();
             (

@@ -352,15 +352,18 @@ impl Team {
         err
     }
 
-    /// Probe the region deadline from a non-parked stall point (the injected
-    /// delay interrupt hook): if the deadline has passed, trip it and return
-    /// `true`. This is the only rescue path for a *serial* region (admission
-    /// shed, team of one) — there are no sibling waiters parked with the
-    /// deadline and no pool slot for the watchdog to monitor.
-    pub(crate) fn deadline_probe(&self) -> bool {
+    /// Probe the region deadline from a non-parked stall point in
+    /// `construct` (the injected delay interrupt hook): if the deadline has
+    /// passed, trip it and return `true`. This is the only rescue path for a
+    /// *serial* region (admission shed, team of one) — there are no sibling
+    /// waiters parked with the deadline and no pool slot for the watchdog to
+    /// monitor. In a larger team it races the parked waiters to the trip;
+    /// naming the stalled construct keeps the reported error the same
+    /// whichever thread wins.
+    pub(crate) fn deadline_probe(&self, construct: &'static str) -> bool {
         match self.deadline {
             Some(deadline) if Instant::now() >= deadline => {
-                self.trip_deadline("region");
+                self.trip_deadline(construct);
                 true
             }
             _ => false,

@@ -12,7 +12,9 @@
 //! statement; compiled code ticks on loop back-edges and calls instead. Each
 //! loop iteration and each call boundary therefore remains a potential
 //! switch point (what CPython's eval loop guarantees), while straight-line
-//! arithmetic runs untouched — that is the point of the VM.
+//! arithmetic runs untouched — that is the point of the VM. A switch point
+//! is not a flush: a fused `range` loop reads each closure cell once per
+//! run and keeps that value (the OpenMP temporary view; see `run_fused`).
 //!
 //! # Quickening
 //!
@@ -1007,7 +1009,12 @@ fn step_quick(
 ///   per-instruction line annotation.
 /// * **Counters** — `executed` tracks every completed sub-instruction so
 ///   `vm_ops` matches per-op execution exactly, and a fused `LoadFree`
-///   counts its IC hit exactly as the generic handler would.
+///   counts its IC hit exactly as the generic handler would. Both are
+///   summed in locals and published once, when the run exits.
+/// * **Cells** — read once per run, in [`decode_fused`], and kept: OpenMP's
+///   temporary view, legal because a fused body has no flush point (barriers,
+///   locks, `atomic`, `flush`, chunk claims are non-fusible `CallIntrinsic`s)
+///   and writes no cell. Every chunk and every re-entry reads afresh.
 #[inline(never)]
 fn run_fused(
     interp: &Interp,
@@ -1034,22 +1041,13 @@ fn run_fused(
     // [`FusedOp`]s instead of re-walking the `Op` enum (and the `BinOp`
     // jump table inside the arithmetic helpers) every iteration.
     let mut micro = [FusedOp::NOP; super::opcode::FUSED_MAX_BODY];
-    decode_fused(code, pc, body, &mut micro);
+    decode_fused(code, frame, pc, body, &mut micro);
     // Keep the GIL tick counter in a register for the whole loop; identical
     // cadence to one `tick()` per back-edge.
     let mut batch = interp.gil().tick_batch();
-    // Per-body-slot cache of `LoadFree` cell values. Sound because `tick`
-    // reports any window in which another thread may have run (and only
-    // Python code, which runs under the GIL, can write a cell): while it
-    // returns `false` the cell provably holds the cached value, and body
-    // ops themselves cannot write cells (`StoreCell`/`AugCell` are not
-    // fusible).
-    let mut free_cache = [None::<Num>; super::opcode::FUSED_MAX_BODY];
-    // Stats enablement is loop-invariant here: it only ever flips outside a
-    // measured region (tests/benches toggle it around whole calls).
-    let stats_on = stats::enabled();
     // The caller's dispatch already counted one op for this pc.
     let mut executed: u64 = 0;
+    let mut ic_hits: u64 = 0;
     let ctl = 'iter: loop {
         // -- the IterNext itself --
         executed += 1;
@@ -1061,8 +1059,8 @@ fn run_fused(
         cur += step;
         frame.write_num(*dst, Num::I(v));
         // -- the body --
-        for k in 0..body {
-            if !exec_fused(frame, &micro[k], &mut free_cache[k], stats_on) {
+        for (k, m) in micro[..body].iter().enumerate() {
+            if !exec_fused(frame, m, &mut ic_hits) {
                 if let Some(ValueIter::Range { cur: c, .. }) = frame.iters[slot].as_mut() {
                     *c = cur;
                 }
@@ -1072,13 +1070,12 @@ fn run_fused(
         }
         // -- the back-edge: a GIL switch point per iteration --
         executed += 1;
-        if batch.tick() {
-            for c in free_cache[..body].iter_mut() {
-                *c = None;
-            }
-        }
+        batch.tick();
     };
     *ops += executed.saturating_sub(1);
+    if ic_hits > 0 && stats::enabled() {
+        stats::add_ic_hits(ic_hits);
+    }
     Ok(ctl)
 }
 
@@ -1097,8 +1094,10 @@ enum FusedKind {
     Helper,
     /// Register copy.
     Copy,
-    /// Closure-cell read with the per-slot value cache.
-    LoadFree,
+    /// Closure-cell read of the value the cell held when the run started.
+    Free(Num),
+    /// Unfilled or non-numeric cell: bails to the generic handler.
+    Bail,
 }
 
 /// A fused-body instruction pre-decoded at loop entry: operator shape and
@@ -1113,7 +1112,7 @@ struct FusedOp {
     /// The original operator, for the [`FusedKind::Helper`] path.
     op: BinOp,
     dst: Reg,
-    /// Left operand register, or the cell slot for `LoadFree`.
+    /// Left operand register.
     a: Reg,
     b: Reg,
 }
@@ -1130,9 +1129,10 @@ impl FusedOp {
 }
 
 /// Decode a compile-time-verified fused body (see `CompiledCode::fused`)
-/// into [`FusedOp`]s. Once per [`run_fused`] entry, not per iteration.
+/// into [`FusedOp`]s, reading each `LoadFree`'s cell. Once per
+/// [`run_fused`] entry, not per iteration.
 #[inline(never)]
-fn decode_fused(code: &CompiledCode, pc: usize, body: usize, out: &mut [FusedOp]) {
+fn decode_fused(code: &CompiledCode, frame: &Frame, pc: usize, body: usize, out: &mut [FusedOp]) {
     let kind_of = |op: BinOp| match op {
         BinOp::Add => FusedKind::Add,
         BinOp::Sub => FusedKind::Sub,
@@ -1163,12 +1163,22 @@ fn decode_fused(code: &CompiledCode, pc: usize, body: usize, out: &mut [FusedOp]
                 a: *src,
                 ..FusedOp::NOP
             },
-            Op::LoadFree { dst, cell, .. } => FusedOp {
-                kind: FusedKind::LoadFree,
-                dst: *dst,
-                a: *cell,
-                ..FusedOp::NOP
-            },
+            Op::LoadFree { dst, cell, .. } => {
+                let kind = match frame.cells[*cell as usize]
+                    .as_ref()
+                    .map(|c| c.read())
+                    .as_deref()
+                {
+                    Some(Value::Int(v)) => FusedKind::Free(Num::I(*v)),
+                    Some(Value::Float(v)) => FusedKind::Free(Num::F(*v)),
+                    _ => FusedKind::Bail,
+                };
+                FusedOp {
+                    kind,
+                    dst: *dst,
+                    ..FusedOp::NOP
+                }
+            }
             // `CompiledCode::fused` only marks bodies made of the arms above.
             op => unreachable!("non-fusible op in fused body: {op:?}"),
         };
@@ -1180,7 +1190,7 @@ fn decode_fused(code: &CompiledCode, pc: usize, body: usize, out: &mut [FusedOp]
 /// the operation would raise; the caller bails so the per-op dispatch
 /// re-executes the instruction and raises the identical error.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn exec_fused(frame: &mut Frame, m: &FusedOp, cache: &mut Option<Num>, stats_on: bool) -> bool {
+fn exec_fused(frame: &mut Frame, m: &FusedOp, ic_hits: &mut u64) -> bool {
     // `int`/`int` takes the checked-int path, anything mixed computes as
     // `f64` — the same coercion ladder as `binary_op`.
     macro_rules! arith {
@@ -1239,34 +1249,14 @@ fn exec_fused(frame: &mut Frame, m: &FusedOp, cache: &mut Option<Num>, stats_on:
                 None => false,
             }
         }
-        FusedKind::LoadFree => {
-            let n = match *cache {
-                Some(n) => n,
-                None => {
-                    let n = match &frame.cells[m.a as usize] {
-                        Some(c) => match &*c.read() {
-                            Value::Int(v) => Num::I(*v),
-                            Value::Float(v) => Num::F(*v),
-                            // Non-numeric cell value: bail.
-                            _ => return false,
-                        },
-                        // Unfilled cell slot: the generic handler performs
-                        // the once-per-frame lazy fill (counted as the IC
-                        // miss).
-                        None => return false,
-                    };
-                    *cache = Some(n);
-                    n
-                }
-            };
-            // One dispatch, one IC hit — cached or not, exactly as the
-            // generic handler counts this execution.
-            if stats_on {
-                stats::count_ic(true);
-            }
+        FusedKind::Free(n) => {
+            // One dispatch, one IC hit, exactly as the generic handler
+            // counts this execution.
+            *ic_hits += 1;
             frame.write_num(m.dst, n);
             true
         }
+        FusedKind::Bail => false,
     }
 }
 

@@ -11,6 +11,10 @@
 //!   CPU-bound code gets **no** parallel speedup (the paper's motivation).
 //! * [`GilMode::FreeThreaded`] — no global lock; threads run concurrently,
 //!   limited only by per-object locks and shared refcount contention.
+//!
+//! A tick is a scheduling point, not a flush: in both modes a loop may keep
+//! a value read from a shared cell across ticks (OpenMP's temporary view, as
+//! the VM's fused `range` loop does); visibility comes from flush points.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,18 +136,11 @@ impl Gil {
 
     /// Account one interpreter operation; yields the GIL at the switch
     /// interval so other threads can run (as CPython's eval loop does).
-    ///
-    /// Returns whether another thread may have executed since the previous
-    /// tick: `true` on a switch-interval boundary, and always when the GIL
-    /// is disabled (nothing serializes execution then). While it returns
-    /// `false` the GIL was held continuously, so no other thread can have
-    /// mutated interpreter-visible state — callers may cache values that
-    /// only Python code can change (e.g. closure cells) across such ticks,
-    /// invalidating on `true`.
+    /// A no-op when the GIL is disabled.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn tick(&self) -> bool {
+    pub fn tick(&self) {
         if !self.is_enabled() {
-            return true;
+            return;
         }
         let should_switch = TICKS.with(|t| {
             let v = t.get() + 1;
@@ -157,9 +154,7 @@ impl Gil {
         });
         if should_switch {
             self.switch();
-            return true;
         }
-        false
     }
 
     /// Open a batched tick account for a hot loop: the switch-interval
@@ -247,21 +242,18 @@ pub struct TickBatch<'g> {
 }
 
 impl TickBatch<'_> {
-    /// Account one interpreter operation. Identical contract and cadence to
-    /// [`Gil::tick`]: returns whether another thread may have executed
-    /// since the previous tick.
+    /// Account one interpreter operation, with the same cadence as
+    /// [`Gil::tick`].
     #[inline(always)]
-    pub fn tick(&mut self) -> bool {
+    pub fn tick(&mut self) {
         if !self.enabled {
-            return true;
+            return;
         }
         self.ticks += 1;
         if self.ticks >= self.gil.switch_interval {
             self.ticks = 0;
             self.gil.switch();
-            return true;
         }
-        false
     }
 }
 

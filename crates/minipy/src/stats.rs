@@ -10,7 +10,9 @@
 //!
 //! Collection follows the same inert-unless-armed idiom as the core layer:
 //! every probe is a single relaxed [`enabled`] load when off, and a relaxed
-//! `fetch_add` when on — the counters themselves never introduce contention.
+//! `fetch_add` when on. The counters are process-global, so a per-operation
+//! probe firing on several threads (e.g. `count_obj_lock`) bounces their
+//! cache line; hot loops count locally and publish once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -170,6 +172,11 @@ pub(crate) fn count_ic(hit: bool) {
     } else {
         IC_MISSES.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// `n` inline-cache hits counted locally by a hot loop.
+pub(crate) fn add_ic_hits(n: u64) {
+    IC_HITS.fetch_add(n, Ordering::Relaxed);
 }
 
 #[cfg(test)]

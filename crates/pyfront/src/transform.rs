@@ -167,6 +167,14 @@ fn assign(target: &str, value: Expr) -> Stmt {
     })
 }
 
+/// Rebind an outlined function's name to `None` once the runtime call that
+/// consumes it has been made (the runtime holds its own reference). The
+/// function's closure is the enclosing frame's environment, so leaving it
+/// bound there makes a reference cycle that leaks every call frame.
+fn unbind_outlined(fname: &str) -> Stmt {
+    assign(fname, Expr::None)
+}
+
 fn str_lit(s: &str) -> Expr {
     Expr::Str(s.to_owned())
 }
@@ -709,6 +717,7 @@ impl Transformer {
             "parallel_run",
             vec![Expr::name(&fname), num_threads, if_expr],
         ));
+        out.push(unbind_outlined(&fname));
         Ok(out)
     }
 
@@ -820,7 +829,11 @@ impl Transformer {
                 ],
             )
         };
-        Ok(vec![Stmt::new(StmtKind::FuncDef(func_def), line), submit])
+        Ok(vec![
+            Stmt::new(StmtKind::FuncDef(func_def), line),
+            submit,
+            unbind_outlined(&fname),
+        ])
     }
 
     // ---- for -----------------------------------------------------------------
@@ -1154,6 +1167,7 @@ impl Transformer {
                     Expr::Bool(nogroup),
                 ],
             ),
+            unbind_outlined(&fname),
         ])
     }
 

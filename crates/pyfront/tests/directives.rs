@@ -930,3 +930,55 @@ def prio():
         assert_eq!(got, vec![5, 4, 3, 2, 1], "{mode:?}");
     }
 }
+
+#[test]
+fn outlined_bodies_do_not_leak_the_call_frame() {
+    // The outlined function's closure is the enclosing frame; a frame that
+    // outlived its call would keep its arguments alive, so each call must
+    // hand every reference to `xs` back.
+    let src = r#"
+from omp4py import *
+
+@omp
+def par(xs):
+    with omp("parallel num_threads(2)"):
+        n = len(xs)
+    return 0
+
+@omp
+def tsk(xs):
+    with omp("parallel num_threads(2)"):
+        with omp("single"):
+            with omp("task"):
+                n = len(xs)
+    return 0
+
+@omp
+def tloop(xs):
+    with omp("parallel num_threads(2)"):
+        with omp("single"):
+            with omp("taskloop"):
+                for i in range(4):
+                    n = len(xs)
+    return 0
+"#;
+    for mode in both_modes() {
+        let runner = Runner::new(mode);
+        runner.run(src).unwrap();
+        for func in ["par", "tsk", "tloop"] {
+            let xs = Value::list(vec![Value::Int(1)]);
+            let Value::List(arc) = &xs else {
+                unreachable!()
+            };
+            let before = std::sync::Arc::strong_count(arc);
+            for _ in 0..3 {
+                runner.call_global(func, vec![xs.clone()]).unwrap();
+            }
+            assert_eq!(
+                std::sync::Arc::strong_count(arc),
+                before,
+                "{mode:?}: {func} leaked its call frame"
+            );
+        }
+    }
+}

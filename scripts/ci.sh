@@ -22,6 +22,13 @@ run cargo test -q
 # workspace serially and at a high thread count; either run failing fails CI.
 run cargo test -q --workspace -- --test-threads=1
 run cargo test -q --workspace -- --test-threads=8
+# ... and in shuffled order, for three fixed seeds so a failure replays.
+# libtest's `--shuffle-seed` is unstable; RUSTC_BOOTSTRAP lets the stable
+# toolchain's test harness accept it. Build once, then run each seed.
+run env RUSTC_BOOTSTRAP=1 cargo test -q --workspace --no-run
+for seed in 1 2 3; do
+    run env RUSTC_BOOTSTRAP=1 cargo test -q --workspace -- -Z unstable-options --shuffle-seed "$seed"
+done
 # Bytecode-VM equivalence: both differential suites named explicitly so a
 # test-filter or package-list change can never silently drop them. Each
 # holds the VM (quickened opcodes, inline caches, unboxed registers, fused

@@ -171,6 +171,109 @@ def takes_two(a, b):
 }
 
 // ---------------------------------------------------------------------------
+// Temporary-view corpus: a fused `range` loop reads each closure cell once
+// per run and keeps the value until the run ends. These pin down that every
+// new run (a new call, a new chunk, the loop after a barrier) sees the
+// cell's current value.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn rebinding_between_calls_reaches_the_fused_loop() {
+    // The outer function rebinds `w` (int, then float) between two calls of
+    // each inner function: a nested `def` and an outlined parallel region
+    // that re-runs per `rep`. Both fused loops read `w` from a cell.
+    let src = r#"
+from omp4py import *
+
+@omp
+def rebind(n):
+    w = 2
+    def inner():
+        t = 0
+        for i in range(n):
+            t += i * w
+        return t
+    out = []
+    for rep in range(3):
+        s = 0
+        with omp("parallel for reduction(+:s) num_threads(2)"):
+            for i in range(n):
+                s += i * w
+        out.append(s)
+        out.append(inner())
+        w = w * 3 + 0.5
+    return out
+"#;
+    differential(src, "rebind", &[Value::Int(1_000)]);
+}
+
+#[test]
+fn single_write_is_seen_by_the_next_fused_loop() {
+    // A `single` rewrites the shared `w` between two runs of the same `for`;
+    // its implicit barrier is the flush that every thread's next fused run
+    // must observe. The write goes through `bump` so the region only reads
+    // `w`, as a free variable: a region that assigned it would read it
+    // through `LoadCell`, which is not fusible.
+    let src = r#"
+from omp4py import *
+
+@omp
+def staged(n):
+    w = 1
+    s = 0
+    def bump():
+        nonlocal w
+        w = w * 2 + 1
+    with omp("parallel num_threads(2)"):
+        for rep in range(3):
+            with omp("for reduction(+:s)"):
+                for i in range(n):
+                    s += i * w
+            with omp("single"):
+                bump()
+    return [s, w]
+"#;
+    differential(src, "staged", &[Value::Int(1_000)]);
+}
+
+#[test]
+fn dynamic_schedule_pi_is_bit_identical() {
+    // π over 64 dynamic chunks, one fused run each. Each term is truncated
+    // to a multiple of `q` = 2^-20, and n and `w` are powers of two, so
+    // every partial sum is exact: the result is independent of which
+    // thread claims which chunk, and the VM must match the oracle bit for
+    // bit.
+    let src = r#"
+from omp4py import *
+
+@omp
+def pi(n):
+    w = 1.0 / n
+    q = 1.0 / 1048576
+    pi_value = 0.0
+    with omp("parallel for schedule(dynamic, 64) reduction(+:pi_value) num_threads(2)"):
+        for i in range(n):
+            x = (i + 0.5) * w
+            t = 4.0 / (1.0 + x * x)
+            pi_value += t - t % q
+    return pi_value * w
+"#;
+    differential(src, "pi", &[Value::Int(4_096)]);
+    let _guard = icv_lock();
+    let before = Icvs::current();
+    let (result, _) = run_case(
+        ExecMode::Hybrid,
+        MinipyVm::On,
+        src,
+        "pi",
+        vec![Value::Int(4_096)],
+    );
+    let value = result.expect("pi runs").as_float().expect("a float");
+    assert!(close(value, std::f64::consts::PI, 1e-5), "pi={value}");
+    Icvs::reset(before);
+}
+
+// ---------------------------------------------------------------------------
 // Tolerance / invariant corpus: float reductions and cancellation are not
 // bit-deterministic, so the settings are held to the same contracts.
 // ---------------------------------------------------------------------------
