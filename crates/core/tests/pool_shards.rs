@@ -60,18 +60,32 @@ fn shard_count_matches_the_icv() {
 fn cross_shard_stealing_fires() {
     setup();
     for round in 0..200 {
-        // Each fresh thread gets a new master id, alternating home shards;
-        // its workers dock on (or migrate to) that shard. Once workers sit
-        // docked on one shard and the next master's home is the other, the
-        // home pop comes up dry and the two-choice path must steal.
-        region_on_fresh_thread(3);
-        // Give the workers a moment to dock before the next dispatch looks
-        // for them.
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        // Each fresh thread gets a new master id, alternating home shards.
+        // A team that needs more workers than are docked in the whole pool
+        // drains its home shard, so any worker docked on the sibling must
+        // be stolen. A fixed-size team would not do: once both shards hold
+        // enough docked workers (a slow dock makes a round spawn on the
+        // other side, and sibling tests stock both shards), every home pop
+        // is served locally and stealing never fires again.
+        let docked = docked_workers();
+        region_on_fresh_thread(docked + 2);
         if pool::shard_stats().steal > 0 {
             return;
         }
         assert!(round < 199, "stealing never fired across 200 rounds");
+    }
+}
+
+/// Wait up to a second for at least one pooled worker to dock, and return
+/// the docked count (advisory: it can change right after).
+fn docked_workers() -> usize {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    loop {
+        let docked = pool::idle_workers();
+        if docked > 0 || std::time::Instant::now() >= deadline {
+            return docked;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }
 

@@ -1,14 +1,23 @@
-//! Offline stand-in for the `parking_lot` crate, implemented over `std::sync`.
+//! Offline stand-in for the `parking_lot` crate.
 //!
 //! The build container has no access to a crates.io mirror, so the workspace
 //! vendors the small API subset it actually uses: [`Mutex`], [`RwLock`],
 //! [`Condvar`], and the const-initializable [`RawMutex`]. Semantics follow
 //! parking_lot, not std: **no poisoning** — a panic while holding a lock
 //! leaves the data accessible to other threads.
+//!
+//! The cost model follows parking_lot too, not only the API: an uncontended
+//! lock is one compare-and-swap, an uncontended unlock is one swap, and a
+//! notify with no sleepers returns without a wake syscall. Only a thread
+//! that actually has to sleep, and the unlock or notify that has to wake
+//! it, reach the kernel (through a `std` mutex + condvar park slot).
+//! [`RwLock`] wraps `std::sync::RwLock`, whose uncontended paths are
+//! already syscall-free.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError, RwLock as StdRwLock};
 use std::time::{Duration, Instant};
 
@@ -32,42 +41,125 @@ pub mod lock_api {
 }
 
 /// Const-initializable blocking mutex without a guard (parking_lot's
-/// `RawMutex`). Built on a `std` mutex + condvar so waiters sleep.
+/// `RawMutex`).
+///
+/// The lock word is a three-state atomic:
+///
+/// * `0` — free;
+/// * `1` — held, no thread sleeping on it;
+/// * `2` — held, and a thread may be sleeping on it.
+///
+/// An uncontended `lock` is one compare-and-swap from `0` to `1`, and
+/// `unlock` is one swap back to `0`: neither makes a syscall. A contended
+/// `lock` spins briefly, then stores `2` and sleeps on the park slot (a
+/// `std` mutex + condvar). `unlock` enters the park slot only when the word
+/// it swapped out was `2`. A woken thread re-takes the lock as `2`, so the
+/// next unlock wakes any other sleeper in turn.
 pub struct RawMutex {
-    locked: StdMutex<bool>,
-    cv: StdCondvar,
+    state: AtomicU8,
+    park: StdMutex<()>,
+    wake: StdCondvar,
+}
+
+const FREE: u8 = 0;
+const HELD: u8 = 1;
+const HELD_SLEEPERS: u8 = 2;
+
+impl RawMutex {
+    /// The contended half of `lock`: spin, then sleep until the lock is
+    /// handed over.
+    #[cold]
+    #[inline(never)]
+    fn lock_slow(&self) {
+        // Spin as parking_lot's `SpinWait` does (3 short pause bursts, then
+        // yields), but only while nobody sleeps: with sleepers queued the
+        // lock is busy for longer than a spin is worth.
+        for spin in 0..10u32 {
+            let state = self.state.load(Ordering::Relaxed);
+            if state == FREE {
+                if self
+                    .state
+                    .compare_exchange_weak(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return;
+                }
+                continue;
+            }
+            if state == HELD_SLEEPERS {
+                break;
+            }
+            if spin < 3 {
+                for _ in 0..(2u32 << spin) {
+                    std::hint::spin_loop();
+                }
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        slow_path_entered();
+        let mut slot = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+        // The swap both takes a free lock (as `2`: there may be other
+        // sleepers) and, on a held one, announces this sleeper before it
+        // waits. `unlock` enters the slot after its swap, so it cannot
+        // notify between this swap and the wait.
+        while self.state.swap(HELD_SLEEPERS, Ordering::Acquire) != FREE {
+            slot = self.wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The contended half of `unlock`: wake one sleeper.
+    #[cold]
+    #[inline(never)]
+    fn unlock_slow(&self) {
+        slow_path_entered();
+        let _slot = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+        self.wake.notify_one();
+    }
 }
 
 impl lock_api::RawMutex for RawMutex {
     const INIT: RawMutex = RawMutex {
-        locked: StdMutex::new(false),
-        cv: StdCondvar::new(),
+        state: AtomicU8::new(FREE),
+        park: StdMutex::new(()),
+        wake: StdCondvar::new(),
     };
 
+    // Ordering: the `Acquire` on every transition into a held state pairs
+    // with the `Release` swap in `unlock`, so a new holder sees every write
+    // the previous holder made under the lock.
+    #[inline]
     fn lock(&self) {
-        let mut locked = self.locked.lock().unwrap_or_else(PoisonError::into_inner);
-        while *locked {
-            locked = self.cv.wait(locked).unwrap_or_else(PoisonError::into_inner);
+        if self
+            .state
+            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.lock_slow();
         }
-        *locked = true;
     }
 
+    #[inline]
     fn try_lock(&self) -> bool {
-        let mut locked = self.locked.lock().unwrap_or_else(PoisonError::into_inner);
-        if *locked {
-            false
-        } else {
-            *locked = true;
-            true
-        }
+        self.state
+            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
     }
 
+    #[inline]
     unsafe fn unlock(&self) {
-        let mut locked = self.locked.lock().unwrap_or_else(PoisonError::into_inner);
-        *locked = false;
-        drop(locked);
-        self.cv.notify_one();
+        if self.state.swap(FREE, Ordering::Release) == HELD_SLEEPERS {
+            self.unlock_slow();
+        }
     }
+}
+
+/// Count one entry into a park slot or a wake syscall (test builds only):
+/// the cost-contract tests assert that uncontended use never gets here.
+#[inline]
+fn slow_path_entered() {
+    #[cfg(test)]
+    tests::SLOW_PATH_ENTRIES.with(|n| n.set(n.get() + 1));
 }
 
 /// A mutual-exclusion lock with parking_lot's panic-transparent semantics.
@@ -175,10 +267,18 @@ impl WaitTimeoutResult {
 /// Wakeup tracking is epoch-based: `notify_all` bumps an epoch under an
 /// internal lock, and waiters record the epoch *before* releasing the user
 /// mutex, so a notify performed while holding the user mutex can never be
-/// missed.
+/// missed. Under the same lock each waiter registers as a sleeper before it
+/// waits and deregisters when it leaves, so `notify_all`/`notify_one` with
+/// no sleepers take that (uncontended, syscall-free) lock and return
+/// without a wake syscall.
 pub struct Condvar {
-    epoch: StdMutex<u64>,
+    state: StdMutex<CondvarState>,
     cv: StdCondvar,
+}
+
+struct CondvarState {
+    epoch: u64,
+    sleepers: usize,
 }
 
 impl fmt::Debug for Condvar {
@@ -197,16 +297,25 @@ impl Condvar {
     /// Create a new condition variable.
     pub const fn new() -> Condvar {
         Condvar {
-            epoch: StdMutex::new(0),
+            state: StdMutex::new(CondvarState {
+                epoch: 0,
+                sleepers: 0,
+            }),
             cv: StdCondvar::new(),
         }
     }
 
     /// Wake all current waiters.
     pub fn notify_all(&self) {
-        let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        *epoch += 1;
-        drop(epoch);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.sleepers == 0 {
+            // A waiter that registers later records the epoch as it is
+            // then, so there is nothing to bump.
+            return;
+        }
+        state.epoch += 1;
+        drop(state);
+        slow_path_entered();
         self.cv.notify_all();
     }
 
@@ -236,18 +345,20 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         deadline: Option<Instant>,
     ) -> WaitTimeoutResult {
-        // Record the epoch before releasing the user mutex: any notify that
-        // happens afterwards is observed by the `*epoch == target` check.
-        let target = *self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
+        // Record the epoch and register as a sleeper before releasing the
+        // user mutex: any notify that happens afterwards sees the sleeper
+        // and bumps the epoch, which the `epoch == target` check observes.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let target = state.epoch;
+        state.sleepers += 1;
         // Safety: `guard` proves this context holds the lock; it is
         // re-acquired below before the guard is used again.
         unsafe { lock_api::RawMutex::unlock(&guard.mutex.raw) };
         let mut timed_out = false;
-        let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *epoch == target {
+        while state.epoch == target {
             match deadline {
                 None => {
-                    epoch = self.cv.wait(epoch).unwrap_or_else(PoisonError::into_inner);
+                    state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                 }
                 Some(deadline) => {
                     let now = Instant::now();
@@ -257,13 +368,14 @@ impl Condvar {
                     }
                     let (g, _) = self
                         .cv
-                        .wait_timeout(epoch, deadline - now)
+                        .wait_timeout(state, deadline - now)
                         .unwrap_or_else(PoisonError::into_inner);
-                    epoch = g;
+                    state = g;
                 }
             }
         }
-        drop(epoch);
+        state.sleepers -= 1;
+        drop(state);
         lock_api::RawMutex::lock(&guard.mutex.raw);
         WaitTimeoutResult(timed_out)
     }
@@ -381,8 +493,191 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 mod tests {
     use super::lock_api::RawMutex as _;
     use super::*;
+    use std::cell::Cell;
+    use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::Duration;
+
+    thread_local! {
+        /// Park-slot and wake-syscall entries made by this thread.
+        pub(super) static SLOW_PATH_ENTRIES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn slow_path_entries() -> u64 {
+        SLOW_PATH_ENTRIES.with(Cell::get)
+    }
+
+    impl Condvar {
+        fn sleepers(&self) -> usize {
+            self.state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .sleepers
+        }
+    }
+
+    /// Generous bound on the stress tests: a lost wakeup fails the test
+    /// instead of hanging it.
+    const STRESS_DEADLINE: Duration = Duration::from_secs(60);
+
+    /// Run `f` on a helper thread and fail if it does not finish by
+    /// [`STRESS_DEADLINE`]; a panic in `f` is re-raised here.
+    fn within_deadline<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(STRESS_DEADLINE) {
+            Ok(result) => {
+                helper.join().expect("the helper sent its result");
+                result
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("stress test missed its {STRESS_DEADLINE:?} deadline (lost wakeup?)")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => match helper.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the helper sends before it returns"),
+            },
+        }
+    }
+
+    #[test]
+    fn uncontended_mutex_never_parks() {
+        let m = Mutex::new(0u64);
+        let before = slow_path_entries();
+        for _ in 0..100_000 {
+            *m.lock() += 1;
+        }
+        assert_eq!(*m.lock(), 100_000);
+        assert_eq!(slow_path_entries(), before);
+    }
+
+    #[test]
+    fn uncontended_raw_mutex_never_parks() {
+        let raw = RawMutex::INIT;
+        let before = slow_path_entries();
+        for _ in 0..100_000 {
+            raw.lock();
+            // Safety: locked on the line above by this thread.
+            unsafe { raw.unlock() };
+        }
+        assert_eq!(slow_path_entries(), before);
+    }
+
+    #[test]
+    fn notify_without_sleepers_makes_no_wake() {
+        let cv = Condvar::new();
+        let before = slow_path_entries();
+        for _ in 0..100_000 {
+            cv.notify_all();
+            cv.notify_one();
+        }
+        assert_eq!(slow_path_entries(), before);
+        assert_eq!(cv.sleepers(), 0);
+    }
+
+    #[test]
+    fn timed_out_wait_deregisters_its_sleeper() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        drop(g);
+        assert_eq!(cv.sleepers(), 0);
+        let before = slow_path_entries();
+        cv.notify_all();
+        assert_eq!(slow_path_entries(), before);
+    }
+
+    const STRESS_THREADS: usize = 4;
+    const STRESS_INCREMENTS: u64 = 50_000;
+
+    /// Run `increment` [`STRESS_INCREMENTS`] times on each of
+    /// [`STRESS_THREADS`] threads at once.
+    fn hammer(increment: impl Fn() + Sync) {
+        std::thread::scope(|s| {
+            for _ in 0..STRESS_THREADS {
+                s.spawn(|| {
+                    for _ in 0..STRESS_INCREMENTS {
+                        increment();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn contended_mutex_counts_exactly() {
+        let total = within_deadline(|| {
+            let m = Mutex::new(0u64);
+            hammer(|| *m.lock() += 1);
+            m.into_inner()
+        });
+        assert_eq!(total, STRESS_THREADS as u64 * STRESS_INCREMENTS);
+    }
+
+    /// A plain `u64` guarded by a guard-free [`RawMutex`], as the GIL and
+    /// the OpenMP locks use it.
+    struct RawCounter {
+        raw: RawMutex,
+        value: UnsafeCell<u64>,
+    }
+
+    // Safety: `raw` is a lock and `Sync` itself; `value` is a plain `u64`
+    // that is only read or written while `raw` is held.
+    unsafe impl Sync for RawCounter {}
+
+    impl RawCounter {
+        fn increment(&self) {
+            self.raw.lock();
+            // Safety: `raw` is held; it is unlocked right after.
+            unsafe {
+                *self.value.get() += 1;
+                self.raw.unlock();
+            }
+        }
+    }
+
+    #[test]
+    fn contended_raw_mutex_counts_exactly() {
+        let total = within_deadline(|| {
+            let c = RawCounter {
+                raw: RawMutex::INIT,
+                value: UnsafeCell::new(0),
+            };
+            hammer(|| c.increment());
+            c.value.into_inner()
+        });
+        assert_eq!(total, STRESS_THREADS as u64 * STRESS_INCREMENTS);
+    }
+
+    #[test]
+    fn condvar_ping_pong() {
+        const ROUNDS: u64 = 10_000;
+        let last = within_deadline(|| {
+            let turn = Mutex::new(0u64);
+            let cv = Condvar::new();
+            // Each side moves only on its own parity of the turn counter,
+            // then hands the turn over.
+            let play = |parity: u64| {
+                let mut turn = turn.lock();
+                for _ in 0..ROUNDS {
+                    while *turn % 2 != parity {
+                        cv.wait(&mut turn);
+                    }
+                    *turn += 1;
+                    cv.notify_one();
+                }
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| play(1));
+                play(0);
+            });
+            turn.into_inner()
+        });
+        assert_eq!(last, 2 * ROUNDS);
+    }
 
     #[test]
     fn mutex_round_trip() {
