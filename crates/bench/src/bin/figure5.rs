@@ -163,7 +163,7 @@ fn main() {
 /// for the barrier-wait share the profiler exposes.
 ///
 /// The simulation replays the *measured* problem size under the schedule the
-/// adaptive runtime picks for interpreted loops (guided with the
+/// runtime gives clause-less interpreted loops (guided with the
 /// overhead-derived minimum chunk), so measured and simulated rows are
 /// directly comparable.
 fn barrier_wait_comparison(prims: &PrimitiveCosts, scale: f64) {
@@ -203,7 +203,7 @@ fn barrier_wait_comparison(prims: &PrimitiveCosts, scale: f64) {
     let sweep: Vec<(usize, simcore::SimReport)> = SWEEP_THREADS
         .iter()
         .map(|&threads| {
-            let min_chunk = omp4rs::adaptive::interpreted_min_chunk(iters, threads);
+            let min_chunk = omp4rs::schedule::interpreted_min_chunk(iters, threads);
             // Guided claims run a read + CAS under the mutex backend:
             // roughly twice a plain claim.
             let base = prims.claim(omp4rs::sync::Backend::Mutex);

@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::adaptive;
 use crate::context;
 use crate::depgraph::{self, Dep};
 use crate::directive::{CancelConstruct, Clause, Directive, ScheduleKind};
@@ -36,19 +35,6 @@ use crate::locks;
 use crate::schedule::{ForBounds, LoopDims};
 use crate::sync::Backend;
 use crate::team::Team;
-
-/// Stable loop identity for a compiled-mode loop: a hash of the caller's
-/// `file:line:column`. "Same loop" for native closures means the same source
-/// location invoking the worksharing API, which is exactly what
-/// `#[track_caller]` exposes.
-fn site_key(loc: &'static std::panic::Location<'static>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    loc.file().hash(&mut h);
-    loc.line().hash(&mut h);
-    loc.column().hash(&mut h);
-    h.finish()
-}
 
 /// Invariant lifetime marker (prevents scope-shortening coercions that would
 /// let tasks capture data shorter-lived than the parallel region).
@@ -795,15 +781,13 @@ impl<'scope> WorkerCtx<'scope> {
     /// # Panics
     ///
     /// Panics if a clause-string spec fails to parse.
-    #[track_caller]
     pub fn for_each<S>(&self, spec: S, range: Range<i64>, mut body: impl FnMut(i64))
     where
         S: IntoForSpec,
     {
-        let site = site_key(std::panic::Location::caller());
         let spec = spec.into_for_spec();
         let dims = LoopDims::new(&[(range.start, range.end, 1)]).expect("step 1 valid");
-        self.drive_loop(&spec, dims, site, &mut |vars, _flat| body(vars.0));
+        self.drive_loop(&spec, dims, &mut |vars, _flat| body(vars.0));
     }
 
     /// Work-share a loop over an explicit `(start, stop, step)` triplet.
@@ -811,15 +795,13 @@ impl<'scope> WorkerCtx<'scope> {
     /// # Panics
     ///
     /// Panics if `step == 0` or a clause-string spec fails to parse.
-    #[track_caller]
     pub fn for_range<S>(&self, spec: S, triplet: (i64, i64, i64), mut body: impl FnMut(i64))
     where
         S: IntoForSpec,
     {
-        let site = site_key(std::panic::Location::caller());
         let spec = spec.into_for_spec();
         let dims = LoopDims::new(&[triplet]).unwrap_or_else(|e| panic!("{e}"));
-        self.drive_loop(&spec, dims, site, &mut |vars, _flat| body(vars.0));
+        self.drive_loop(&spec, dims, &mut |vars, _flat| body(vars.0));
     }
 
     /// Work-share a collapsed 2-D loop nest (`collapse(2)`).
@@ -827,7 +809,6 @@ impl<'scope> WorkerCtx<'scope> {
     /// # Panics
     ///
     /// Panics if a clause-string spec fails to parse.
-    #[track_caller]
     pub fn for_each2<S>(
         &self,
         spec: S,
@@ -837,11 +818,10 @@ impl<'scope> WorkerCtx<'scope> {
     ) where
         S: IntoForSpec,
     {
-        let site = site_key(std::panic::Location::caller());
         let spec = spec.into_for_spec();
         let dims = LoopDims::new(&[(outer.start, outer.end, 1), (inner.start, inner.end, 1)])
             .expect("step 1 valid");
-        self.drive_collapsed(&spec, dims, site, &mut |vars| body(vars[0], vars[1]));
+        self.drive_collapsed(&spec, dims, &mut |vars| body(vars[0], vars[1]));
     }
 
     /// Work-share a 1-D loop with a reduction; every thread receives the
@@ -850,7 +830,6 @@ impl<'scope> WorkerCtx<'scope> {
     /// # Panics
     ///
     /// Panics if a clause-string spec fails to parse.
-    #[track_caller]
     pub fn for_reduce<S, T>(
         &self,
         spec: S,
@@ -863,20 +842,12 @@ impl<'scope> WorkerCtx<'scope> {
         S: IntoForSpec,
         T: Clone + Send + 'static,
     {
-        let site = site_key(std::panic::Location::caller());
         let spec = spec.into_for_spec();
         let dims = LoopDims::new(&[(range.start, range.end, 1)]).expect("step 1 valid");
         let frame = context::current_frame().expect("for_reduce outside parallel region");
         let seq = frame.next_ws_seq();
         let inst = self.team.worksharing().enter(seq);
-        let (sched, adapt) = adaptive::resolve(
-            spec.schedule,
-            site,
-            dims.total(),
-            self.team.size(),
-            false,
-            inst.adaptive_slot(),
-        );
+        let sched = inst.resolve_schedule(spec.schedule, dims.total(), self.team.size(), false);
         let mut fb = ForBounds::init(
             dims,
             sched,
@@ -884,9 +855,6 @@ impl<'scope> WorkerCtx<'scope> {
             self.team.size(),
             Some(Arc::clone(&inst)),
         );
-        if let Some(tracker) = adapt {
-            fb.track_adaptive(tracker);
-        }
         let mut local = identity.clone();
         // Track the active instance for every loop (not just ordered ones):
         // `cancel("for")` targets it.
@@ -915,24 +883,11 @@ impl<'scope> WorkerCtx<'scope> {
         inst.reduce_result::<T>().unwrap_or(identity)
     }
 
-    fn drive_loop(
-        &self,
-        spec: &ForSpec,
-        dims: LoopDims,
-        site: u64,
-        body: &mut dyn FnMut((i64,), u64),
-    ) {
+    fn drive_loop(&self, spec: &ForSpec, dims: LoopDims, body: &mut dyn FnMut((i64,), u64)) {
         let frame = context::current_frame().expect("worksharing loop outside parallel region");
         let seq = frame.next_ws_seq();
         let inst = self.team.worksharing().enter(seq);
-        let (sched, adapt) = adaptive::resolve(
-            spec.schedule,
-            site,
-            dims.total(),
-            self.team.size(),
-            false,
-            inst.adaptive_slot(),
-        );
+        let sched = inst.resolve_schedule(spec.schedule, dims.total(), self.team.size(), false);
         let mut fb = ForBounds::init(
             dims,
             sched,
@@ -940,9 +895,6 @@ impl<'scope> WorkerCtx<'scope> {
             self.team.size(),
             Some(Arc::clone(&inst)),
         );
-        if let Some(tracker) = adapt {
-            fb.track_adaptive(tracker);
-        }
         frame.set_current_instance(Some(Arc::clone(&inst)));
         while fb.next() {
             let (mut v, end, step) = fb.dims.var_chunk(fb.lo, fb.hi);
@@ -966,24 +918,11 @@ impl<'scope> WorkerCtx<'scope> {
         }
     }
 
-    fn drive_collapsed(
-        &self,
-        spec: &ForSpec,
-        dims: LoopDims,
-        site: u64,
-        body: &mut dyn FnMut(&[i64]),
-    ) {
+    fn drive_collapsed(&self, spec: &ForSpec, dims: LoopDims, body: &mut dyn FnMut(&[i64])) {
         let frame = context::current_frame().expect("worksharing loop outside parallel region");
         let seq = frame.next_ws_seq();
         let inst = self.team.worksharing().enter(seq);
-        let (sched, adapt) = adaptive::resolve(
-            spec.schedule,
-            site,
-            dims.total(),
-            self.team.size(),
-            false,
-            inst.adaptive_slot(),
-        );
+        let sched = inst.resolve_schedule(spec.schedule, dims.total(), self.team.size(), false);
         let mut fb = ForBounds::init(
             dims,
             sched,
@@ -991,9 +930,6 @@ impl<'scope> WorkerCtx<'scope> {
             self.team.size(),
             Some(Arc::clone(&inst)),
         );
-        if let Some(tracker) = adapt {
-            fb.track_adaptive(tracker);
-        }
         frame.set_current_instance(Some(Arc::clone(&inst)));
         while fb.next() {
             for flat in fb.lo..fb.hi {

@@ -10,7 +10,6 @@ use std::sync::OnceLock;
 
 use parking_lot::RwLock;
 
-use crate::adaptive::AdaptiveMode;
 use crate::directive::ScheduleKind;
 
 /// The mutable ICV set.
@@ -38,17 +37,6 @@ pub struct Icvs {
     /// (`OMP_TOOL`). `None` — the default — means the profiler stays a
     /// no-op; see [`crate::ompt::ToolConfig::parse`] for the syntax.
     pub tool: Option<crate::ompt::ToolConfig>,
-    /// How much scheduling the feedback-driven [`crate::adaptive`] layer may
-    /// take over (`OMP4RS_ADAPTIVE`). `Off`: `auto` falls back to its
-    /// pre-adaptive alias, `static`. `AutoOnly`: only explicit
-    /// `schedule(auto)` adapts. `Full` (default): clause-less interpreted
-    /// loops are also treated as `auto` — see `docs/ENVIRONMENT.md` for the
-    /// determinism trade-off this implies.
-    pub adaptive: AdaptiveMode,
-    /// Override for the per-thread task steal-deque capacity
-    /// (`OMP4RS_STEAL_CAP`). `None` sizes deques from recorded queue
-    /// high-water marks; see [`crate::tasks`].
-    pub steal_cap: Option<usize>,
     /// The minipy bytecode-VM switch (`OMP4RS_MINIPY_VM`). The core
     /// runtime has no interpreter dependency, so this is configuration only;
     /// the pyfront bridge mirrors it into `minipy::bytecode::set_mode` when
@@ -57,12 +45,9 @@ pub struct Icvs {
     /// `wait-policy-var`: what waiting threads do (`OMP_WAIT_POLICY`).
     /// `Active` spins a large bounded budget before parking; `Passive` (the
     /// default) parks almost immediately. Resolved to a spin-iteration
-    /// budget cached in [`crate::sync`] on every store mutation.
+    /// budget ([`crate::sync::WaitPolicy::default_spin`]) cached in
+    /// [`crate::sync`] on every store mutation.
     pub wait_policy: crate::sync::WaitPolicy,
-    /// Spin-iteration override (`OMP4RS_SPIN`): exact iterations every wait
-    /// burns before parking, trumping the policy's default budget. `0`
-    /// means park immediately even under `Active`.
-    pub spin: Option<u32>,
     /// Whether top-level regions use the persistent worker pool
     /// (`OMP4RS_POOL`, default `true`). `false` forces the per-region
     /// scoped-spawn path everywhere — the pre-hot-team behaviour — so the
@@ -134,11 +119,8 @@ impl Default for Icvs {
             def_schedule: (ScheduleKind::Static, None),
             cancellation: false,
             tool: None,
-            adaptive: AdaptiveMode::Full,
-            steal_cap: None,
             minipy_vm: MinipyVm::On,
             wait_policy: crate::sync::WaitPolicy::Passive,
-            spin: None,
             pool: true,
             pool_shards: None,
             region_deadline: None,
@@ -158,7 +140,7 @@ fn store() -> &'static RwLock<Icvs> {
     static STORE: OnceLock<RwLock<Icvs>> = OnceLock::new();
     STORE.get_or_init(|| {
         let icvs = Icvs::from_env();
-        crate::sync::refresh_wait_config(icvs.wait_policy, icvs.spin);
+        crate::sync::refresh_wait_config(icvs.wait_policy);
         RwLock::new(icvs)
     })
 }
@@ -221,16 +203,6 @@ impl Icvs {
                 }
             }
         }
-        if let Ok(text) = std::env::var("OMP4RS_ADAPTIVE") {
-            if let Some(mode) = AdaptiveMode::parse(&text) {
-                icvs.adaptive = mode;
-            }
-        }
-        if let Some(n) = env_usize("OMP4RS_STEAL_CAP") {
-            if n > 0 {
-                icvs.steal_cap = Some(n);
-            }
-        }
         if let Ok(text) = std::env::var("OMP4RS_MINIPY_VM") {
             if let Some(vm) = MinipyVm::parse(&text) {
                 icvs.minipy_vm = vm;
@@ -239,11 +211,6 @@ impl Icvs {
         if let Ok(text) = std::env::var("OMP_WAIT_POLICY") {
             if let Some(policy) = crate::sync::WaitPolicy::parse(&text) {
                 icvs.wait_policy = policy;
-            }
-        }
-        if let Ok(text) = std::env::var("OMP4RS_SPIN") {
-            if let Ok(n) = text.trim().parse::<u32>() {
-                icvs.spin = Some(n);
             }
         }
         if let Some(b) = env_bool("OMP4RS_POOL") {
@@ -276,12 +243,12 @@ impl Icvs {
     pub fn update(f: impl FnOnce(&mut Icvs)) {
         let mut guard = store().write();
         f(&mut guard);
-        crate::sync::refresh_wait_config(guard.wait_policy, guard.spin);
+        crate::sync::refresh_wait_config(guard.wait_policy);
     }
 
     /// Reset the global ICVs (primarily for tests/benchmarks).
     pub fn reset(icvs: Icvs) {
-        crate::sync::refresh_wait_config(icvs.wait_policy, icvs.spin);
+        crate::sync::refresh_wait_config(icvs.wait_policy);
         *store().write() = icvs;
     }
 }
@@ -380,42 +347,28 @@ mod tests {
         let _guard = test_guard();
         let before = Icvs::current();
 
-        // Policy alone: budget comes from the policy default.
+        // The policy sets the spin budget.
         std::env::set_var("OMP_WAIT_POLICY", "active");
-        std::env::remove_var("OMP4RS_SPIN");
         let icvs = Icvs::from_env();
         assert_eq!(icvs.wait_policy, WaitPolicy::Active);
-        assert_eq!(icvs.spin, None);
         Icvs::reset(icvs);
-        assert_eq!(spin_iters(), WaitPolicy::Active.default_spin());
+        assert_eq!(spin_iters(), 10_000);
 
-        // OMP4RS_SPIN takes precedence over the policy's default budget.
-        std::env::set_var("OMP4RS_SPIN", "7");
+        std::env::set_var("OMP_WAIT_POLICY", "passive");
         let icvs = Icvs::from_env();
-        assert_eq!(icvs.wait_policy, WaitPolicy::Active);
-        assert_eq!(icvs.spin, Some(7));
-        Icvs::reset(icvs);
-        assert_eq!(spin_iters(), 7);
-
-        // Zero is a valid override: park immediately even under Active.
-        std::env::set_var("OMP4RS_SPIN", "0");
-        let icvs = Icvs::from_env();
-        assert_eq!(icvs.spin, Some(0));
+        assert_eq!(icvs.wait_policy, WaitPolicy::Passive);
         Icvs::reset(icvs);
         assert_eq!(spin_iters(), 0);
 
-        // Unparseable values are ignored, keeping the defaults.
+        // Unparseable values are ignored, keeping the default.
         std::env::set_var("OMP_WAIT_POLICY", "frantic");
-        std::env::set_var("OMP4RS_SPIN", "-3");
         let icvs = Icvs::from_env();
         assert_eq!(icvs.wait_policy, WaitPolicy::Passive);
-        assert_eq!(icvs.spin, None);
 
         // Icvs::update republishes the cached budget too.
         std::env::remove_var("OMP_WAIT_POLICY");
-        std::env::remove_var("OMP4RS_SPIN");
-        Icvs::update(|icvs| icvs.spin = Some(3));
-        assert_eq!(spin_iters(), 3);
+        Icvs::update(|icvs| icvs.wait_policy = WaitPolicy::Active);
+        assert_eq!(spin_iters(), WaitPolicy::Active.default_spin());
 
         Icvs::reset(before);
     }

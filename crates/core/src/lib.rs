@@ -60,7 +60,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod api;
 pub mod context;
 pub mod depgraph;

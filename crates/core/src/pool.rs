@@ -34,7 +34,7 @@
 //!   burns its full spin budget before re-parking — measured at ~8x the
 //!   region-entry cost on this host. Per-worker docks make dispatch wake
 //!   exactly the gang. While the dock spin budget
-//!   (`OMP_WAIT_POLICY`/`OMP4RS_SPIN`) lasts, a worker catches the next
+//!   (`OMP_WAIT_POLICY`) lasts, a worker catches the next
 //!   region's mail during its spin phase and the wake hits the notifier's
 //!   zero-waiters fast path — no futex traffic at all;
 //! * each dispatching (master) thread keeps *gang affinity*: it remembers

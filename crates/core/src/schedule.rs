@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use crate::adaptive;
 use crate::directive::ScheduleKind;
 use crate::error::OmpError;
 use crate::faults::{self, FaultSite};
@@ -128,18 +127,29 @@ pub struct ResolvedSchedule {
 }
 
 impl ResolvedSchedule {
-    /// Resolve a `schedule(...)` clause (or its absence) per the spec:
-    /// no clause → `def-sched-var`; `runtime` → `run-sched-var`; `auto` →
-    /// implementation choice.
+    /// Resolve a `schedule(...)` clause (or its absence) for one loop
+    /// instance of `total` iterations on a team of `nthreads`.
     ///
-    /// This is the *non-adaptive* resolution, where the implementation choice
-    /// for `auto` is its historical alias: `static`. Loop drivers that know
-    /// their loop identity resolve through [`crate::adaptive::resolve`]
-    /// instead, which picks (and re-picks) a policy from measured feedback;
-    /// it falls back to this function when adaptation is disabled or does not
-    /// apply.
-    pub fn resolve(clause: Option<(ScheduleKind, Option<u64>)>) -> ResolvedSchedule {
+    /// `runtime` resolves through `run-sched-var`. A clause-less loop uses
+    /// `def-sched-var`; while that is its static default, the loop — like
+    /// one that asks for `auto` — gets this implementation's choice, a pure
+    /// function of the instance's shape:
+    ///
+    /// * interpreted (Pure/Hybrid) loops: guided with minimum chunk
+    ///   [`interpreted_min_chunk`], because every chunk claim crosses the
+    ///   interpreter boundary and a static tail of tiny chunks is the cost
+    ///   the paper attributes most of the Python-side scaling loss to;
+    /// * compiled loops: static blocks.
+    ///
+    /// Explicit `static`/`dynamic`/`guided` schedules resolve as written.
+    pub fn resolve(
+        clause: Option<(ScheduleKind, Option<u64>)>,
+        total: u64,
+        nthreads: usize,
+        interpreted: bool,
+    ) -> ResolvedSchedule {
         let icvs = Icvs::current();
+        let default = icvs.def_schedule == (ScheduleKind::Static, None);
         let (mut kind, mut chunk) = match clause {
             Some(spec) => spec,
             None => icvs.def_schedule,
@@ -147,7 +157,17 @@ impl ResolvedSchedule {
         if kind == ScheduleKind::Runtime {
             (kind, chunk) = icvs.run_schedule;
         }
-        if kind == ScheduleKind::Auto || kind == ScheduleKind::Runtime {
+        if kind == ScheduleKind::Auto || (clause.is_none() && default) {
+            if interpreted {
+                return ResolvedSchedule {
+                    kind: ScheduleKind::Guided,
+                    chunk: interpreted_min_chunk(total, nthreads),
+                    explicit_chunk: true,
+                };
+            }
+            (kind, chunk) = (ScheduleKind::Static, None);
+        }
+        if kind == ScheduleKind::Runtime {
             kind = ScheduleKind::Static;
         }
         ResolvedSchedule {
@@ -156,6 +176,14 @@ impl ResolvedSchedule {
             explicit_chunk: chunk.is_some(),
         }
     }
+}
+
+/// Minimum chunk of the default schedule of an interpreted loop: large
+/// enough that the per-chunk interpreter round-trip amortizes, small enough
+/// that the team still load-balances (at most `8 × nthreads` chunks of this
+/// size fit the whole space).
+pub fn interpreted_min_chunk(total: u64, nthreads: usize) -> u64 {
+    (total / (8 * nthreads.max(1) as u64)).max(1)
 }
 
 /// Loop driver state: the paper's `__omp_bounds` object.
@@ -184,41 +212,36 @@ pub struct ForBounds {
     block_done: bool,
     /// Shared instance for dynamic/guided/ordered coordination.
     instance: Option<Arc<WsInstance>>,
-    /// Wall-clock start of the chunk currently being executed by the caller
-    /// (set when the [`crate::ompt`] layer is enabled or the loop is
-    /// adaptively tracked).
+    /// Wall-clock start of the chunk currently being executed by the caller,
+    /// set when its `ChunkClaim` event was recorded (so its `ChunkDone` keeps
+    /// the stream balanced even if the profiler toggles).
     prof_chunk_start: Option<std::time::Instant>,
     /// Iteration count of the chunk being timed.
     prof_chunk_iters: u64,
-    /// Whether the current chunk's `ChunkClaim` event was recorded (so its
-    /// `ChunkDone` keeps the stream balanced even if the profiler toggles).
-    prof_chunk_recorded: bool,
-    /// Adaptive feedback: the per-team-instance tracker this thread reports
-    /// to (see [`crate::adaptive::InstanceTracker`]).
-    adapt: Option<Arc<adaptive::InstanceTracker>>,
-    /// Adaptive: nanoseconds this thread spent executing chunk bodies.
-    adapt_ns: u64,
-    /// Adaptive: chunks claimed by this thread.
-    adapt_chunks: u64,
-    /// Adaptive: iterations executed by this thread.
-    adapt_iters: u64,
-    /// Whether this thread's report was already filed.
-    adapt_reported: bool,
 }
 
 impl ForBounds {
     /// Initialize loop state — the paper's `for_init`.
     ///
     /// `instance` must be the team's shared work-sharing instance when the
-    /// schedule is dynamic/guided or the loop is `ordered`; a `None` instance
-    /// restricts the loop to static scheduling.
+    /// loop is `ordered`. A `None` instance has no claim counter, so it
+    /// restricts the loop to static blocks (an orphaned loop outside any
+    /// team runs them as one block).
     pub fn init(
         dims: LoopDims,
-        sched: ResolvedSchedule,
+        mut sched: ResolvedSchedule,
         thread_num: usize,
         nthreads: usize,
         instance: Option<Arc<WsInstance>>,
     ) -> ForBounds {
+        if instance.is_none() && matches!(sched.kind, ScheduleKind::Dynamic | ScheduleKind::Guided)
+        {
+            sched = ResolvedSchedule {
+                kind: ScheduleKind::Static,
+                chunk: 1,
+                explicit_chunk: false,
+            };
+        }
         ForBounds {
             dims,
             sched,
@@ -232,27 +255,12 @@ impl ForBounds {
             instance,
             prof_chunk_start: None,
             prof_chunk_iters: 0,
-            prof_chunk_recorded: false,
-            adapt: None,
-            adapt_ns: 0,
-            adapt_chunks: 0,
-            adapt_iters: 0,
-            adapt_reported: false,
         }
     }
 
     /// The shared instance, when one is attached.
     pub fn instance(&self) -> Option<&Arc<WsInstance>> {
         self.instance.as_ref()
-    }
-
-    /// Attach adaptive-feedback tracking (see [`crate::adaptive`]): every
-    /// chunk is timed and a per-thread [`adaptive::ThreadReport`] is filed
-    /// with the instance's tracker when this thread's share is exhausted (or
-    /// the driver is dropped — cancellation and panics still complete the
-    /// measurement window).
-    pub fn track_adaptive(&mut self, tracker: Arc<adaptive::InstanceTracker>) {
-        self.adapt = Some(tracker);
     }
 
     /// Claim the next chunk — the paper's `for_next`. Returns `false` when
@@ -269,13 +277,11 @@ impl ForBounds {
         self.finish_profiled_chunk();
         let total = self.dims.total();
         if total == 0 {
-            self.file_adaptive_report();
             return false;
         }
         faults::on_event(FaultSite::ChunkClaim);
         if let Some(inst) = &self.instance {
             if inst.is_cancelled() {
-                self.file_adaptive_report();
                 return false;
             }
         }
@@ -289,52 +295,23 @@ impl ForBounds {
         };
         if claimed {
             self.is_last = self.hi == total;
-            self.prof_chunk_recorded = ompt::enabled();
-            if self.prof_chunk_recorded {
+            if ompt::enabled() {
                 ompt::record_here(ompt::EventKind::ChunkClaim {
                     lo: self.lo,
                     hi: self.hi,
                 });
-            }
-            if self.prof_chunk_recorded || self.adapt.is_some() {
                 self.prof_chunk_start = Some(std::time::Instant::now());
                 self.prof_chunk_iters = self.hi - self.lo;
             }
-        } else {
-            self.file_adaptive_report();
         }
         claimed
     }
 
     fn finish_profiled_chunk(&mut self) {
         if let Some(start) = self.prof_chunk_start.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            if self.prof_chunk_recorded {
-                ompt::record_here(ompt::EventKind::ChunkDone {
-                    iters: self.prof_chunk_iters,
-                    ns,
-                });
-                self.prof_chunk_recorded = false;
-            }
-            if self.adapt.is_some() {
-                self.adapt_ns += ns;
-                self.adapt_chunks += 1;
-                self.adapt_iters += self.prof_chunk_iters;
-            }
-        }
-    }
-
-    /// File this thread's measurements with the instance tracker, once.
-    fn file_adaptive_report(&mut self) {
-        if self.adapt_reported {
-            return;
-        }
-        if let Some(tracker) = &self.adapt {
-            self.adapt_reported = true;
-            tracker.report(adaptive::ThreadReport {
-                ns: self.adapt_ns,
-                chunks: self.adapt_chunks,
-                iters: self.adapt_iters,
+            ompt::record_here(ompt::EventKind::ChunkDone {
+                iters: self.prof_chunk_iters,
+                ns: start.elapsed().as_nanos() as u64,
             });
         }
     }
@@ -420,11 +397,9 @@ impl ForBounds {
 
 impl Drop for ForBounds {
     /// A driver abandoned mid-loop (cancellation observed by the caller, or
-    /// a panicking chunk body) still closes its timed chunk and files its
-    /// adaptive report, so measurement windows always complete.
+    /// a panicking chunk body) still closes its timed chunk.
     fn drop(&mut self) {
         self.finish_profiled_chunk();
-        self.file_adaptive_report();
     }
 }
 
@@ -608,57 +583,136 @@ mod tests {
         let _guard = crate::icv::test_guard();
         let before = Icvs::current();
         Icvs::update(|i| i.run_schedule = (ScheduleKind::Dynamic, Some(7)));
-        let r = ResolvedSchedule::resolve(Some((ScheduleKind::Runtime, None)));
-        assert_eq!(r.kind, ScheduleKind::Dynamic);
-        assert_eq!(r.chunk, 7);
+        for interpreted in [false, true] {
+            let r = ResolvedSchedule::resolve(
+                Some((ScheduleKind::Runtime, None)),
+                1_000,
+                4,
+                interpreted,
+            );
+            assert_eq!(r, sched(ScheduleKind::Dynamic, Some(7)));
+        }
         Icvs::reset(before);
     }
 
     #[test]
-    fn resolve_auto_aliases_static_on_the_non_adaptive_path() {
-        // `ResolvedSchedule::resolve` is the fallback used when the adaptive
-        // layer is off or no loop identity is available; there `auto` keeps
-        // its historical alias. The feedback-driven resolution of `auto`
-        // lives in (and is tested by) `crate::adaptive`.
-        let r = ResolvedSchedule::resolve(Some((ScheduleKind::Auto, None)));
-        assert_eq!(r.kind, ScheduleKind::Static);
-        assert!(!r.explicit_chunk);
+    fn auto_resolves_by_mode() {
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        let rule = |interpreted| {
+            if interpreted {
+                sched(ScheduleKind::Guided, Some(8_000 / (8 * 4)))
+            } else {
+                sched(ScheduleKind::Static, None)
+            }
+        };
+        for interpreted in [false, true] {
+            let r =
+                ResolvedSchedule::resolve(Some((ScheduleKind::Auto, None)), 8_000, 4, interpreted);
+            assert_eq!(
+                r,
+                rule(interpreted),
+                "schedule(auto), interpreted={interpreted}"
+            );
+        }
+        // `OMP_SCHEDULE=auto` through a `schedule(runtime)` loop: the same rule.
+        Icvs::update(|i| i.run_schedule = (ScheduleKind::Auto, None));
+        for interpreted in [false, true] {
+            let r = ResolvedSchedule::resolve(
+                Some((ScheduleKind::Runtime, None)),
+                8_000,
+                4,
+                interpreted,
+            );
+            assert_eq!(
+                r,
+                rule(interpreted),
+                "runtime=auto, interpreted={interpreted}"
+            );
+        }
+        Icvs::reset(before);
     }
 
     #[test]
-    fn tracked_driver_files_one_report_per_thread() {
-        let key = 0x5ced_0001u64;
-        adaptive::forget(key);
-        let nthreads = 2usize;
-        let reg = WorkshareRegistry::new(Backend::Atomic, nthreads, Arc::new(Notifier::new()));
-        let inst = reg.enter(0);
-        // Both threads resolve through the instance's decision slot — the
-        // same call shape the loop drivers use.
-        let (resolved, tracker) = adaptive::resolve(
-            Some((ScheduleKind::Auto, None)),
-            key,
-            40,
-            nthreads,
-            false,
-            inst.adaptive_slot(),
-        );
-        let tracker = tracker.expect("auto is tracked");
-        for t in 0..nthreads {
-            let mut fb = ForBounds::init(
-                LoopDims::simple(40),
-                resolved,
-                t,
-                nthreads,
-                Some(Arc::clone(&inst)),
-            );
-            fb.track_adaptive(Arc::clone(&tracker));
-            while fb.next() {}
+    fn auto_aliases_static_on_compiled_loops() {
+        // Compiled loops keep `auto`'s static-block alias whatever the shape
+        // of the instance and whatever `def-sched-var` says.
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        for def in [
+            (ScheduleKind::Static, None),
+            (ScheduleKind::Dynamic, Some(4)),
+        ] {
+            Icvs::update(|i| i.def_schedule = def);
+            for (total, nthreads) in [(0, 1), (7, 8), (1_000, 4), (2_000_000, 2)] {
+                let r = ResolvedSchedule::resolve(
+                    Some((ScheduleKind::Auto, None)),
+                    total,
+                    nthreads,
+                    false,
+                );
+                assert_eq!(r.kind, ScheduleKind::Static, "{def:?} {total} {nthreads}");
+                assert!(!r.explicit_chunk);
+            }
         }
-        // Both threads reported, so the measurement window folded: the next
-        // instance draws on a completed history.
-        let snap = adaptive::snapshot(key).expect("history exists");
-        assert_eq!(snap.instances, 1);
-        assert!(snap.last_mean_chunk_ns > 0 || snap.rechunks <= 1);
-        adaptive::forget(key);
+        Icvs::reset(before);
+    }
+
+    #[test]
+    fn clause_less_loops_follow_the_default_rule() {
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        // `def-sched-var` at its static default: the rule, per instance
+        // (`schedule_props` checks it over arbitrary shapes).
+        let r = ResolvedSchedule::resolve(None, 2_000_000, 2, true);
+        assert_eq!(r, sched(ScheduleKind::Guided, Some(125_000)));
+        let r = ResolvedSchedule::resolve(None, 2_000_000, 2, false);
+        assert_eq!(r, sched(ScheduleKind::Static, None));
+        // A changed `def-sched-var` is honoured as written in both modes.
+        Icvs::update(|i| i.def_schedule = (ScheduleKind::Dynamic, Some(4)));
+        for interpreted in [false, true] {
+            let r = ResolvedSchedule::resolve(None, 1_000, 4, interpreted);
+            assert_eq!(r, sched(ScheduleKind::Dynamic, Some(4)));
+        }
+        Icvs::reset(before);
+    }
+
+    #[test]
+    fn explicit_schedules_resolve_as_written() {
+        let _guard = crate::icv::test_guard();
+        for interpreted in [false, true] {
+            for (kind, chunk) in [
+                (ScheduleKind::Static, None),
+                (ScheduleKind::Static, Some(3)),
+                (ScheduleKind::Dynamic, Some(8)),
+                (ScheduleKind::Guided, None),
+            ] {
+                let r = ResolvedSchedule::resolve(Some((kind, chunk)), 1_000, 4, interpreted);
+                assert_eq!(r, sched(kind, chunk), "{kind:?} {chunk:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_instance_threads_share_one_decision() {
+        // Two threads of one team resolve `schedule(runtime)` through their
+        // shared instance; `omp_set_schedule` from elsewhere lands between
+        // the two resolutions. The second thread must still get the first
+        // thread's answer, or the instance would mix schedules.
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        let reg = WorkshareRegistry::new(Backend::Atomic, 2, Arc::new(Notifier::new()));
+        let inst = reg.enter(0);
+        let runtime = Some((ScheduleKind::Runtime, None));
+        Icvs::update(|i| i.run_schedule = (ScheduleKind::Dynamic, Some(5)));
+        let first = inst.resolve_schedule(runtime, 100, 2, true);
+        Icvs::update(|i| i.run_schedule = (ScheduleKind::Static, None));
+        let second = inst.resolve_schedule(runtime, 100, 2, true);
+        assert_eq!(first, sched(ScheduleKind::Dynamic, Some(5)));
+        assert_eq!(second, first);
+        // The next instance resolves afresh.
+        let next = reg.enter(1).resolve_schedule(runtime, 100, 2, true);
+        assert_eq!(next, sched(ScheduleKind::Static, None));
+        Icvs::reset(before);
     }
 }

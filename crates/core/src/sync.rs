@@ -22,9 +22,9 @@ use parking_lot::{Condvar, Mutex};
 ///
 /// OpenMP 4.0 §4.8: *active* threads should consume processor cycles while
 /// waiting (spin), *passive* threads should not (sleep). Here the policy
-/// resolves to a bounded spin-iteration budget ([`WaitPolicy::default_spin`],
-/// overridable via `OMP4RS_SPIN`) that every runtime wait burns before
-/// parking on a signaled [`Notifier`]/[`OmpEvent`].
+/// resolves to a bounded spin-iteration budget ([`WaitPolicy::default_spin`])
+/// that every runtime wait burns before parking on a signaled
+/// [`Notifier`]/[`OmpEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WaitPolicy {
     /// Spin a large bounded budget before parking — lowest wakeup latency,
@@ -47,7 +47,7 @@ impl WaitPolicy {
         }
     }
 
-    /// The spin budget this policy implies when `OMP4RS_SPIN` is unset.
+    /// The spin budget this policy implies.
     ///
     /// Passive parks immediately: on the oversubscribed hosts this runtime
     /// targets, measured region-entry and barrier latency are *lowest* with
@@ -74,9 +74,8 @@ static SPIN_EXITS: AtomicU64 = AtomicU64::new(0);
 
 /// Install the effective spin budget for the current ICVs. Called by the
 /// `icv` module whenever the store is initialized, updated, or reset.
-pub(crate) fn refresh_wait_config(policy: WaitPolicy, spin: Option<u32>) {
-    let limit = spin.unwrap_or_else(|| policy.default_spin());
-    SPIN_LIMIT.store(limit, Ordering::Relaxed);
+pub(crate) fn refresh_wait_config(policy: WaitPolicy) {
+    SPIN_LIMIT.store(policy.default_spin(), Ordering::Relaxed);
 }
 
 /// The spin budget a wait burns before parking (ICV-derived, cached).
@@ -118,8 +117,8 @@ pub fn spin_hint(remaining: u32) {
 
 /// Spin-then-park until `pred()` returns `true`.
 ///
-/// The spin budget comes from the cached `OMP_WAIT_POLICY`/`OMP4RS_SPIN`
-/// configuration ([`spin_iters`]); once exhausted the thread parks on
+/// The spin budget comes from the cached `OMP_WAIT_POLICY` configuration
+/// ([`spin_iters`]); once exhausted the thread parks on
 /// `notifier` and wakes on the next [`Notifier::notify_all`]. Correctness
 /// contract: every state transition that can flip `pred` must be followed
 /// by a `notify_all` on the same notifier.

@@ -10,7 +10,7 @@
 //! runtime, lock-free in [`Backend::Atomic`]) doubles as the overflow
 //! target when a deque fills and as the home for submissions made without a
 //! thread affinity. Deques are sized from the recorded high-water mark of
-//! outstanding tasks (override: `OMP4RS_STEAL_CAP`).
+//! outstanding tasks.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -20,7 +20,6 @@ use parking_lot::Mutex;
 
 use crate::depgraph::{Dep, DepGraph, RetireGuard};
 use crate::faults::{self, FaultSite};
-use crate::icv::Icvs;
 use crate::ompt;
 use crate::sync::{Backend, CancelFlag, Notifier, OmpEvent, WorkBag, WorkDeque};
 
@@ -33,19 +32,9 @@ use crate::sync::{Backend, CancelFlag, Notifier, OmpEvent, WorkBag, WorkDeque};
 /// forever.
 static QUEUE_HWM: AtomicUsize = AtomicUsize::new(0);
 
-/// Hard ceiling on any steal-deque capacity, including the
-/// `OMP4RS_STEAL_CAP` override: deques are preallocated per thread on every
-/// team creation, so an absurd environment value must not translate into
-/// large buffers on every team.
-const DEQUE_CAP_CEILING: usize = 1024;
-
-/// Steal-deque capacity for a team of `nthreads`: the `OMP4RS_STEAL_CAP`
-/// ICV when set (clamped to `[1, DEQUE_CAP_CEILING]`), otherwise the
-/// recorded high-water mark split across the team, clamped to `[8, 256]`.
+/// Steal-deque capacity for a team of `nthreads`: the recorded high-water
+/// mark split across the team, clamped to `[8, 256]`.
 fn deque_capacity(nthreads: usize) -> usize {
-    if let Some(cap) = Icvs::current().steal_cap {
-        return cap.clamp(1, DEQUE_CAP_CEILING);
-    }
     // Consume-with-decay: each read shrinks the recorded mark by a quarter.
     // A sustained task-heavy phase keeps re-raising it on submission; a
     // one-off spike fades over the next few team creations.
@@ -789,23 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_cap_icv_overrides_deque_sizing() {
-        // Mutates the process-global ICVs: hold the shared test guard so a
-        // concurrently constructed TaskQueue in another test cannot pick up
-        // the override.
-        let _guard = crate::icv::test_guard();
-        let before = Icvs::current();
-        Icvs::update(|i| i.steal_cap = Some(3));
-        let q = TaskQueue::with_threads(Backend::Atomic, Arc::new(Notifier::new()), 4);
-        assert_eq!(q.steal_deque_capacity(), 3);
-        // Absurd overrides are clamped instead of preallocated verbatim.
-        Icvs::update(|i| i.steal_cap = Some(1 << 30));
-        let q = TaskQueue::with_threads(Backend::Atomic, Arc::new(Notifier::new()), 4);
-        assert_eq!(q.steal_deque_capacity(), DEQUE_CAP_CEILING);
-        Icvs::reset(before);
-    }
-
-    #[test]
     fn hwm_sizing_is_clamped() {
         assert_eq!(hwm_capacity(0, 4), 8, "floor");
         assert_eq!(hwm_capacity(64, 4), 16, "split across the team");
@@ -818,10 +790,7 @@ mod tests {
         // A one-off spike must not pin capacity at the clamp forever: each
         // sizing read decays the mark by a quarter. Other tests submit at
         // most ~100 concurrent tasks, so after enough reads the capacity is
-        // well under the 256 ceiling even with concurrent re-raising. Holds
-        // the ICV guard so no concurrent steal-cap override hides the
-        // HWM-derived sizing.
-        let _guard = crate::icv::test_guard();
+        // well under the 256 ceiling even with concurrent re-raising.
         QUEUE_HWM.fetch_max(100_000, Ordering::Relaxed);
         let wake = Arc::new(Notifier::new());
         let mut cap = usize::MAX;

@@ -11,11 +11,12 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::adaptive::AdaptiveSlot;
+use crate::directive::ScheduleKind;
+use crate::schedule::ResolvedSchedule;
 use crate::sync::{Backend, CancelFlag, ClaimFlag, Notifier, OmpEvent, SharedCounter};
 
 /// Shared state for one dynamic occurrence of a work-sharing region.
@@ -41,11 +42,9 @@ pub struct WsInstance {
     /// The owning region's cancellation flag (shared via the registry), so
     /// every instance wait loop also observes `cancel parallel`/poisoning.
     region_cancel: Arc<CancelFlag>,
-    /// Adaptive-schedule decision slot: the first team thread to resolve a
-    /// loop through [`crate::adaptive::resolve`] installs the decision here,
-    /// making it immutable for this instance (and invisible to concurrent
-    /// teams at the same loop site, which have their own instances).
-    adaptive: AdaptiveSlot,
+    /// The loop schedule, resolved once by the first team thread through
+    /// [`WsInstance::resolve_schedule`].
+    schedule: OnceLock<ResolvedSchedule>,
 }
 
 impl WsInstance {
@@ -60,14 +59,25 @@ impl WsInstance {
             wake,
             cancelled: CancelFlag::new(backend),
             region_cancel,
-            adaptive: AdaptiveSlot::new(),
+            schedule: OnceLock::new(),
         }
     }
 
-    /// This instance's adaptive-schedule decision slot (see
-    /// [`crate::adaptive::resolve`]).
-    pub fn adaptive_slot(&self) -> &AdaptiveSlot {
-        &self.adaptive
+    /// The schedule of the loop this instance shares: the first team thread
+    /// resolves it ([`ResolvedSchedule::resolve`]) and every teammate reads
+    /// that answer. One instance therefore never mixes schedules, even when
+    /// another thread changes `run-sched-var` (`omp_set_schedule`) while the
+    /// team is still entering a `schedule(runtime)` loop.
+    pub fn resolve_schedule(
+        &self,
+        clause: Option<(ScheduleKind, Option<u64>)>,
+        total: u64,
+        nthreads: usize,
+        interpreted: bool,
+    ) -> ResolvedSchedule {
+        *self
+            .schedule
+            .get_or_init(|| ResolvedSchedule::resolve(clause, total, nthreads, interpreted))
     }
 
     /// Cancel this work-sharing instance (`cancel for`/`cancel sections`):

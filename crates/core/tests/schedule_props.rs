@@ -81,6 +81,36 @@ proptest! {
         prop_assert_eq!(all, expect, "{:?} chunk={:?} threads={}", kind, chunk, threads);
     }
 
+    /// A clause-less loop and a `schedule(auto)` loop resolve to the same
+    /// pure function of (iterations, team size, mode): resolving again gives
+    /// the same answer, and the resolved schedule (guided with minimum chunk
+    /// `total / (8 × threads)` when interpreted, static blocks when
+    /// compiled) partitions the space.
+    #[test]
+    fn default_schedule_is_a_function_of_the_instance(
+        total in 0i64..5_000,
+        threads in 1usize..9,
+        interpreted in any::<bool>(),
+    ) {
+        let n = total as u64;
+        let default = ResolvedSchedule::resolve(None, n, threads, interpreted);
+        let auto = ResolvedSchedule::resolve(Some((ScheduleKind::Auto, None)), n, threads, interpreted);
+        prop_assert_eq!(default, auto);
+        prop_assert_eq!(default, ResolvedSchedule::resolve(None, n, threads, interpreted));
+        let dims = LoopDims::simple(total);
+        let per_thread = partition(default.kind, default.explicit_chunk.then_some(default.chunk), &dims, threads);
+        let mut all: Vec<u64> = per_thread.into_iter().flatten().collect();
+        all.sort_unstable();
+        prop_assert_eq!(all, (0..n).collect::<Vec<u64>>());
+        if interpreted {
+            prop_assert_eq!(default.kind, ScheduleKind::Guided);
+            prop_assert_eq!(default.chunk, (n / (8 * threads as u64)).max(1));
+        } else {
+            prop_assert_eq!(default.kind, ScheduleKind::Static);
+            prop_assert!(!default.explicit_chunk);
+        }
+    }
+
     /// Flat→variable mapping is a bijection for collapsed loops.
     #[test]
     fn collapse_mapping_is_bijective(

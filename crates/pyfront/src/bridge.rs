@@ -65,11 +65,6 @@ impl ExecMode {
 /// Panic payload used to carry interpreter errors out of task bodies.
 struct TaskPyErr(PyErr);
 
-/// High-bit tag mixed into transform-assigned loop-site ids so interpreted
-/// loops can never collide with compiled-mode call-site hashes in the
-/// adaptive schedule registry.
-const INTERP_SITE_TAG: u64 = 1 << 62;
-
 fn err(kind: ErrKind, msg: impl Into<String>) -> PyErr {
     PyErr::new(kind, msg)
 }
@@ -672,12 +667,6 @@ fn build_runtime_module(mode: ExecMode) -> Value {
         };
         let _nowait = args.opt(3).map(Value::truthy).unwrap_or(false);
         let ordered = args.opt(4).map(Value::truthy).unwrap_or(false);
-        // Loop-site id baked in by the transform; keys the adaptive
-        // schedule history. Absent for legacy/hand-written callers.
-        let site = match args.opt(5) {
-            Some(Value::None) | None => None,
-            Some(v) => Some(v.as_int()? as u64),
-        };
 
         with_bounds(bounds, |state| {
             let triplets = state.triplets.lock().clone();
@@ -692,9 +681,8 @@ fn build_runtime_module(mode: ExecMode) -> Value {
             // Every in-team loop gets a work-share instance: dynamic/guided
             // schedules need its chunk counter, ordered needs its turnstile,
             // cancellation (`cancel("for")`, region poisoning) is observed
-            // through it at each `for_next` chunk claim — and its adaptive
-            // slot pins this team's schedule decision, so the instance must
-            // exist before the schedule is resolved.
+            // through it at each `for_next` chunk claim — and it pins the
+            // schedule the first team thread resolves.
             let mut instance = None;
             if let Some(f) = &frame {
                 let seq = f.next_ws_seq();
@@ -702,35 +690,17 @@ fn build_runtime_module(mode: ExecMode) -> Value {
                 *state.seq.lock() = Some(seq);
                 instance = Some(inst);
             }
-            // Interpreted loops resolve adaptively when the transform gave
-            // them a site id and a team instance exists (its slot shares the
-            // decision across the team); `interpreted = true` biases the
-            // first instance toward guided with an overhead-derived minimum
-            // chunk.
-            let (sched, adapt) = match (site, &instance) {
-                (Some(site_id), Some(inst)) => omp4rs::adaptive::resolve(
-                    sched_clause.map(|k| (k, chunk)),
-                    INTERP_SITE_TAG | site_id,
-                    dims.total(),
-                    nthreads,
-                    true,
-                    inst.adaptive_slot(),
-                ),
-                _ => (
-                    ResolvedSchedule::resolve(sched_clause.map(|k| (k, chunk))),
-                    None,
-                ),
+            let clause = sched_clause.map(|k| (k, chunk));
+            let sched = match &instance {
+                Some(inst) => inst.resolve_schedule(clause, dims.total(), nthreads, true),
+                None => ResolvedSchedule::resolve(clause, dims.total(), nthreads, true),
             };
             if let (Some(f), Some(inst)) = (&frame, &instance) {
                 f.set_current_instance(Some(Arc::clone(inst)));
             }
             *state.instance.lock() = instance.clone();
             *state.ordered.lock() = ordered;
-            let mut fb = ForBounds::init(dims, sched, thread_num, nthreads, instance);
-            if let Some(tracker) = adapt {
-                fb.track_adaptive(tracker);
-            }
-            *state.fb.lock() = Some(fb);
+            *state.fb.lock() = Some(ForBounds::init(dims, sched, thread_num, nthreads, instance));
             Ok(())
         })?;
         Ok(Value::None)

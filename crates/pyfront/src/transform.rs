@@ -31,7 +31,6 @@ use crate::threadprivate;
 pub fn transform_function(def: &FuncDef) -> Result<FuncDef, PyErr> {
     let mut t = Transformer {
         counter: 0,
-        fn_name: def.name.clone(),
         fn_counts: assignment_counts(&def.body),
         fn_params: def.params.iter().map(|p| p.name.clone()).collect(),
     };
@@ -68,33 +67,11 @@ fn syntax_err(msg: impl Into<String>, line: u32) -> PyErr {
     PyErr::at(ErrKind::Syntax, msg, line)
 }
 
-/// Stable loop-site id for one transformed `for` directive: an FNV-1a hash
-/// of the enclosing function's name and the directive's source line. Every
-/// transformed `for` directive bakes its id into the generated `for_init`
-/// call; the runtime keys its adaptive `schedule(auto)` history on it
-/// (`omp4rs::adaptive`), so repeated executions of the same source loop
-/// share one feedback history — and because the id is derived from the
-/// source rather than a process-global counter, re-transforming the same
-/// code (a REPL re-`exec`, re-decorating a module) reuses the existing
-/// history instead of orphaning it in the registry.
-fn loop_site_id(fn_name: &str, line: u32) -> i64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in fn_name.bytes().chain(line.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    // Keep clear of the sign bit and the runtime's interpreted-site tag bit
-    // (bridge ORs `1 << 62` into every interpreted site key).
-    (h & ((1 << 62) - 1)) as i64
-}
-
 /// `privatize` result: (prologue, epilogue, nonlocal names).
 type PrivatizeParts = (Vec<Stmt>, Vec<Stmt>, Vec<String>);
 
 struct Transformer {
     counter: u32,
-    /// The enclosing function's name (half of each loop-site id).
-    fn_name: String,
     /// Assignment-site counts over the whole enclosing function.
     fn_counts: HashMap<String, usize>,
     /// The enclosing function's parameters.
@@ -938,7 +915,7 @@ impl Transformer {
             },
             line,
         ));
-        // __omp.for_init(bounds, sched, chunk, nowait, ordered, site)
+        // __omp.for_init(bounds, sched, chunk, nowait, ordered)
         out.push(omp_call_stmt(
             "for_init",
             vec![
@@ -947,7 +924,6 @@ impl Transformer {
                 chunk_expr,
                 Expr::Bool(nowait),
                 Expr::Bool(ordered),
-                Expr::Int(loop_site_id(&self.fn_name, line)),
             ],
         ));
         out.extend(prologue);
@@ -1478,42 +1454,6 @@ pub fn schedule_name(kind: ScheduleKind) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn loop_site_ids_are_deterministic_and_tag_safe() {
-        let id = loop_site_id("pi", 9);
-        assert_eq!(id, loop_site_id("pi", 9));
-        assert_ne!(id, loop_site_id("pi", 10));
-        assert_ne!(id, loop_site_id("jacobi", 9));
-        // Must stay below the interpreted-site tag bit (and the sign bit).
-        assert!((0..(1 << 62)).contains(&id));
-        assert!((0..(1 << 62)).contains(&loop_site_id("", 0)));
-    }
-
-    #[test]
-    fn retransform_reuses_loop_site_ids() {
-        let src = "\
-def work(n):
-    total = 0
-    with omp(\"parallel for reduction(+:total)\"):
-        for i in range(n):
-            total += i
-    return total
-";
-        let dump = || {
-            let module = minipy::parse(src).expect("parse");
-            let def = match &module.body[0].kind {
-                StmtKind::FuncDef(def) => transform_function(def).expect("transform"),
-                other => panic!("expected FuncDef, got {other:?}"),
-            };
-            minipy::print_module(&minipy::Module {
-                body: vec![Stmt::synth(StmtKind::FuncDef(Arc::new(def)))],
-            })
-        };
-        // Re-decorating the same source (REPL re-`exec`) must bake the same
-        // site id into `for_init`, not a fresh one per transform.
-        assert_eq!(dump(), dump());
-    }
 
     /// The bytecode VM caches the callable each `__omp.<intrinsic>()` call
     /// site resolves to for the duration of a frame; that is sound only

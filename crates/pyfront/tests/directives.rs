@@ -122,6 +122,79 @@ def total(n):
     }
 }
 
+/// The chunks the default schedule of a clause-less interpreted loop claims,
+/// in order: guided with minimum chunk `interpreted_min_chunk(n, threads)`.
+fn predicted_default_chunks(n: u64, threads: usize) -> Vec<(u64, u64)> {
+    let min = omp4rs::schedule::interpreted_min_chunk(n, threads);
+    let mut chunks = Vec::new();
+    let mut lo = 0;
+    while lo < n {
+        let remaining = n - lo;
+        let size = remaining
+            .div_ceil(2 * threads as u64)
+            .max(min)
+            .min(remaining);
+        chunks.push((lo, lo + size));
+        lo += size;
+    }
+    chunks
+}
+
+#[test]
+fn clause_less_loop_chunks_follow_the_rule_every_time() {
+    use omp4rs::ompt::{self, EventKind, ToolConfig, TracePolicy};
+
+    let src = r#"
+from omp4py import *
+
+@omp
+def total(n, t):
+    acc = 0
+    with omp("parallel for reduction(+:acc) num_threads(t)"):
+        for i in range(n):
+            acc += i
+    return acc
+"#;
+    // Odd sizes no other test in this binary uses, so the loop's chunks can
+    // be picked out of events recorded by concurrently running tests.
+    let shapes = [(2usize, 9_973u64), (1, 4_099), (2, 6_007), (1, 9_973)];
+    for mode in both_modes() {
+        let runner = Runner::new(mode);
+        runner.run(src).expect("program runs");
+        // Repeat every shape: earlier instances must not change later ones.
+        for _round in 0..3 {
+            for &(threads, n) in &shapes {
+                let _session = ompt::session(ToolConfig {
+                    policy: TracePolicy::Block,
+                    ..ToolConfig::default()
+                });
+                let args = vec![Value::Int(n as i64), Value::Int(threads as i64)];
+                let sum = runner.call_global("total", args).expect("call");
+                assert_eq!(sum.as_int().unwrap() as u64, n * (n - 1) / 2);
+                let mut by_region: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
+                    Default::default();
+                for e in ompt::events() {
+                    if let EventKind::ChunkClaim { lo, hi } = e.kind {
+                        by_region.entry(e.region).or_default().push((lo, hi));
+                    }
+                }
+                let mut ours: Vec<Vec<(u64, u64)>> = by_region
+                    .into_values()
+                    .filter(|c| c.iter().any(|&(_, hi)| hi == n))
+                    .collect();
+                assert_eq!(ours.len(), 1, "{mode:?} T={threads} n={n}: one region");
+                let mut chunks = ours.pop().unwrap();
+                chunks.sort_unstable();
+                assert_eq!(
+                    chunks,
+                    predicted_default_chunks(n, threads),
+                    "{mode:?} T={threads} n={n}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn for_with_step_and_negative_ranges() {
     let src = r#"
@@ -755,21 +828,26 @@ def f(n):
 
 #[test]
 fn orphaned_worksharing_outside_parallel() {
-    // A worksharing loop outside a parallel region runs serially.
-    let src = r#"
+    // A worksharing loop outside a parallel region runs serially, whatever
+    // its schedule: with no team there is no claim counter to share.
+    for sched in ["", "schedule(dynamic, 2)", "schedule(guided)"] {
+        let src = format!(
+            r#"
 from omp4py import *
 
 @omp
 def orphan(n):
     acc = 0
-    with omp("for reduction(+:acc)"):
+    with omp("for reduction(+:acc) {sched}"):
         for i in range(n):
             acc += i
     return acc
-"#;
-    for mode in both_modes() {
-        let v = run_and_call(mode, src, "orphan", vec![Value::Int(10)]);
-        assert_eq!(v.as_int().unwrap(), 45, "{mode:?}");
+"#
+        );
+        for mode in both_modes() {
+            let v = run_and_call(mode, &src, "orphan", vec![Value::Int(10)]);
+            assert_eq!(v.as_int().unwrap(), 45, "{mode:?} {sched}");
+        }
     }
 }
 

@@ -5,7 +5,8 @@
 # maintained list, so a new knob or counter cannot land undocumented:
 #
 #   1. every OMP_*/OMP4RS_*/MINIMPI_* environment variable the workspace
-#      reads appears in docs/ENVIRONMENT.md;
+#      reads appears in docs/ENVIRONMENT.md, and every such name the document
+#      mentions is read by the workspace (a deleted knob cannot linger);
 #   2. every omp4rs.*/minipy.* counter the workspace publishes appears in
 #      docs/OBSERVABILITY.md (the dynamic minipy.vm.fallback.<reason>
 #      family is checked by its literal prefix).
@@ -24,6 +25,14 @@ env_vars=$(grep -rhoE '(var|env_usize|env_bool)\(\s*"(OMP4RS|OMP|MINIMPI)_[A-Z0-
 for v in $env_vars; do
     if ! grep -q "$v" docs/ENVIRONMENT.md; then
         echo "check_docs: env var $v is read by the code but missing from docs/ENVIRONMENT.md" >&2
+        fail=1
+    fi
+done
+
+doc_vars=$(grep -oE '\b(OMP4RS|OMP|MINIMPI)_[A-Z0-9_]*[A-Z0-9]' docs/ENVIRONMENT.md | sort -u)
+for v in $doc_vars; do
+    if ! grep -qxF "$v" <<<"$env_vars"; then
+        echo "check_docs: env var $v is documented in docs/ENVIRONMENT.md but not read by the code" >&2
         fail=1
     fi
 done
