@@ -15,7 +15,11 @@
 //!   mandatory end-of-loop barrier,
 //! * `single` — a `single` construct with its implicit barrier,
 //! * `task` — spawn of a deferred empty task plus its share of the final
-//!   `taskwait`.
+//!   `taskwait`,
+//! * `task-depend` — one empty task of a wavefront-shaped DAG (each task
+//!   `depend(in: up, in: left, out: self)`) submitted by the master thread
+//!   and drained by the team at region end: the dependence layer's cost per
+//!   task (insert, link, retire, release), as `task` prices the queue's.
 //!
 //! Each construct is measured across a thread-count sweep × both
 //! synchronization backends ([`Backend::Mutex`] / [`Backend::Atomic`]) ×
@@ -48,7 +52,7 @@
 
 use std::time::Instant;
 
-use omp4rs::exec::{parallel_region, ForSpec, ParallelConfig};
+use omp4rs::exec::{parallel_region, DepSpec, ForSpec, ParallelConfig};
 use omp4rs::{Backend, Icvs};
 
 /// One measured construct.
@@ -64,15 +68,17 @@ enum Construct {
     Reduction,
     Single,
     Task,
+    TaskDepend,
 }
 
 impl Construct {
-    const ALL: [Construct; 5] = [
+    const ALL: [Construct; 6] = [
         Construct::Parallel,
         Construct::Barrier,
         Construct::Reduction,
         Construct::Single,
         Construct::Task,
+        Construct::TaskDepend,
     ];
 
     fn name(self) -> &'static str {
@@ -83,6 +89,7 @@ impl Construct {
             Construct::Reduction => "reduction",
             Construct::Single => "single",
             Construct::Task => "task",
+            Construct::TaskDepend => "task-depend",
         }
     }
 }
@@ -230,6 +237,26 @@ fn measure(
                 });
                 let ops = (inner * cfg.num_threads.unwrap_or(1)) as f64;
                 (t - region_cost).max(0.0) / ops
+            }
+            Construct::TaskDepend => {
+                // A side x side grid of about `inner` tasks; row and column
+                // 0 are border keys nobody writes.
+                let side = (knobs.inner as f64).sqrt().ceil() as usize;
+                let key = |i: usize, j: usize| ((i as u64) << 32) | j as u64;
+                let t = time_region(cfg, |ctx| {
+                    ctx.master(|| {
+                        for i in 0..side {
+                            for j in 0..side {
+                                let spec = DepSpec::new()
+                                    .input(key(i, j + 1))
+                                    .input(key(i + 1, j))
+                                    .output(key(i + 1, j + 1));
+                                ctx.task_depend(spec, |_| {});
+                            }
+                        }
+                    });
+                });
+                (t - region_cost).max(0.0) / (side * side) as f64
             }
         };
         samples.push(secs);
@@ -407,12 +434,12 @@ fn main() {
     } else {
         println!("construct overhead (ns/op):");
         println!(
-            "{:<10} {:>7} {:>8} {:>8} {:>12} {:>12}",
+            "{:<14} {:>7} {:>8} {:>8} {:>12} {:>12}",
             "construct", "backend", "policy", "threads", "median", "min"
         );
         for row in &rows {
             println!(
-                "{:<10} {:>7} {:>8} {:>8} {:>12.1} {:>12.1}",
+                "{:<14} {:>7} {:>8} {:>8} {:>12.1} {:>12.1}",
                 row.construct.name(),
                 backend_name(row.backend),
                 row.policy,

@@ -12,17 +12,26 @@
 //! - `out` / `inout` depend on the live last writer **and** every live
 //!   reader (WAW + WAR), then become the last writer and clear the readers.
 //!
-//! A task whose predecessor count is zero at submission goes straight to
-//! the deques; otherwise its node is **held** — counted as outstanding (so
+//! The layout is libomp's `kmp_depnode` shape. Each dependent task gets one
+//! reference-counted record holding an atomic `pending` count (unretired
+//! predecessors plus a submission hold), a small lock over its successor
+//! list, and its held placement. The per-key table holds records, not ids,
+//! and only submission (and cancellation) takes its lock.
+//!
+//! A task with no live predecessor at submission goes straight to the
+//! deques; otherwise its node is **held** — counted as outstanding (so
 //! region barriers, deadlines, and the stall watchdog all see it) but
 //! unclaimable until the release path hands it back. When a task retires
 //! (its body ran, panicked, or was discarded by cancellation — the
-//! `RetireGuard` fires on every one of those paths), it decrements its
-//! successors' pending counts; successors that reach zero move to a ready
-//! list the queue drains in front of its deques. That drain is the single
-//! held→runnable funnel and carries the `dep-release` fault-injection site:
-//! an injected panic discards the successor instead of stranding it, and
-//! the discard retires it in turn, cascading the release.
+//! `RetireGuard` fires on every one of those paths), it takes its successor
+//! list and decrements each successor's pending count, without the table
+//! lock. Whichever thread brings a count to zero — that retiring thread, or
+//! the submitter dropping its hold after a predecessor retired mid-link —
+//! moves the task to a ready list the queue drains in front of its deques.
+//! That drain is the single held→runnable funnel and carries the
+//! `dep-release` fault-injection site: an injected panic discards the
+//! successor instead of stranding it, and the discard retires it in turn,
+//! cascading the release.
 //!
 //! Edges only ever point from earlier to later submissions, so the graph is
 //! acyclic by construction and every held task is released or discarded —
@@ -37,8 +46,9 @@
 //! to drain.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -173,41 +183,126 @@ pub(crate) struct Ready {
     pub(crate) priority: i64,
 }
 
-/// Per-key ordering state: the last writer and the readers submitted since.
+/// Hasher for the per-key table. Keys come from the program submitting the
+/// tasks (an address-like integer in compiled mode, a hash of the item's
+/// value in interpreted mode), so colliding keys can only slow that program
+/// and SipHash's flooding resistance buys nothing here. One multiply
+/// spreads the key and the fold brings its high bits down to the
+/// bucket-index bits.
 #[derive(Default)]
-struct AddrState {
-    last_writer: Option<u64>,
-    readers: Vec<u64>,
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
-/// A live (unretired) dependent task.
-struct DepNode {
-    /// Unretired predecessors; the task is held until this reaches zero.
-    pending: usize,
-    /// Successor ids to decrement when this task retires.
-    succs: Vec<u64>,
-    /// Keys this task touched, for address-state cleanup at retire.
-    keys: Vec<u64>,
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
+/// One dependent task's dependence record (libomp's `kmp_depnode`), shared
+/// by the key table, its predecessors' successor lists and the task's own
+/// [`RetireGuard`].
+pub(crate) struct DepNode {
+    /// Unretired predecessors plus one submission hold. Whichever thread
+    /// brings it to zero — a retiring predecessor, or the submitter dropping
+    /// its hold — owns the release. Decrements are `AcqRel`, so the
+    /// releasing thread has acquired every predecessor's writes.
+    pending: AtomicUsize,
+    /// Set (`Release`, under `links`) when the task retires; read
+    /// (`Acquire`) without the lock to prune reader lists and to skip dead
+    /// predecessors — a successor that skips the edge then sees the retired
+    /// task's writes.
+    retired: AtomicBool,
+    links: Mutex<Links>,
+}
+
+#[derive(Default)]
+struct Links {
+    /// Tasks to decrement when this one retires.
+    successors: Vec<Arc<DepNode>>,
     /// The held placement, `None` once released (or never held).
     held: Option<Ready>,
 }
 
-struct GraphInner {
-    nodes: HashMap<u64, DepNode>,
-    addrs: HashMap<u64, AddrState>,
-    /// Released, waiting for the queue to drain them to the deques.
-    ready: Vec<Ready>,
+impl DepNode {
+    /// A fresh record carrying only the submission hold.
+    pub(crate) fn new() -> Arc<DepNode> {
+        Arc::new(DepNode {
+            pending: AtomicUsize::new(1),
+            retired: AtomicBool::new(false),
+            links: Mutex::new(Links::default()),
+        })
+    }
+
+    fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::Acquire)
+    }
+
+    /// Order `succ` after this task unless it already retired; returns the
+    /// number of edges added (0 or 1). A predecessor reached through two
+    /// keys is linked once: linking is serialized by the table lock, so if
+    /// this submission already linked it, `succ` is its newest successor.
+    fn link(&self, succ: &Arc<DepNode>) -> u64 {
+        if self.is_retired() {
+            return 0;
+        }
+        let mut links = self.links.lock();
+        if self.retired.load(Ordering::Relaxed)
+            || links
+                .successors
+                .last()
+                .is_some_and(|s| Arc::ptr_eq(s, succ))
+        {
+            return 0;
+        }
+        // Counted under our lock, before `retire` can take the list and
+        // decrement it.
+        succ.pending.fetch_add(1, Ordering::Relaxed);
+        links.successors.push(Arc::clone(succ));
+        1
+    }
+}
+
+/// Per-key ordering state: the last writer and the readers submitted since.
+#[derive(Default)]
+struct KeyState {
+    last_writer: Option<Arc<DepNode>>,
+    readers: Vec<Arc<DepNode>>,
+}
+
+/// The submit-side state, behind the graph's one table lock.
+#[derive(Default)]
+struct Table {
+    keys: KeyMap<KeyState>,
+    /// Records that entered the graph held, so `cancel_all` can hand every
+    /// one back. Released records are pruned as the list grows.
+    held: Vec<Arc<DepNode>>,
 }
 
 /// The per-queue dependence graph. One per [`crate::tasks::TaskQueue`],
 /// shared (`Arc`) with every task's [`RetireGuard`].
 pub(crate) struct DepGraph {
-    next_id: AtomicU64,
-    /// Fast-path mirror of `inner.ready.len()`.
+    /// Touched only at submission (and by cancellation): retire never
+    /// takes it.
+    table: Mutex<Table>,
+    /// Released, waiting for the queue to drain them to the deques.
+    ready: Mutex<VecDeque<Ready>>,
+    /// Fast-path mirror of `ready.len()`.
     ready_len: AtomicUsize,
     /// Held (released-pending) tasks currently in the graph.
     held_len: AtomicUsize,
-    inner: Mutex<GraphInner>,
     /// The owning queue's wake notifier: parked waiters must learn when a
     /// retire makes successors ready.
     wake: Arc<Notifier>,
@@ -216,129 +311,112 @@ pub(crate) struct DepGraph {
 impl DepGraph {
     pub(crate) fn new(wake: Arc<Notifier>) -> DepGraph {
         DepGraph {
-            next_id: AtomicU64::new(0),
+            table: Mutex::new(Table::default()),
+            ready: Mutex::new(VecDeque::new()),
             ready_len: AtomicUsize::new(0),
             held_len: AtomicUsize::new(0),
-            inner: Mutex::new(GraphInner {
-                nodes: HashMap::new(),
-                addrs: HashMap::new(),
-                ready: Vec::new(),
-            }),
             wake,
         }
     }
 
-    /// Allocate the graph id for a task about to be inserted (the caller
-    /// needs it before insertion to build the task's [`RetireGuard`]).
-    pub(crate) fn alloc_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Record `node`'s dependences and either hold it (returns `true`) or
-    /// report it immediately runnable (returns `false`; the caller places
-    /// it on the deques). Predecessors are resolved against the per-key
-    /// last-writer/reader state, filtered to still-live tasks, and deduped,
-    /// so edges always point from earlier to later submissions — the graph
-    /// is acyclic by construction.
+    /// Record `node`'s dependences under `rec` and either hold it (returns
+    /// `true`) or report it immediately runnable (returns `false`; the
+    /// caller places it on the deques). Predecessors come from the per-key
+    /// last-writer/reader state; retired ones add no edge and duplicates
+    /// are linked once, so edges always point from earlier to later
+    /// submissions — the graph is acyclic by construction.
     pub(crate) fn insert(
         &self,
-        id: u64,
+        rec: &Arc<DepNode>,
         node: &Arc<TaskNode>,
         owner: Option<usize>,
         priority: i64,
         deps: &[Dep],
     ) -> bool {
-        let mut g = self.inner.lock();
-        let mut preds: Vec<u64> = Vec::new();
-        for d in deps {
-            let st = g.addrs.entry(d.key).or_default();
-            if d.kind.is_write() {
-                preds.extend(st.last_writer);
-                preds.extend_from_slice(&st.readers);
+        let mut table = self.table.lock();
+        let mut edges = 0;
+        for (i, d) in deps.iter().enumerate() {
+            // A key named twice in one list is one access, a write if any
+            // item writes it: the task is ordered after the *prior* tasks'
+            // accesses, never after its own.
+            if deps[..i].iter().any(|e| e.key == d.key) {
+                continue;
+            }
+            let write = deps[i..]
+                .iter()
+                .any(|e| e.key == d.key && e.kind.is_write());
+            let st = table.keys.entry(d.key).or_default();
+            if let Some(w) = &st.last_writer {
+                edges += w.link(rec);
+            }
+            if write {
+                for r in st.readers.drain(..) {
+                    edges += r.link(rec);
+                }
+                st.last_writer = Some(Arc::clone(rec));
             } else {
-                preds.extend(st.last_writer);
+                // Prune before the list would grow, so a hot key's readers
+                // stay bounded by its live ones (amortized O(1) per insert).
+                if st.readers.len() == st.readers.capacity() {
+                    st.readers.retain(|r| !r.is_retired());
+                }
+                st.readers.push(Arc::clone(rec));
             }
         }
-        // Second pass so duplicate keys within one list see the *prior*
-        // tasks' state, not this task's own registrations.
-        for d in deps {
-            let st = g.addrs.entry(d.key).or_default();
-            if d.kind.is_write() {
-                st.last_writer = Some(id);
-                st.readers.clear();
-            } else if !st.readers.contains(&id) {
-                st.readers.push(id);
-            }
+        if edges == 0 {
+            return false;
         }
-        preds.sort_unstable();
-        preds.dedup();
-        preds.retain(|p| *p != id && g.nodes.contains_key(p));
-        EDGES.fetch_add(preds.len() as u64, Ordering::Relaxed);
-        for p in &preds {
-            g.nodes.get_mut(p).expect("retained live").succs.push(id);
+        EDGES.fetch_add(edges, Ordering::Relaxed);
+        DEFERRED.fetch_add(1, Ordering::Relaxed);
+        self.held_len.fetch_add(1, Ordering::Relaxed);
+        node.hold();
+        rec.links.lock().held = Some(Ready {
+            node: Arc::clone(node),
+            owner,
+            priority,
+        });
+        if table.held.len() == table.held.capacity() {
+            table.held.retain(|r| r.pending.load(Ordering::Acquire) > 0);
         }
-        let pending = preds.len();
-        let held = pending > 0;
-        let slot = if held {
-            DEFERRED.fetch_add(1, Ordering::Relaxed);
-            self.held_len.fetch_add(1, Ordering::Relaxed);
-            node.hold();
-            Some(Ready {
-                node: Arc::clone(node),
-                owner,
-                priority,
-            })
-        } else {
-            None
-        };
-        g.nodes.insert(
-            id,
-            DepNode {
-                pending,
-                succs: Vec::new(),
-                keys: deps.iter().map(|d| d.key).collect(),
-                held: slot,
-            },
-        );
-        held
+        table.held.push(Arc::clone(rec));
+        drop(table);
+        // Drop the submission hold. Reaching zero here means every
+        // predecessor retired while this task was linking: the submitter
+        // owns the release.
+        if rec.pending.fetch_sub(1, Ordering::AcqRel) == 1 && self.release(rec) {
+            self.wake.notify_all();
+        }
+        true
     }
 
-    /// Retire task `id`: drop it from the address state and decrement its
-    /// successors, moving the newly unblocked onto the ready list. Fired by
+    /// Move a record whose pending count reached zero onto the ready list.
+    /// Returns `false` when cancellation already took its placement.
+    fn release(&self, rec: &DepNode) -> bool {
+        let Some(r) = rec.links.lock().held.take() else {
+            return false;
+        };
+        RELEASED.fetch_add(1, Ordering::Relaxed);
+        self.held_len.fetch_sub(1, Ordering::Relaxed);
+        let mut ready = self.ready.lock();
+        ready.push_back(r);
+        self.ready_len.fetch_add(1, Ordering::Release);
+        true
+    }
+
+    /// Retire `rec`'s task: mark it retired, take its successors and
+    /// decrement each, releasing those that reach zero. Fired by
     /// [`RetireGuard`] on every exit path (ran, panicked, discarded);
-    /// idempotent once the node is gone (cancellation clears the graph).
-    pub(crate) fn retire(&self, id: u64) {
+    /// idempotent, and never touches the table lock.
+    pub(crate) fn retire(&self, rec: &DepNode) {
+        let successors = {
+            let mut links = rec.links.lock();
+            rec.retired.store(true, Ordering::Release);
+            std::mem::take(&mut links.successors)
+        };
         let mut woke = false;
-        {
-            let mut g = self.inner.lock();
-            let Some(dead) = g.nodes.remove(&id) else {
-                return;
-            };
-            for key in dead.keys {
-                if let Some(st) = g.addrs.get_mut(&key) {
-                    if st.last_writer == Some(id) {
-                        st.last_writer = None;
-                    }
-                    st.readers.retain(|r| *r != id);
-                    if st.last_writer.is_none() && st.readers.is_empty() {
-                        g.addrs.remove(&key);
-                    }
-                }
-            }
-            for s in dead.succs {
-                let Some(sn) = g.nodes.get_mut(&s) else {
-                    continue;
-                };
-                sn.pending -= 1;
-                if sn.pending == 0 {
-                    if let Some(r) = sn.held.take() {
-                        RELEASED.fetch_add(1, Ordering::Relaxed);
-                        self.held_len.fetch_sub(1, Ordering::Relaxed);
-                        self.ready_len.fetch_add(1, Ordering::Relaxed);
-                        g.ready.push(r);
-                        woke = true;
-                    }
-                }
+        for s in successors {
+            if s.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                woke |= self.release(&s);
             }
         }
         if woke {
@@ -359,51 +437,75 @@ impl DepGraph {
         self.held_len.load(Ordering::Acquire)
     }
 
-    /// Take the released tasks for placement on the deques.
-    pub(crate) fn take_ready(&self) -> Vec<Ready> {
-        let mut g = self.inner.lock();
-        self.ready_len.store(0, Ordering::Release);
-        std::mem::take(&mut g.ready)
+    /// Take the oldest released task for placement on the deques. One at
+    /// a time, so the list keeps its buffer instead of handing it off.
+    pub(crate) fn pop_ready(&self) -> Option<Ready> {
+        let mut ready = self.ready.lock();
+        let r = ready.pop_front()?;
+        self.ready_len.fetch_sub(1, Ordering::Release);
+        Some(r)
     }
 
     /// Cancellation: release *every* task — ready-list entries and still
-    /// held ones alike — and clear the graph. The caller discards them; a
-    /// cancelled graph releases, not strands, its successors.
+    /// held ones alike — and clear the key table. The caller discards them;
+    /// a cancelled graph releases, not strands, its successors.
     pub(crate) fn cancel_all(&self) -> Vec<Ready> {
-        let mut g = self.inner.lock();
-        self.ready_len.store(0, Ordering::Release);
-        let mut out: Vec<Ready> = g.ready.drain(..).collect();
-        for node in g.nodes.values_mut() {
-            if let Some(r) = node.held.take() {
+        let held = {
+            let mut table = self.table.lock();
+            table.keys.clear();
+            std::mem::take(&mut table.held)
+        };
+        let mut out: Vec<Ready> = {
+            let mut ready = self.ready.lock();
+            self.ready_len.store(0, Ordering::Release);
+            ready.drain(..).collect()
+        };
+        for rec in held {
+            if let Some(r) = rec.links.lock().held.take() {
                 RELEASED.fetch_add(1, Ordering::Relaxed);
                 self.held_len.fetch_sub(1, Ordering::Relaxed);
                 out.push(r);
             }
         }
-        g.nodes.clear();
-        g.addrs.clear();
         out
+    }
+
+    /// Length of `key`'s reader list (unit tests: pruning keeps it bounded).
+    #[cfg(test)]
+    fn readers_len(&self, key: u64) -> usize {
+        self.table
+            .lock()
+            .keys
+            .get(&key)
+            .map_or(0, |st| st.readers.len())
     }
 }
 
-/// Drop guard that retires a dependent task in its graph. Captured by the
-/// task's body closure, so it fires when the body finishes, when it
-/// unwinds, **and** when cancellation drops the body unrun — the three
-/// paths that must all release successors.
+/// Retires a dependent task in its graph. Its task node fires it when it
+/// completes — after the body finished, after it unwound, **or** when
+/// cancellation discarded the body unrun, the three paths that must all
+/// release successors. Dropping an unfired guard fires it too, so a node
+/// that never completes cannot strand its successors.
 pub(crate) struct RetireGuard {
     graph: Arc<DepGraph>,
-    id: u64,
+    rec: Arc<DepNode>,
 }
 
 impl RetireGuard {
-    pub(crate) fn new(graph: Arc<DepGraph>, id: u64) -> RetireGuard {
-        RetireGuard { graph, id }
+    pub(crate) fn new(graph: Arc<DepGraph>, rec: Arc<DepNode>) -> RetireGuard {
+        RetireGuard { graph, rec }
+    }
+
+    pub(crate) fn fire(&self) {
+        self.graph.retire(&self.rec);
     }
 }
 
 impl Drop for RetireGuard {
     fn drop(&mut self) {
-        self.graph.retire(self.id);
+        if !self.rec.is_retired() {
+            self.fire();
+        }
     }
 }
 
@@ -551,11 +653,15 @@ mod tests {
         }
     }
 
-    fn insert(g: &DepGraph, deps: &[Dep]) -> (u64, Arc<TaskNode>, bool) {
-        let id = g.alloc_id();
+    fn take_ready(g: &DepGraph) -> Vec<Ready> {
+        std::iter::from_fn(|| g.pop_ready()).collect()
+    }
+
+    fn insert(g: &DepGraph, deps: &[Dep]) -> (Arc<DepNode>, Arc<TaskNode>, bool) {
+        let rec = DepNode::new();
         let n = node();
-        let held = g.insert(id, &n, None, 0, deps);
-        (id, n, held)
+        let held = g.insert(&rec, &n, None, 0, deps);
+        (rec, n, held)
     }
 
     #[test]
@@ -568,11 +674,11 @@ mod tests {
         assert!(held_b, "WAW on a");
         assert!(held_c, "RAW on b");
         assert_eq!(g.held_len(), 2);
-        g.retire(a);
+        g.retire(&a);
         assert_eq!(g.ready_len(), 1, "only b released");
         assert_eq!(g.held_len(), 1);
-        g.retire(b);
-        assert_eq!(g.take_ready().len(), 2, "b then c");
+        g.retire(&b);
+        assert_eq!(take_ready(&g).len(), 2, "b then c");
         assert_eq!(g.held_len(), 0);
     }
 
@@ -584,14 +690,14 @@ mod tests {
         let (r, _, _) = insert(&g, &[Dep::input(1), Dep::output(3)]);
         let (_join, _, held) = insert(&g, &[Dep::input(2), Dep::input(3)]);
         assert!(held);
-        g.retire(root);
+        g.retire(&root);
         assert_eq!(g.ready_len(), 2, "both branches released");
-        for x in g.take_ready() {
+        for x in take_ready(&g) {
             x.node.release_hold();
         }
-        g.retire(l);
+        g.retire(&l);
         assert_eq!(g.ready_len(), 0, "join still waits on the right branch");
-        g.retire(r);
+        g.retire(&r);
         assert_eq!(g.ready_len(), 1, "join released only after both");
     }
 
@@ -599,15 +705,15 @@ mod tests {
     fn readers_run_concurrently_and_block_writer() {
         let g = graph();
         let (w, _, _) = insert(&g, &[Dep::output(9)]);
-        g.retire(w);
+        g.retire(&w);
         let (r1, _, h1) = insert(&g, &[Dep::input(9)]);
         let (r2, _, h2) = insert(&g, &[Dep::input(9)]);
         assert!(!h1 && !h2, "readers of a retired writer run immediately");
         let (_w2, _, held) = insert(&g, &[Dep::output(9)]);
         assert!(held, "WAR: writer waits on both readers");
-        g.retire(r1);
+        g.retire(&r1);
         assert_eq!(g.ready_len(), 0);
-        g.retire(r2);
+        g.retire(&r2);
         assert_eq!(g.ready_len(), 1, "released when the last reader retires");
     }
 
@@ -642,6 +748,33 @@ mod tests {
             after.released - before.released,
             after.deferred - before.deferred
         );
+    }
+
+    #[test]
+    fn retired_predecessor_adds_no_edge() {
+        let g = graph();
+        let (a, _, _) = insert(&g, &[Dep::output(4)]);
+        g.retire(&a);
+        let before = counters();
+        let (_b, _, held) = insert(&g, &[Dep::input(4), Dep::inout(4)]);
+        assert!(!held, "a retired writer leaves its successor runnable");
+        let after = counters();
+        assert_eq!(after.edges, before.edges, "no edge to a retired task");
+        assert_eq!(after.deferred, before.deferred);
+        assert_eq!(g.held_len(), 0);
+    }
+
+    #[test]
+    fn retired_readers_are_pruned_from_a_hot_key() {
+        let g = graph();
+        let mut longest = 0;
+        for _ in 0..10_000 {
+            let (r, _, held) = insert(&g, &[Dep::input(8)]);
+            assert!(!held);
+            g.retire(&r);
+            longest = longest.max(g.readers_len(8));
+        }
+        assert!(longest <= 8, "reader list grew to {longest}");
     }
 
     #[test]

@@ -18,15 +18,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::depgraph::{Dep, DepGraph, RetireGuard};
+use crate::depgraph::{Dep, DepGraph, DepNode, RetireGuard};
 use crate::faults::{self, FaultSite};
 use crate::ompt;
 use crate::sync::{Backend, CancelFlag, Notifier, OmpEvent, WorkBag, WorkDeque};
 
 /// Process-wide high-water mark of simultaneously outstanding tasks,
-/// updated on every submission. New queues size their per-thread steal
-/// deques from it, so capacity tracks how task-heavy the program actually
-/// is instead of guessing. Each sizing read *decays* the mark (see
+/// raised by any submission that exceeds it. New queues size their
+/// per-thread steal deques from it, so capacity tracks how task-heavy the
+/// program actually is instead of guessing. Each sizing read *decays* the mark (see
 /// `deque_capacity`), so one task-heavy region raises capacity for the
 /// teams that follow it without inflating every later, unrelated team
 /// forever.
@@ -42,6 +42,15 @@ fn deque_capacity(nthreads: usize) -> usize {
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| Some(h - h / 4))
         .unwrap_or(0);
     hwm_capacity(hwm, nthreads)
+}
+
+/// Raise the high-water mark to `outstanding`. Loads first: the mark is
+/// process-global, so a read-modify-write on every submission would bounce
+/// its line between every submitting thread even when nothing changes.
+fn record_outstanding(outstanding: usize) {
+    if outstanding > QUEUE_HWM.load(Ordering::Relaxed) {
+        QUEUE_HWM.fetch_max(outstanding, Ordering::Relaxed);
+    }
 }
 
 /// Pure sizing rule: a recorded high-water mark split across the team.
@@ -73,6 +82,10 @@ pub struct TaskNode {
     /// node refuses claims (from queue pops *and* `taskwait` inlining)
     /// until the dependence graph's release path clears the flag.
     held: AtomicBool,
+    /// A `depend` task's graph retirement, fired by [`TaskNode::finish`]
+    /// on every path that completes the node: body ran, body panicked, or
+    /// body discarded unrun.
+    retire: Option<RetireGuard>,
 }
 
 impl std::fmt::Debug for TaskNode {
@@ -85,11 +98,20 @@ impl std::fmt::Debug for TaskNode {
 
 impl TaskNode {
     pub(crate) fn new(backend: Backend, body: Box<dyn FnOnce() + Send>) -> Arc<TaskNode> {
+        TaskNode::with_retire(backend, body, None)
+    }
+
+    fn with_retire(
+        backend: Backend,
+        body: Box<dyn FnOnce() + Send>,
+        retire: Option<RetireGuard>,
+    ) -> Arc<TaskNode> {
         Arc::new(TaskNode {
             state: AtomicU8::new(STATE_FREE),
             done: OmpEvent::new(backend),
             body: Mutex::new(Some(body)),
             held: AtomicBool::new(false),
+            retire,
         })
     }
 
@@ -178,6 +200,9 @@ impl TaskNode {
             }
             None => None,
         };
+        if let Some(retire) = &self.retire {
+            retire.fire();
+        }
         self.state.store(STATE_COMPLETED, Ordering::Release);
         self.done.set();
         ompt::record_here(ompt::EventKind::TaskComplete);
@@ -415,8 +440,7 @@ impl TaskQueue {
             }
             return node;
         }
-        let outstanding = self.outstanding.fetch_add(1, Ordering::AcqRel) + 1;
-        QUEUE_HWM.fetch_max(outstanding, Ordering::Relaxed);
+        record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
         self.place(&node, owner, priority);
         node
     }
@@ -438,18 +462,9 @@ impl TaskQueue {
             return self.submit_with(body, owner, priority);
         }
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: true });
-        let id = self.dep.alloc_id();
-        // The guard lives in the closure's environment (not its body), so
-        // retirement fires on *every* exit: body ran, body unwound, or the
-        // body was dropped unrun by cancellation's discard.
-        let guard = RetireGuard::new(Arc::clone(&self.dep), id);
-        let node = TaskNode::new(
-            self.backend,
-            Box::new(move || {
-                let _retire = guard;
-                body();
-            }),
-        );
+        let rec = DepNode::new();
+        let guard = RetireGuard::new(Arc::clone(&self.dep), Arc::clone(&rec));
+        let node = TaskNode::with_retire(self.backend, body, Some(guard));
         if self.cancelled.is_set() {
             if let Some(body) = node.try_claim() {
                 drop(body);
@@ -457,9 +472,8 @@ impl TaskQueue {
             }
             return node;
         }
-        let outstanding = self.outstanding.fetch_add(1, Ordering::AcqRel) + 1;
-        QUEUE_HWM.fetch_max(outstanding, Ordering::Relaxed);
-        if !self.dep.insert(id, &node, owner, priority, deps) {
+        record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
+        if !self.dep.insert(&rec, &node, owner, priority, deps) {
             self.place(&node, owner, priority);
         } else if self.cancelled.is_set() {
             // Submit/cancel race: `cancel` may have drained the graph
@@ -597,25 +611,18 @@ impl TaskQueue {
     /// affected successor is *discarded*, which retires it and cascades
     /// the release to its own successors instead of stranding them.
     fn admit_released(&self) {
-        // Loop until the ready list is drained: discarding a faulted
-        // successor retires it, which can release *its* successors into the
-        // ready list mid-funnel — those must be admitted in the same pass,
-        // not stranded until another thread happens to look.
-        loop {
-            let batch = self.dep.take_ready();
-            if batch.is_empty() {
-                break;
-            }
-            for r in batch {
-                let fault =
-                    std::panic::catch_unwind(|| faults::on_event(FaultSite::DepRelease)).err();
-                r.node.release_hold();
-                match fault {
-                    None => self.place(&r.node, r.owner, r.priority),
-                    Some(p) => {
-                        self.record_panic(Some(p));
-                        self.discard(&r.node);
-                    }
+        // Pop until the ready list is empty: discarding a faulted successor
+        // retires it, which can release *its* successors into the ready
+        // list mid-funnel — those must be admitted in the same pass, not
+        // stranded until another thread happens to look.
+        while let Some(r) = self.dep.pop_ready() {
+            let fault = std::panic::catch_unwind(|| faults::on_event(FaultSite::DepRelease)).err();
+            r.node.release_hold();
+            match fault {
+                None => self.place(&r.node, r.owner, r.priority),
+                Some(p) => {
+                    self.record_panic(Some(p));
+                    self.discard(&r.node);
                 }
             }
         }

@@ -488,3 +488,78 @@ fn chaos_dependence_graphs_terminate_with_accounting() {
         },
     );
 }
+
+/// Insert-vs-retire race: on a wavefront DAG (2×`in` + `out` per task) fed
+/// by one producer, a predecessor often retires while its successor is
+/// still linking — the window the record's atomic pending count opens.
+/// Each body checks that both predecessors finished before it started;
+/// every round must finish under the region deadline and release exactly
+/// what it held.
+#[test]
+fn wavefront_insert_retire_race_keeps_order_and_accounting() {
+    const N: usize = 12;
+    const ROUNDS: usize = 100;
+    let _s = serial();
+    // Cell (i, j) writes key(i + 1, j + 1) and reads its upper and left
+    // neighbours; row and column 0 are border keys nobody writes.
+    let key = |i: usize, j: usize| ((i as u64) << 32) | j as u64;
+    with_icvs(
+        |icvs| icvs.region_deadline = Some(Duration::from_secs(10)),
+        || {
+            for threads in [2, 4] {
+                for round in 0..ROUNDS {
+                    let backend = BACKENDS[round % 2];
+                    let done: Vec<AtomicBool> =
+                        (0..N * N).map(|_| AtomicBool::new(false)).collect();
+                    let before = depgraph::counters();
+                    let result = parallel_region_result(&cfg(backend, threads), |ctx| {
+                        ctx.single(|| {
+                            for i in 0..N {
+                                for j in 0..N {
+                                    let done = &done;
+                                    let spec = DepSpec::new()
+                                        .input(key(i, j + 1))
+                                        .input(key(i + 1, j))
+                                        .output(key(i + 1, j + 1));
+                                    ctx.task_depend(spec, move |_| {
+                                        if i > 0 {
+                                            assert!(
+                                                done[(i - 1) * N + j].load(Ordering::Acquire),
+                                                "({i},{j}) ran before its upper neighbour"
+                                            );
+                                        }
+                                        if j > 0 {
+                                            assert!(
+                                                done[i * N + j - 1].load(Ordering::Acquire),
+                                                "({i},{j}) ran before its left neighbour"
+                                            );
+                                        }
+                                        // A few hundred ns of work, so retires
+                                        // overlap the producer's inserts.
+                                        let t0 = Instant::now();
+                                        while t0.elapsed() < Duration::from_nanos(300) {
+                                            std::hint::spin_loop();
+                                        }
+                                        done[i * N + j].store(true, Ordering::Release);
+                                    });
+                                }
+                            }
+                        });
+                    });
+                    let ctx = format!("{backend:?} T={threads} round {round}");
+                    assert!(result.is_ok(), "{ctx}: {:?}", result.err());
+                    assert!(
+                        done.iter().all(|d| d.load(Ordering::Acquire)),
+                        "{ctx}: a task never ran"
+                    );
+                    let after = depgraph::counters();
+                    assert_eq!(
+                        after.deferred - before.deferred,
+                        after.released - before.released,
+                        "{ctx}: a held task was stranded"
+                    );
+                }
+            }
+        },
+    );
+}

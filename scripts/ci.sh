@@ -65,15 +65,18 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # the block policy loses nothing.
     run cargo run --release -p omp4rs-bench --bin overhead -- --check
     # Construct-overhead contract: every syncbench cell (parallel, barrier,
-    # reduction, single, task x backends x wait policies) completes and
-    # reports a finite overhead, and fork/join *scales* — the 8-thread
-    # parallel cost floor must stay within --scale-limit multiples of the
-    # 1-thread cost (catches serialized dispatch / lost early-leave).
+    # reduction, single, task, task-depend x backends x wait policies)
+    # completes and reports a finite overhead, and fork/join *scales* — the
+    # 8-thread parallel cost floor must stay within --scale-limit multiples
+    # of the 1-thread cost (catches serialized dispatch / lost early-leave).
     run cargo run --release -p omp4rs-bench --bin syncbench -- --check --trials 2
     # Resilience contract: a short seeded chaos soak (injected worker panic
     # + injected stall + minimpi rank failures, simultaneously) must finish
     # with zero hangs, zero cascading panics, and exact degradation counts.
-    run cargo run --release -p omp4rs-bench --bin soak -- --check
+    # One client per CPU, and never fewer than 4, so wide hosts soak wide.
+    nproc_now=$(nproc)
+    run cargo run --release -p omp4rs-bench --bin soak -- --check \
+        --clients "$((nproc_now > 4 ? nproc_now : 4))"
     # Task-dependence figure smoke: all three DAG apps in all four modes at a
     # small scale; the bin itself brackets the omp4rs.task.dep.* counters, so
     # a stranded successor (deferred != released) shows up in its output.
