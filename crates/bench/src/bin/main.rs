@@ -135,13 +135,8 @@ fn main() {
 
 /// Median and population standard deviation of the samples (sorts in place).
 fn median_sigma(samples: &mut [f64]) -> (f64, f64) {
-    samples.sort_by(|a, b| a.total_cmp(b));
+    let median = omp4rs_bench::median(samples);
     let n = samples.len();
-    let median = if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    };
     let mean = samples.iter().sum::<f64>() / n as f64;
     let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
     (median, var.sqrt())

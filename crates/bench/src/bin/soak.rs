@@ -352,18 +352,13 @@ fn main() {
             .map(|t| format!(",\n \"trace\": {}", t.json()))
             .unwrap_or_default();
         println!(
-            "{{\n \"benchmark\": \"serve\",\n \"pool_shards\": {},\n \
+            "{{\n \"benchmark\": \"serve\",\n \
              \"seconds_per_cell\": {seconds},\n \"sweep\": [\n  \
              {body}\n ],\n \"mpi\": {{\"lossy_rounds_recovered\": {recovered}, \
              \"typed_permanent_failures\": {typed_permanent}}},\n \"admission\": \
              {{\"granted\": {}, \"shrunk\": {}, \"shed\": {}}},\n \"watchdog\": \
              {{\"stalls\": {}, \"cancels\": {}}}{trace_member}\n}}",
-            pool::shard_count(),
-            admission.granted,
-            admission.shrunk,
-            admission.shed,
-            watchdog.stalls,
-            watchdog.cancels
+            admission.granted, admission.shrunk, admission.shed, watchdog.stalls, watchdog.cancels
         );
     } else {
         println!("SOAK — regions/sec vs clients (4 threads per region)");

@@ -6,10 +6,6 @@
 //!
 //! * `parallel` — entry + exit of an empty parallel region (fork/join cost:
 //!   team construction, worker mobilization, final task-draining barrier),
-//! * `parallel-spawn` — the same measurement with the persistent worker
-//!   pool disabled (`OMP4RS_POOL=off`): the per-region thread-spawn
-//!   baseline, taken in the same process so the hot-team speedup is an A/B
-//!   under identical host load,
 //! * `barrier` — an explicit barrier inside a live region,
 //! * `reduction` — a work-shared loop with a `reduction(+)` and its
 //!   mandatory end-of-loop barrier,
@@ -33,18 +29,18 @@
 //! ```
 //!
 //! `--json` emits one row per (construct, backend, policy, threads) for
-//! `scripts/bench.sh` to assemble into `BENCH_sync.json` (plus a top-level
-//! `pool_shards` member recording the sharded-pool geometry the numbers
-//! were taken under). `--check` runs a 1..8-thread sweep and exits nonzero
-//! unless every construct completed, every overhead number is finite and
-//! positive, and `parallel` *scales*: the fastest-trial region cost at the
-//! widest team stays within `--scale-limit` (default 80) multiples of the
-//! 1-thread cost for every backend x policy cell. The limit is calibrated
-//! so the sharded pool with early-leave final barriers passes with ~1.7x
-//! headroom while the pre-sharding global-lock dispatch (measured ~89x on
-//! the same host) trips it — a scaling regression gate, not a noise gate
-//! (the cost *floor* is compared, so additive scheduler noise cannot trip
-//! it). `--trace` arms the
+//! `scripts/bench.sh` to assemble into `BENCH_sync.json`. `--check` runs a
+//! 1..8-thread sweep and exits nonzero unless every construct completed,
+//! every overhead number is finite and positive, and `parallel` *scales*:
+//! the fastest-trial region cost at the widest team stays within
+//! `--scale-limit` (default 80) multiples of the 1-thread cost for every
+//! backend x policy cell. What keeps the wide cell under the limit is
+//! early-leave final barriers plus per-worker docks (a dispatch wakes only
+//! its own gang, never the pool); a dispatch that serializes the gang or
+//! wakes every docked worker multiplies the 8-thread floor and trips it. It
+//! is a scaling regression gate, not a noise gate (the cost *floor* is
+//! compared, so additive scheduler noise cannot trip it). `--trace` arms
+//! the
 //! streaming trace pipeline for the whole sweep and reports what it
 //! sustained ([`omp4rs_bench::traceprobe`]) — every overhead number is then
 //! measured *with* event recording on, so diffing against an untraced run
@@ -59,11 +55,6 @@ use omp4rs::{Backend, Icvs};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Construct {
     Parallel,
-    /// `parallel` with the worker pool disabled (`OMP4RS_POOL=off`): the
-    /// pre-hot-team per-region-spawn path, measured in the same process so
-    /// the pool's benefit is an A/B under identical host conditions rather
-    /// than a comparison against a baseline recorded under different load.
-    ParallelSpawn,
     Barrier,
     Reduction,
     Single,
@@ -84,7 +75,6 @@ impl Construct {
     fn name(self) -> &'static str {
         match self {
             Construct::Parallel => "parallel",
-            Construct::ParallelSpawn => "parallel-spawn",
             Construct::Barrier => "barrier",
             Construct::Reduction => "reduction",
             Construct::Single => "single",
@@ -101,20 +91,6 @@ struct Knobs {
     trials: usize,
     outer: usize,
     inner: usize,
-}
-
-/// Median of a sample vector (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 /// Wait for the worker pool to go quiet before timing a cell.
@@ -184,9 +160,7 @@ fn measure(
     let mut samples = Vec::with_capacity(knobs.trials);
     for _ in 0..knobs.trials {
         let secs = match construct {
-            // The caller flips the pool ICV for the spawn-baseline variant;
-            // the timed loop is identical.
-            Construct::Parallel | Construct::ParallelSpawn => time_parallel(cfg, knobs.outer),
+            Construct::Parallel => time_parallel(cfg, knobs.outer),
             Construct::Barrier => {
                 let inner = knobs.inner;
                 let t = time_region(cfg, |ctx| {
@@ -262,7 +236,7 @@ fn measure(
         samples.push(secs);
     }
     let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    (median(&mut samples), min)
+    (omp4rs_bench::median(&mut samples), min)
 }
 
 /// One result row.
@@ -351,7 +325,7 @@ fn main() {
                 .collect()
         })
         // The check sweep includes 8 threads so the scaling gate below
-        // exercises the contended regime the sharded pool exists for.
+        // exercises a team wider than the host.
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
     let scale_limit = args
         .iter()
@@ -393,25 +367,6 @@ fn main() {
                         ns_per_op_min: min * 1e9,
                     });
                 }
-                // Same cell, pool off: the per-region-spawn baseline the
-                // hot-team speedup in EXPERIMENTS.md is quoted against.
-                // Spawn cost dwarfs the timed loop, so a fraction of the
-                // pooled repetition count keeps the sweep bounded.
-                Icvs::update(|icvs| icvs.pool = false);
-                let spawn_knobs = Knobs {
-                    outer: (knobs.outer / 10).max(4),
-                    ..knobs
-                };
-                let spawn_cost = measure(Construct::ParallelSpawn, &cfg, spawn_knobs, 0.0);
-                Icvs::update(|icvs| icvs.pool = true);
-                rows.push(Row {
-                    construct: Construct::ParallelSpawn,
-                    backend,
-                    policy,
-                    threads: t,
-                    ns_per_op: spawn_cost.0 * 1e9,
-                    ns_per_op_min: spawn_cost.1 * 1e9,
-                });
             }
         }
     }
@@ -427,9 +382,8 @@ fn main() {
             .map(|t| format!(",\n \"trace\": {}", t.json()))
             .unwrap_or_default();
         println!(
-            "{{\n \"benchmark\": \"syncbench\",\n \"pool_shards\": {},\n \"rows\": [\n  \
-             {body}\n ]{trace_member}\n}}",
-            omp4rs::pool::shard_count()
+            "{{\n \"benchmark\": \"syncbench\",\n \"rows\": [\n  \
+             {body}\n ]{trace_member}\n}}"
         );
     } else {
         println!("construct overhead (ns/op):");

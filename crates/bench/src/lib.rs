@@ -39,6 +39,20 @@ pub(crate) fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Median of a sample vector (sorts in place); `NaN` for no samples.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    let n = xs.len();
+    if n == 0 {
+        return f64::NAN;
+    }
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
 pub use calibrate::{measure_primitives, PrimitiveCosts};
 pub use figures::{
     sim_sweep, sim_sweep_report, workload_for, AppKind, MeasuredCost, SWEEP_THREADS,

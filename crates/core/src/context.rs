@@ -26,7 +26,33 @@ pub struct Frame {
     ws_seq: Cell<u64>,
     current_flat_iter: Cell<Option<u64>>,
     current_instance: RefCell<Option<Arc<WsInstance>>>,
-    children_stack: RefCell<Vec<Vec<Arc<TaskNode>>>>,
+    children_stack: RefCell<Vec<Children>>,
+}
+
+/// Fewest registrations between two prunes of a child list.
+const PRUNE_MIN: usize = 32;
+
+/// One task's direct children, in submission order.
+///
+/// A producer that never calls `taskwait` would otherwise keep every task
+/// it submitted (and its dependence record) alive until the region ends, so
+/// registration prunes completed children whenever the list reaches
+/// `prune_at`, then sets `prune_at` to twice what survived: each prune is
+/// paid for by at least as many registrations as it scanned, i.e. O(1)
+/// amortized, and the list stays within twice the live children (or
+/// [`PRUNE_MIN`]).
+struct Children {
+    list: Vec<Arc<TaskNode>>,
+    prune_at: usize,
+}
+
+impl Children {
+    const fn new() -> Children {
+        Children {
+            list: Vec::new(),
+            prune_at: PRUNE_MIN,
+        }
+    }
 }
 
 thread_local! {
@@ -64,7 +90,7 @@ pub fn enter_team(
         ws_seq: Cell::new(0),
         current_flat_iter: Cell::new(None),
         current_instance: RefCell::new(None),
-        children_stack: RefCell::new(vec![Vec::new()]),
+        children_stack: RefCell::new(vec![Children::new()]),
     });
     STACK.with(|s| s.borrow_mut().push(frame));
     FrameGuard { _private: () }
@@ -110,34 +136,39 @@ impl Frame {
         self.current_instance.borrow().clone()
     }
 
-    /// Register a child task of the currently executing task.
+    /// Register a child task of the currently executing task, first pruning
+    /// completed children when the list has reached its prune threshold
+    /// (see `Children`).
     pub fn register_child(&self, node: Arc<TaskNode>) {
-        self.children_stack
-            .borrow_mut()
-            .last_mut()
-            .expect("children stack never empty")
-            .push(node);
+        let mut stack = self.children_stack.borrow_mut();
+        let children = stack.last_mut().expect("children stack never empty");
+        if children.list.len() >= children.prune_at {
+            children.list.retain(|c| !c.is_done());
+            children.prune_at = (2 * children.list.len()).max(PRUNE_MIN);
+        }
+        children.list.push(node);
     }
 
-    /// Snapshot of the current task's direct children (for `taskwait`).
-    pub fn current_children(&self) -> Vec<Arc<TaskNode>> {
+    /// Take the current task's direct children, leaving its list empty (for
+    /// `taskwait`, which waits on every one of them).
+    pub fn take_children(&self) -> Vec<Arc<TaskNode>> {
+        let mut stack = self.children_stack.borrow_mut();
+        let children = stack.last_mut().expect("children stack never empty");
+        std::mem::replace(children, Children::new()).list
+    }
+
+    /// How many children the current task still holds: live ones plus
+    /// completed ones not yet pruned.
+    pub fn child_count(&self) -> usize {
         self.children_stack
             .borrow()
             .last()
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Drop completed children (bounds `taskwait` rescans and memory).
-    pub fn prune_done_children(&self) {
-        if let Some(children) = self.children_stack.borrow_mut().last_mut() {
-            children.retain(|c| !c.is_done());
-        }
+            .map_or(0, |c| c.list.len())
     }
 
     /// Enter a nested task frame (called around task body execution).
     pub fn push_task_frame(&self) {
-        self.children_stack.borrow_mut().push(Vec::new());
+        self.children_stack.borrow_mut().push(Children::new());
     }
 
     /// Leave a nested task frame.

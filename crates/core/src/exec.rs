@@ -333,9 +333,9 @@ where
     // Admission control (`dyn-var`): under pool pressure, grant fewer
     // threads than requested — shrink toward the remaining concurrency
     // budget, shedding to caller-runs-serial as the last resort — instead of
-    // oversubscribing. Only top-level pooled regions are admitted this way;
-    // nested regions already serialize by default.
-    if icvs.dynamic && !serialized && size > 1 && level == 0 && icvs.pool {
+    // oversubscribing. Only top-level (pooled) regions are admitted this
+    // way; nested regions already serialize by default.
+    if icvs.dynamic && !serialized && size > 1 && level == 0 {
         size = crate::pool::admit(size, icvs.thread_limit);
     }
     // Threads-in-flight accounting feeding future admission decisions; the
@@ -347,8 +347,8 @@ where
     // sustaining — each shed region's own charge helped keep the budget
     // exhausted for the next — which is how BENCH_serve.json ended up
     // shedding >90% of offered regions.
-    let _inflight =
-        (level == 0 && icvs.pool && size > 1).then(|| crate::pool::InflightGuard::new(size - 1));
+    let pooled = level == 0 && size > 1;
+    let _inflight = pooled.then(|| crate::pool::InflightGuard::new(size - 1));
 
     let team = Team::new(size, cfg.backend);
     let parent_positions = context::current_positions();
@@ -358,9 +358,8 @@ where
     // persistent worker pool (re-binding parked threads to this region's
     // fresh team) instead of spawning OS threads per region. Nested regions
     // bypass the pool and spawn scoped threads, keeping the pool's size
-    // bounded by top-level team sizes. `OMP4RS_POOL=off` forces the
-    // scoped-spawn path for A/B measurement of the pool's benefit.
-    if size > 1 && level == 0 && icvs.pool {
+    // bounded by top-level team sizes.
+    if pooled {
         let latch = crate::pool::RegionLatch::new(size - 1);
         // Arm the team: the final barrier's releaser zeroes the latch for
         // the whole gang, so the master proceeds the moment the region's

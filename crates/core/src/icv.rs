@@ -48,21 +48,6 @@ pub struct Icvs {
     /// budget ([`crate::sync::WaitPolicy::default_spin`]) cached in
     /// [`crate::sync`] on every store mutation.
     pub wait_policy: crate::sync::WaitPolicy,
-    /// Whether top-level regions use the persistent worker pool
-    /// (`OMP4RS_POOL`, default `true`). `false` forces the per-region
-    /// scoped-spawn path everywhere — the pre-hot-team behaviour — so the
-    /// pool's benefit can be measured as an A/B under identical host
-    /// conditions (see `syncbench`'s spawn-baseline rows).
-    pub pool: bool,
-    /// Worker-pool shard count (`OMP4RS_POOL_SHARDS`). Each shard owns its
-    /// own idle stack and admission budget, so same-shard dispatch traffic
-    /// never contends with other shards; masters are sticky to a home
-    /// shard and a dry shard steals idle workers from siblings. `None`
-    /// (the default) resolves to the host's available parallelism; `1`
-    /// reproduces the pre-sharding single-pool behaviour exactly (for
-    /// A/B). Sampled once, when the pool first dispatches — later changes
-    /// have no effect. Clamped to `[1, 64]`.
-    pub pool_shards: Option<usize>,
     /// Optional per-region deadline (`OMP4RS_REGION_DEADLINE`, milliseconds;
     /// `omp_set_region_deadline`). When set, every blocking runtime wait
     /// inside a parallel region — barriers, `taskwait`, task-group joins,
@@ -121,8 +106,6 @@ impl Default for Icvs {
             tool: None,
             minipy_vm: MinipyVm::On,
             wait_policy: crate::sync::WaitPolicy::Passive,
-            pool: true,
-            pool_shards: None,
             region_deadline: None,
             watchdog: None,
         }
@@ -211,14 +194,6 @@ impl Icvs {
         if let Ok(text) = std::env::var("OMP_WAIT_POLICY") {
             if let Some(policy) = crate::sync::WaitPolicy::parse(&text) {
                 icvs.wait_policy = policy;
-            }
-        }
-        if let Some(b) = env_bool("OMP4RS_POOL") {
-            icvs.pool = b;
-        }
-        if let Some(n) = env_usize("OMP4RS_POOL_SHARDS") {
-            if n > 0 {
-                icvs.pool_shards = Some(n.min(64));
             }
         }
         if let Some(ms) = env_usize("OMP4RS_REGION_DEADLINE") {
@@ -440,55 +415,5 @@ mod tests {
         ] {
             std::env::remove_var(var);
         }
-    }
-
-    #[test]
-    fn pool_env_parsing() {
-        let _guard = test_guard();
-        let before = Icvs::current();
-
-        assert!(Icvs::default().pool, "the pool must be on by default");
-
-        std::env::set_var("OMP4RS_POOL", "off");
-        assert!(!Icvs::from_env().pool);
-        std::env::set_var("OMP4RS_POOL", "1");
-        assert!(Icvs::from_env().pool);
-        // The usual rule: unparseable values keep the default.
-        std::env::set_var("OMP4RS_POOL", "sometimes");
-        assert!(Icvs::from_env().pool);
-        std::env::remove_var("OMP4RS_POOL");
-        assert!(Icvs::from_env().pool);
-
-        Icvs::reset(before);
-    }
-
-    #[test]
-    fn pool_shards_env_parsing() {
-        let _guard = test_guard();
-        let before = Icvs::current();
-
-        assert_eq!(
-            Icvs::default().pool_shards,
-            None,
-            "default must defer to host parallelism"
-        );
-
-        std::env::set_var("OMP4RS_POOL_SHARDS", "4");
-        assert_eq!(Icvs::from_env().pool_shards, Some(4));
-        // `1` is meaningful: exact legacy single-pool behaviour.
-        std::env::set_var("OMP4RS_POOL_SHARDS", "1");
-        assert_eq!(Icvs::from_env().pool_shards, Some(1));
-        // Clamped to the shard ceiling.
-        std::env::set_var("OMP4RS_POOL_SHARDS", "4096");
-        assert_eq!(Icvs::from_env().pool_shards, Some(64));
-        // Zero and garbage keep the default.
-        std::env::set_var("OMP4RS_POOL_SHARDS", "0");
-        assert_eq!(Icvs::from_env().pool_shards, None);
-        std::env::set_var("OMP4RS_POOL_SHARDS", "many");
-        assert_eq!(Icvs::from_env().pool_shards, None);
-        std::env::remove_var("OMP4RS_POOL_SHARDS");
-        assert_eq!(Icvs::from_env().pool_shards, None);
-
-        Icvs::reset(before);
     }
 }

@@ -1,5 +1,4 @@
-//! Persistent worker pool with hot-team reuse ("hot teams"), sharded for
-//! contention-free dispatch.
+//! Persistent worker pool with hot-team reuse ("hot teams").
 //!
 //! Under per-region spawning, every `parallel` directive pays OS thread
 //! creation and teardown — hundreds of microseconds that put a hard floor
@@ -8,23 +7,10 @@
 //! region's workers parked between regions and re-bind them to the next
 //! region's fresh team state ("hot teams"). This module is that pool:
 //!
-//! * `dispatch` hands one job per worker to idle pooled threads, spawning
-//!   new ones only when every shard runs dry — the `omp4rs.pool.reuse` /
-//!   `omp4rs.pool.spawn` counters tell the two apart;
-//! * the idle workers are **sharded** (`OMP4RS_POOL_SHARDS`, default the
-//!   host's available parallelism): each shard owns its own idle stack and
-//!   its own slice of the admission budget, and each dispatching (master)
-//!   thread has a sticky *home shard* derived from its dispatch identity.
-//!   The hot path — gang-affinity posts plus home-shard pops — therefore
-//!   never touches a lock any other shard's masters contend on. Only when
-//!   the home shard runs dry does dispatch go cross-shard: it picks two
-//!   random sibling shards (per-master xorshift), steals from the one whose
-//!   advisory idle count is larger, then sweeps the rest, and only then
-//!   spawns. A stolen worker *migrates*: its home-shard hint is rewritten to
-//!   the stealing master's shard, so it re-docks where it was last wanted.
-//!   The `omp4rs.pool.shard.{local,steal,spawn,rebalance}` counters expose
-//!   the balance; `OMP4RS_POOL_SHARDS=1` restores the single-pool behaviour
-//!   exactly (for A/B);
+//! * `dispatch` hands one job per worker to pooled threads in a fixed
+//!   order — gang-affinity posts, then pops off the one idle list, then
+//!   fresh OS threads — and the `omp4rs.pool.reuse` / `omp4rs.pool.spawn`
+//!   counters tell the reused handouts from the spawned ones;
 //! * between regions each worker waits at its own *dock* eventcount (no
 //!   tick-polling). Dispatch fills a worker's mailbox and then wakes that
 //!   worker alone — never the pool. The docks are deliberately *not*
@@ -42,19 +28,18 @@
 //!   their next job before they have even finished unwinding out of that
 //!   region's final barrier — a worker's region-exit scheduling slot then
 //!   flows straight into the next region's work. Gang posts go straight to
-//!   the worker's mailbox and never consult any shard, so affinity survives
-//!   shard migration for free. Posting to a busy worker is only allowed
-//!   when that worker is finishing *this master's* previous region
-//!   (`Mailbox::owner`); posting to a worker busy with a different
-//!   master would chain two independent regions' completions together and
-//!   can deadlock (A's barrier waits on a worker held by B whose barrier
-//!   waits on a worker held by A);
+//!   the worker's mailbox and never touch the idle list. Posting to a busy
+//!   worker is only allowed when that worker is finishing *this master's*
+//!   previous region (`Mailbox::owner`); posting to a worker busy with a
+//!   different master would chain two independent regions' completions
+//!   together and can deadlock (A's barrier waits on a worker held by B
+//!   whose barrier waits on a worker held by A);
 //! * a panicking job cannot take the pool down: the worker loop catches the
 //!   unwind and recycles the thread into the idle list regardless. Region
 //!   poisoning — cancelling the team, waking its waiters, capturing the
 //!   panic for re-raise — is the job's own responsibility (see
 //!   `exec::run_worker`), so a poisoned *region* never implies a poisoned
-//!   *pool*, and certainly not a poisoned *shard*.
+//!   *pool*.
 //!
 //! Only top-level, multi-thread, non-serialized regions are dispatched here
 //! (`exec::parallel_region` gates on nesting level): nested regions spawn
@@ -68,14 +53,10 @@
 //! "teams are created fresh per parallel region" invariants (cancellation
 //! latching, residual barrier counts) are untouched.
 //!
-//! Admission control is likewise sharded: each shard carries a signed
-//! *sloppy counter* of threads charged to in-flight regions, folded into a
-//! global reservoir whenever its magnitude reaches a small batch (each fold
-//! is an `omp4rs.pool.shard.rebalance`). `admit` sums reservoir plus shard
-//! counters — a couple of relaxed loads, no RMW on any shared line in the
-//! common case — so the shed-to-serial decision is a lock-free fast path.
-//! With one shard the batch is effectively infinite and the single shard
-//! counter is the exact legacy total.
+//! Admission control reads one exact in-flight counter: every pooled region
+//! charges its `size - 1` workers on entry and releases them on exit
+//! (`InflightGuard`), so `admit`'s shed-to-serial decision is a single
+//! load.
 //!
 //! Pooled workers and the trace pipeline ([`crate::ompt`]) compose without
 //! an ordering dependency: each worker drains its own event ring at region
@@ -85,7 +66,7 @@
 //! dedicated flusher thread is *not* a pool worker and is stopped by
 //! `ompt::finalize`/`disable` alone; nothing here needs to know it exists.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -102,17 +83,6 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Worker stacks match the scoped-spawn path: Pure/Hybrid-mode workers run a
 /// tree-walking interpreter with deep recursion.
 const WORKER_STACK: usize = 16 * 1024 * 1024;
-
-/// Hard ceiling on the shard count (`OMP4RS_POOL_SHARDS` is clamped here):
-/// past this, per-shard state outweighs any contention win.
-const MAX_SHARDS: usize = 64;
-
-/// Sloppy-counter fold batch: a shard's local in-flight charge is folded
-/// into the global reservoir once its magnitude reaches this. Small enough
-/// that `admit`'s view lags the truth by at most `shards × (batch − 1)`
-/// threads, large enough that back-to-back regions on one master touch only
-/// their own shard's line.
-const INFLIGHT_FOLD_BATCH: i64 = 8;
 
 /// Completion latch for one region dispatch: the master parks on it until
 /// every pooled worker has finished (and dropped) its job.
@@ -218,15 +188,13 @@ struct Mailbox {
     owner: u64,
 }
 
-/// One pooled worker: its mailbox, its private dock eventcount, its home
-/// shard, and its membership bit for the idle lists.
+/// One pooled worker: its mailbox, its private dock eventcount, and its
+/// membership bit for the idle list.
 ///
-/// `listed` is the cross-shard analogue of the old single-list membership
-/// bit: only the worker itself sets it (`false → true`, under the shard
+/// Only the worker itself sets `listed` (`false → true`, under the idle
 /// lock, when it lists itself) and only a dispatcher clears it (`true →
-/// false`, having just popped the entry), so a slot sits in at most one
-/// shard's idle vector at a time even while its `shard` hint is being
-/// rewritten by a concurrent steal.
+/// false`, having just popped the entry), so a slot sits in the idle list
+/// at most once.
 ///
 /// The atomic heartbeat fields (`busy_since`, `region`, `flagged`) are the
 /// watchdog's view of this worker: written by the worker itself on job
@@ -237,12 +205,7 @@ struct WorkerSlot {
     /// Where this worker (and only this worker) parks between jobs; the
     /// dispatcher bumps it after filling the mailbox.
     dock: Notifier,
-    listed: std::sync::atomic::AtomicBool,
-    /// Home-shard hint: the shard whose idle stack this worker lists itself
-    /// on when it next docks. Written at spawn and rewritten by a
-    /// successful cross-shard steal (migration); a racy read that lists the
-    /// worker on its previous shard is harmless — stealing finds it there.
-    shard: AtomicUsize,
+    listed: AtomicBool,
     /// Stable worker number (matches the `omp4rs-pool-N` thread name).
     id: AtomicU64,
     /// Heartbeat: nanoseconds since process start at the last observed
@@ -257,41 +220,19 @@ struct WorkerSlot {
     /// current job, so one stall yields one snapshot/cancel rather than one
     /// per tick. Cleared when the worker takes its next job or makes
     /// barrier progress.
-    flagged: std::sync::atomic::AtomicBool,
-}
-
-/// One pool shard: an idle stack only same-shard traffic contends on, an
-/// advisory census of it, and this shard's slice of the admission charge.
-#[derive(Default)]
-struct Shard {
-    /// Docked workers homed here, LIFO: the most recently docked worker has
-    /// the warmest cache and is handed out first. Entries may be stale (the
-    /// worker took a gang-affinity post without being popped); `try_post`'s
-    /// preconditions make stale entries harmless.
-    idle: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Advisory census of `idle` (entries, including stale ones).
-    /// Maintained with relaxed increments/decrements alongside push/pop so
-    /// steal victim selection and the watchdog's `idle_workers` sample read
-    /// it without touching the lock.
-    idle_count: AtomicU64,
-    /// This shard's slice of the in-flight admission charge (signed: a
-    /// guard may be dropped on a different shard than charged it). Folded
-    /// into `Pool::reservoir` when `|value| ≥ INFLIGHT_FOLD_BATCH`.
-    inflight: AtomicI64,
+    flagged: AtomicBool,
 }
 
 struct Pool {
-    /// The shards; length fixed at first use (see [`pool`]). Indexed by a
-    /// master's sticky home shard or a worker slot's `shard` hint.
-    shards: Box<[Shard]>,
-    /// Sloppy-counter fold threshold: [`INFLIGHT_FOLD_BATCH`] normally,
-    /// `i64::MAX` with one shard so the single counter stays exact (legacy
-    /// admission behaviour byte-for-byte).
-    fold_batch: i64,
-    /// Admission charges folded out of shard counters. The invariant is
-    /// `reservoir + Σ shards[i].inflight == threads charged to live
-    /// guards`; each summand alone may be stale or negative.
-    reservoir: AtomicI64,
+    /// Docked workers, LIFO: the most recently docked worker has the
+    /// warmest cache and is handed out first. Entries may be stale (the
+    /// worker took a gang-affinity post without being popped); `try_post`'s
+    /// preconditions make stale entries harmless.
+    idle: Mutex<Vec<Arc<WorkerSlot>>>,
+    /// Pool workers charged to in-flight top-level regions (see
+    /// [`InflightGuard`]); exact, since every charge and its release go to
+    /// this one counter.
+    inflight: AtomicU64,
     /// Every worker ever spawned, for the watchdog's sweep. Pool workers
     /// are never torn down, so this only grows (bounded by peak concurrent
     /// demand).
@@ -304,56 +245,25 @@ struct Pool {
     granted: AtomicU64,
     shrunk: AtomicU64,
     shed: AtomicU64,
-    /// Shard-path outcomes (see [`ShardStats`]).
-    sh_local: AtomicU64,
-    sh_steal: AtomicU64,
-    sh_rebalance: AtomicU64,
     /// Watchdog outcomes: stalls flagged, teams cancelled in response.
     wd_stalls: AtomicU64,
     wd_cancels: AtomicU64,
 }
 
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        // The shard count is frozen at first use: the `OMP4RS_POOL_SHARDS`
-        // ICV (or the host's available parallelism) is sampled here, once,
-        // and later ICV changes have no effect. Per-master home shards and
-        // per-slot shard hints index into this array for the process's
-        // lifetime, so resizing it is not on the table.
-        let nshards = crate::icv::Icvs::current()
-            .pool_shards
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, MAX_SHARDS);
-        let shards: Box<[Shard]> = (0..nshards).map(|_| Shard::default()).collect();
-        Pool {
-            shards,
-            fold_batch: if nshards == 1 {
-                i64::MAX
-            } else {
-                INFLIGHT_FOLD_BATCH
-            },
-            reservoir: AtomicI64::new(0),
-            slots: Mutex::new(Vec::new()),
-            reuse: AtomicU64::new(0),
-            spawn: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
-            next_master: AtomicU64::new(0),
-            granted: AtomicU64::new(0),
-            shrunk: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            sh_local: AtomicU64::new(0),
-            sh_steal: AtomicU64::new(0),
-            sh_rebalance: AtomicU64::new(0),
-            wd_stalls: AtomicU64::new(0),
-            wd_cancels: AtomicU64::new(0),
-        }
-    })
-}
+static POOL: Pool = Pool {
+    idle: Mutex::new(Vec::new()),
+    inflight: AtomicU64::new(0),
+    slots: Mutex::new(Vec::new()),
+    reuse: AtomicU64::new(0),
+    spawn: AtomicU64::new(0),
+    next_id: AtomicU64::new(0),
+    next_master: AtomicU64::new(0),
+    granted: AtomicU64::new(0),
+    shrunk: AtomicU64::new(0),
+    shed: AtomicU64::new(0),
+    wd_stalls: AtomicU64::new(0),
+    wd_cancels: AtomicU64::new(0),
+};
 
 /// Monotonic nanoseconds since the first call (process-lifetime clock for
 /// the heartbeat fields; offset by 1 so a live heartbeat is never `0`).
@@ -399,39 +309,9 @@ thread_local! {
     /// This (master) thread's dispatch identity and remembered gang: the
     /// workers that served its previous top-level region, in arrival order.
     static GANG: (u64, std::cell::RefCell<Vec<Arc<WorkerSlot>>>) = (
-        pool().next_master.fetch_add(1, Ordering::Relaxed) + 1,
+        POOL.next_master.fetch_add(1, Ordering::Relaxed) + 1,
         std::cell::RefCell::new(Vec::new()),
     );
-
-    /// Per-master xorshift state for randomized two-choice steal victim
-    /// selection. Seeded lazily from the master id so different masters
-    /// probe different victims; quality only has to beat "everyone hammers
-    /// shard 0".
-    static STEAL_RNG: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// A master's sticky home shard: a fixed function of its dispatch identity,
-/// so consecutive regions from one serving thread stay on one shard (and,
-/// with at least as many shards as serving threads, on a shard of its own).
-fn home_shard(master: u64, nshards: usize) -> usize {
-    ((master - 1) as usize) % nshards
-}
-
-/// Next value of this master's steal RNG (xorshift64).
-fn steal_rng(master: u64) -> u64 {
-    STEAL_RNG.with(|cell| {
-        let mut x = cell.get();
-        if x == 0 {
-            // SplitMix-style seed from the master id; `| 1` keeps the
-            // xorshift state nonzero forever.
-            x = master.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        cell.set(x);
-        x
-    })
 }
 
 /// Post a job to `slot` if the worker can be relied on to take it promptly:
@@ -453,14 +333,11 @@ fn try_post(slot: &WorkerSlot, job: Job, latch: &Arc<RegionLatch>, master: u64) 
     Ok(())
 }
 
-/// Pop the warmest idle worker off one shard (and keep its census honest).
-/// Popped entries can be stale — busy workers with a live gang-affinity
-/// post; `try_post` refuses those and the caller simply drops them (a busy
-/// worker re-lists itself when it next docks).
-fn pop_idle(shard: &Shard) -> Option<Arc<WorkerSlot>> {
-    let mut idle = shard.idle.lock();
-    let slot = idle.pop()?;
-    shard.idle_count.fetch_sub(1, Ordering::Relaxed);
+/// Pop the warmest idle worker. Popped entries can be stale — busy workers
+/// with a live gang-affinity post; `try_post` refuses those and the caller
+/// simply drops them (a busy worker re-lists itself when it next docks).
+fn pop_idle(p: &Pool) -> Option<Arc<WorkerSlot>> {
+    let slot = p.idle.lock().pop()?;
     slot.listed.store(false, Ordering::Relaxed);
     Some(slot)
 }
@@ -468,10 +345,8 @@ fn pop_idle(shard: &Shard) -> Option<Arc<WorkerSlot>> {
 /// Dispatch one job per worker and return the latch that releases when all
 /// of them have completed.
 ///
-/// Worker acquisition order: gang-affinity posts, then the master's home
-/// shard, then cross-shard stealing (randomized two-choice, then a full
-/// sweep), then spawning. Everything before the steal step touches only
-/// state that other shards' masters never contend on.
+/// Worker acquisition order: gang-affinity posts, then idle-list pops, then
+/// spawning.
 ///
 /// # Aborts
 ///
@@ -482,7 +357,7 @@ fn pop_idle(shard: &Shard) -> Option<Arc<WorkerSlot>> {
 /// path can instead poison the team and unwind, because scoped join
 /// guarantees the spawned members exit first.)
 pub(crate) fn dispatch(jobs: Vec<Job>, latch: &Arc<RegionLatch>) {
-    let p = pool();
+    let p = &POOL;
     if crate::icv::Icvs::current().watchdog.is_some() {
         ensure_watchdog();
     }
@@ -490,29 +365,19 @@ pub(crate) fn dispatch(jobs: Vec<Job>, latch: &Arc<RegionLatch>) {
     pending.reverse();
     let mut assigned: Vec<Arc<WorkerSlot>> = Vec::with_capacity(pending.len());
     let (master, gang) = GANG.with(|(id, g)| (*id, g.borrow().clone()));
-    let nshards = p.shards.len();
-    let home = home_shard(master, nshards);
-    let mut local = 0u64;
-    let mut stolen = 0u64;
     // 1. Gang affinity: post to this master's previous workers first — they
     //    are either docked already or a few instructions from docking, and
-    //    their caches are warm with this master's data. Mailbox posts don't
-    //    consult any shard, so a migrated gang member is as reachable as
-    //    ever.
+    //    their caches are warm with this master's data.
     for slot in gang {
         let Some(job) = pending.pop() else { break };
         match try_post(&slot, job, latch, master) {
-            Ok(()) => {
-                local += 1;
-                assigned.push(slot);
-            }
+            Ok(()) => assigned.push(slot),
             Err(job) => pending.push(job),
         }
     }
-    // 2. The home shard's idle stack — the only lock this master's dispatch
-    //    takes in the steady state, shared with nobody homed elsewhere.
+    // 2. The idle list.
     while !pending.is_empty() {
-        let Some(slot) = pop_idle(&p.shards[home]) else {
+        let Some(slot) = pop_idle(p) else {
             break;
         };
         if assigned.iter().any(|s| Arc::ptr_eq(s, &slot)) {
@@ -520,77 +385,24 @@ pub(crate) fn dispatch(jobs: Vec<Job>, latch: &Arc<RegionLatch>) {
         }
         let job = pending.pop().expect("loop guard: pending non-empty");
         match try_post(&slot, job, latch, master) {
-            Ok(()) => {
-                local += 1;
-                assigned.push(slot);
-            }
+            Ok(()) => assigned.push(slot),
             Err(job) => pending.push(job),
         }
     }
-    // 3. Cross-shard stealing: two random victims, richer (by advisory
-    //    census) first, then sweep the remainder. A stolen worker migrates:
-    //    its shard hint is rewritten so it docks here next time, which is
-    //    what makes the home-shard fast path self-balancing under skewed
-    //    masters.
-    if !pending.is_empty() && nshards > 1 {
-        let r = steal_rng(master);
-        let a = (home + 1 + (r as usize) % (nshards - 1)) % nshards;
-        let b = (home + 1 + ((r >> 32) as usize) % (nshards - 1)) % nshards;
-        let (first, second) = if p.shards[a].idle_count.load(Ordering::Relaxed)
-            >= p.shards[b].idle_count.load(Ordering::Relaxed)
-        {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let mut victims = vec![first];
-        if second != first {
-            victims.push(second);
-        }
-        victims.extend((0..nshards).filter(|&v| v != home && v != first && v != second));
-        'steal: for v in victims {
-            // The census is advisory but a zero read skips the lock
-            // entirely — a dry sibling costs the sweep nothing.
-            if p.shards[v].idle_count.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            while !pending.is_empty() {
-                let Some(slot) = pop_idle(&p.shards[v]) else {
-                    continue 'steal;
-                };
-                if assigned.iter().any(|s| Arc::ptr_eq(s, &slot)) {
-                    continue;
-                }
-                let job = pending.pop().expect("loop guard: pending non-empty");
-                match try_post(&slot, job, latch, master) {
-                    Ok(()) => {
-                        slot.shard.store(home, Ordering::Relaxed);
-                        stolen += 1;
-                        assigned.push(slot);
-                    }
-                    Err(job) => pending.push(job),
-                }
-            }
-            break;
-        }
-    }
     p.reuse.fetch_add(assigned.len() as u64, Ordering::Relaxed);
-    p.sh_local.fetch_add(local, Ordering::Relaxed);
-    p.sh_steal.fetch_add(stolen, Ordering::Relaxed);
-    // 4. Spawn fresh workers (homed here) for whatever is left.
+    // 3. Spawn fresh workers for whatever is left.
     while let Some(job) = pending.pop() {
         p.spawn.fetch_add(1, Ordering::Relaxed);
-        assigned.push(spawn_worker(job, latch, master, home));
+        assigned.push(spawn_worker(job, latch, master));
     }
     GANG.with(|(_, g)| *g.borrow_mut() = assigned);
 }
 
-fn spawn_worker(job: Job, latch: &Arc<RegionLatch>, master: u64, shard: usize) -> Arc<WorkerSlot> {
-    let p = pool();
+fn spawn_worker(job: Job, latch: &Arc<RegionLatch>, master: u64) -> Arc<WorkerSlot> {
+    let p = &POOL;
     let id = p.next_id.fetch_add(1, Ordering::Relaxed) + 1;
     let slot = Arc::new(WorkerSlot::default());
     slot.id.store(id, Ordering::Relaxed);
-    slot.shard.store(shard, Ordering::Relaxed);
     p.slots.lock().push(Arc::clone(&slot));
     {
         let mut mb = slot.mailbox.lock();
@@ -626,7 +438,7 @@ fn spawn_worker(job: Job, latch: &Arc<RegionLatch>, master: u64, shard: usize) -
 }
 
 fn worker_loop(slot: Arc<WorkerSlot>) {
-    let p = pool();
+    let p = &POOL;
     CURRENT_SLOT.with(|s| *s.borrow_mut() = Some(Arc::clone(&slot)));
     loop {
         let (job, latch) = wait_for_mail(p, &slot);
@@ -647,8 +459,8 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
 
 /// The dock: take pending mail immediately (gang-affinity fast path — the
 /// post may have arrived while this worker was still finishing the previous
-/// region), otherwise mark the slot docked, list it idle on its home shard,
-/// and spin-then-park on this worker's private dock eventcount.
+/// region), otherwise mark the slot docked, list it idle, and
+/// spin-then-park on this worker's private dock eventcount.
 fn wait_for_mail(p: &'static Pool, slot: &Arc<WorkerSlot>) -> (Job, Arc<RegionLatch>) {
     {
         let mut mb = slot.mailbox.lock();
@@ -658,15 +470,9 @@ fn wait_for_mail(p: &'static Pool, slot: &Arc<WorkerSlot>) -> (Job, Arc<RegionLa
         mb.docked = true;
     }
     {
-        // The shard hint may be rewritten by a steal the instant after this
-        // read — harmless: the worker is then listed on its previous shard,
-        // where the sweep still finds it, and it re-reads the hint on its
-        // next dock.
-        let shard = &p.shards[slot.shard.load(Ordering::Relaxed) % p.shards.len()];
-        let mut idle = shard.idle.lock();
+        let mut idle = p.idle.lock();
         if !slot.listed.swap(true, Ordering::Relaxed) {
             idle.push(Arc::clone(slot));
-            shard.idle_count.fetch_add(1, Ordering::Relaxed);
         }
     }
     // Epoch before the mailbox check, so a post racing with the check falls
@@ -692,35 +498,6 @@ fn wait_for_mail(p: &'static Pool, slot: &Arc<WorkerSlot>) -> (Job, Arc<RegionLa
     }
 }
 
-/// Charge (positive) or release (negative) `delta` threads against the
-/// admission budget, on the calling thread's home shard, folding the shard
-/// counter into the global reservoir once it reaches the fold batch.
-fn charge_inflight(delta: i64) {
-    let p = pool();
-    let master = GANG.with(|(id, _)| *id);
-    let shard = &p.shards[home_shard(master, p.shards.len())];
-    let local = shard.inflight.fetch_add(delta, Ordering::AcqRel) + delta;
-    if local.abs() >= p.fold_batch {
-        let folded = shard.inflight.swap(0, Ordering::AcqRel);
-        if folded != 0 {
-            p.reservoir.fetch_add(folded, Ordering::AcqRel);
-            p.sh_rebalance.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Threads currently charged to in-flight top-level regions: the reservoir
-/// plus every shard's local counter. Clamped at zero — transiently, a
-/// release folded into the reservoir can be visible before its charge.
-fn inflight_total() -> usize {
-    let p = pool();
-    let mut total = p.reservoir.load(Ordering::Acquire);
-    for shard in p.shards.iter() {
-        total += shard.inflight.load(Ordering::Acquire);
-    }
-    total.max(0) as usize
-}
-
 /// Decide how many threads a top-level region may actually get when
 /// `omp_set_dynamic(true)` (admission control) is on.
 ///
@@ -738,15 +515,14 @@ fn inflight_total() -> usize {
 /// * otherwise → **shed**: the caller runs the region serially (size 1).
 ///
 /// Each outcome bumps its `omp4rs.admission.*` counter. The whole decision
-/// — including the shed path — is lock-free: a handful of relaxed/acquire
-/// loads over the sharded in-flight counters and one counter bump.
-/// Deliberately racy (load, not CAS-reserve): two regions admitted
-/// concurrently may both see the same budget, and the sharded counters add
-/// a bounded fold lag on top. That errs toward briefly overshooting the
-/// soft cap rather than serializing every region entry through one shared
-/// RMW — admission is a degradation valve, not a hard ceiling.
+/// — including the shed path — is lock-free: one load of the in-flight
+/// counter and one counter bump. Deliberately racy (load, not
+/// CAS-reserve): two regions admitted concurrently may both see the same
+/// budget. That errs toward briefly overshooting the soft cap rather than
+/// serializing every region entry through a reservation — admission is a
+/// degradation valve, not a hard ceiling.
 pub(crate) fn admit(requested: usize, thread_limit: usize) -> usize {
-    let p = pool();
+    let p = &POOL;
     let cap = if thread_limit != usize::MAX && thread_limit > 0 {
         thread_limit
     } else {
@@ -755,7 +531,7 @@ pub(crate) fn admit(requested: usize, thread_limit: usize) -> usize {
             .unwrap_or(8)
             .max(4)
     };
-    let budget = cap.saturating_sub(inflight_total());
+    let budget = cap.saturating_sub(p.inflight.load(Ordering::Acquire) as usize);
     if budget >= requested {
         p.granted.fetch_add(1, Ordering::Relaxed);
         requested
@@ -772,24 +548,21 @@ pub(crate) fn admit(requested: usize, thread_limit: usize) -> usize {
 /// `exec::parallel_region` for every pooled top-level region that takes
 /// workers (whether or not dynamic adjustment is on, so [`admit`] sees the
 /// true load), released when the region completes — including by unwind.
-/// Charges the creating thread's home shard; the release lands on the home
-/// shard of whichever thread drops the guard (normally the same one), and
-/// the reservoir fold keeps the total honest either way.
 pub(crate) struct InflightGuard {
-    size: i64,
+    size: u64,
 }
 
 impl InflightGuard {
     pub(crate) fn new(size: usize) -> InflightGuard {
-        let size = size as i64;
-        charge_inflight(size);
+        let size = size as u64;
+        POOL.inflight.fetch_add(size, Ordering::AcqRel);
         InflightGuard { size }
     }
 }
 
 impl Drop for InflightGuard {
     fn drop(&mut self) {
-        charge_inflight(-self.size);
+        POOL.inflight.fetch_sub(self.size, Ordering::AcqRel);
     }
 }
 
@@ -803,19 +576,18 @@ pub struct AdmissionStats {
     pub shrunk: u64,
     /// Regions shed to serial execution (team size 1).
     pub shed: u64,
-    /// Threads currently charged to in-flight top-level regions (summed
-    /// over the shards; see [`ShardStats::rebalance`] for the fold lag).
+    /// Threads currently charged to in-flight top-level regions.
     pub inflight: u64,
 }
 
 /// Read the current [`AdmissionStats`].
 pub fn admission_stats() -> AdmissionStats {
-    let p = pool();
+    let p = &POOL;
     AdmissionStats {
         granted: p.granted.load(Ordering::Relaxed),
         shrunk: p.shrunk.load(Ordering::Relaxed),
         shed: p.shed.load(Ordering::Relaxed),
-        inflight: inflight_total() as u64,
+        inflight: p.inflight.load(Ordering::Acquire),
     }
 }
 
@@ -831,52 +603,11 @@ pub struct WatchdogStats {
 
 /// Read the current [`WatchdogStats`].
 pub fn watchdog_stats() -> WatchdogStats {
-    let p = pool();
+    let p = &POOL;
     WatchdogStats {
         stalls: p.wd_stalls.load(Ordering::Relaxed),
         cancels: p.wd_cancels.load(Ordering::Relaxed),
     }
-}
-
-/// Shard-path outcomes since process start; also published to the profiler
-/// as `omp4rs.pool.shard.*`.
-///
-/// With one shard (`OMP4RS_POOL_SHARDS=1`), `steal` and `rebalance` are
-/// structurally zero: there is nobody to steal from and the fold batch is
-/// infinite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Workers handed out without touching a sibling shard: gang-affinity
-    /// posts plus home-shard pops.
-    pub local: u64,
-    /// Workers stolen from a sibling shard (each one also migrates its
-    /// home-shard hint to the thief).
-    pub steal: u64,
-    /// Dispatches that fell through every shard to a fresh OS thread
-    /// (equal to `omp4rs.pool.spawn` — the same events, viewed as the
-    /// shard path's terminal fallback).
-    pub spawn: u64,
-    /// Admission-counter folds: a shard's in-flight slice reached the fold
-    /// batch and was drained into the global reservoir.
-    pub rebalance: u64,
-}
-
-/// Read the current [`ShardStats`].
-pub fn shard_stats() -> ShardStats {
-    let p = pool();
-    ShardStats {
-        local: p.sh_local.load(Ordering::Relaxed),
-        steal: p.sh_steal.load(Ordering::Relaxed),
-        spawn: p.spawn.load(Ordering::Relaxed),
-        rebalance: p.sh_rebalance.load(Ordering::Relaxed),
-    }
-}
-
-/// The pool's shard count. Forces pool initialization: the first caller of
-/// anything pool-shaped freezes `OMP4RS_POOL_SHARDS` (or the host
-/// parallelism default) for the life of the process.
-pub fn shard_count() -> usize {
-    pool().shards.len()
 }
 
 /// Spawn the stall-watchdog monitor thread, once per process. Called from
@@ -903,10 +634,11 @@ fn ensure_watchdog() {
 /// poisons the afflicted team through the deadline machinery so its master
 /// observes a `RegionTimeout` instead of hanging.
 ///
-/// The sweep reads only atomics plus the (cold) `slots` roster — never a
-/// shard's idle lock — so a monitor tick cannot stall live dispatch.
+/// The sweep reads atomics plus the (cold) `slots` roster; a traced tick
+/// also takes the idle lock once, for its length, which no tick (≥ 1 ms)
+/// can hold long enough to stall live dispatch.
 fn watchdog_loop() {
-    let p = pool();
+    let p = &POOL;
     loop {
         let threshold = match crate::icv::Icvs::current().watchdog {
             Some(t) => t,
@@ -989,7 +721,7 @@ pub struct PoolStats {
 
 /// Read the current [`PoolStats`].
 pub fn stats() -> PoolStats {
-    let p = pool();
+    let p = &POOL;
     PoolStats {
         reuse: p.reuse.load(Ordering::Relaxed),
         spawn: p.spawn.load(Ordering::Relaxed),
@@ -998,17 +730,12 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Number of currently listed (idle) workers, summed over the shards from
-/// the advisory per-shard censuses — no lock taken, so the watchdog (or a
-/// test) can sample it during live dispatch without stalling anyone. Racy
-/// and advisory: stale idle-list entries (workers that took a gang post
-/// without being popped) are counted until a dispatcher pops them.
+/// Number of currently listed (idle) workers: the idle list's length, read
+/// under its lock. Advisory: stale idle-list entries (workers that took a
+/// gang post without being popped) are counted until a dispatcher pops
+/// them.
 pub fn idle_workers() -> usize {
-    pool()
-        .shards
-        .iter()
-        .map(|s| s.idle_count.load(Ordering::Relaxed) as usize)
-        .sum()
+    POOL.idle.lock().len()
 }
 
 /// Publish the pool counters to the [`crate::ompt`] profiler (no-op when it
@@ -1022,11 +749,6 @@ pub(crate) fn publish_counters() {
     crate::ompt::set_counter("omp4rs.pool.spawn", s.spawn);
     crate::ompt::set_counter("omp4rs.pool.park", s.park);
     crate::ompt::set_counter("omp4rs.pool.spin_exit", s.spin_exit);
-    let sh = shard_stats();
-    crate::ompt::set_counter("omp4rs.pool.shard.local", sh.local);
-    crate::ompt::set_counter("omp4rs.pool.shard.steal", sh.steal);
-    crate::ompt::set_counter("omp4rs.pool.shard.spawn", sh.spawn);
-    crate::ompt::set_counter("omp4rs.pool.shard.rebalance", sh.rebalance);
     let a = admission_stats();
     crate::ompt::set_counter("omp4rs.admission.granted", a.granted);
     crate::ompt::set_counter("omp4rs.admission.shrunk", a.shrunk);
@@ -1079,33 +801,23 @@ mod tests {
     }
 
     #[test]
-    fn every_dispatch_is_local_stolen_or_spawned() {
+    fn every_dispatch_is_reused_or_spawned() {
         // Conservation law: each of our 3 jobs lands in exactly one of the
-        // shard-path buckets, all incremented on this (the dispatching)
-        // thread. Concurrent tests can only add to the deltas, never
-        // subtract.
-        let before = shard_stats();
+        // two buckets, both incremented on this (the dispatching) thread.
+        // Concurrent tests can only add to the deltas, never subtract.
+        let before = stats();
         run((0..3).map(|_| Box::new(|| {}) as Job).collect());
-        let after = shard_stats();
-        let delta = (after.local - before.local)
-            + (after.steal - before.steal)
-            + (after.spawn - before.spawn);
+        let after = stats();
+        let delta = (after.reuse - before.reuse) + (after.spawn - before.spawn);
         assert!(delta >= 3, "3 jobs must be accounted, saw {delta}");
     }
 
     #[test]
-    fn shard_count_is_positive_and_clamped() {
-        let n = shard_count();
-        assert!((1..=MAX_SHARDS).contains(&n));
-    }
-
-    #[test]
-    fn inflight_charges_fold_and_release_cleanly() {
-        // Whatever the shard layout, charging then releasing must return
-        // the visible total to where it started (other tests' concurrent
-        // guards can add, so compare against a floor, not equality).
-        let guard = InflightGuard::new(3 * INFLIGHT_FOLD_BATCH as usize);
-        assert!(admission_stats().inflight >= 3 * INFLIGHT_FOLD_BATCH as u64);
+    fn inflight_charges_release_cleanly() {
+        // Other tests' concurrent guards can add to the total, so compare
+        // against a floor, not equality.
+        let guard = InflightGuard::new(24);
+        assert!(admission_stats().inflight >= 24);
         drop(guard);
     }
 
@@ -1145,7 +857,7 @@ mod tests {
 
     #[test]
     fn back_to_back_dispatches_reuse_workers() {
-        // Gang affinity plus the idle lists must make a hot re-dispatch
+        // Gang affinity plus the idle list must make a hot re-dispatch
         // find the previous round's workers. Other tests share the global
         // pool and may race workers away between rounds, so allow retries —
         // but systematic failure to ever reuse means the hot path is

@@ -684,17 +684,19 @@ impl Team {
     /// `taskwait`: block until all direct children of the current task are
     /// complete, executing queued tasks while waiting.
     ///
-    /// Unclaimed children are preferentially executed *inline* (stack growth
-    /// bounded by the task-tree depth); only then are unrelated queued tasks
-    /// stolen, up to the per-thread depth limit.
+    /// The child list is taken once: no child can be added while this task
+    /// waits, because tasks run below it register in their own task frames.
+    /// Each child still unclaimed is executed *inline*, in submission order
+    /// (stack growth bounded by the task-tree depth); the rest — running on
+    /// another thread, or held on a dependence — are then waited for one by
+    /// one ([`Team::wait_node`]), running queued tasks meanwhile, up to the
+    /// per-thread depth limit. So the wait is linear in the child count.
     pub fn taskwait(&self) {
-        let frame = match context::current_frame() {
-            Some(f) => f,
-            None => return,
+        let Some(frame) = context::current_frame() else {
+            return;
         };
-        let mut spins = sync::spin_iters();
-        loop {
-            let epoch = self.wake.epoch();
+        let mut unfinished = Vec::new();
+        for child in frame.take_children() {
             // Cancellation point: a cancelled/poisoned region's `taskwait`
             // releases immediately (queued children were discarded by the
             // cancel; an in-progress child may still be finishing on another
@@ -702,36 +704,16 @@ impl Team {
             if self.cancelled.is_set() {
                 return;
             }
-            frame.prune_done_children();
-            let children = frame.current_children();
-            if children.iter().all(|c| c.is_done()) {
-                return;
+            if let Some(body) = child.try_claim() {
+                EXEC_DEPTH.with(|d| d.set(d.get() + 1));
+                self.tasks.execute_claimed(&child, body);
+                EXEC_DEPTH.with(|d| d.set(d.get() - 1));
+            } else if !child.is_done() {
+                unfinished.push(child);
             }
-            // Run one of our own pending children inline, if claimable.
-            let mut ran_child = false;
-            for child in &children {
-                if let Some(body) = child.try_claim() {
-                    EXEC_DEPTH.with(|d| d.set(d.get() + 1));
-                    self.tasks.execute_claimed(child, body);
-                    EXEC_DEPTH.with(|d| d.set(d.get() - 1));
-                    ran_child = true;
-                    break;
-                }
-            }
-            if ran_child || self.run_one_task() {
-                spins = sync::spin_iters();
-                continue;
-            }
-            // Nothing runnable: a child is in progress on another thread.
-            // Spin out the budget, then park until its completion signals
-            // (the epoch snapshot above predates the `is_done` checks, so a
-            // completion racing with them falls through the park).
-            if spins > 0 {
-                spins -= 1;
-                sync::spin_hint(spins);
-                continue;
-            }
-            self.park_region(epoch, "taskwait");
+        }
+        for child in &unfinished {
+            self.wait_node(child);
         }
     }
 

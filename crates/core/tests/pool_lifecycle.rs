@@ -3,12 +3,14 @@
 //! The invariants under test: a panicking or cancelled region must poison
 //! (or end) only *itself* — the persistent worker pool recycles its threads
 //! and the very next region runs normally; nested regions bypass the pool;
-//! and back-to-back top-level regions actually re-bind pooled workers
-//! instead of spawning fresh OS threads.
+//! back-to-back top-level regions actually re-bind pooled workers instead
+//! of spawning fresh OS threads; and several masters dispatching at once
+//! each get full teams, keep a worker panic to their own team, and leave
+//! the admission charge at zero when they finish.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use omp4rs::exec::{parallel_region, ParallelConfig};
@@ -164,74 +166,43 @@ fn worker_dispatch_fault_poisons_region_not_pool() {
     }
 }
 
-/// `OMP4RS_POOL=off` (the `pool` ICV) forces the scoped-spawn path: regions
-/// still run correctly, and the pool's reuse/spawn counters stay flat.
+/// Nested regions take the scoped-spawn path: an inner 4-thread region
+/// (level 1, under a 1-thread outer region) runs with a full team while the
+/// pool's reuse/spawn counters stay flat.
 #[test]
-fn pool_icv_off_bypasses_the_pool() {
+fn nested_regions_take_the_scoped_path() {
     with_icvs(
-        |icvs| icvs.pool = false,
+        |icvs| {
+            icvs.nested = true;
+            icvs.max_active_levels = 2;
+        },
         || {
             for backend in BACKENDS {
-                // Retry: concurrently running tests may legitimately move
-                // the pool counters between the two reads; what must never
-                // happen is that *every* attempt sees movement.
+                // Retry: a worker from an earlier test may still be docking
+                // and move the counters between the two reads; what must
+                // never happen is that *every* attempt sees movement.
                 for round in 0.. {
                     let before = pool::stats();
-                    let before_sh = pool::shard_stats();
                     let hits = AtomicUsize::new(0);
-                    parallel_region(&cfg(backend, 4), |_ctx| {
-                        hits.fetch_add(1, Ordering::SeqCst);
+                    parallel_region(&cfg(backend, 1), |_outer| {
+                        parallel_region(&cfg(backend, 4), |inner| {
+                            assert_eq!(inner.num_threads(), 4);
+                            hits.fetch_add(1, Ordering::SeqCst);
+                        });
                     });
                     assert_eq!(hits.load(Ordering::SeqCst), 4, "{backend:?}");
                     let after = pool::stats();
-                    let after_sh = pool::shard_stats();
-                    if (after.reuse, after.spawn) == (before.reuse, before.spawn)
-                        && (after_sh.local, after_sh.steal, after_sh.rebalance)
-                            == (before_sh.local, before_sh.steal, before_sh.rebalance)
-                    {
+                    if (after.reuse, after.spawn) == (before.reuse, before.spawn) {
                         break;
                     }
                     assert!(
                         round < 20,
-                        "{backend:?}: pool-off regions kept touching the pool"
+                        "{backend:?}: nested regions kept touching the pool"
                     );
                 }
             }
         },
     );
-}
-
-/// With a single shard (`OMP4RS_POOL_SHARDS=1`, or a one-CPU default) the
-/// sharded pool must be the legacy pool exactly: nobody to steal from, an
-/// infinite admission fold batch, and every reused worker accounted as
-/// shard-local. Skipped (trivially) when this process runs with more
-/// shards — `scripts/ci.sh` re-runs this binary under several counts.
-#[test]
-fn single_shard_keeps_legacy_counter_shape() {
-    let _lock = global_lock();
-    if pool::shard_count() != 1 {
-        return;
-    }
-    parallel_region(&cfg(Backend::Atomic, 4), |_ctx| {});
-    let sh = pool::shard_stats();
-    assert_eq!(sh.steal, 0, "one shard has nobody to steal from");
-    assert_eq!(sh.rebalance, 0, "one shard must never fold its counter");
-    // Every reuse is a local (gang or home-shard) handout. The two counters
-    // are separate atomics bumped by concurrent tests, so sample until a
-    // quiet pair of reads brackets the comparison.
-    for round in 0.. {
-        let r1 = pool::stats().reuse;
-        let local = pool::shard_stats().local;
-        let r2 = pool::stats().reuse;
-        if r1 == r2 && local == r1 {
-            return;
-        }
-        assert!(
-            round < 50,
-            "local ({local}) never settled to reuse ({r1}..{r2})"
-        );
-        std::thread::yield_now();
-    }
 }
 
 /// Back-to-back top-level regions must re-bind pooled workers (hot teams),
@@ -250,4 +221,109 @@ fn back_to_back_regions_reuse_pooled_workers() {
         }
         assert!(round < 20, "no region-after-region ever reused the gang");
     }
+}
+
+/// Run `f(i)` on `n` fresh OS threads (each a new dispatching master) and
+/// join them, failing if any of them has not finished within [`HANG_LIMIT`].
+/// Returns each thread's result in spawn order.
+fn on_fresh_masters<T: Send + 'static>(
+    n: usize,
+    f: impl Fn(usize) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let f = Arc::new(f);
+    let (tx, rx) = mpsc::channel();
+    for i in 0..n {
+        let (f, tx) = (Arc::clone(&f), tx.clone());
+        std::thread::spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| f(i)));
+            let _ = tx.send((i, result));
+        });
+    }
+    let deadline = Instant::now() + HANG_LIMIT;
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (i, result) = rx.recv_timeout(left).expect("a master hung");
+        match result {
+            Ok(v) => results[i] = Some(v),
+            Err(p) => std::panic::resume_unwind(p),
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every master reported"))
+        .collect()
+}
+
+/// Several masters dispatching at once each get the team size they asked
+/// for, on every region.
+#[test]
+fn concurrent_masters_each_get_full_teams() {
+    let _lock = global_lock();
+    let start = Arc::new(Barrier::new(4));
+    let short = on_fresh_masters(4, move |_| {
+        start.wait();
+        let mut short = 0;
+        for _ in 0..50 {
+            let hits = AtomicUsize::new(0);
+            parallel_region(&cfg(Backend::Atomic, 3), |ctx| {
+                assert_eq!(ctx.num_threads(), 3);
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            short += usize::from(hits.into_inner() != 3);
+        }
+        short
+    });
+    assert_eq!(short, vec![0; 4], "regions that ran short, per master");
+}
+
+/// A worker panic poisons only its own master's team: a second master's
+/// regions, running at the same time, keep their full size and never see
+/// the panic, and the first master's next region is whole again.
+#[test]
+fn worker_panic_poisons_only_its_own_masters_team() {
+    let _lock = global_lock();
+    let panicked = Arc::new(AtomicBool::new(false));
+    on_fresh_masters(2, move |master| {
+        if master == 0 {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                parallel_region(&cfg(Backend::Atomic, 4), |ctx| {
+                    if ctx.thread_num() == 3 {
+                        panic!("poisoned team, not a poisoned pool");
+                    }
+                });
+            }));
+            panicked.store(true, Ordering::SeqCst);
+            assert!(result.is_err(), "the panic must re-raise on its own master");
+        }
+        // Master 1 keeps dispatching until master 0's panic has re-raised
+        // (and a few regions beyond); master 0 then checks its own pool
+        // service is whole again.
+        let mut regions = 0;
+        while regions < 20 || !panicked.load(Ordering::SeqCst) {
+            let hits = AtomicUsize::new(0);
+            parallel_region(&cfg(Backend::Atomic, 4), |_ctx| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(hits.into_inner(), 4, "master {master}: region ran short");
+            regions += 1;
+        }
+    });
+}
+
+/// The admission charge is exact: once concurrent masters have finished
+/// their regions, `admission_stats().inflight` is back to zero.
+#[test]
+fn admission_inflight_returns_to_zero_after_concurrent_masters() {
+    let _lock = global_lock();
+    on_fresh_masters(8, |_| {
+        for _ in 0..50 {
+            parallel_region(&cfg(Backend::Atomic, 3), |_ctx| {});
+        }
+    });
+    assert_eq!(
+        pool::admission_stats().inflight,
+        0,
+        "in-flight charge leaked"
+    );
 }

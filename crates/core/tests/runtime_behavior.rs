@@ -358,6 +358,41 @@ fn taskwait_waits_for_direct_children() {
     assert_eq!(*log.last().unwrap(), 100);
 }
 
+/// A producer that never calls `taskwait` does not keep its completed
+/// children: across 10k submitted tasks, the producer's child list stays
+/// bounded by the children still live, not by the number ever submitted.
+#[test]
+fn completed_children_are_pruned_without_taskwait() {
+    for threads in [1, 2] {
+        let live = Arc::new(AtomicUsize::new(0));
+        let peaks = Mutex::new((0, 0));
+        parallel_region(&cfg(threads, Backend::Atomic), |ctx| {
+            ctx.master(|| {
+                let frame = omp4rs::context::current_frame().expect("inside a region");
+                let (mut peak_live, mut peak_children) = (0, 0);
+                for _ in 0..10_000 {
+                    peak_live = peak_live.max(live.fetch_add(1, Ordering::SeqCst) + 1);
+                    let live = Arc::clone(&live);
+                    ctx.task(move |_| {
+                        live.fetch_sub(1, Ordering::SeqCst);
+                    });
+                    peak_children = peak_children.max(frame.child_count());
+                    ctx.taskyield();
+                }
+                *peaks.lock() = (peak_live, peak_children);
+            });
+        });
+        let (peak_live, peak_children) = peaks.into_inner();
+        // A task leaves `live` a moment before its node reads done: allow
+        // one such task per thread on top of twice the live children.
+        let bound = 2 * (peak_live + threads) + 64;
+        assert!(
+            peak_children <= bound,
+            "T={threads}: {peak_children} children held, {peak_live} ever live"
+        );
+    }
+}
+
 #[test]
 fn nested_parallel_disabled_by_default() {
     let _g = ICV_LOCK.lock();

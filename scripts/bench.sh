@@ -51,12 +51,6 @@ TRACE_SUSTAINED_MS=${TRACE_SUSTAINED_MS:-1000}
 TASKS_OUT=${TASKS_OUT:-BENCH_tasks.json}
 TASKS_SCALE=${TASKS_SCALE:-1.0}
 TASKS_REPEAT=${TASKS_REPEAT:-3}
-# Shard-count sweep: re-run the contended cells under explicit
-# OMP4RS_POOL_SHARDS values (shard count freezes at first dispatch, so each
-# geometry is its own process). Results land as a "shard_sweep" member in
-# BENCH_sync.json / BENCH_serve.json.
-SHARD_SWEEP=${SHARD_SWEEP:-1,2,4}
-SHARD_SWEEP_THREADS=${SHARD_SWEEP_THREADS:-8}
 
 cargo build --release -p omp4rs-bench --bin main --bin syncbench --bin soak --bin overhead
 BIN=target/release/main
@@ -135,30 +129,6 @@ echo "==> syncbench threads=$SWEEP_THREADS trials=$SYNC_TRIALS" >&2
 "$SYNCBIN" --threads "$SWEEP_THREADS" --trials "$SYNC_TRIALS" --json > "$SYNC_OUT"
 python3 -c "import json,sys; json.load(open('$SYNC_OUT'))" 2>/dev/null \
     || { echo "$SYNC_OUT is not valid JSON" >&2; exit 1; }
-
-# Shard-count sweep: the contended fork/join cell per pool geometry.
-IFS=',' read -ra SHARDS_ARR <<< "$SHARD_SWEEP"
-for s in "${SHARDS_ARR[@]}"; do
-    echo "==> syncbench shards=$s threads=$SHARD_SWEEP_THREADS" >&2
-    OMP4RS_POOL_SHARDS="$s" "$SYNCBIN" --threads "$SHARD_SWEEP_THREADS" \
-        --trials 3 --json > "$SYNC_OUT.shard$s"
-done
-python3 - "$SYNC_OUT" "$SHARD_SWEEP" <<'PY'
-import json, os, sys
-out, sweep = sys.argv[1], sys.argv[2]
-doc = json.load(open(out))
-doc["shard_sweep"] = []
-for s in sweep.split(','):
-    cell_path = f"{out}.shard{s}"
-    cell = json.load(open(cell_path))
-    doc["shard_sweep"].append({
-        "requested_shards": int(s),
-        "pool_shards": cell["pool_shards"],
-        "rows": [r for r in cell["rows"] if r["construct"] == "parallel"],
-    })
-    os.remove(cell_path)
-json.dump(doc, open(out, "w"), indent=1)
-PY
 echo "wrote $SYNC_OUT"
 
 # ------------------------------------------------------------------- serve
@@ -168,30 +138,6 @@ echo "==> soak clients=$SERVE_CLIENTS seconds/cell=$SERVE_SECONDS" >&2
 "$SOAKBIN" --json --clients "$SERVE_CLIENTS" --seconds "$SERVE_SECONDS" > "$SERVE_OUT"
 python3 -c "import json,sys; json.load(open('$SERVE_OUT'))" 2>/dev/null \
     || { echo "$SERVE_OUT is not valid JSON" >&2; exit 1; }
-
-# Shard-count sweep: serving throughput per pool geometry at the widest
-# client count (the cell where dispatch contention shows).
-for s in "${SHARDS_ARR[@]}"; do
-    echo "==> soak shards=$s clients=4" >&2
-    OMP4RS_POOL_SHARDS="$s" "$SOAKBIN" --json --clients 4 --seconds 1 \
-        > "$SERVE_OUT.shard$s"
-done
-python3 - "$SERVE_OUT" "$SHARD_SWEEP" <<'PY'
-import json, os, sys
-out, sweep = sys.argv[1], sys.argv[2]
-doc = json.load(open(out))
-doc["shard_sweep"] = []
-for s in sweep.split(','):
-    cell_path = f"{out}.shard{s}"
-    cell = json.load(open(cell_path))
-    doc["shard_sweep"].append({
-        "requested_shards": int(s),
-        "pool_shards": cell["pool_shards"],
-        "sweep": cell["sweep"],
-    })
-    os.remove(cell_path)
-json.dump(doc, open(out, "w"), indent=1)
-PY
 echo "wrote $SERVE_OUT"
 
 # ------------------------------------------------------------------- trace

@@ -8,8 +8,10 @@
 #      reads appears in docs/ENVIRONMENT.md, and every such name the document
 #      mentions is read by the workspace (a deleted knob cannot linger);
 #   2. every omp4rs.*/minipy.* counter the workspace publishes appears in
-#      docs/OBSERVABILITY.md (the dynamic minipy.vm.fallback.<reason>
-#      family is checked by its literal prefix).
+#      docs/OBSERVABILITY.md, and every such counter the document names is
+#      published by the workspace (the dynamic minipy.vm.fallback.<reason>
+#      family is checked by its literal prefix and exempt from the reverse
+#      check).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +48,18 @@ for c in $counters; do
     # must be documented, individual reasons need not be.
     if ! grep -qF "$c" docs/OBSERVABILITY.md; then
         echo "check_docs: counter $c is published by the code but missing from docs/OBSERVABILITY.md" >&2
+        fail=1
+    fi
+done
+
+# Names in the document: a dotted omp4rs./minipy. identifier in backticks
+# (a trailing `.*` or `.<reason>` marks a family, not a counter).
+doc_ctrs=$(grep -oE '`(omp4rs|minipy)\.[a-z_]+\.[a-z_.]*[a-z_]`' docs/OBSERVABILITY.md \
+    | tr -d '`' | sort -u)
+for c in $doc_ctrs; do
+    case "$c" in minipy.vm.fallback.*) continue ;; esac
+    if ! grep -qxF "$c" <<<"$counters"; then
+        echo "check_docs: counter $c is documented in docs/OBSERVABILITY.md but not published by the code" >&2
         fail=1
     fi
 done

@@ -40,14 +40,11 @@ run cargo test -q -p omp4rs-apps --test vm_differential
 # deadlines, the dep-release fault site, and the seeded chaos accounting
 # invariant (deferred == released) — named explicitly for the same reason.
 run cargo test -q -p omp4rs --test task_dependences
-# Shard-geometry matrix: the pool lifecycle invariants (panic poisons the
-# region not the pool, cancellation, pool-off bypass, hot-team reuse) must
-# hold under every shard count, and the single-shard legacy-shape test only
-# runs in a SHARDS=1 process (shard count freezes at first dispatch, so each
-# geometry needs its own process).
-for shards in 1 2 4 8; do
-    run env OMP4RS_POOL_SHARDS="$shards" cargo test -q -p omp4rs --test pool_lifecycle
-done
+# Worker-pool lifecycle: a panic poisons the region not the pool,
+# cancellation, nested regions bypass the pool, hot-team reuse, and
+# concurrent masters (full teams, per-team poisoning, exact admission
+# charge) — named explicitly for the same reason.
+run cargo test -q -p omp4rs --test pool_lifecycle
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
