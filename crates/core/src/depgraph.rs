@@ -27,11 +27,13 @@
 //! list and decrements each successor's pending count, without the table
 //! lock. Whichever thread brings a count to zero — that retiring thread, or
 //! the submitter dropping its hold after a predecessor retired mid-link —
-//! moves the task to a ready list the queue drains in front of its deques.
-//! That drain is the single held→runnable funnel and carries the
+//! gets the task's placement back from the graph's `retire` or `insert`
+//! and admits it itself. The queue's admission funnel carries the
 //! `dep-release` fault-injection site: an injected panic discards the
 //! successor instead of stranding it, and the discard retires it in turn,
-//! cascading the release.
+//! cascading the release. A thread that retires a task after running it
+//! keeps one released successor to run next (the immediate-successor
+//! bypass) and pushes the rest onto its own deque.
 //!
 //! Edges only ever point from earlier to later submissions, so the graph is
 //! acyclic by construction and every held task is released or discarded —
@@ -183,6 +185,12 @@ pub(crate) struct Ready {
     pub(crate) priority: i64,
 }
 
+/// Released tasks handed back by a retire (or a submitter's hold drop), in
+/// release order, for the caller to admit. Admission pushes the releases of
+/// any successor it discards onto the back, so a cascade is a worklist, not
+/// a recursion.
+pub(crate) type Released = VecDeque<Ready>;
+
 /// Hasher for the per-key table. Keys come from the program submitting the
 /// tasks (an address-like integer in compiled mode, a hash of the item's
 /// value in interpreted mode), so colliding keys can only slow that program
@@ -297,25 +305,15 @@ pub(crate) struct DepGraph {
     /// Touched only at submission (and by cancellation): retire never
     /// takes it.
     table: Mutex<Table>,
-    /// Released, waiting for the queue to drain them to the deques.
-    ready: Mutex<VecDeque<Ready>>,
-    /// Fast-path mirror of `ready.len()`.
-    ready_len: AtomicUsize,
     /// Held (released-pending) tasks currently in the graph.
     held_len: AtomicUsize,
-    /// The owning queue's wake notifier: parked waiters must learn when a
-    /// retire makes successors ready.
-    wake: Arc<Notifier>,
 }
 
 impl DepGraph {
-    pub(crate) fn new(wake: Arc<Notifier>) -> DepGraph {
+    pub(crate) fn new() -> DepGraph {
         DepGraph {
             table: Mutex::new(Table::default()),
-            ready: Mutex::new(VecDeque::new()),
-            ready_len: AtomicUsize::new(0),
             held_len: AtomicUsize::new(0),
-            wake,
         }
     }
 
@@ -325,6 +323,10 @@ impl DepGraph {
     /// last-writer/reader state; retired ones add no edge and duplicates
     /// are linked once, so edges always point from earlier to later
     /// submissions — the graph is acyclic by construction.
+    ///
+    /// A held task whose predecessors all retired while it was linking is
+    /// released by the submitter's own hold drop: it is pushed onto
+    /// `released` for the caller to admit.
     pub(crate) fn insert(
         &self,
         rec: &Arc<DepNode>,
@@ -332,6 +334,7 @@ impl DepGraph {
         owner: Option<usize>,
         priority: i64,
         deps: &[Dep],
+        released: &mut Released,
     ) -> bool {
         let mut table = self.table.lock();
         let mut edges = 0;
@@ -383,53 +386,38 @@ impl DepGraph {
         // Drop the submission hold. Reaching zero here means every
         // predecessor retired while this task was linking: the submitter
         // owns the release.
-        if rec.pending.fetch_sub(1, Ordering::AcqRel) == 1 && self.release(rec) {
-            self.wake.notify_all();
+        if rec.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.release(rec, released);
         }
         true
     }
 
-    /// Move a record whose pending count reached zero onto the ready list.
-    /// Returns `false` when cancellation already took its placement.
-    fn release(&self, rec: &DepNode) -> bool {
-        let Some(r) = rec.links.lock().held.take() else {
-            return false;
-        };
-        RELEASED.fetch_add(1, Ordering::Relaxed);
-        self.held_len.fetch_sub(1, Ordering::Relaxed);
-        let mut ready = self.ready.lock();
-        ready.push_back(r);
-        self.ready_len.fetch_add(1, Ordering::Release);
-        true
+    /// Hand back the placement of a record whose pending count reached
+    /// zero; nothing when cancellation already took it.
+    fn release(&self, rec: &DepNode, released: &mut Released) {
+        if let Some(r) = rec.links.lock().held.take() {
+            RELEASED.fetch_add(1, Ordering::Relaxed);
+            self.held_len.fetch_sub(1, Ordering::Relaxed);
+            released.push_back(r);
+        }
     }
 
     /// Retire `rec`'s task: mark it retired, take its successors and
-    /// decrement each, releasing those that reach zero. Fired by
-    /// [`RetireGuard`] on every exit path (ran, panicked, discarded);
-    /// idempotent, and never touches the table lock.
-    pub(crate) fn retire(&self, rec: &DepNode) {
+    /// decrement each, pushing those that reach zero onto `released` for
+    /// the caller to admit. Fired by [`RetireGuard`] on every exit path
+    /// (ran, panicked, discarded); idempotent, and never touches the table
+    /// lock.
+    pub(crate) fn retire(&self, rec: &DepNode, released: &mut Released) {
         let successors = {
             let mut links = rec.links.lock();
             rec.retired.store(true, Ordering::Release);
             std::mem::take(&mut links.successors)
         };
-        let mut woke = false;
         for s in successors {
             if s.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                woke |= self.release(&s);
+                self.release(&s, released);
             }
         }
-        if woke {
-            // Parked barrier/taskwait/taskgroup waiters drain the ready
-            // list through the queue's task-running loops.
-            self.wake.notify_all();
-        }
-    }
-
-    /// Number of released tasks awaiting the queue's drain (fast path for
-    /// `run_one_from`: zero means skip the lock entirely).
-    pub(crate) fn ready_len(&self) -> usize {
-        self.ready_len.load(Ordering::Acquire)
     }
 
     /// Number of tasks currently held on unretired predecessors.
@@ -437,29 +425,16 @@ impl DepGraph {
         self.held_len.load(Ordering::Acquire)
     }
 
-    /// Take the oldest released task for placement on the deques. One at
-    /// a time, so the list keeps its buffer instead of handing it off.
-    pub(crate) fn pop_ready(&self) -> Option<Ready> {
-        let mut ready = self.ready.lock();
-        let r = ready.pop_front()?;
-        self.ready_len.fetch_sub(1, Ordering::Release);
-        Some(r)
-    }
-
-    /// Cancellation: release *every* task — ready-list entries and still
-    /// held ones alike — and clear the key table. The caller discards them;
-    /// a cancelled graph releases, not strands, its successors.
+    /// Cancellation: release every still-held task and clear the key
+    /// table. The caller discards them; a cancelled graph releases, not
+    /// strands, its successors.
     pub(crate) fn cancel_all(&self) -> Vec<Ready> {
         let held = {
             let mut table = self.table.lock();
             table.keys.clear();
             std::mem::take(&mut table.held)
         };
-        let mut out: Vec<Ready> = {
-            let mut ready = self.ready.lock();
-            self.ready_len.store(0, Ordering::Release);
-            ready.drain(..).collect()
-        };
+        let mut out = Vec::new();
         for rec in held {
             if let Some(r) = rec.links.lock().held.take() {
                 RELEASED.fetch_add(1, Ordering::Relaxed);
@@ -496,15 +471,29 @@ impl RetireGuard {
         RetireGuard { graph, rec }
     }
 
-    pub(crate) fn fire(&self) {
-        self.graph.retire(&self.rec);
+    /// Retire the task, pushing the successors it released onto `released`.
+    pub(crate) fn fire(&self, released: &mut Released) {
+        self.graph.retire(&self.rec, released);
     }
 }
 
 impl Drop for RetireGuard {
+    /// The backstop. A claimed node is always finished, and finishing fires
+    /// the guard, so an unfired guard here belongs to a node that was never
+    /// claimed and is being dropped: the queue that held it was dropped
+    /// with it, and no queue is left to place what it releases. Those
+    /// successors are discarded instead, cascading through their own
+    /// releases, so each completes and a thread blocked in
+    /// [`TaskNode::wait_done`] on one still returns.
     fn drop(&mut self) {
-        if !self.rec.is_retired() {
-            self.fire();
+        if self.rec.is_retired() {
+            return;
+        }
+        let mut released = Released::new();
+        self.fire(&mut released);
+        while let Some(r) = released.pop_front() {
+            r.node.release_hold();
+            r.node.discard(&mut released);
         }
     }
 }
@@ -649,18 +638,23 @@ mod tests {
     fn graph() -> TestGraph {
         TestGraph {
             _lock: COUNTER_TEST_LOCK.lock(),
-            graph: DepGraph::new(Arc::new(Notifier::new())),
+            graph: DepGraph::new(),
         }
     }
 
-    fn take_ready(g: &DepGraph) -> Vec<Ready> {
-        std::iter::from_fn(|| g.pop_ready()).collect()
+    /// Retire `rec`, returning what the retirement released.
+    fn retire(g: &DepGraph, rec: &DepNode) -> Released {
+        let mut released = Released::new();
+        g.retire(rec, &mut released);
+        released
     }
 
     fn insert(g: &DepGraph, deps: &[Dep]) -> (Arc<DepNode>, Arc<TaskNode>, bool) {
         let rec = DepNode::new();
         let n = node();
-        let held = g.insert(&rec, &n, None, 0, deps);
+        let mut released = Released::new();
+        let held = g.insert(&rec, &n, None, 0, deps, &mut released);
+        assert!(released.is_empty(), "no predecessor retired mid-link");
         (rec, n, held)
     }
 
@@ -674,11 +668,11 @@ mod tests {
         assert!(held_b, "WAW on a");
         assert!(held_c, "RAW on b");
         assert_eq!(g.held_len(), 2);
-        g.retire(&a);
-        assert_eq!(g.ready_len(), 1, "only b released");
+        let mut ready = retire(&g, &a);
+        assert_eq!(ready.len(), 1, "only b released");
         assert_eq!(g.held_len(), 1);
-        g.retire(&b);
-        assert_eq!(take_ready(&g).len(), 2, "b then c");
+        ready.extend(retire(&g, &b));
+        assert_eq!(ready.len(), 2, "b then c");
         assert_eq!(g.held_len(), 0);
     }
 
@@ -690,31 +684,31 @@ mod tests {
         let (r, _, _) = insert(&g, &[Dep::input(1), Dep::output(3)]);
         let (_join, _, held) = insert(&g, &[Dep::input(2), Dep::input(3)]);
         assert!(held);
-        g.retire(&root);
-        assert_eq!(g.ready_len(), 2, "both branches released");
-        for x in take_ready(&g) {
+        let ready = retire(&g, &root);
+        assert_eq!(ready.len(), 2, "both branches released");
+        for x in ready {
             x.node.release_hold();
         }
-        g.retire(&l);
-        assert_eq!(g.ready_len(), 0, "join still waits on the right branch");
-        g.retire(&r);
-        assert_eq!(g.ready_len(), 1, "join released only after both");
+        let ready = retire(&g, &l);
+        assert_eq!(ready.len(), 0, "join still waits on the right branch");
+        let ready = retire(&g, &r);
+        assert_eq!(ready.len(), 1, "join released only after both");
     }
 
     #[test]
     fn readers_run_concurrently_and_block_writer() {
         let g = graph();
         let (w, _, _) = insert(&g, &[Dep::output(9)]);
-        g.retire(&w);
+        retire(&g, &w);
         let (r1, _, h1) = insert(&g, &[Dep::input(9)]);
         let (r2, _, h2) = insert(&g, &[Dep::input(9)]);
         assert!(!h1 && !h2, "readers of a retired writer run immediately");
         let (_w2, _, held) = insert(&g, &[Dep::output(9)]);
         assert!(held, "WAR: writer waits on both readers");
-        g.retire(&r1);
-        assert_eq!(g.ready_len(), 0);
-        g.retire(&r2);
-        assert_eq!(g.ready_len(), 1, "released when the last reader retires");
+        let ready = retire(&g, &r1);
+        assert_eq!(ready.len(), 0);
+        let ready = retire(&g, &r2);
+        assert_eq!(ready.len(), 1, "released when the last reader retires");
     }
 
     #[test]
@@ -735,14 +729,16 @@ mod tests {
     fn cancel_all_releases_every_held_task() {
         let g = graph();
         let before = counters();
-        let (_a, _, _) = insert(&g, &[Dep::output(1)]);
-        let (_b, _, _) = insert(&g, &[Dep::inout(1)]);
+        let (a, _, _) = insert(&g, &[Dep::output(1)]);
+        let (b, _, _) = insert(&g, &[Dep::inout(1)]);
         let (_c, _, _) = insert(&g, &[Dep::inout(1)]);
         assert_eq!(g.held_len(), 2);
         let drained = g.cancel_all();
         assert_eq!(drained.len(), 2, "held tasks handed back, not stranded");
         assert_eq!(g.held_len(), 0);
-        assert_eq!(g.ready_len(), 0);
+        let mut ready = retire(&g, &a);
+        ready.extend(retire(&g, &b));
+        assert_eq!(ready.len(), 0, "nothing left to release after cancel");
         let after = counters();
         assert_eq!(
             after.released - before.released,
@@ -754,7 +750,7 @@ mod tests {
     fn retired_predecessor_adds_no_edge() {
         let g = graph();
         let (a, _, _) = insert(&g, &[Dep::output(4)]);
-        g.retire(&a);
+        retire(&g, &a);
         let before = counters();
         let (_b, _, held) = insert(&g, &[Dep::input(4), Dep::inout(4)]);
         assert!(!held, "a retired writer leaves its successor runnable");
@@ -771,7 +767,7 @@ mod tests {
         for _ in 0..10_000 {
             let (r, _, held) = insert(&g, &[Dep::input(8)]);
             assert!(!held);
-            g.retire(&r);
+            retire(&g, &r);
             longest = longest.max(g.readers_len(8));
         }
         assert!(longest <= 8, "reader list grew to {longest}");

@@ -41,10 +41,12 @@ pub enum FaultSite {
     /// worker thread, before it binds to the region's team — exercising the
     /// pool's recycle-after-panic path).
     WorkerDispatch,
-    /// A dependence-held task being released to the ready deques after its
-    /// last predecessor retired ([`crate::depgraph`]). A panic here is
-    /// absorbed by the releaser: the successor is discarded (not stranded)
-    /// and its own successors cascade through the same release path.
+    /// A dependence-held task being admitted by the thread that released
+    /// it — placed on a deque or the priority heap, or kept by the
+    /// immediate-successor bypass to run next — after its last predecessor
+    /// retired ([`crate::depgraph`]). One event per released task. A panic
+    /// here is absorbed by the releaser: the successor is discarded (not
+    /// stranded) and its own successors cascade through the same funnel.
     DepRelease,
 }
 

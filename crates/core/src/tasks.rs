@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::depgraph::{Dep, DepGraph, DepNode, RetireGuard};
+use crate::depgraph::{Dep, DepGraph, DepNode, Released, RetireGuard};
 use crate::faults::{self, FaultSite};
 use crate::ompt;
 use crate::sync::{Backend, CancelFlag, Notifier, OmpEvent, WorkBag, WorkDeque};
@@ -178,7 +178,9 @@ impl TaskNode {
         }
     }
 
-    /// Mark a claimed task finished, running its body.
+    /// Mark a claimed task finished, running its body. A `depend` task
+    /// retires in its graph here, pushing the successors that retirement
+    /// released onto `released` for the caller to admit.
     ///
     /// Panics in the body are caught and returned (not propagated): per the
     /// OpenMP rule the paper cites, exceptions must not escape a task. The
@@ -186,6 +188,7 @@ impl TaskNode {
     fn finish(
         &self,
         body: Option<Box<dyn FnOnce() + Send>>,
+        released: &mut Released,
     ) -> Option<Box<dyn std::any::Any + Send>> {
         let panic = match body {
             Some(body) => {
@@ -201,12 +204,23 @@ impl TaskNode {
             None => None,
         };
         if let Some(retire) = &self.retire {
-            retire.fire();
+            retire.fire(released);
         }
         self.state.store(STATE_COMPLETED, Ordering::Release);
         self.done.set();
         ompt::record_here(ompt::EventKind::TaskComplete);
         panic
+    }
+
+    /// Complete the node unrun if it has not started (claim it, drop the
+    /// body, finish); returns whether this call discarded it. Its
+    /// retirement's releases go onto `released`.
+    pub(crate) fn discard(&self, released: &mut Released) -> bool {
+        if self.try_claim().is_none() {
+            return false;
+        }
+        let _ = self.finish(None, released);
+        true
     }
 }
 
@@ -297,7 +311,7 @@ impl TaskQueue {
             deques: (0..nthreads).map(|_| WorkDeque::new(cap)).collect(),
             steals: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
-            dep: Arc::new(DepGraph::new(Arc::clone(&wake))),
+            dep: Arc::new(DepGraph::new()),
             wake,
             backend,
             panic_slot: Mutex::new(None),
@@ -330,29 +344,31 @@ impl TaskQueue {
     /// Already-running tasks finish normally.
     pub fn cancel(&self) {
         self.cancelled.set();
+        let mut released = Released::new();
         while let Some(node) = self.bag.pop() {
-            self.discard(&node);
+            self.discard(&node, &mut released);
         }
         for deque in &self.deques {
             while let Some(node) = deque.steal() {
-                self.discard(&node);
+                self.discard(&node, &mut released);
             }
         }
         while let Some(entry) = self.pop_prio() {
-            self.discard(&entry.node);
+            self.discard(&entry.node, &mut released);
         }
         // A cancelled graph releases — not strands — its successors: every
         // held task is handed back and discarded like any queued one.
-        self.drain_dep_cancelled();
+        self.drain_dep_cancelled(&mut released);
+        self.admit(&mut released, None, false);
         self.wake.notify_all();
     }
 
     /// Drain and discard everything the dependence graph still holds (the
     /// cancel path, and the submit/cancel race re-check).
-    fn drain_dep_cancelled(&self) {
+    fn drain_dep_cancelled(&self, released: &mut Released) {
         for r in self.dep.cancel_all() {
             r.node.release_hold();
-            self.discard(&r.node);
+            self.discard(&r.node, released);
         }
     }
 
@@ -369,14 +385,10 @@ impl TaskQueue {
     }
 
     /// Discard one queued node if it has not started (claim it, drop the
-    /// body, mark complete).
-    fn discard(&self, node: &TaskNode) {
-        if let Some(body) = node.try_claim() {
-            drop(body);
-            let _ = node.finish(None);
+    /// body, mark complete). Its retirement's releases go onto `released`.
+    fn discard(&self, node: &TaskNode, released: &mut Released) {
+        if node.discard(released) {
             self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            // Dropping the body retires the task, which may have released
-            // dependence-held successors — wake parked threads to admit them.
             self.wake.notify_all();
         }
     }
@@ -433,15 +445,15 @@ impl TaskQueue {
     ) -> Arc<TaskNode> {
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: true });
         let node = TaskNode::new(self.backend, body);
+        // A task with no `depend` items has no graph record: discarding it
+        // releases nothing.
+        let mut released = Released::new();
         if self.cancelled.is_set() {
-            if let Some(body) = node.try_claim() {
-                drop(body);
-                let _ = node.finish(None);
-            }
+            node.discard(&mut released);
             return node;
         }
         record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
-        self.place(&node, owner, priority);
+        self.place(&node, owner, priority, &mut released);
         node
     }
 
@@ -465,27 +477,38 @@ impl TaskQueue {
         let rec = DepNode::new();
         let guard = RetireGuard::new(Arc::clone(&self.dep), Arc::clone(&rec));
         let node = TaskNode::with_retire(self.backend, body, Some(guard));
+        let mut released = Released::new();
         if self.cancelled.is_set() {
-            if let Some(body) = node.try_claim() {
-                drop(body);
-                let _ = node.finish(None);
+            node.discard(&mut released);
+        } else {
+            record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
+            if !self
+                .dep
+                .insert(&rec, &node, owner, priority, deps, &mut released)
+            {
+                self.place(&node, owner, priority, &mut released);
+            } else if self.cancelled.is_set() {
+                // Submit/cancel race: `cancel` may have drained the graph
+                // before this insert landed — drain again so nothing strands.
+                self.drain_dep_cancelled(&mut released);
             }
-            return node;
         }
-        record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
-        if !self.dep.insert(&rec, &node, owner, priority, deps) {
-            self.place(&node, owner, priority);
-        } else if self.cancelled.is_set() {
-            // Submit/cancel race: `cancel` may have drained the graph
-            // before this insert landed — drain again so nothing strands.
-            self.drain_dep_cancelled();
-        }
+        // The held task the submitter's own hold drop released, or what a
+        // race-discard of this task released.
+        self.admit(&mut released, None, false);
         node
     }
 
     /// Place an outstanding node on the queue (priority heap, owner deque,
-    /// or shared bag) and re-check the submit/cancel race.
-    fn place(&self, node: &Arc<TaskNode>, owner: Option<usize>, priority: i64) {
+    /// or shared bag) and re-check the submit/cancel race; a race-discard's
+    /// releases go onto `released`.
+    fn place(
+        &self,
+        node: &Arc<TaskNode>,
+        owner: Option<usize>,
+        priority: i64,
+        released: &mut Released,
+    ) {
         if priority != 0 {
             let seq = self.prio_seq.fetch_add(1, Ordering::Relaxed);
             self.prio.lock().push(PrioEntry {
@@ -507,7 +530,7 @@ impl TaskQueue {
         // Submit/cancel race: the drain in `cancel` may already have run.
         // Discard here so the node cannot linger outstanding forever.
         if self.cancelled.is_set() {
-            self.discard(node);
+            self.discard(node, released);
         }
         self.wake.notify_all();
     }
@@ -518,15 +541,19 @@ impl TaskQueue {
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: false });
         let node = TaskNode::new(self.backend, body);
         let body = node.try_claim();
-        self.record_panic(node.finish(body));
+        self.record_panic(node.finish(body, &mut Released::new()));
         node
     }
 
     /// Execute a specific claimed node (used by `taskwait` child inlining).
     /// The caller must have obtained `body` from [`TaskNode::try_claim`].
+    /// The successors it releases are placed on their submitters' deques,
+    /// not run here.
     pub fn execute_claimed(&self, node: &TaskNode, body: Box<dyn FnOnce() + Send>) {
-        self.record_panic(node.finish(Some(body)));
+        let mut released = Released::new();
+        self.record_panic(node.finish(Some(body), &mut released));
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
+        self.admit(&mut released, None, false);
         self.wake.notify_all();
     }
 
@@ -536,32 +563,31 @@ impl TaskQueue {
         self.run_one_from(None)
     }
 
-    /// Pop and execute one task, if any is available. Returns whether a task
-    /// was run. Nodes already claimed inline by `taskwait` are skipped.
+    /// Pop and execute one task, if any is available, then the chain of
+    /// dependence successors it hands on (see `try_execute`). Returns
+    /// whether a task was run. Nodes already claimed inline by `taskwait`
+    /// are skipped.
     ///
-    /// Search order for team thread `me`: dependence releases admitted
-    /// first, then the priority heap (highest first), then the own deque
-    /// (LIFO, cache-warm), then the shared overflow queue (FIFO), then the
-    /// other threads' deques (FIFO steals, rotating victim order so
-    /// thieves spread out).
+    /// Search order for team thread `me`: the priority heap (highest
+    /// first), then the own deque (LIFO, cache-warm — where this thread's
+    /// dependence releases land), then the shared overflow queue (FIFO),
+    /// then the other threads' deques (FIFO steals, rotating victim order
+    /// so thieves spread out).
     pub fn run_one_from(&self, me: Option<usize>) -> bool {
-        if self.dep.ready_len() > 0 {
-            self.admit_released();
-        }
         while let Some(entry) = self.pop_prio() {
-            if self.try_execute(&entry.node, false) {
+            if self.try_execute(&entry.node, false, me) {
                 return true;
             }
         }
         if let Some(deque) = me.and_then(|t| self.deques.get(t)) {
             while let Some(node) = deque.pop() {
-                if self.try_execute(&node, false) {
+                if self.try_execute(&node, false, me) {
                     return true;
                 }
             }
         }
         while let Some(node) = self.bag.pop() {
-            if self.try_execute(&node, false) {
+            if self.try_execute(&node, false, me) {
                 return true;
             }
         }
@@ -574,7 +600,7 @@ impl TaskQueue {
                     continue;
                 }
                 while let Some(node) = self.deques[victim].steal() {
-                    if self.try_execute(&node, true) {
+                    if self.try_execute(&node, true, me) {
                         return true;
                     }
                 }
@@ -586,46 +612,87 @@ impl TaskQueue {
     /// Claim and run one dequeued node; `stolen` marks a cross-thread deque
     /// claim. Returns `false` when the node was discarded (cancellation) or
     /// already claimed elsewhere (its executor handles the bookkeeping).
-    fn try_execute(&self, node: &Arc<TaskNode>, stolen: bool) -> bool {
+    ///
+    /// Immediate-successor bypass: of the successors the finished task
+    /// released, the first with priority 0 runs next on this thread and
+    /// the rest go onto `me`'s deque (`admit`). The chain is a loop, not a
+    /// recursion, so a long `inout` chain runs in constant stack. Each
+    /// iteration re-checks cancellation and re-claims the successor, which
+    /// a `taskwait` may have claimed inline once its hold cleared.
+    fn try_execute(&self, node: &Arc<TaskNode>, stolen: bool, me: Option<usize>) -> bool {
+        let mut released = Released::new();
         if self.cancelled.is_set() {
-            self.discard(node);
+            self.discard(node, &mut released);
+            self.admit(&mut released, me, false);
             return false;
         }
-        if let Some(body) = node.try_claim() {
-            if stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                ompt::record_here(ompt::EventKind::TaskSteal);
-            }
-            self.record_panic(node.finish(Some(body)));
+        let Some(mut body) = node.try_claim() else {
+            return false;
+        };
+        if stolen {
+            self.steals.fetch_add(1, Ordering::Relaxed);
+            ompt::record_here(ompt::EventKind::TaskSteal);
+        }
+        let mut next_owned: Option<Arc<TaskNode>> = None;
+        let mut cur: &TaskNode = node;
+        loop {
+            self.record_panic(cur.finish(Some(body), &mut released));
             self.outstanding.fetch_sub(1, Ordering::AcqRel);
+            let next = self.admit(&mut released, me, true);
             self.wake.notify_all();
-            true
-        } else {
-            false
+            let Some(next) = next else {
+                return true;
+            };
+            if self.cancelled.is_set() {
+                self.discard(&next, &mut released);
+                self.admit(&mut released, me, false);
+                return true;
+            }
+            let Some(next_body) = next.try_claim() else {
+                return true;
+            };
+            body = next_body;
+            cur = next_owned.insert(next);
         }
     }
 
-    /// The single held→runnable funnel: move every dependence-released
-    /// task onto the queue proper. Carries the `dep-release` fault site —
-    /// an injected panic here is recorded like a task panic and the
-    /// affected successor is *discarded*, which retires it and cascades
-    /// the release to its own successors instead of stranding them.
-    fn admit_released(&self) {
-        // Pop until the ready list is empty: discarding a faulted successor
-        // retires it, which can release *its* successors into the ready
-        // list mid-funnel — those must be admitted in the same pass, not
-        // stranded until another thread happens to look.
-        while let Some(r) = self.dep.pop_ready() {
+    /// The single held→runnable funnel: admit every task in `released`,
+    /// oldest release first. A cancelled queue discards each one. Otherwise
+    /// the funnel carries the `dep-release` fault site, one event per
+    /// released task — an injected panic here is recorded like a
+    /// task panic and the affected successor is *discarded*, which retires
+    /// it and pushes *its* releases onto the back of the same worklist, so
+    /// a cascade neither strands a successor nor recurses. A clean release
+    /// is placed on `me`'s deque (the admitting thread's, when it is a
+    /// team thread), else on its submitter's. With `bypass`, the first
+    /// clean release with priority 0 is returned instead, hold cleared,
+    /// for the caller to run next; non-zero priorities always go through
+    /// the heap.
+    fn admit(
+        &self,
+        released: &mut Released,
+        me: Option<usize>,
+        bypass: bool,
+    ) -> Option<Arc<TaskNode>> {
+        let mut next = None;
+        while let Some(r) = released.pop_front() {
+            if self.cancelled.is_set() {
+                r.node.release_hold();
+                self.discard(&r.node, released);
+                continue;
+            }
             let fault = std::panic::catch_unwind(|| faults::on_event(FaultSite::DepRelease)).err();
             r.node.release_hold();
-            match fault {
-                None => self.place(&r.node, r.owner, r.priority),
-                Some(p) => {
-                    self.record_panic(Some(p));
-                    self.discard(&r.node);
-                }
+            if let Some(p) = fault {
+                self.record_panic(Some(p));
+                self.discard(&r.node, released);
+            } else if bypass && next.is_none() && r.priority == 0 {
+                next = Some(r.node);
+            } else {
+                self.place(&r.node, me.or(r.owner), r.priority, released);
             }
         }
+        next
     }
 
     /// Tasks currently held on unretired `depend` predecessors.
@@ -639,7 +706,6 @@ impl TaskQueue {
         self.bag.is_empty()
             && self.deques.iter().all(WorkDeque::is_empty)
             && self.prio_len.load(Ordering::Acquire) == 0
-            && self.dep.ready_len() == 0
     }
 }
 

@@ -9,13 +9,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use omp4rs::depgraph;
 use omp4rs::exec::{parallel_region, parallel_region_result, DepSpec, ParallelConfig};
 use omp4rs::faults::{self, FaultPlan, FaultSite};
-use omp4rs::{Backend, Icvs, InjectedFault, OmpError};
+use omp4rs::sync::Notifier;
+use omp4rs::tasks::TaskQueue;
+use omp4rs::{Backend, Dep, Icvs, InjectedFault, OmpError};
 
 const HANG_LIMIT: Duration = Duration::from_secs(30);
 const BACKENDS: [Backend; 2] = [Backend::Mutex, Backend::Atomic];
@@ -407,6 +409,158 @@ fn dep_release_fault_discards_successor_and_cascades() {
         "a faulted release path stranded a successor"
     );
     assert_eq!(after.edges - before.edges, 2, "A→B and B→C");
+}
+
+/// A team task queue with `threads` steal deques, driven by hand: the
+/// bypass tests below observe exactly which call runs which task.
+fn queue(backend: Backend, threads: usize) -> Arc<TaskQueue> {
+    Arc::new(TaskQueue::with_threads(
+        backend,
+        Arc::new(Notifier::new()),
+        threads,
+    ))
+}
+
+/// Immediate-successor bypass: the thread that retires a chain link runs
+/// the released successor itself. A 100k-task `inout` chain runs in
+/// submission order on threads with 1 MiB stacks, which a bypass that
+/// recursed per successor would overflow. At T = 1 nothing is stolen.
+#[test]
+fn long_inout_chain_bypasses_in_constant_stack() {
+    const N: usize = 100_000;
+    let _s = serial();
+    for backend in BACKENDS {
+        for threads in [1, 2] {
+            let q = queue(backend, threads);
+            let order = Arc::new(Mutex::new(Vec::with_capacity(N)));
+            for i in 0..N {
+                let order = Arc::clone(&order);
+                q.submit_depend(
+                    Box::new(move || order.lock().unwrap().push(i)),
+                    Some(0),
+                    0,
+                    &[Dep::inout(5)],
+                );
+            }
+            assert_eq!(q.dep_held(), N - 1, "everything after the head is held");
+            let start = Instant::now();
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let q = Arc::clone(&q);
+                    std::thread::Builder::new()
+                        .stack_size(1 << 20)
+                        .spawn(move || {
+                            while q.outstanding() > 0 && start.elapsed() < HANG_LIMIT {
+                                if !q.run_one_from(Some(t)) {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            let ctx = format!("{backend:?} T={threads}");
+            assert!(start.elapsed() < HANG_LIMIT, "{ctx}: chain hung");
+            assert_eq!(q.outstanding(), 0, "{ctx}");
+            let order = order.lock().unwrap();
+            assert!(
+                order.iter().copied().eq(0..N),
+                "{ctx}: chain ran out of submission order"
+            );
+            if threads == 1 {
+                assert_eq!(q.steals(), 0, "{ctx}: one thread has no one to steal from");
+            }
+        }
+    }
+}
+
+/// The bypass only takes priority-0 successors: released successors that
+/// carry `priority(n)` go through the heap and run highest first, after
+/// the retiring call returns.
+#[test]
+fn prioritized_successors_go_through_the_heap() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let q = queue(backend, 1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for (label, priority, dep) in [
+            ("a", 0, Dep::output(3)),
+            ("b1", 1, Dep::input(3)),
+            ("b3", 3, Dep::input(3)),
+        ] {
+            let order = Arc::clone(&order);
+            q.submit_depend(
+                Box::new(move || order.lock().unwrap().push(label)),
+                Some(0),
+                priority,
+                &[dep],
+            );
+        }
+        assert_eq!(q.dep_held(), 2);
+        assert!(q.run_one_from(Some(0)));
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["a"],
+            "{backend:?}: a prioritized successor was bypassed"
+        );
+        while q.run_one_from(Some(0)) {}
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["a", "b3", "b1"],
+            "{backend:?}: released successors must drain in heap order"
+        );
+    }
+}
+
+/// The `dep-release` fault site covers releases made inside the bypass
+/// loop. Chain A→B→C→D, one thread, one `run_one_from` call: A releases B
+/// (event 1) and B runs next; B releases C (event 2, injected panic), so C
+/// is discarded and its retirement releases D (event 3), which runs.
+#[test]
+fn dep_release_fault_inside_the_bypass_loop_cascades() {
+    let _s = serial();
+    let before = depgraph::counters();
+    let guard = faults::arm(FaultPlan::new(0xB7A5).panic_at(FaultSite::DepRelease, 2));
+    let q = queue(Backend::Atomic, 1);
+    let ran: Arc<[AtomicBool; 4]> = Arc::new(Default::default());
+    for i in 0..4 {
+        let ran = Arc::clone(&ran);
+        q.submit_depend(
+            Box::new(move || ran[i].store(true, Ordering::SeqCst)),
+            Some(0),
+            0,
+            &[Dep::inout(21)],
+        );
+    }
+    let start = Instant::now();
+    assert!(q.run_one_from(Some(0)));
+    let ran: Vec<bool> = ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+    assert_eq!(
+        ran,
+        [true, true, false, true],
+        "B runs in the bypass loop, C is discarded, D is released by the discard"
+    );
+    let payload = q
+        .take_panic()
+        .expect("the injected release fault is recorded");
+    let fault = payload
+        .downcast_ref::<InjectedFault>()
+        .expect("payload must be the InjectedFault");
+    assert_eq!(fault.site, FaultSite::DepRelease);
+    assert!(!q.run_one_from(Some(0)), "nothing left to run");
+    assert_eq!(q.outstanding(), 0);
+    assert!(start.elapsed() < HANG_LIMIT, "chain hung");
+    drop(guard);
+    let after = depgraph::counters();
+    assert_eq!(after.deferred - before.deferred, 3, "B, C and D were held");
+    assert_eq!(
+        after.deferred - before.deferred,
+        after.released - before.released,
+        "a faulted release in the bypass loop stranded a successor"
+    );
 }
 
 /// Seeded chaos: random dependence graphs inside taskgroups with

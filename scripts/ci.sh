@@ -40,6 +40,10 @@ run cargo test -q -p omp4rs-apps --test vm_differential
 # deadlines, the dep-release fault site, and the seeded chaos accounting
 # invariant (deferred == released) — named explicitly for the same reason.
 run cargo test -q -p omp4rs --test task_dependences
+# ... and again with spinning waiters: they interleave differently from the
+# default passive parking, and the immediate-successor bypass changes which
+# threads park.
+run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test task_dependences
 # Worker-pool lifecycle: a panic poisons the region not the pool,
 # cancellation, nested regions bypass the pool, hot-team reuse, and
 # concurrent masters (full teams, per-team poisoning, exact admission
