@@ -51,7 +51,6 @@ fn bench_events(c: &mut Criterion) {
                     || OmpEvent::new(backend),
                     |event| {
                         event.set();
-                        event.wait();
                         std::hint::black_box(event.is_set())
                     },
                     criterion::BatchSize::SmallInput,

@@ -38,8 +38,10 @@
 //! early-leave final barriers plus per-worker docks (a dispatch wakes only
 //! its own gang, never the pool); a dispatch that serializes the gang or
 //! wakes every docked worker multiplies the 8-thread floor and trips it. It
-//! is a scaling regression gate, not a noise gate (the cost *floor* is
-//! compared, so additive scheduler noise cannot trip it). `--trace` arms
+//! is a scaling regression gate, not a noise gate: it compares cost
+//! *floors*, and it measures the two gated teams in interleaved trials
+//! (narrow, wide, narrow, wide, …), so a slow host phase raises both
+//! floors instead of only the narrow one. `--trace` arms
 //! the
 //! streaming trace pipeline for the whole sweep and reports what it
 //! sustained ([`omp4rs_bench::traceprobe`]) — every overhead number is then
@@ -50,6 +52,9 @@ use std::time::Instant;
 
 use omp4rs::exec::{parallel_region, DepSpec, ForSpec, ParallelConfig};
 use omp4rs::{Backend, Icvs};
+
+/// Fewest interleaved trial pairs behind each scale-gate floor.
+const GATE_TRIALS: usize = 5;
 
 /// One measured construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +136,36 @@ fn time_parallel(cfg: &ParallelConfig, outer: usize) -> f64 {
         parallel_region(cfg, |_ctx| {});
     }
     start.elapsed().as_secs_f64() / outer.max(1) as f64
+}
+
+/// The `parallel` cost floors (fastest trial, seconds per region) of the
+/// teams of `lo` and `hi` threads, their trials interleaved — `lo`, `hi`,
+/// `lo`, `hi`, … — so that a slow host phase lands on both sides of the
+/// scale gate's ratio. The pool settles before each `lo` trial, so the
+/// wide team's docking workers do not spin beside it.
+fn interleaved_floors(
+    backend: Backend,
+    lo: usize,
+    hi: usize,
+    trials: usize,
+    outer: usize,
+) -> [f64; 2] {
+    let teams = [lo, hi].map(|t| {
+        let cfg = ParallelConfig::new().num_threads(t).backend(backend);
+        (cfg, knobs_for(t, trials, outer, 1).outer)
+    });
+    let mut floors = [f64::INFINITY; 2];
+    for _ in 0..trials {
+        for (floor, (cfg, outer)) in floors.iter_mut().zip(&teams) {
+            // Warm the team and its code paths outside the timing.
+            parallel_region(cfg, |_ctx| {});
+            if cfg.num_threads == Some(lo) {
+                settle();
+            }
+            *floor = floor.min(time_parallel(cfg, *outer));
+        }
+    }
+    floors
 }
 
 /// Time one region running `inner` repetitions of a construct on every
@@ -432,42 +467,34 @@ fn main() {
         }
         // Scaling-regression gate: for every backend x policy cell, the
         // fork/join cost floor at the widest team must stay within
-        // `scale_limit` multiples of the narrowest team's. Compares
-        // `ns_per_op_min` (the interference-free floor), so a noisy host
-        // inflates both sides additively rather than tripping the gate; a
-        // real regression — serialized dispatch, lost early-leave, a
+        // `scale_limit` multiples of the narrowest team's. Compares floors
+        // (the fastest trial) measured in interleaved trials, so a noisy
+        // host inflates both sides rather than tripping the gate; a real
+        // regression — serialized dispatch, lost early-leave, a
         // reintroduced global lock — multiplies the wide-team side only.
         let lo = threads.iter().copied().min().unwrap_or(1);
         let hi = threads.iter().copied().max().unwrap_or(1);
         if hi > lo {
-            let floor = |backend: Backend, policy: &str, t: usize| {
-                rows.iter()
-                    .find(|r| {
-                        r.construct == Construct::Parallel
-                            && r.backend == backend
-                            && r.policy == policy
-                            && r.threads == t
-                    })
-                    .map(|r| r.ns_per_op_min)
-            };
             for &policy in policies {
+                apply_policy(policy);
                 for backend in backends {
-                    if let (Some(narrow), Some(wide)) =
-                        (floor(backend, policy, lo), floor(backend, policy, hi))
-                    {
-                        let ratio = wide / narrow.max(1.0);
-                        if ratio > scale_limit {
-                            eprintln!(
-                                "CHECK FAILED: parallel ({}/{policy}) does not scale: \
-                                 {wide:.1}ns @{hi}T is {ratio:.1}x the {narrow:.1}ns @{lo}T \
-                                 floor (limit {scale_limit:.0}x)",
-                                backend_name(backend)
-                            );
-                            failed = true;
-                        }
+                    let [narrow, wide] =
+                        interleaved_floors(backend, lo, hi, trials.max(GATE_TRIALS), outer)
+                            .map(|s| s * 1e9);
+                    let ratio = wide / narrow.max(1.0);
+                    if ratio > scale_limit {
+                        eprintln!(
+                            "CHECK FAILED: parallel ({}/{policy}) does not scale: \
+                             {wide:.1}ns @{hi}T is {ratio:.1}x the {narrow:.1}ns @{lo}T \
+                             floor (limit {scale_limit:.0}x)",
+                            backend_name(backend)
+                        );
+                        failed = true;
                     }
                 }
             }
+            std::env::remove_var("OMP_WAIT_POLICY");
+            Icvs::reset(Icvs::from_env());
         }
         if failed {
             std::process::exit(1);

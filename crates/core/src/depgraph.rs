@@ -12,28 +12,30 @@
 //! - `out` / `inout` depend on the live last writer **and** every live
 //!   reader (WAW + WAR), then become the last writer and clear the readers.
 //!
-//! The layout is libomp's `kmp_depnode` shape. Each dependent task gets one
-//! reference-counted record holding an atomic `pending` count (unretired
-//! predecessors plus a submission hold), a small lock over its successor
-//! list, and its held placement. The per-key table holds records, not ids,
-//! and only submission (and cancellation) takes its lock.
+//! The layout is libomp's `kmp_depnode` shape, folded into the task node:
+//! each task's one allocation carries its dependence record — an atomic
+//! `pending` count (unretired predecessors plus a submission hold), a
+//! `retired` flag and a small lock over its successor list, whose first two
+//! entries sit inline. The per-key table holds task nodes, not ids, and
+//! only submission (and cancellation) takes its lock.
 //!
 //! A task with no live predecessor at submission goes straight to the
 //! deques; otherwise its node is **held** — counted as outstanding (so
 //! region barriers, deadlines, and the stall watchdog all see it) but
-//! unclaimable until the release path hands it back. When a task retires
-//! (its body ran, panicked, or was discarded by cancellation — the
-//! `RetireGuard` fires on every one of those paths), it takes its successor
-//! list and decrements each successor's pending count, without the table
-//! lock. Whichever thread brings a count to zero — that retiring thread, or
-//! the submitter dropping its hold after a predecessor retired mid-link —
-//! gets the task's placement back from the graph's `retire` or `insert`
-//! and admits it itself. The queue's admission funnel carries the
-//! `dep-release` fault-injection site: an injected panic discards the
-//! successor instead of stranding it, and the discard retires it in turn,
-//! cascading the release. A thread that retires a task after running it
-//! keeps one released successor to run next (the immediate-successor
-//! bypass) and pushes the rest onto its own deque.
+//! unclaimable, its state word parked at *held*, until the release path
+//! hands it back. When a task retires (its body ran, panicked, or was
+//! discarded by cancellation — finishing a node retires it on each of those
+//! paths, and a node dropped unclaimed retires in its drop), it takes its
+//! successor list and decrements each successor's pending count, without
+//! the table lock. Whichever thread brings a count to zero — that retiring
+//! thread, or the submitter dropping its hold after a predecessor retired
+//! mid-link — takes the release (the *held → released* CAS on the node's
+//! state word) and admits the task itself. The queue's admission funnel
+//! carries the `dep-release` fault-injection site: an injected panic
+//! discards the successor instead of stranding it, and the discard retires
+//! it in turn, cascading the release. A thread that retires a task after
+//! running it keeps one released successor to run next (the
+//! immediate-successor bypass) and pushes the rest onto its own deque.
 //!
 //! Edges only ever point from earlier to later submissions, so the graph is
 //! acyclic by construction and every held task is released or discarded —
@@ -177,19 +179,106 @@ pub(crate) fn publish_counters() {
     ompt::set_counter("omp4rs.task.dep.edges", c.edges);
 }
 
-/// A held task plus the placement hints it was submitted with, carried
-/// from submission to release.
-pub(crate) struct Ready {
-    pub(crate) node: Arc<TaskNode>,
-    pub(crate) owner: Option<usize>,
-    pub(crate) priority: i64,
-}
-
 /// Released tasks handed back by a retire (or a submitter's hold drop), in
 /// release order, for the caller to admit. Admission pushes the releases of
 /// any successor it discards onto the back, so a cascade is a worklist, not
 /// a recursion.
-pub(crate) type Released = VecDeque<Ready>;
+pub(crate) type Released = SmallList<Arc<TaskNode>, 4>;
+
+/// A FIFO list that keeps its first `N` items inline and spills the rest to
+/// the heap, so a typical task's successor list, a key's reader list and a
+/// retirement's releases allocate nothing.
+pub(crate) struct SmallList<T, const N: usize> {
+    /// Logical items `0..N` (while pushed and not yet popped).
+    inline: [Option<T>; N],
+    /// Logical items `N..`, in order.
+    spill: VecDeque<T>,
+    /// Items pushed since the list was last empty.
+    end: usize,
+    /// Items popped since the list was last empty.
+    head: usize,
+}
+
+impl<T, const N: usize> Default for SmallList<T, N> {
+    fn default() -> Self {
+        SmallList {
+            inline: std::array::from_fn(|_| None),
+            spill: VecDeque::new(),
+            end: 0,
+            head: 0,
+        }
+    }
+}
+
+impl<T, const N: usize> SmallList<T, N> {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.end - self.head
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.end == self.head
+    }
+
+    /// Whether the next push allocates.
+    fn is_full(&self) -> bool {
+        self.end >= N && self.spill.len() == self.spill.capacity()
+    }
+
+    pub(crate) fn push_back(&mut self, item: T) {
+        if self.end < N {
+            self.inline[self.end] = Some(item);
+        } else {
+            self.spill.push_back(item);
+        }
+        self.end += 1;
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<T> {
+        if self.is_empty() {
+            return None;
+        }
+        let item = if self.head < N {
+            self.inline[self.head].take()
+        } else {
+            self.spill.pop_front()
+        };
+        self.head += 1;
+        if self.is_empty() {
+            self.head = 0;
+            self.end = 0;
+        }
+        item
+    }
+
+    fn last(&self) -> Option<&T> {
+        match self.end {
+            _ if self.is_empty() => None,
+            end if end <= N => self.inline[end - 1].as_ref(),
+            _ => self.spill.back(),
+        }
+    }
+
+    /// Pop every item, oldest first.
+    fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        std::iter::from_fn(move || self.pop_front())
+    }
+
+    /// Keep the items `keep` accepts, in order. Kept items are popped and
+    /// pushed back, so a list that keeps everything stays full and the next
+    /// push grows it: pruning on full stays amortized O(1) per push.
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for _ in 0..self.len() {
+            let item = self.pop_front().expect("counted");
+            if keep(&item) {
+                self.push_back(item);
+            }
+        }
+    }
+}
 
 /// Hasher for the per-key table. Keys come from the program submitting the
 /// tasks (an address-like integer in compiled mode, a hash of the item's
@@ -219,42 +308,36 @@ impl Hasher for KeyHasher {
 
 type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
-/// One dependent task's dependence record (libomp's `kmp_depnode`), shared
-/// by the key table, its predecessors' successor lists and the task's own
-/// [`RetireGuard`].
-pub(crate) struct DepNode {
+/// A task's dependence record (libomp's `kmp_depnode`). It is a field of
+/// the task node, so it shares the node's one allocation; the key table
+/// and predecessors' successor lists reach it through the node. A task
+/// submitted without `depend` items carries an unused record.
+pub(crate) struct DepRecord {
     /// Unretired predecessors plus one submission hold. Whichever thread
     /// brings it to zero — a retiring predecessor, or the submitter dropping
     /// its hold — owns the release. Decrements are `AcqRel`, so the
     /// releasing thread has acquired every predecessor's writes.
     pending: AtomicUsize,
-    /// Set (`Release`, under `links`) when the task retires; read
+    /// Set (`Release`, under `successors`) when the task retires; read
     /// (`Acquire`) without the lock to prune reader lists and to skip dead
     /// predecessors — a successor that skips the edge then sees the retired
     /// task's writes.
     retired: AtomicBool,
-    links: Mutex<Links>,
-}
-
-#[derive(Default)]
-struct Links {
     /// Tasks to decrement when this one retires.
-    successors: Vec<Arc<DepNode>>,
-    /// The held placement, `None` once released (or never held).
-    held: Option<Ready>,
+    successors: Mutex<SmallList<Arc<TaskNode>, 2>>,
 }
 
-impl DepNode {
+impl DepRecord {
     /// A fresh record carrying only the submission hold.
-    pub(crate) fn new() -> Arc<DepNode> {
-        Arc::new(DepNode {
+    pub(crate) fn new() -> DepRecord {
+        DepRecord {
             pending: AtomicUsize::new(1),
             retired: AtomicBool::new(false),
-            links: Mutex::new(Links::default()),
-        })
+            successors: Mutex::new(SmallList::new()),
+        }
     }
 
-    fn is_retired(&self) -> bool {
+    pub(crate) fn is_retired(&self) -> bool {
         self.retired.load(Ordering::Acquire)
     }
 
@@ -262,64 +345,79 @@ impl DepNode {
     /// number of edges added (0 or 1). A predecessor reached through two
     /// keys is linked once: linking is serialized by the table lock, so if
     /// this submission already linked it, `succ` is its newest successor.
-    fn link(&self, succ: &Arc<DepNode>) -> u64 {
+    fn link(&self, succ: &Arc<TaskNode>) -> u64 {
         if self.is_retired() {
             return 0;
         }
-        let mut links = self.links.lock();
+        let mut successors = self.successors.lock();
         if self.retired.load(Ordering::Relaxed)
-            || links
-                .successors
-                .last()
-                .is_some_and(|s| Arc::ptr_eq(s, succ))
+            || successors.last().is_some_and(|s| Arc::ptr_eq(s, succ))
         {
             return 0;
         }
         // Counted under our lock, before `retire` can take the list and
         // decrement it.
-        succ.pending.fetch_add(1, Ordering::Relaxed);
-        links.successors.push(Arc::clone(succ));
+        succ.dep.pending.fetch_add(1, Ordering::Relaxed);
+        successors.push_back(Arc::clone(succ));
         1
+    }
+
+    /// Retire the task: mark it retired, take its successors and decrement
+    /// each, pushing those that reach zero onto `released` for the caller
+    /// to admit. The task node calls this on every path that completes it
+    /// (ran, panicked, discarded, or dropped unclaimed); it never touches
+    /// the table lock.
+    pub(crate) fn retire(&self, released: &mut Released) {
+        let mut successors = {
+            let mut successors = self.successors.lock();
+            self.retired.store(true, Ordering::Release);
+            std::mem::take(&mut *successors)
+        };
+        for s in successors.drain() {
+            if s.dep.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                release(s, released);
+            }
+        }
+    }
+}
+
+/// Hand back a held task whose pending count reached zero; nothing when
+/// cancellation already took it.
+fn release(node: Arc<TaskNode>, released: &mut Released) {
+    if node.take_hold() {
+        RELEASED.fetch_add(1, Ordering::Relaxed);
+        released.push_back(node);
     }
 }
 
 /// Per-key ordering state: the last writer and the readers submitted since.
 #[derive(Default)]
 struct KeyState {
-    last_writer: Option<Arc<DepNode>>,
-    readers: Vec<Arc<DepNode>>,
+    last_writer: Option<Arc<TaskNode>>,
+    readers: SmallList<Arc<TaskNode>, 2>,
 }
 
 /// The submit-side state, behind the graph's one table lock.
 #[derive(Default)]
 struct Table {
     keys: KeyMap<KeyState>,
-    /// Records that entered the graph held, so `cancel_all` can hand every
-    /// one back. Released records are pruned as the list grows.
-    held: Vec<Arc<DepNode>>,
+    /// Tasks that entered the graph held, so `cancel_all` can hand every
+    /// one back. Released tasks are pruned as the list grows.
+    held: Vec<Arc<TaskNode>>,
 }
 
-/// The per-queue dependence graph. One per [`crate::tasks::TaskQueue`],
-/// shared (`Arc`) with every task's [`RetireGuard`].
+/// The per-queue dependence graph: the per-key table. Retirement and
+/// release run on the task nodes' own records and never take its lock.
+#[derive(Default)]
 pub(crate) struct DepGraph {
-    /// Touched only at submission (and by cancellation): retire never
-    /// takes it.
+    /// Touched only at submission (and by cancellation).
     table: Mutex<Table>,
-    /// Held (released-pending) tasks currently in the graph.
-    held_len: AtomicUsize,
 }
 
 impl DepGraph {
-    pub(crate) fn new() -> DepGraph {
-        DepGraph {
-            table: Mutex::new(Table::default()),
-            held_len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Record `node`'s dependences under `rec` and either hold it (returns
-    /// `true`) or report it immediately runnable (returns `false`; the
-    /// caller places it on the deques). Predecessors come from the per-key
+    /// Record `node`'s dependences and either hold it (returns `true`) or
+    /// report it immediately runnable (returns `false`; the caller places
+    /// it on the deques). Predecessors come from the per-key
     /// last-writer/reader state; retired ones add no edge and duplicates
     /// are linked once, so edges always point from earlier to later
     /// submissions — the graph is acyclic by construction.
@@ -329,10 +427,7 @@ impl DepGraph {
     /// `released` for the caller to admit.
     pub(crate) fn insert(
         &self,
-        rec: &Arc<DepNode>,
         node: &Arc<TaskNode>,
-        owner: Option<usize>,
-        priority: i64,
         deps: &[Dep],
         released: &mut Released,
     ) -> bool {
@@ -350,20 +445,20 @@ impl DepGraph {
                 .any(|e| e.key == d.key && e.kind.is_write());
             let st = table.keys.entry(d.key).or_default();
             if let Some(w) = &st.last_writer {
-                edges += w.link(rec);
+                edges += w.dep.link(node);
             }
             if write {
-                for r in st.readers.drain(..) {
-                    edges += r.link(rec);
+                for r in st.readers.drain() {
+                    edges += r.dep.link(node);
                 }
-                st.last_writer = Some(Arc::clone(rec));
+                st.last_writer = Some(Arc::clone(node));
             } else {
                 // Prune before the list would grow, so a hot key's readers
                 // stay bounded by its live ones (amortized O(1) per insert).
-                if st.readers.len() == st.readers.capacity() {
-                    st.readers.retain(|r| !r.is_retired());
+                if st.readers.is_full() {
+                    st.readers.retain(|r| !r.dep.is_retired());
                 }
-                st.readers.push(Arc::clone(rec));
+                st.readers.push_back(Arc::clone(node));
             }
         }
         if edges == 0 {
@@ -371,78 +466,47 @@ impl DepGraph {
         }
         EDGES.fetch_add(edges, Ordering::Relaxed);
         DEFERRED.fetch_add(1, Ordering::Relaxed);
-        self.held_len.fetch_add(1, Ordering::Relaxed);
         node.hold();
-        rec.links.lock().held = Some(Ready {
-            node: Arc::clone(node),
-            owner,
-            priority,
-        });
         if table.held.len() == table.held.capacity() {
-            table.held.retain(|r| r.pending.load(Ordering::Acquire) > 0);
+            table.held.retain(|n| n.is_held());
         }
-        table.held.push(Arc::clone(rec));
+        table.held.push(Arc::clone(node));
         drop(table);
         // Drop the submission hold. Reaching zero here means every
         // predecessor retired while this task was linking: the submitter
         // owns the release.
-        if rec.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.release(rec, released);
+        if node.dep.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            release(Arc::clone(node), released);
         }
         true
     }
 
-    /// Hand back the placement of a record whose pending count reached
-    /// zero; nothing when cancellation already took it.
-    fn release(&self, rec: &DepNode, released: &mut Released) {
-        if let Some(r) = rec.links.lock().held.take() {
-            RELEASED.fetch_add(1, Ordering::Relaxed);
-            self.held_len.fetch_sub(1, Ordering::Relaxed);
-            released.push_back(r);
-        }
-    }
-
-    /// Retire `rec`'s task: mark it retired, take its successors and
-    /// decrement each, pushing those that reach zero onto `released` for
-    /// the caller to admit. Fired by [`RetireGuard`] on every exit path
-    /// (ran, panicked, discarded); idempotent, and never touches the table
-    /// lock.
-    pub(crate) fn retire(&self, rec: &DepNode, released: &mut Released) {
-        let successors = {
-            let mut links = rec.links.lock();
-            rec.retired.store(true, Ordering::Release);
-            std::mem::take(&mut links.successors)
-        };
-        for s in successors {
-            if s.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.release(&s, released);
-            }
-        }
-    }
-
-    /// Number of tasks currently held on unretired predecessors.
+    /// Number of tasks currently held on unretired predecessors (a scan
+    /// under the table lock: diagnostics and tests only).
     pub(crate) fn held_len(&self) -> usize {
-        self.held_len.load(Ordering::Acquire)
+        self.table
+            .lock()
+            .held
+            .iter()
+            .filter(|n| n.is_held())
+            .count()
     }
 
     /// Cancellation: release every still-held task and clear the key
     /// table. The caller discards them; a cancelled graph releases, not
     /// strands, its successors.
-    pub(crate) fn cancel_all(&self) -> Vec<Ready> {
+    pub(crate) fn cancel_all(&self) -> Vec<Arc<TaskNode>> {
         let held = {
             let mut table = self.table.lock();
             table.keys.clear();
             std::mem::take(&mut table.held)
         };
-        let mut out = Vec::new();
-        for rec in held {
-            if let Some(r) = rec.links.lock().held.take() {
+        held.into_iter()
+            .filter(|n| n.take_hold())
+            .inspect(|_| {
                 RELEASED.fetch_add(1, Ordering::Relaxed);
-                self.held_len.fetch_sub(1, Ordering::Relaxed);
-                out.push(r);
-            }
-        }
-        out
+            })
+            .collect()
     }
 
     /// Length of `key`'s reader list (unit tests: pruning keeps it bounded).
@@ -453,48 +517,6 @@ impl DepGraph {
             .keys
             .get(&key)
             .map_or(0, |st| st.readers.len())
-    }
-}
-
-/// Retires a dependent task in its graph. Its task node fires it when it
-/// completes — after the body finished, after it unwound, **or** when
-/// cancellation discarded the body unrun, the three paths that must all
-/// release successors. Dropping an unfired guard fires it too, so a node
-/// that never completes cannot strand its successors.
-pub(crate) struct RetireGuard {
-    graph: Arc<DepGraph>,
-    rec: Arc<DepNode>,
-}
-
-impl RetireGuard {
-    pub(crate) fn new(graph: Arc<DepGraph>, rec: Arc<DepNode>) -> RetireGuard {
-        RetireGuard { graph, rec }
-    }
-
-    /// Retire the task, pushing the successors it released onto `released`.
-    pub(crate) fn fire(&self, released: &mut Released) {
-        self.graph.retire(&self.rec, released);
-    }
-}
-
-impl Drop for RetireGuard {
-    /// The backstop. A claimed node is always finished, and finishing fires
-    /// the guard, so an unfired guard here belongs to a node that was never
-    /// claimed and is being dropped: the queue that held it was dropped
-    /// with it, and no queue is left to place what it releases. Those
-    /// successors are discarded instead, cascading through their own
-    /// releases, so each completes and a thread blocked in
-    /// [`TaskNode::wait_done`] on one still returns.
-    fn drop(&mut self) {
-        if self.rec.is_retired() {
-            return;
-        }
-        let mut released = Released::new();
-        self.fire(&mut released);
-        while let Some(r) = released.pop_front() {
-            r.node.release_hold();
-            r.node.discard(&mut released);
-        }
     }
 }
 
@@ -616,10 +638,9 @@ pub(crate) static COUNTER_TEST_LOCK: Mutex<()> = Mutex::new(());
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Backend;
 
     fn node() -> Arc<TaskNode> {
-        TaskNode::new(Backend::Atomic, Box::new(|| {}))
+        TaskNode::new(|| {}, None, 0, true)
     }
 
     /// A fresh graph that holds [`COUNTER_TEST_LOCK`] for its lifetime.
@@ -638,40 +659,39 @@ mod tests {
     fn graph() -> TestGraph {
         TestGraph {
             _lock: COUNTER_TEST_LOCK.lock(),
-            graph: DepGraph::new(),
+            graph: DepGraph::default(),
         }
     }
 
-    /// Retire `rec`, returning what the retirement released.
-    fn retire(g: &DepGraph, rec: &DepNode) -> Released {
+    /// Retire `node`, returning what the retirement released.
+    fn retire(node: &TaskNode) -> Vec<Arc<TaskNode>> {
         let mut released = Released::new();
-        g.retire(rec, &mut released);
-        released
+        node.dep.retire(&mut released);
+        released.drain().collect()
     }
 
-    fn insert(g: &DepGraph, deps: &[Dep]) -> (Arc<DepNode>, Arc<TaskNode>, bool) {
-        let rec = DepNode::new();
+    fn insert(g: &DepGraph, deps: &[Dep]) -> (Arc<TaskNode>, bool) {
         let n = node();
         let mut released = Released::new();
-        let held = g.insert(&rec, &n, None, 0, deps, &mut released);
+        let held = g.insert(&n, deps, &mut released);
         assert!(released.is_empty(), "no predecessor retired mid-link");
-        (rec, n, held)
+        (n, held)
     }
 
     #[test]
     fn chain_releases_in_order() {
         let g = graph();
-        let (a, _, held_a) = insert(&g, &[Dep::output(1)]);
-        let (b, _, held_b) = insert(&g, &[Dep::inout(1)]);
-        let (_c, _, held_c) = insert(&g, &[Dep::input(1)]);
+        let (a, held_a) = insert(&g, &[Dep::output(1)]);
+        let (b, held_b) = insert(&g, &[Dep::inout(1)]);
+        let (_c, held_c) = insert(&g, &[Dep::input(1)]);
         assert!(!held_a, "no predecessor: runnable immediately");
         assert!(held_b, "WAW on a");
         assert!(held_c, "RAW on b");
         assert_eq!(g.held_len(), 2);
-        let mut ready = retire(&g, &a);
+        let mut ready = retire(&a);
         assert_eq!(ready.len(), 1, "only b released");
         assert_eq!(g.held_len(), 1);
-        ready.extend(retire(&g, &b));
+        ready.extend(retire(&b));
         assert_eq!(ready.len(), 2, "b then c");
         assert_eq!(g.held_len(), 0);
     }
@@ -679,35 +699,35 @@ mod tests {
     #[test]
     fn diamond_joins_on_both_branches() {
         let g = graph();
-        let (root, _, _) = insert(&g, &[Dep::output(1)]);
-        let (l, _, _) = insert(&g, &[Dep::input(1), Dep::output(2)]);
-        let (r, _, _) = insert(&g, &[Dep::input(1), Dep::output(3)]);
-        let (_join, _, held) = insert(&g, &[Dep::input(2), Dep::input(3)]);
+        let (root, _) = insert(&g, &[Dep::output(1)]);
+        let (l, _) = insert(&g, &[Dep::input(1), Dep::output(2)]);
+        let (r, _) = insert(&g, &[Dep::input(1), Dep::output(3)]);
+        let (_join, held) = insert(&g, &[Dep::input(2), Dep::input(3)]);
         assert!(held);
-        let ready = retire(&g, &root);
+        let ready = retire(&root);
         assert_eq!(ready.len(), 2, "both branches released");
         for x in ready {
-            x.node.release_hold();
+            x.release_hold();
         }
-        let ready = retire(&g, &l);
+        let ready = retire(&l);
         assert_eq!(ready.len(), 0, "join still waits on the right branch");
-        let ready = retire(&g, &r);
+        let ready = retire(&r);
         assert_eq!(ready.len(), 1, "join released only after both");
     }
 
     #[test]
     fn readers_run_concurrently_and_block_writer() {
         let g = graph();
-        let (w, _, _) = insert(&g, &[Dep::output(9)]);
-        retire(&g, &w);
-        let (r1, _, h1) = insert(&g, &[Dep::input(9)]);
-        let (r2, _, h2) = insert(&g, &[Dep::input(9)]);
+        let (w, _) = insert(&g, &[Dep::output(9)]);
+        retire(&w);
+        let (r1, h1) = insert(&g, &[Dep::input(9)]);
+        let (r2, h2) = insert(&g, &[Dep::input(9)]);
         assert!(!h1 && !h2, "readers of a retired writer run immediately");
-        let (_w2, _, held) = insert(&g, &[Dep::output(9)]);
+        let (_w2, held) = insert(&g, &[Dep::output(9)]);
         assert!(held, "WAR: writer waits on both readers");
-        let ready = retire(&g, &r1);
+        let ready = retire(&r1);
         assert_eq!(ready.len(), 0);
-        let ready = retire(&g, &r2);
+        let ready = retire(&r2);
         assert_eq!(ready.len(), 1, "released when the last reader retires");
     }
 
@@ -715,8 +735,8 @@ mod tests {
     fn duplicate_keys_in_one_list_dedup_edges() {
         let g = graph();
         let before = counters().edges;
-        let (_a, _, _) = insert(&g, &[Dep::output(5)]);
-        let (_b, _, held) = insert(&g, &[Dep::input(5), Dep::inout(5), Dep::input(5)]);
+        let (_a, _) = insert(&g, &[Dep::output(5)]);
+        let (_b, held) = insert(&g, &[Dep::input(5), Dep::inout(5), Dep::input(5)]);
         assert!(held);
         assert_eq!(
             counters().edges - before,
@@ -729,15 +749,15 @@ mod tests {
     fn cancel_all_releases_every_held_task() {
         let g = graph();
         let before = counters();
-        let (a, _, _) = insert(&g, &[Dep::output(1)]);
-        let (b, _, _) = insert(&g, &[Dep::inout(1)]);
-        let (_c, _, _) = insert(&g, &[Dep::inout(1)]);
+        let (a, _) = insert(&g, &[Dep::output(1)]);
+        let (b, _) = insert(&g, &[Dep::inout(1)]);
+        let (_c, _) = insert(&g, &[Dep::inout(1)]);
         assert_eq!(g.held_len(), 2);
         let drained = g.cancel_all();
         assert_eq!(drained.len(), 2, "held tasks handed back, not stranded");
         assert_eq!(g.held_len(), 0);
-        let mut ready = retire(&g, &a);
-        ready.extend(retire(&g, &b));
+        let mut ready = retire(&a);
+        ready.extend(retire(&b));
         assert_eq!(ready.len(), 0, "nothing left to release after cancel");
         let after = counters();
         assert_eq!(
@@ -749,10 +769,10 @@ mod tests {
     #[test]
     fn retired_predecessor_adds_no_edge() {
         let g = graph();
-        let (a, _, _) = insert(&g, &[Dep::output(4)]);
-        retire(&g, &a);
+        let (a, _) = insert(&g, &[Dep::output(4)]);
+        retire(&a);
         let before = counters();
-        let (_b, _, held) = insert(&g, &[Dep::input(4), Dep::inout(4)]);
+        let (_b, held) = insert(&g, &[Dep::input(4), Dep::inout(4)]);
         assert!(!held, "a retired writer leaves its successor runnable");
         let after = counters();
         assert_eq!(after.edges, before.edges, "no edge to a retired task");
@@ -765,9 +785,9 @@ mod tests {
         let g = graph();
         let mut longest = 0;
         for _ in 0..10_000 {
-            let (r, _, held) = insert(&g, &[Dep::input(8)]);
+            let (r, held) = insert(&g, &[Dep::input(8)]);
             assert!(!held);
-            retire(&g, &r);
+            retire(&r);
             longest = longest.max(g.readers_len(8));
         }
         assert!(longest <= 8, "reader list grew to {longest}");

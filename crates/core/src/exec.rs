@@ -635,8 +635,49 @@ fn run_worker<'env, F>(
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DepSpec {
-    deps: Vec<Dep>,
+    deps: DepList,
     priority: i64,
+}
+
+/// `depend` items a [`DepSpec`] holds without allocating: a typical task
+/// names one to four locations.
+const INLINE_DEPS: usize = 4;
+
+/// A [`DepSpec`]'s items, inline until the fifth.
+#[derive(Debug, Clone)]
+enum DepList {
+    Inline(usize, [Dep; INLINE_DEPS]),
+    Heap(Vec<Dep>),
+}
+
+impl Default for DepList {
+    fn default() -> DepList {
+        DepList::Inline(0, [Dep::input(0); INLINE_DEPS])
+    }
+}
+
+impl DepList {
+    fn push(&mut self, dep: Dep) {
+        match self {
+            DepList::Inline(len, items) if *len < INLINE_DEPS => {
+                items[*len] = dep;
+                *len += 1;
+            }
+            DepList::Inline(_, items) => {
+                let mut all = items.to_vec();
+                all.push(dep);
+                *self = DepList::Heap(all);
+            }
+            DepList::Heap(all) => all.push(dep),
+        }
+    }
+
+    fn as_slice(&self) -> &[Dep] {
+        match self {
+            DepList::Inline(len, items) => &items[..*len],
+            DepList::Heap(all) => all,
+        }
+    }
 }
 
 impl DepSpec {
@@ -1078,7 +1119,7 @@ impl<'scope> WorkerCtx<'scope> {
     where
         F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
     {
-        submit_scoped_task_ex(&self.team, true, spec.priority, spec.deps, f);
+        submit_scoped_task_ex(&self.team, true, spec.priority, spec.deps.as_slice(), f);
     }
 
     /// `task priority(n)`: submit a deferred task with a scheduling-priority
@@ -1088,7 +1129,7 @@ impl<'scope> WorkerCtx<'scope> {
     where
         F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
     {
-        submit_scoped_task_ex(&self.team, true, priority, Vec::new(), f);
+        submit_scoped_task_ex(&self.team, true, priority, &[], f);
     }
 
     /// `taskgroup`: run `f`, then wait for *all* tasks spawned inside it —
@@ -1194,7 +1235,7 @@ impl<'scope> TaskCtx<'scope> {
     where
         F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
     {
-        submit_scoped_task_ex(&self.team, true, spec.priority, spec.deps, f);
+        submit_scoped_task_ex(&self.team, true, spec.priority, spec.deps.as_slice(), f);
     }
 
     /// Submit a nested task with a priority hint (see
@@ -1203,7 +1244,7 @@ impl<'scope> TaskCtx<'scope> {
     where
         F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
     {
-        submit_scoped_task_ex(&self.team, true, priority, Vec::new(), f);
+        submit_scoped_task_ex(&self.team, true, priority, &[], f);
     }
 
     /// Nested `taskgroup` (see [`WorkerCtx::taskgroup`]).
@@ -1241,26 +1282,26 @@ fn submit_scoped_task<'scope, F>(team: &Arc<Team>, deferred: bool, f: F)
 where
     F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
 {
-    submit_scoped_task_ex(team, deferred, 0, Vec::new(), f);
+    submit_scoped_task_ex(team, deferred, 0, &[], f);
 }
 
 fn submit_scoped_task_ex<'scope, F>(
     team: &Arc<Team>,
     deferred: bool,
     priority: i64,
-    deps: Vec<Dep>,
+    deps: &[Dep],
     f: F,
 ) where
     F: FnOnce(&TaskCtx<'scope>) + Send + 'scope,
 {
     let team_for_body = Arc::clone(team);
-    let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+    let body = move || {
         let tc = TaskCtx {
             team: team_for_body,
             _scope: PhantomData,
         };
         f(&tc);
-    });
+    };
     // SAFETY: the task is guaranteed to complete (and its closure to be
     // dropped) before `parallel_region` returns: every worker executes the
     // team's final task-draining barrier, which releases only when the task
@@ -1270,10 +1311,9 @@ fn submit_scoped_task_ex<'scope, F>(
     // cancelled graph *discards* — runs the drop of — every held closure
     // rather than stranding it). `'scope` outlives the `parallel_region`
     // call (enforced by the invariant lifetime on `WorkerCtx`/`TaskCtx`),
-    // so the boxed closure never outlives the data it borrows. This is the
+    // so the closure never outlives the data it borrows. This is the
     // same argument `std::thread::scope` makes.
-    let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-    team.submit_task_ex(body, deferred, priority, deps);
+    unsafe { team.submit_task_scoped(body, deferred, priority, deps) };
 }
 
 /// Shared `taskgroup` implementation for [`WorkerCtx`]/[`TaskCtx`]: enter the

@@ -24,7 +24,7 @@ use parking_lot::{Condvar, Mutex};
 /// waiting (spin), *passive* threads should not (sleep). Here the policy
 /// resolves to a bounded spin-iteration budget ([`WaitPolicy::default_spin`])
 /// that every runtime wait burns before parking on a signaled
-/// [`Notifier`]/[`OmpEvent`].
+/// [`Notifier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WaitPolicy {
     /// Spin a large bounded budget before parking — lowest wakeup latency,
@@ -490,18 +490,23 @@ impl Notifier {
 }
 
 /// A settable completion event (the analogue of `threading.Event` /
-/// CPython's internal `PyEvent`).
+/// CPython's internal `PyEvent`): a flag that latches once set.
 ///
 /// The paper (§III-E): the pure runtime waits on `threading.Event` objects,
 /// while the cruntime *"bypasses Python code entirely by interfacing directly
 /// with `PyEvent`"*. Here the mutex backend keeps the flag under a lock and
-/// the atomic backend reads an `AtomicBool` fast path before parking.
+/// the atomic backend uses an `AtomicBool`. Waiters do not block on the
+/// event itself: they park on a [`Notifier`] with the flag in their
+/// predicate ([`wait_until`]), so one wait can also observe cancellation.
+///
+/// Tasks do not use it: a task's completion is its node's state word, and
+/// its waiters park on the team notifier (see [`crate::tasks`]). The
+/// `copyprivate` hand-off of a `single` is what still sets one.
 #[derive(Debug)]
 pub struct OmpEvent {
     backend: Backend,
     atomic: AtomicBool,
     state: Mutex<bool>,
-    condvar: Condvar,
 }
 
 impl OmpEvent {
@@ -511,23 +516,15 @@ impl OmpEvent {
             backend,
             atomic: AtomicBool::new(false),
             state: Mutex::new(false),
-            condvar: Condvar::new(),
         }
     }
 
-    /// Set the event, waking all waiters. Idempotent.
+    /// Set the event. Idempotent; the setter notifies the waiters'
+    /// notifier.
     pub fn set(&self) {
         match self.backend {
-            Backend::Atomic => {
-                self.atomic.store(true, Ordering::Release);
-                let _guard = self.state.lock();
-                self.condvar.notify_all();
-            }
-            Backend::Mutex => {
-                let mut guard = self.state.lock();
-                *guard = true;
-                self.condvar.notify_all();
-            }
+            Backend::Atomic => self.atomic.store(true, Ordering::Release),
+            Backend::Mutex => *self.state.lock() = true,
         }
     }
 
@@ -536,115 +533,6 @@ impl OmpEvent {
         match self.backend {
             Backend::Atomic => self.atomic.load(Ordering::Acquire),
             Backend::Mutex => *self.state.lock(),
-        }
-    }
-
-    /// Block until the event is set.
-    ///
-    /// Honors the wait policy: a bounded spin first ([`spin_iters`]), then an
-    /// **untimed** park. Untimed is safe because [`set`](OmpEvent::set)
-    /// notifies while holding the state lock, so a waiter that observed the
-    /// flag unset under that lock is guaranteed to receive the notification.
-    ///
-    /// When the [`crate::ompt`] profiler is enabled, a blocking wait records
-    /// a [`crate::ompt::EventKind::SyncWait`] with the measured duration
-    /// (already-set events return without recording anything).
-    pub fn wait(&self) {
-        // Lock-free spin phase, identical for both backends (`is_set` does
-        // the backend-appropriate read).
-        let mut spins = spin_iters();
-        let mut spun = false;
-        while spins > 0 {
-            if self.is_set() {
-                if spun {
-                    note_spin_exit();
-                }
-                return;
-            }
-            spins -= 1;
-            spun = true;
-            spin_hint(spins);
-        }
-        match self.backend {
-            Backend::Atomic => {
-                // Fast path without the lock.
-                if self.atomic.load(Ordering::Acquire) {
-                    return;
-                }
-                let probe = crate::ompt::enabled().then(std::time::Instant::now);
-                let mut guard = self.state.lock();
-                while !self.atomic.load(Ordering::Acquire) {
-                    note_park();
-                    self.condvar.wait(&mut guard);
-                }
-                drop(guard);
-                Self::record_wait(probe);
-            }
-            Backend::Mutex => {
-                let mut guard = self.state.lock();
-                if *guard {
-                    return;
-                }
-                let probe = crate::ompt::enabled().then(std::time::Instant::now);
-                while !*guard {
-                    note_park();
-                    self.condvar.wait(&mut guard);
-                }
-                drop(guard);
-                Self::record_wait(probe);
-            }
-        }
-    }
-
-    /// [`wait`](OmpEvent::wait) bounded by a deadline.
-    ///
-    /// Returns `true` if the event was observed set, `false` on deadline
-    /// expiry. Taskwait and task-group joins use this when a region
-    /// deadline is armed, so a task that never completes cannot strand its
-    /// joiner forever.
-    pub fn wait_deadline(&self, deadline: Instant) -> bool {
-        let mut spins = spin_iters();
-        let mut spun = false;
-        while spins > 0 {
-            if self.is_set() {
-                if spun {
-                    note_spin_exit();
-                }
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            spins -= 1;
-            spun = true;
-            spin_hint(spins);
-        }
-        let probe = crate::ompt::enabled().then(Instant::now);
-        let mut guard = self.state.lock();
-        loop {
-            let set = match self.backend {
-                Backend::Atomic => self.atomic.load(Ordering::Acquire),
-                Backend::Mutex => *guard,
-            };
-            if set {
-                drop(guard);
-                Self::record_wait(probe);
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            note_park();
-            let _ = self.condvar.wait_for(&mut guard, deadline - now);
-        }
-    }
-
-    fn record_wait(probe: Option<std::time::Instant>) {
-        if let Some(start) = probe {
-            crate::ompt::record_here(crate::ompt::EventKind::SyncWait {
-                ns: start.elapsed().as_nanos() as u64,
-            });
         }
     }
 }
@@ -830,32 +718,11 @@ mod tests {
     }
 
     #[test]
-    fn event_set_wakes_waiters() {
-        for backend in both() {
-            let event = Arc::new(OmpEvent::new(backend));
-            assert!(!event.is_set());
-            let mut handles = Vec::new();
-            for _ in 0..4 {
-                let event = Arc::clone(&event);
-                handles.push(std::thread::spawn(move || {
-                    event.wait();
-                    assert!(event.is_set());
-                }));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            event.set();
-            for h in handles {
-                h.join().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn event_wait_after_set_returns_immediately() {
+    fn event_set_is_a_latch() {
         for backend in both() {
             let event = OmpEvent::new(backend);
+            assert!(!event.is_set());
             event.set();
-            event.wait();
             event.set(); // idempotent
             assert!(event.is_set());
         }
@@ -1050,30 +917,6 @@ mod tests {
             std::time::Instant::now() + Duration::from_secs(5),
             || true
         ));
-    }
-
-    #[test]
-    fn event_wait_deadline_both_outcomes() {
-        for backend in both() {
-            let event = Arc::new(OmpEvent::new(backend));
-            let start = std::time::Instant::now();
-            assert!(
-                !event.wait_deadline(start + Duration::from_millis(5)),
-                "{backend:?}: unset event must time out"
-            );
-            let setter = {
-                let event = Arc::clone(&event);
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(2));
-                    event.set();
-                })
-            };
-            assert!(
-                event.wait_deadline(std::time::Instant::now() + Duration::from_secs(5)),
-                "{backend:?}: a set event must satisfy the deadline wait"
-            );
-            setter.join().unwrap();
-        }
     }
 
     #[test]

@@ -1,27 +1,36 @@
 //! Explicit tasking (`task`, `taskwait`, `taskyield`).
 //!
 //! Follows §III-E of the paper: tasks are packaged into nodes carrying an
-//! execution state (*free* → *in-progress* → *completed*) and a completion
-//! event. Placement is **work-stealing**: each team thread owns a bounded
-//! [`WorkDeque`] it pushes to and pops from LIFO, while idle threads — and
-//! threads waiting at implicit barriers — first drain their own deque, then
-//! the shared overflow queue, then steal FIFO from the other threads'
-//! deques. The shared queue (a mutex-guarded list in the [`Backend::Mutex`]
-//! runtime, lock-free in [`Backend::Atomic`]) doubles as the overflow
-//! target when a deque fills and as the home for submissions made without a
-//! thread affinity. Deques are sized from the recorded high-water mark of
-//! outstanding tasks.
+//! execution state (*free* → *in-progress* → *completed*). Each node is one
+//! heap block: the state word, the submit-time placement hints, the
+//! dependence record of [`crate::depgraph`] and the task's closure, stored
+//! inline behind the type-erased [`Body`]. Claiming a node is the state
+//! word's `FREE → IN_PROGRESS` CAS alone — the winner alone takes the
+//! closure — and completion is the same word reaching *completed*: there is
+//! no per-node lock or event. Waiters poll the word and park on the team's
+//! notifier, which every completion signals, so task completion is the same
+//! in both backends. Placement is **work-stealing**: each team thread owns
+//! a bounded [`WorkDeque`] it pushes to and pops from LIFO, while idle
+//! threads — and threads waiting at implicit barriers — first drain their
+//! own deque, then the shared overflow queue, then steal FIFO from the
+//! other threads' deques. The shared queue (a mutex-guarded list in the
+//! [`Backend::Mutex`] runtime, lock-free in [`Backend::Atomic`]) doubles as
+//! the overflow target when a deque fills and as the home for submissions
+//! made without a thread affinity. Deques are sized from the recorded
+//! high-water mark of outstanding tasks.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::depgraph::{Dep, DepGraph, DepNode, Released, RetireGuard};
+use crate::depgraph::{Dep, DepGraph, DepRecord, Released};
 use crate::faults::{self, FaultSite};
 use crate::ompt;
-use crate::sync::{Backend, CancelFlag, Notifier, OmpEvent, WorkBag, WorkDeque};
+use crate::sync::{Backend, CancelFlag, Notifier, WorkBag, WorkDeque};
 
 /// Process-wide high-water mark of simultaneously outstanding tasks,
 /// raised by any submission that exceeds it. New queues size their
@@ -69,23 +78,63 @@ pub enum TaskState {
     Completed,
 }
 
+/// Claimable.
 const STATE_FREE: u8 = 0;
-const STATE_IN_PROGRESS: u8 = 1;
-const STATE_COMPLETED: u8 = 2;
+/// Waiting on unretired `depend` predecessors: refuses claims.
+const STATE_HELD: u8 = 1;
+/// Handed back by the dependence graph and not yet admitted to a queue:
+/// still refuses claims.
+const STATE_RELEASED: u8 = 2;
+const STATE_IN_PROGRESS: u8 = 3;
+const STATE_COMPLETED: u8 = 4;
 
-/// A queued unit of work.
-pub struct TaskNode {
+/// The type-erased half of a [`TaskNode`]: its closure, stored inline in
+/// the node's one allocation.
+pub trait Body: Send + Sync {
+    /// Take the closure out of the node and run it (`run`) or drop it. A
+    /// second call finds the cell empty and does nothing.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold the node's claim (it won the node's
+    /// `FREE → IN_PROGRESS` transition): the claim is what makes access to
+    /// the closure exclusive.
+    unsafe fn take(&self, run: bool);
+}
+
+/// A closure in an [`UnsafeCell`], guarded by its node's claim.
+struct Inline<F>(UnsafeCell<Option<F>>);
+
+// SAFETY: the cell is only touched by the thread that holds the node's
+// claim (the claiming CAS is `AcqRel`, so each holder sees the last one's
+// writes), or by the node's drop, which owns the node outright.
+unsafe impl<F: Send> Sync for Inline<F> {}
+
+impl<F: FnOnce() + Send> Body for Inline<F> {
+    unsafe fn take(&self, run: bool) {
+        // SAFETY: the caller holds the claim (see `Body::take`).
+        let body = unsafe { (*self.0.get()).take() };
+        if let (true, Some(body)) = (run, body) {
+            body();
+        }
+    }
+}
+
+/// A queued unit of work: one heap block holding the lifecycle state word,
+/// the placement hints, the dependence record and the closure itself.
+/// `Arc<TaskNode>` is the type-erased handle; the closure type is erased
+/// behind [`Body`].
+pub struct TaskNode<B: ?Sized = dyn Body> {
+    /// `STATE_*`: the claim and the completion both live here.
     state: AtomicU8,
-    done: OmpEvent,
-    body: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    /// Set while the task waits on unretired `depend` predecessors: a held
-    /// node refuses claims (from queue pops *and* `taskwait` inlining)
-    /// until the dependence graph's release path clears the flag.
-    held: AtomicBool,
-    /// A `depend` task's graph retirement, fired by [`TaskNode::finish`]
-    /// on every path that completes the node: body ran, body panicked, or
-    /// body discarded unrun.
-    retire: Option<RetireGuard>,
+    /// Submitted with `depend` items: completing it retires `dep`.
+    dependent: bool,
+    /// The submitter's team-thread number (deque affinity).
+    owner: Option<usize>,
+    /// The `priority(n)` hint.
+    priority: i64,
+    pub(crate) dep: DepRecord,
+    body: B,
 }
 
 impl std::fmt::Debug for TaskNode {
@@ -97,73 +146,94 @@ impl std::fmt::Debug for TaskNode {
 }
 
 impl TaskNode {
-    pub(crate) fn new(backend: Backend, body: Box<dyn FnOnce() + Send>) -> Arc<TaskNode> {
-        TaskNode::with_retire(backend, body, None)
-    }
-
-    fn with_retire(
-        backend: Backend,
-        body: Box<dyn FnOnce() + Send>,
-        retire: Option<RetireGuard>,
+    /// A free node around `body`, submitted from `owner` with `priority`;
+    /// `dependent` nodes retire their dependence record on completion.
+    pub(crate) fn new<F: FnOnce() + Send + 'static>(
+        body: F,
+        owner: Option<usize>,
+        priority: i64,
+        dependent: bool,
     ) -> Arc<TaskNode> {
-        Arc::new(TaskNode {
+        // SAFETY: a `'static` closure borrows nothing.
+        unsafe { TaskNode::new_scoped(body, owner, priority, dependent) }
+    }
+
+    /// [`TaskNode::new`] for a closure that borrows data living for `'a`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the node is claimed (which runs or drops
+    /// the closure) or dropped before `'a` ends.
+    pub(crate) unsafe fn new_scoped<'a, F: FnOnce() + Send + 'a>(
+        body: F,
+        owner: Option<usize>,
+        priority: i64,
+        dependent: bool,
+    ) -> Arc<TaskNode> {
+        let node: Arc<TaskNode<dyn Body + 'a>> = Arc::new(TaskNode {
             state: AtomicU8::new(STATE_FREE),
-            done: OmpEvent::new(backend),
-            body: Mutex::new(Some(body)),
-            held: AtomicBool::new(false),
-            retire,
-        })
+            dependent,
+            owner,
+            priority,
+            dep: DepRecord::new(),
+            body: Inline(UnsafeCell::new(Some(body))),
+        });
+        // SAFETY: only the trait object's lifetime bound changes; the
+        // caller keeps the closure from outliving `'a`.
+        unsafe { std::mem::transmute::<Arc<TaskNode<dyn Body + 'a>>, Arc<TaskNode>>(node) }
     }
 
-    /// Bar claims until [`TaskNode::release_hold`] (dependence hold).
+    /// Bar claims until the dependence graph releases the node.
     pub(crate) fn hold(&self) {
-        self.held.store(true, Ordering::Release);
+        self.state.store(STATE_HELD, Ordering::Release);
     }
 
-    /// Clear the dependence hold: the node is claimable again.
+    /// Whether the node waits on unretired predecessors.
+    pub(crate) fn is_held(&self) -> bool {
+        self.state.load(Ordering::Acquire) == STATE_HELD
+    }
+
+    /// Take the release of a held node; exactly one caller (the thread
+    /// that zeroed its pending count, or cancellation) wins. The node stays
+    /// unclaimable until [`TaskNode::release_hold`].
+    pub(crate) fn take_hold(&self) -> bool {
+        self.state
+            .compare_exchange(
+                STATE_HELD,
+                STATE_RELEASED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+    }
+
+    /// Make a released node claimable. Only the holder of its release
+    /// calls this.
     pub(crate) fn release_hold(&self) {
-        self.held.store(false, Ordering::Release);
+        self.state.store(STATE_FREE, Ordering::Release);
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> TaskState {
         match self.state.load(Ordering::Acquire) {
-            STATE_FREE => TaskState::Free,
             STATE_IN_PROGRESS => TaskState::InProgress,
-            _ => TaskState::Completed,
+            STATE_COMPLETED => TaskState::Completed,
+            _ => TaskState::Free,
         }
     }
 
     /// Whether the task has completed.
     pub fn is_done(&self) -> bool {
-        self.done.is_set()
+        self.state.load(Ordering::Acquire) == STATE_COMPLETED
     }
 
-    /// Block until the task completes.
-    pub fn wait_done(&self) {
-        self.done.wait();
-    }
-
-    /// Block until the task completes or `deadline` passes; returns whether
-    /// the task completed. Callers pair a `false` return with
-    /// `Team::trip_deadline`-style region poisoning — this method itself
-    /// only bounds the wait.
-    pub fn wait_done_deadline(&self, deadline: std::time::Instant) -> bool {
-        self.done.wait_deadline(deadline)
-    }
-
-    /// Atomically claim the task for execution on the calling thread.
-    ///
-    /// Returns the body if this caller won the claim (Free → InProgress).
-    /// Used both by queue pops and by `taskwait` executing its own children
-    /// inline (which bounds stack growth to the task-tree depth instead of
-    /// the task count).
-    pub fn try_claim(&self) -> Option<Box<dyn FnOnce() + Send>> {
-        if self.held.load(Ordering::Acquire) {
-            return None;
-        }
-        if self
-            .state
+    /// Atomically claim the task for execution on the calling thread: the
+    /// `FREE → IN_PROGRESS` CAS. A held node refuses. Used both by queue
+    /// pops and by `taskwait` executing its own children inline (which
+    /// bounds stack growth to the task-tree depth instead of the task
+    /// count).
+    pub(crate) fn try_claim(&self) -> Option<Claimed<'_>> {
+        self.state
             .compare_exchange(
                 STATE_FREE,
                 STATE_IN_PROGRESS,
@@ -171,90 +241,87 @@ impl TaskNode {
                 Ordering::Acquire,
             )
             .is_ok()
-        {
-            self.body.lock().take()
-        } else {
-            None
-        }
-    }
-
-    /// Mark a claimed task finished, running its body. A `depend` task
-    /// retires in its graph here, pushing the successors that retirement
-    /// released onto `released` for the caller to admit.
-    ///
-    /// Panics in the body are caught and returned (not propagated): per the
-    /// OpenMP rule the paper cites, exceptions must not escape a task. The
-    /// node is still marked completed so barriers and `taskwait` release.
-    fn finish(
-        &self,
-        body: Option<Box<dyn FnOnce() + Send>>,
-        released: &mut Released,
-    ) -> Option<Box<dyn std::any::Any + Send>> {
-        let panic = match body {
-            Some(body) => {
-                ompt::record_here(ompt::EventKind::TaskSchedule);
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Inside the catch: an injected task fault is recorded
-                    // like any user panic instead of unwinding the executor.
-                    faults::on_event(FaultSite::TaskExecute);
-                    body();
-                }))
-                .err()
-            }
-            None => None,
-        };
-        if let Some(retire) = &self.retire {
-            retire.fire(released);
-        }
-        self.state.store(STATE_COMPLETED, Ordering::Release);
-        self.done.set();
-        ompt::record_here(ompt::EventKind::TaskComplete);
-        panic
+            .then_some(Claimed(self))
     }
 
     /// Complete the node unrun if it has not started (claim it, drop the
     /// body, finish); returns whether this call discarded it. Its
     /// retirement's releases go onto `released`.
-    pub(crate) fn discard(&self, released: &mut Released) -> bool {
-        if self.try_claim().is_none() {
-            return false;
+    fn discard(&self, released: &mut Released) -> bool {
+        match self.try_claim() {
+            Some(claim) => {
+                claim.finish(false, released);
+                true
+            }
+            None => false,
         }
-        let _ = self.finish(None, released);
-        true
     }
 }
 
-/// A `priority(n)` task awaiting execution: max-heap by priority, FIFO
-/// (submission sequence) among equals.
-struct PrioEntry {
-    priority: i64,
-    seq: u64,
-    node: Arc<TaskNode>,
-}
-
-impl PartialEq for PrioEntry {
-    fn eq(&self, other: &PrioEntry) -> bool {
-        self.priority == other.priority && self.seq == other.seq
+impl<B: ?Sized> Drop for TaskNode<B> {
+    /// The backstop. A claimed node is always finished, and finishing
+    /// retires it, so an unretired dependent node here was never claimed:
+    /// the queue that held it was dropped with it, and no queue is left to
+    /// place what it releases. Those successors are discarded instead,
+    /// cascading through their own releases, so each completes. The
+    /// unrun closure itself drops with the node.
+    fn drop(&mut self) {
+        if !self.dependent || self.dep.is_retired() {
+            return;
+        }
+        let mut released = Released::new();
+        self.dep.retire(&mut released);
+        while let Some(node) = released.pop_front() {
+            node.release_hold();
+            node.discard(&mut released);
+        }
     }
 }
 
-impl Eq for PrioEntry {}
+/// Proof that the caller won a node's claim: only its holder may take the
+/// closure, and it must [`finish`](Claimed::finish) the node.
+pub(crate) struct Claimed<'a>(&'a TaskNode);
 
-impl PartialOrd for PrioEntry {
-    fn partial_cmp(&self, other: &PrioEntry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Claimed<'_> {
+    /// Run the claimed body (`run`) or drop it unrun, then complete the
+    /// node. A `depend` task retires in its graph here, pushing the
+    /// successors that retirement released onto `released` for the caller
+    /// to admit.
+    ///
+    /// Panics in the body are caught and returned (not propagated): per the
+    /// OpenMP rule the paper cites, exceptions must not escape a task. The
+    /// node is still marked completed so barriers and `taskwait` release.
+    fn finish(self, run: bool, released: &mut Released) -> Option<Box<dyn std::any::Any + Send>> {
+        let node = self.0;
+        let panic = if run {
+            ompt::record_here(ompt::EventKind::TaskSchedule);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Inside the catch: an injected task fault is recorded
+                // like any user panic instead of unwinding the executor.
+                faults::on_event(FaultSite::TaskExecute);
+                // SAFETY: `self` is the claim.
+                unsafe { node.body.take(true) };
+            }))
+            .err()
+        } else {
+            None
+        };
+        // Drops the body if it did not run: discarded, or pre-empted by an
+        // injected fault. A no-op after a run.
+        // SAFETY: `self` is the claim.
+        unsafe { node.body.take(false) };
+        if node.dependent {
+            node.dep.retire(released);
+        }
+        node.state.store(STATE_COMPLETED, Ordering::Release);
+        ompt::record_here(ompt::EventKind::TaskComplete);
+        panic
     }
 }
 
-impl Ord for PrioEntry {
-    fn cmp(&self, other: &PrioEntry) -> std::cmp::Ordering {
-        // Reversed seq: among equal priorities the max-heap yields the
-        // earliest submission first.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// A `priority(n)` task's place in the heap: highest priority first,
+/// submission order among equals.
+type PrioKey = (Reverse<i64>, u64);
 
 /// The team-shared task queue: per-thread steal deques over a shared
 /// overflow bag.
@@ -268,16 +335,16 @@ pub struct TaskQueue {
     steals: AtomicU64,
     outstanding: AtomicUsize,
     wake: Arc<Notifier>,
-    backend: Backend,
     panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Latched by `cancel taskgroup` / region cancellation: queued tasks are
     /// discarded (marked complete without running) so barriers and
     /// `taskwait` release.
     cancelled: CancelFlag,
     /// `depend` tracking; held tasks live here until predecessors retire.
-    dep: Arc<DepGraph>,
-    /// `priority(n)` submissions, drained ahead of the deques.
-    prio: Mutex<BinaryHeap<PrioEntry>>,
+    dep: DepGraph,
+    /// `priority(n)` submissions, drained ahead of the deques: highest
+    /// priority first, submission order (`prio_seq`) among equals.
+    prio: Mutex<BTreeMap<PrioKey, Arc<TaskNode>>>,
     /// Fast-path mirror of `prio.len()`.
     prio_len: AtomicUsize,
     /// FIFO tie-break for equal priorities.
@@ -311,12 +378,11 @@ impl TaskQueue {
             deques: (0..nthreads).map(|_| WorkDeque::new(cap)).collect(),
             steals: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
-            dep: Arc::new(DepGraph::new()),
+            dep: DepGraph::default(),
             wake,
-            backend,
             panic_slot: Mutex::new(None),
             cancelled: CancelFlag::new(backend),
-            prio: Mutex::new(BinaryHeap::new()),
+            prio: Mutex::new(BTreeMap::new()),
             prio_len: AtomicUsize::new(0),
             prio_seq: AtomicU64::new(0),
         }
@@ -340,7 +406,7 @@ impl TaskQueue {
 
     /// Cancel the queue (`cancel taskgroup` semantics): tasks that have not
     /// started are discarded — marked complete without executing, so every
-    /// waiter (barrier task-drain, `taskwait`, `wait_done`) releases.
+    /// waiter (barrier task-drain, `taskwait`) releases.
     /// Already-running tasks finish normally.
     pub fn cancel(&self) {
         self.cancelled.set();
@@ -353,8 +419,8 @@ impl TaskQueue {
                 self.discard(&node, &mut released);
             }
         }
-        while let Some(entry) = self.pop_prio() {
-            self.discard(&entry.node, &mut released);
+        while let Some(node) = self.pop_prio() {
+            self.discard(&node, &mut released);
         }
         // A cancelled graph releases — not strands — its successors: every
         // held task is handed back and discarded like any queued one.
@@ -366,22 +432,20 @@ impl TaskQueue {
     /// Drain and discard everything the dependence graph still holds (the
     /// cancel path, and the submit/cancel race re-check).
     fn drain_dep_cancelled(&self, released: &mut Released) {
-        for r in self.dep.cancel_all() {
-            r.node.release_hold();
-            self.discard(&r.node, released);
+        for node in self.dep.cancel_all() {
+            node.release_hold();
+            self.discard(&node, released);
         }
     }
 
     /// Pop the highest-priority queued `priority(n)` task, if any.
-    fn pop_prio(&self) -> Option<PrioEntry> {
+    fn pop_prio(&self) -> Option<Arc<TaskNode>> {
         if self.prio_len.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let entry = self.prio.lock().pop();
-        if entry.is_some() {
-            self.prio_len.fetch_sub(1, Ordering::AcqRel);
-        }
-        entry
+        let (_, node) = self.prio.lock().pop_first()?;
+        self.prio_len.fetch_sub(1, Ordering::AcqRel);
+        Some(node)
     }
 
     /// Discard one queued node if it has not started (claim it, drop the
@@ -412,110 +476,72 @@ impl TaskQueue {
         self.outstanding.load(Ordering::Acquire)
     }
 
-    /// Enqueue a deferred task; returns its node (for child tracking).
-    /// Equivalent to [`TaskQueue::submit_from`] with no thread affinity.
+    /// Enqueue a deferred task with no thread affinity, priority or
+    /// dependences; returns its node (for child tracking).
     ///
     /// Submissions to a cancelled queue are discarded immediately (the node
     /// is returned already complete, never counted as outstanding).
-    pub fn submit(&self, body: Box<dyn FnOnce() + Send>) -> Arc<TaskNode> {
-        self.submit_from(body, None)
+    pub fn submit<F: FnOnce() + Send + 'static>(&self, body: F) -> Arc<TaskNode> {
+        self.submit_depend(body, None, 0, &[])
     }
 
-    /// Enqueue a deferred task, preferring the submitting thread's own
-    /// deque: `owner` is the submitter's team-thread number, so the task
-    /// runs LIFO on the thread that created it unless someone steals it.
-    /// Tasks overflow to the shared queue when the deque is full (or when
-    /// `owner` is `None` / out of range).
-    pub fn submit_from(
-        &self,
-        body: Box<dyn FnOnce() + Send>,
-        owner: Option<usize>,
-    ) -> Arc<TaskNode> {
-        self.submit_with(body, owner, 0)
-    }
-
-    /// [`TaskQueue::submit_from`] with a `priority(n)` hint: non-zero
-    /// priorities go to a shared max-heap drained ahead of the deques
-    /// (highest first, FIFO among equals) instead of the LIFO deque path.
-    pub fn submit_with(
-        &self,
-        body: Box<dyn FnOnce() + Send>,
-        owner: Option<usize>,
-        priority: i64,
-    ) -> Arc<TaskNode> {
-        ompt::record_here(ompt::EventKind::TaskCreate { deferred: true });
-        let node = TaskNode::new(self.backend, body);
-        // A task with no `depend` items has no graph record: discarding it
-        // releases nothing.
-        let mut released = Released::new();
-        if self.cancelled.is_set() {
-            node.discard(&mut released);
-            return node;
-        }
-        record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
-        self.place(&node, owner, priority, &mut released);
-        node
-    }
-
-    /// Submit a task ordered by `depend` items: it runs only after every
+    /// Enqueue a deferred task with the full clause set.
+    ///
+    /// `owner` is the submitter's team-thread number: the task goes onto
+    /// that thread's deque and runs LIFO there unless someone steals it
+    /// (overflowing to the shared queue when the deque is full, or when
+    /// `owner` is `None` / out of range). A non-zero `priority` sends it to
+    /// a shared heap drained ahead of the deques instead (highest first,
+    /// FIFO among equals). With `depend` items it runs only after every
     /// live predecessor (per the in/out/inout rules in [`crate::depgraph`])
-    /// has retired. Held tasks still count as outstanding — region
+    /// has retired; held tasks still count as outstanding — region
     /// barriers, deadlines, and the watchdog all see them — but cannot be
-    /// claimed until released. With an empty `deps` list this is
-    /// [`TaskQueue::submit_with`].
-    pub fn submit_depend(
+    /// claimed until released.
+    pub fn submit_depend<F: FnOnce() + Send + 'static>(
         &self,
-        body: Box<dyn FnOnce() + Send>,
+        body: F,
         owner: Option<usize>,
         priority: i64,
         deps: &[Dep],
     ) -> Arc<TaskNode> {
-        if deps.is_empty() {
-            return self.submit_with(body, owner, priority);
-        }
+        let node = TaskNode::new(body, owner, priority, !deps.is_empty());
+        self.submit_node(&node, deps);
+        node
+    }
+
+    /// Enqueue a fresh node as a deferred task, ordered by `deps` (the node
+    /// must have been built `dependent` iff `deps` is non-empty).
+    pub(crate) fn submit_node(&self, node: &Arc<TaskNode>, deps: &[Dep]) {
+        debug_assert_eq!(node.dependent, !deps.is_empty());
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: true });
-        let rec = DepNode::new();
-        let guard = RetireGuard::new(Arc::clone(&self.dep), Arc::clone(&rec));
-        let node = TaskNode::with_retire(self.backend, body, Some(guard));
         let mut released = Released::new();
         if self.cancelled.is_set() {
+            // Not yet in the graph: discarding it releases nothing.
             node.discard(&mut released);
-        } else {
-            record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
-            if !self
-                .dep
-                .insert(&rec, &node, owner, priority, deps, &mut released)
-            {
-                self.place(&node, owner, priority, &mut released);
-            } else if self.cancelled.is_set() {
-                // Submit/cancel race: `cancel` may have drained the graph
-                // before this insert landed — drain again so nothing strands.
-                self.drain_dep_cancelled(&mut released);
-            }
+            return;
+        }
+        record_outstanding(self.outstanding.fetch_add(1, Ordering::AcqRel) + 1);
+        if deps.is_empty() || !self.dep.insert(node, deps, &mut released) {
+            self.place(node, node.owner, &mut released);
+        } else if self.cancelled.is_set() {
+            // Submit/cancel race: `cancel` may have drained the graph
+            // before this insert landed — drain again so nothing strands.
+            self.drain_dep_cancelled(&mut released);
         }
         // The held task the submitter's own hold drop released, or what a
         // race-discard of this task released.
         self.admit(&mut released, None, false);
-        node
     }
 
-    /// Place an outstanding node on the queue (priority heap, owner deque,
-    /// or shared bag) and re-check the submit/cancel race; a race-discard's
-    /// releases go onto `released`.
-    fn place(
-        &self,
-        node: &Arc<TaskNode>,
-        owner: Option<usize>,
-        priority: i64,
-        released: &mut Released,
-    ) {
-        if priority != 0 {
+    /// Place an outstanding node on the queue (priority heap, `owner`'s
+    /// deque, or shared bag) and re-check the submit/cancel race; a
+    /// race-discard's releases go onto `released`.
+    fn place(&self, node: &Arc<TaskNode>, owner: Option<usize>, released: &mut Released) {
+        if node.priority != 0 {
             let seq = self.prio_seq.fetch_add(1, Ordering::Relaxed);
-            self.prio.lock().push(PrioEntry {
-                priority,
-                seq,
-                node: Arc::clone(node),
-            });
+            self.prio
+                .lock()
+                .insert((Reverse(node.priority), seq), Arc::clone(node));
             self.prio_len.fetch_add(1, Ordering::AcqRel);
         } else {
             match owner.and_then(|t| self.deques.get(t)) {
@@ -535,26 +561,21 @@ impl TaskQueue {
         self.wake.notify_all();
     }
 
-    /// Execute an *undeferred* task (an `if(false)` task) immediately on the
-    /// calling thread, off the queue, as required by the spec.
-    pub fn run_undeferred(&self, body: Box<dyn FnOnce() + Send>) -> Arc<TaskNode> {
+    /// Execute a fresh node, built without dependences, as an *undeferred*
+    /// task (an `if(false)` task): immediately on the calling thread, off
+    /// the queue, as required by the spec.
+    pub(crate) fn run_undeferred(&self, node: &TaskNode) {
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: false });
-        let node = TaskNode::new(self.backend, body);
-        let body = node.try_claim();
-        self.record_panic(node.finish(body, &mut Released::new()));
-        node
+        if let Some(claim) = node.try_claim() {
+            self.record_panic(claim.finish(true, &mut Released::new()));
+        }
     }
 
-    /// Execute a specific claimed node (used by `taskwait` child inlining).
-    /// The caller must have obtained `body` from [`TaskNode::try_claim`].
-    /// The successors it releases are placed on their submitters' deques,
-    /// not run here.
-    pub fn execute_claimed(&self, node: &TaskNode, body: Box<dyn FnOnce() + Send>) {
-        let mut released = Released::new();
-        self.record_panic(node.finish(Some(body), &mut released));
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
-        self.admit(&mut released, None, false);
-        self.wake.notify_all();
+    /// Execute a node the caller claimed (used by `taskwait` child
+    /// inlining). The successors it releases are placed on their
+    /// submitters' deques, not run here.
+    pub(crate) fn execute_claimed(&self, claim: Claimed<'_>) {
+        self.run_claimed(claim, &mut Released::new(), None, false);
     }
 
     /// Pop and execute one task, if any is available, with no thread
@@ -574,8 +595,8 @@ impl TaskQueue {
     /// then the other threads' deques (FIFO steals, rotating victim order
     /// so thieves spread out).
     pub fn run_one_from(&self, me: Option<usize>) -> bool {
-        while let Some(entry) = self.pop_prio() {
-            if self.try_execute(&entry.node, false, me) {
+        while let Some(node) = self.pop_prio() {
+            if self.try_execute(&node, false, me) {
                 return true;
             }
         }
@@ -619,41 +640,49 @@ impl TaskQueue {
     /// recursion, so a long `inout` chain runs in constant stack. Each
     /// iteration re-checks cancellation and re-claims the successor, which
     /// a `taskwait` may have claimed inline once its hold cleared.
-    fn try_execute(&self, node: &Arc<TaskNode>, stolen: bool, me: Option<usize>) -> bool {
+    fn try_execute(&self, node: &TaskNode, stolen: bool, me: Option<usize>) -> bool {
         let mut released = Released::new();
         if self.cancelled.is_set() {
             self.discard(node, &mut released);
             self.admit(&mut released, me, false);
             return false;
         }
-        let Some(mut body) = node.try_claim() else {
+        let Some(claim) = node.try_claim() else {
             return false;
         };
         if stolen {
             self.steals.fetch_add(1, Ordering::Relaxed);
             ompt::record_here(ompt::EventKind::TaskSteal);
         }
-        let mut next_owned: Option<Arc<TaskNode>> = None;
-        let mut cur: &TaskNode = node;
-        loop {
-            self.record_panic(cur.finish(Some(body), &mut released));
-            self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            let next = self.admit(&mut released, me, true);
-            self.wake.notify_all();
-            let Some(next) = next else {
-                return true;
-            };
+        let mut next = self.run_claimed(claim, &mut released, me, true);
+        while let Some(node) = next {
             if self.cancelled.is_set() {
-                self.discard(&next, &mut released);
+                self.discard(&node, &mut released);
                 self.admit(&mut released, me, false);
-                return true;
+                break;
             }
-            let Some(next_body) = next.try_claim() else {
-                return true;
+            let Some(claim) = node.try_claim() else {
+                break;
             };
-            body = next_body;
-            cur = next_owned.insert(next);
+            next = self.run_claimed(claim, &mut released, me, true);
         }
+        true
+    }
+
+    /// Run a claimed node, account its completion and admit what it
+    /// released; with `bypass`, returns the successor to run next.
+    fn run_claimed(
+        &self,
+        claim: Claimed<'_>,
+        released: &mut Released,
+        me: Option<usize>,
+        bypass: bool,
+    ) -> Option<Arc<TaskNode>> {
+        self.record_panic(claim.finish(true, released));
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
+        let next = self.admit(released, me, bypass);
+        self.wake.notify_all();
+        next
     }
 
     /// The single held→runnable funnel: admit every task in `released`,
@@ -675,21 +704,21 @@ impl TaskQueue {
         bypass: bool,
     ) -> Option<Arc<TaskNode>> {
         let mut next = None;
-        while let Some(r) = released.pop_front() {
+        while let Some(node) = released.pop_front() {
             if self.cancelled.is_set() {
-                r.node.release_hold();
-                self.discard(&r.node, released);
+                node.release_hold();
+                self.discard(&node, released);
                 continue;
             }
             let fault = std::panic::catch_unwind(|| faults::on_event(FaultSite::DepRelease)).err();
-            r.node.release_hold();
+            node.release_hold();
             if let Some(p) = fault {
                 self.record_panic(Some(p));
-                self.discard(&r.node, released);
-            } else if bypass && next.is_none() && r.priority == 0 {
-                next = Some(r.node);
+                self.discard(&node, released);
+            } else if bypass && next.is_none() && node.priority == 0 {
+                next = Some(node);
             } else {
-                self.place(&r.node, me.or(r.owner), r.priority, released);
+                self.place(&node, me.or(node.owner), released);
             }
         }
         next
@@ -744,9 +773,15 @@ mod tests {
             let q = TaskQueue::new(backend, Arc::new(Notifier::new()));
             let hits = Arc::new(AtomicUsize::new(0));
             let h = Arc::clone(&hits);
-            let node = q.run_undeferred(Box::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            }));
+            let node = TaskNode::new(
+                move || {
+                    h.fetch_add(1, Ordering::SeqCst);
+                },
+                None,
+                0,
+                false,
+            );
+            q.run_undeferred(&node);
             assert_eq!(hits.load(Ordering::SeqCst), 1);
             assert!(node.is_done());
             assert_eq!(q.outstanding(), 0);
@@ -786,7 +821,7 @@ mod tests {
             let order = Arc::new(Mutex::new(Vec::new()));
             for i in 0..3 {
                 let order = Arc::clone(&order);
-                q.submit_from(Box::new(move || order.lock().push(i)), Some(0));
+                q.submit_depend(move || order.lock().push(i), Some(0), 0, &[]);
             }
             while q.run_one_from(Some(0)) {}
             assert_eq!(
@@ -808,11 +843,13 @@ mod tests {
             let hits = Arc::new(AtomicUsize::new(0));
             for _ in 0..n {
                 let h = Arc::clone(&hits);
-                q.submit_from(
-                    Box::new(move || {
+                q.submit_depend(
+                    move || {
                         h.fetch_add(1, Ordering::SeqCst);
-                    }),
+                    },
                     Some(0),
+                    0,
+                    &[],
                 );
             }
             // Thread 1 has nothing of its own and the overflow queue is
@@ -833,11 +870,13 @@ mod tests {
             let hits = Arc::new(AtomicUsize::new(0));
             for _ in 0..cap + 3 {
                 let h = Arc::clone(&hits);
-                q.submit_from(
-                    Box::new(move || {
+                q.submit_depend(
+                    move || {
                         h.fetch_add(1, Ordering::SeqCst);
-                    }),
+                    },
                     Some(0),
+                    0,
+                    &[],
                 );
             }
             assert!(
@@ -882,11 +921,13 @@ mod tests {
             let mut nodes = Vec::new();
             for t in [Some(0), Some(1), None] {
                 let h = Arc::clone(&hits);
-                nodes.push(q.submit_from(
-                    Box::new(move || {
+                nodes.push(q.submit_depend(
+                    move || {
                         h.fetch_add(1, Ordering::SeqCst);
-                    }),
+                    },
                     t,
+                    0,
+                    &[],
                 ));
             }
             q.cancel();
@@ -909,7 +950,7 @@ mod tests {
             let order = Arc::new(Mutex::new(Vec::new()));
             for (label, prio) in [("p1", 1i64), ("p3a", 3), ("p2", 2), ("p3b", 3), ("p0", 0)] {
                 let order = Arc::clone(&order);
-                q.submit_with(Box::new(move || order.lock().push(label)), Some(0), prio);
+                q.submit_depend(move || order.lock().push(label), Some(0), prio, &[]);
             }
             while q.run_one_from(Some(0)) {}
             assert_eq!(
@@ -993,8 +1034,10 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || q.run_one())
             };
-            node.wait_done();
-            assert!(node.is_done());
+            while !node.is_done() {
+                std::thread::yield_now();
+            }
+            assert_eq!(node.state(), TaskState::Completed);
             assert!(runner.join().unwrap());
         }
     }

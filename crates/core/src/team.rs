@@ -536,7 +536,9 @@ impl Team {
             return false;
         }
         EXEC_DEPTH.with(|d| d.set(d.get() + 1));
-        let ran = self.tasks.run_one_from(self.my_thread_num());
+        let ran = self
+            .tasks
+            .run_one_from(self.member_num(context::current_frame().as_deref()));
         EXEC_DEPTH.with(|d| d.set(d.get() - 1));
         ran
     }
@@ -545,8 +547,8 @@ impl Team {
     /// (drives deque affinity for submissions and the own-deque-first /
     /// steal-last search order). `None` for outsiders — e.g. a thread of a
     /// different nesting level touching this team's queue.
-    fn my_thread_num(&self) -> Option<usize> {
-        let frame = context::current_frame()?;
+    fn member_num(&self, frame: Option<&context::Frame>) -> Option<usize> {
+        let frame = frame?;
         std::ptr::eq(Arc::as_ptr(&frame.team), self as *const Team).then_some(frame.thread_num)
     }
 
@@ -556,8 +558,12 @@ impl Team {
     /// The body is wrapped so that, on whichever thread runs it, a task
     /// frame is pushed (nested `task` directives then register as children
     /// of this task) and popped even if the body panics.
-    pub fn submit_task(&self, body: Box<dyn FnOnce() + Send>, deferred: bool) -> Arc<TaskNode> {
-        self.submit_task_ex(body, deferred, 0, Vec::new())
+    pub fn submit_task<F: FnOnce() + Send + 'static>(
+        &self,
+        body: F,
+        deferred: bool,
+    ) -> Arc<TaskNode> {
+        self.submit_task_ex(body, deferred, 0, &[])
     }
 
     /// [`Team::submit_task`] with the full clause set: a `priority(n)` hint
@@ -569,15 +575,35 @@ impl Team {
     /// The body is additionally tied to the submitting thread's current
     /// `taskgroup`, and installs that group while running so tasks it
     /// spawns — on whatever thread ends up executing it — join too.
-    pub fn submit_task_ex(
+    pub fn submit_task_ex<F: FnOnce() + Send + 'static>(
         &self,
-        body: Box<dyn FnOnce() + Send>,
+        body: F,
         deferred: bool,
         priority: i64,
-        deps: Vec<Dep>,
+        deps: &[Dep],
+    ) -> Arc<TaskNode> {
+        // SAFETY: a `'static` closure borrows nothing.
+        unsafe { self.submit_task_scoped(body, deferred, priority, deps) }
+    }
+
+    /// [`Team::submit_task_ex`] for a closure that borrows data living for
+    /// `'a`. The task-frame and taskgroup wrapper and `body` become one
+    /// closure, stored inline in the task's one allocation.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the task completes (or is discarded)
+    /// before `'a` ends — for a region's tasks, because the region's final
+    /// barrier drains the queue before the region returns.
+    pub(crate) unsafe fn submit_task_scoped<'a, F: FnOnce() + Send + 'a>(
+        &self,
+        body: F,
+        deferred: bool,
+        priority: i64,
+        deps: &[Dep],
     ) -> Arc<TaskNode> {
         let membership = depgraph::Membership::enter_current();
-        let wrapped = Box::new(move || {
+        let wrapped = move || {
             let frame = context::current_frame();
             if let Some(f) = &frame {
                 f.push_task_frame();
@@ -594,22 +620,21 @@ impl Team {
             let _guard = PopGuard(frame);
             let _group = membership.install();
             body();
-        });
-        let node = if !deps.is_empty() {
-            let node = self
-                .tasks
-                .submit_depend(wrapped, self.my_thread_num(), priority, &deps);
+        };
+        let frame = context::current_frame();
+        let owner = self.member_num(frame.as_deref());
+        let dependent = !deps.is_empty();
+        // SAFETY: forwarded to the caller.
+        let node = unsafe { TaskNode::new_scoped(wrapped, owner, priority, dependent) };
+        if dependent || deferred {
+            self.tasks.submit_node(&node, deps);
             if !deferred {
                 self.wait_node(&node);
             }
-            node
-        } else if deferred {
-            self.tasks
-                .submit_with(wrapped, self.my_thread_num(), priority)
         } else {
-            self.tasks.run_undeferred(wrapped)
-        };
-        if let Some(frame) = context::current_frame() {
+            self.tasks.run_undeferred(&node);
+        }
+        if let Some(frame) = frame {
             frame.register_child(Arc::clone(&node));
         }
         node
@@ -619,7 +644,8 @@ impl Team {
     /// waiting. Used for undeferred `depend` tasks: the node may be held on
     /// predecessors, so the wait loop keeps offering to claim it (the claim
     /// succeeds only once the dependence hold clears) and otherwise makes
-    /// progress on the queue, with the usual deadline-bounded park.
+    /// progress on the queue, with the usual deadline-bounded park on the
+    /// team notifier.
     pub fn wait_node(&self, node: &TaskNode) {
         let mut spins = sync::spin_iters();
         loop {
@@ -627,9 +653,9 @@ impl Team {
             if node.is_done() || self.cancelled.is_set() {
                 return;
             }
-            if let Some(body) = node.try_claim() {
+            if let Some(claim) = node.try_claim() {
                 EXEC_DEPTH.with(|d| d.set(d.get() + 1));
-                self.tasks.execute_claimed(node, body);
+                self.tasks.execute_claimed(claim);
                 EXEC_DEPTH.with(|d| d.set(d.get() - 1));
                 continue;
             }
@@ -704,9 +730,9 @@ impl Team {
             if self.cancelled.is_set() {
                 return;
             }
-            if let Some(body) = child.try_claim() {
+            if let Some(claim) = child.try_claim() {
                 EXEC_DEPTH.with(|d| d.set(d.get() + 1));
-                self.tasks.execute_claimed(&child, body);
+                self.tasks.execute_claimed(claim);
                 EXEC_DEPTH.with(|d| d.set(d.get() - 1));
             } else if !child.is_done() {
                 unfinished.push(child);

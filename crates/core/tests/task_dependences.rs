@@ -717,3 +717,143 @@ fn wavefront_insert_retire_race_keeps_order_and_accounting() {
         },
     );
 }
+
+/// Counts one task body's runs and drops.
+#[derive(Default)]
+struct BodyProbe {
+    runs: AtomicUsize,
+    drops: AtomicUsize,
+}
+
+impl BodyProbe {
+    fn counts(&self) -> (usize, usize) {
+        (
+            self.runs.load(Ordering::SeqCst),
+            self.drops.load(Ordering::SeqCst),
+        )
+    }
+}
+
+/// Dropped with the closure that owns it: when the body returns, unwinds,
+/// or is dropped unrun.
+struct DropCount(Arc<BodyProbe>);
+
+impl Drop for DropCount {
+    fn drop(&mut self) {
+        self.0.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A task body that counts its run and its drop, and panics if `panics`.
+fn probed_body(probe: &Arc<BodyProbe>, panics: bool) -> impl FnOnce() + Send + 'static {
+    let guard = DropCount(Arc::clone(probe));
+    move || {
+        guard.0.runs.fetch_add(1, Ordering::SeqCst);
+        if panics {
+            panic!("probed body panics");
+        }
+    }
+}
+
+/// The claim is the node's state CAS and the closure lives inline in the
+/// node: on every path a body is run at most once and dropped exactly once
+/// — run, panicked, discarded by `cancel` while queued, cancelled while
+/// held on a predecessor, and dropped unrun together with its queue (the
+/// node's drop retires it, so its held successor is discarded, not
+/// stranded).
+#[test]
+fn task_bodies_run_at_most_once_and_drop_exactly_once() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let probe = || Arc::new(BodyProbe::default());
+
+        let (ran, panicked) = (probe(), probe());
+        let q = queue(backend, 1);
+        q.submit_depend(probed_body(&ran, false), Some(0), 0, &[]);
+        q.submit_depend(probed_body(&panicked, true), Some(0), 0, &[]);
+        while q.run_one_from(Some(0)) {}
+        assert!(q.take_panic().is_some(), "{backend:?}: panic recorded");
+        assert_eq!(ran.counts(), (1, 1), "{backend:?}: ran");
+        assert_eq!(panicked.counts(), (1, 1), "{backend:?}: panicked");
+
+        let (queued, pred, held) = (probe(), probe(), probe());
+        let q = queue(backend, 1);
+        let queued_node = q.submit_depend(probed_body(&queued, false), Some(0), 0, &[]);
+        q.submit_depend(probed_body(&pred, false), Some(0), 0, &[Dep::output(41)]);
+        let held_node = q.submit_depend(probed_body(&held, false), Some(0), 0, &[Dep::inout(41)]);
+        assert_eq!(q.dep_held(), 1);
+        q.cancel();
+        assert!(queued_node.is_done() && held_node.is_done(), "{backend:?}");
+        assert_eq!(
+            queued.counts(),
+            (0, 1),
+            "{backend:?}: discarded while queued"
+        );
+        assert_eq!(pred.counts(), (0, 1), "{backend:?}: predecessor discarded");
+        assert_eq!(held.counts(), (0, 1), "{backend:?}: cancelled while held");
+
+        let (first, second) = (probe(), probe());
+        let q = queue(backend, 1);
+        q.submit_depend(probed_body(&first, false), Some(0), 0, &[Dep::output(42)]);
+        let second_node =
+            q.submit_depend(probed_body(&second, false), Some(0), 0, &[Dep::inout(42)]);
+        assert_eq!(first.counts(), (0, 0));
+        drop(q);
+        assert_eq!(
+            first.counts(),
+            (0, 1),
+            "{backend:?}: dropped with its queue"
+        );
+        assert_eq!(second.counts(), (0, 1), "{backend:?}: successor discarded");
+        assert!(second_node.is_done(), "{backend:?}: successor completed");
+    }
+}
+
+/// The claim race: thread 0 submits a task and at once `taskwait`s, which
+/// claims its child inline, while thread 1 keeps stealing from thread 0's
+/// deque. Each of the 10k nodes has exactly one executor, and every body is
+/// dropped exactly once.
+#[test]
+fn taskwait_inline_claim_races_a_thief() {
+    const NODES: usize = 10_000;
+    let _s = serial();
+    for backend in BACKENDS {
+        let runs: Vec<AtomicUsize> = (0..NODES).map(|_| AtomicUsize::new(0)).collect();
+        let drops = Arc::new(BodyProbe::default());
+        let done = AtomicBool::new(false);
+        let stolen = AtomicUsize::new(0);
+        let stolen = &stolen;
+        let start = Instant::now();
+        parallel_region(&cfg(backend, 2), |ctx| {
+            if ctx.thread_num() == 0 {
+                for run in &runs {
+                    let guard = DropCount(Arc::clone(&drops));
+                    ctx.task(move |tc| {
+                        let _guard = guard;
+                        run.fetch_add(1, Ordering::SeqCst);
+                        if tc.thread_num() == 1 {
+                            stolen.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                    ctx.taskwait();
+                }
+                done.store(true, Ordering::SeqCst);
+            } else {
+                while !done.load(Ordering::SeqCst) && start.elapsed() < HANG_LIMIT {
+                    ctx.taskyield();
+                }
+            }
+        });
+        assert!(start.elapsed() < HANG_LIMIT, "{backend:?}: region hung");
+        let twice = runs
+            .iter()
+            .filter(|r| r.load(Ordering::SeqCst) != 1)
+            .count();
+        assert_eq!(twice, 0, "{backend:?}: nodes not run exactly once");
+        assert_eq!(drops.counts(), (0, NODES), "{backend:?}: drops");
+        println!(
+            "{backend:?}: thief ran {} of {NODES}",
+            stolen.load(Ordering::Relaxed)
+        );
+    }
+}

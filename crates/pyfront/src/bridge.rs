@@ -1100,12 +1100,12 @@ fn build_runtime_module(mode: ExecMode) -> Value {
         match current_team() {
             Some(team) => {
                 let interp = interp.clone();
-                let body = Box::new(move || {
+                let body = move || {
                     if let Err(e) = interp.call(&func, vec![]) {
                         // Carried to parallel_run through the panic channel.
                         std::panic::panic_any(TaskPyErr(e));
                     }
-                });
+                };
                 team.submit_task(body, deferred);
             }
             None => {
@@ -1143,18 +1143,18 @@ fn build_runtime_module(mode: ExecMode) -> Value {
         match current_team() {
             Some(team) => {
                 let task_interp = interp.clone();
-                let body = Box::new(move || {
+                let body = move || {
                     if let Err(e) = task_interp.call(&func, vec![]) {
                         std::panic::panic_any(TaskPyErr(e));
                     }
-                });
+                };
                 if deferred || deps.is_empty() {
-                    team.submit_task_ex(body, deferred, priority, deps);
+                    team.submit_task_ex(body, deferred, priority, &deps);
                 } else {
                     // An undeferred task with dependences waits for its
                     // predecessors; release the GIL while parked so other
                     // team threads can run the interpreted tasks it needs.
-                    blocking(interp, || team.submit_task_ex(body, false, priority, deps));
+                    blocking(interp, || team.submit_task_ex(body, false, priority, &deps));
                 }
             }
             None => {
@@ -1220,14 +1220,14 @@ fn build_runtime_module(mode: ExecMode) -> Value {
                     let interp = interp.clone();
                     let func = func.clone();
                     team.submit_task(
-                        Box::new(move || {
+                        move || {
                             if let Err(e) = interp.call(
                                 &func,
                                 vec![Value::Int(lo), Value::Int(hi), Value::Int(step)],
                             ) {
                                 std::panic::panic_any(TaskPyErr(e));
                             }
-                        }),
+                        },
                         true,
                     );
                 }

@@ -44,6 +44,11 @@ run cargo test -q -p omp4rs --test task_dependences
 # default passive parking, and the immediate-successor bypass changes which
 # threads park.
 run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test task_dependences
+# Task allocation budget: a counting global allocator pins one heap block
+# per task (at most 2 per dependent task, 1 per plain one, plus the queues'
+# logarithmic growth) — named explicitly for the same reason; it is its own
+# test binary because it installs its own global allocator.
+run cargo test -q -p omp4rs --test task_alloc
 # Worker-pool lifecycle: a panic poisons the region not the pool,
 # cancellation, nested regions bypass the pool, hot-team reuse, and
 # concurrent masters (full teams, per-team poisoning, exact admission
