@@ -68,10 +68,13 @@ fn bench_task_queue(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{backend:?}")),
             &backend,
             |b, &backend| {
+                // Time the queue itself: a one-thread team would run the
+                // task at once, included, with no task node.
                 let team = Team::new(1, backend);
+                let queue = team.tasks();
                 b.iter(|| {
-                    team.submit_task(Box::new(|| std::hint::black_box(())), true);
-                    while team.run_one_task() {}
+                    queue.submit(|| std::hint::black_box(()));
+                    while queue.run_one() {}
                 });
             },
         );

@@ -5,7 +5,7 @@
 //! Usage: `figure_tasks [--scale <f64>] [--profile]`
 //!
 //! Per app: measured single-thread cost per mode, the dependence-graph
-//! accounting for one CompiledDT run (`omp4rs.task.dep.*` deltas), and the
+//! accounting of each measured run (`omp4rs.task.dep.*` deltas), and the
 //! simulated 1–32-thread sweep from the measured per-unit costs.
 
 use omp4rs_apps::Mode;
@@ -69,7 +69,8 @@ fn main() {
         }
         println!();
     }
-    println!("(every run drains its graph: deferred == released in each dep column above;");
-    println!(" a mismatch would mean a stranded successor — the invariant the chaos tests pin)");
+    println!("(one-thread runs include every task — run at once, never in the graph — so");
+    println!(" the dep columns read 0; deferred == released with two or more threads is the");
+    println!(" invariant the chaos tests and traced perfbench runs pin)");
     profile.finish();
 }

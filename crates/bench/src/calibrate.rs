@@ -16,7 +16,7 @@ pub struct PrimitiveCosts {
     pub atomic_claim: f64,
     /// One team barrier (2 threads, uncontended).
     pub barrier: f64,
-    /// One task submit + execute round trip.
+    /// One queued task submit + execute round trip.
     pub task_round: f64,
 }
 
@@ -63,10 +63,13 @@ pub fn measure_primitives() -> PrimitiveCosts {
     let team = Team::new(1, Backend::Atomic);
     let barrier = time_per_op(20_000, |_| team.barrier());
 
-    // Task round trip: submit + drain.
+    // Task round trip: a queued submit + drain, timed on the queue itself.
+    // A one-thread team would include the task (run it at once, with no
+    // task node), which is not the spawn cost the simulator replays.
+    let queue = team.tasks();
     let task_round = time_per_op(20_000, |_| {
-        team.submit_task(Box::new(|| {}), true);
-        while team.run_one_task() {}
+        queue.submit(|| {});
+        while queue.run_one() {}
     });
 
     PrimitiveCosts {

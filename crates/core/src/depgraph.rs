@@ -397,10 +397,32 @@ struct KeyState {
     readers: SmallList<Arc<TaskNode>, 2>,
 }
 
+impl KeyState {
+    /// Whether every task the key names has retired. Such a key orders
+    /// nothing — a retired task adds no edge — so dropping it changes no
+    /// later submission's predecessors.
+    fn is_dead(&mut self) -> bool {
+        self.last_writer.as_ref().is_none_or(|w| w.dep.is_retired()) && {
+            self.readers.retain(|r| !r.dep.is_retired());
+            self.readers.is_empty()
+        }
+    }
+}
+
+/// Fewest keys the table holds before its first prune.
+const KEY_PRUNE_MIN: usize = 64;
+
 /// The submit-side state, behind the graph's one table lock.
 #[derive(Default)]
 struct Table {
     keys: KeyMap<KeyState>,
+    /// Key count at which the next insert prunes dead keys (never below
+    /// [`KEY_PRUNE_MIN`]); then twice the survivors, so each prune is paid
+    /// for by as many new keys as it scanned and the table stays within
+    /// twice its live keys. Without it a graph whose keys are never
+    /// rewritten (a wavefront) keeps every task node alive until the region
+    /// ends.
+    prune_at: usize,
     /// Tasks that entered the graph held, so `cancel_all` can hand every
     /// one back. Released tasks are pruned as the list grows.
     held: Vec<Arc<TaskNode>>,
@@ -432,6 +454,10 @@ impl DepGraph {
         released: &mut Released,
     ) -> bool {
         let mut table = self.table.lock();
+        if table.keys.len() >= table.prune_at.max(KEY_PRUNE_MIN) {
+            table.keys.retain(|_, st| !st.is_dead());
+            table.prune_at = 2 * table.keys.len();
+        }
         let mut edges = 0;
         for (i, d) in deps.iter().enumerate() {
             // A key named twice in one list is one access, a write if any
@@ -507,6 +533,12 @@ impl DepGraph {
                 RELEASED.fetch_add(1, Ordering::Relaxed);
             })
             .collect()
+    }
+
+    /// Number of keys in the table (unit tests: pruning keeps it bounded).
+    #[cfg(test)]
+    fn keys_len(&self) -> usize {
+        self.table.lock().keys.len()
     }
 
     /// Length of `key`'s reader list (unit tests: pruning keeps it bounded).
@@ -791,6 +823,47 @@ mod tests {
             longest = longest.max(g.readers_len(8));
         }
         assert!(longest <= 8, "reader list grew to {longest}");
+    }
+
+    #[test]
+    fn dead_keys_are_pruned_from_the_table() {
+        let g = graph();
+        let mut longest = 0;
+        let (mut writers, mut readers) = (Vec::new(), Vec::new());
+        for key in 0..10_000u64 {
+            let (w, held) = insert(&g, &[Dep::output(key)]);
+            assert!(!held);
+            // One key in ten keeps its writer live and one in ten a live
+            // reader: those keys must survive pruning.
+            match key % 10 {
+                0 => writers.push((key, w)),
+                5 => {
+                    retire(&w);
+                    let (r, held) = insert(&g, &[Dep::input(key)]);
+                    assert!(!held);
+                    readers.push((key, r));
+                }
+                _ => {
+                    retire(&w);
+                }
+            }
+            longest = longest.max(g.keys_len());
+        }
+        let live = writers.len() + readers.len();
+        assert!(
+            longest <= 2 * live + KEY_PRUNE_MIN,
+            "key table grew to {longest} for {live} live keys"
+        );
+        for (key, w) in &writers {
+            let (_r, held) = insert(&g, &[Dep::input(*key)]);
+            assert!(held, "a live writer still orders its readers");
+            retire(w);
+        }
+        for (key, r) in &readers {
+            let (_w, held) = insert(&g, &[Dep::output(*key)]);
+            assert!(held, "a live reader still orders the next writer");
+            retire(r);
+        }
     }
 
     #[test]

@@ -1303,11 +1303,12 @@ fn submit_scoped_task_ex<'scope, F>(
         f(&tc);
     };
     // SAFETY: the task is guaranteed to complete (and its closure to be
-    // dropped) before `parallel_region` returns: every worker executes the
-    // team's final task-draining barrier, which releases only when the task
-    // queue is empty and no task is in progress. A dependence-held task
-    // stays counted in the queue's `outstanding` from submission, so the
-    // barrier also covers tasks parked in the dependence graph (and a
+    // dropped) before `parallel_region` returns. An included task completes
+    // before `submit_task_scoped` returns. For a queued one, every worker
+    // executes the team's final task-draining barrier, which releases only
+    // when the task queue is empty and no task is in progress. A
+    // dependence-held task stays counted in the queue's `outstanding` from
+    // submission, so the barrier also covers tasks parked in the dependence graph (and a
     // cancelled graph *discards* — runs the drop of — every held closure
     // rather than stranding it). `'scope` outlives the `parallel_region`
     // call (enforced by the invariant lifetime on `WorkerCtx`/`TaskCtx`),

@@ -132,7 +132,9 @@ pub enum EventKind {
     },
     /// A task was created (`task` directive or `taskloop` expansion).
     TaskCreate {
-        /// `false` for undeferred (`if(false)`) tasks that ran inline.
+        /// `false` for included tasks, run at once on the creating thread
+        /// with no task node: `if(false)` tasks, and every task of a
+        /// one-thread team with nothing outstanding.
         deferred: bool,
     },
     /// A task body started executing on this thread.
@@ -161,12 +163,6 @@ pub enum EventKind {
     LockAcquire {
         /// Whether the acquisition had to wait for another holder.
         contended: bool,
-    },
-    /// A thread blocked on a runtime event (`taskwait` completion,
-    /// `copyprivate` publication, `ordered` turn-taking).
-    SyncWait {
-        /// Nanoseconds spent blocked.
-        ns: u64,
     },
     /// Cancellation was requested or first observed for a construct.
     CancelObserved,
@@ -204,7 +200,6 @@ impl EventKind {
             EventKind::ChunkClaim { .. } => "chunk-claim",
             EventKind::ChunkDone { .. } => "chunk-done",
             EventKind::LockAcquire { .. } => "lock-acquire",
-            EventKind::SyncWait { .. } => "sync-wait",
             EventKind::CancelObserved => "cancel-observed",
             EventKind::WatchdogStall { .. } => "watchdog-stall",
             EventKind::DeadlineTrip { .. } => "deadline-trip",
@@ -1077,9 +1072,6 @@ pub struct RegionMetrics {
     pub lock_acquires: u64,
     /// How many of those had to wait for another holder.
     pub lock_contended: u64,
-    /// Time spent blocked on runtime events (`taskwait`, `copyprivate`,
-    /// `ordered`), ns.
-    pub sync_wait_ns: u64,
     /// Cancellation requests/observations.
     pub cancellations: u64,
 }
@@ -1168,7 +1160,6 @@ pub fn aggregate(events: &[Event]) -> Vec<RegionMetrics> {
                     m.lock_acquires += 1;
                     m.lock_contended += u64::from(contended);
                 }
-                EventKind::SyncWait { ns } => m.sync_wait_ns += ns,
                 EventKind::CancelObserved => m.cancellations += 1,
                 // Resilience trips always poison the region, which records a
                 // CancelObserved counted above — no separate aggregate.
@@ -1248,10 +1239,8 @@ pub fn render_summary(events: &[Event], counters: &BTreeMap<&'static str, u64>) 
             m.tasks_created, m.tasks_completed, m.task_steals, m.task_depth_hwm
         ));
         out.push_str(&format!(
-            "  locks: {} acquisitions, {} contended; sync wait {}\n",
-            m.lock_acquires,
-            m.lock_contended,
-            fmt_ms(m.sync_wait_ns)
+            "  locks: {} acquisitions, {} contended\n",
+            m.lock_acquires, m.lock_contended
         ));
         if m.cancellations > 0 {
             out.push_str(&format!("  cancellations: {}\n", m.cancellations));
@@ -1488,16 +1477,6 @@ impl PairState {
                 if contended {
                     w.instant("lock-contended", e.region, e.thread, e.ts_ns, "");
                 }
-            }
-            EventKind::SyncWait { ns } => {
-                w.complete(
-                    "sync-wait",
-                    e.region,
-                    e.thread,
-                    e.ts_ns.saturating_sub(ns),
-                    ns,
-                    "",
-                );
             }
             EventKind::CancelObserved => {
                 w.instant("cancel", e.region, e.thread, e.ts_ns, "");
@@ -2113,7 +2092,6 @@ mod tests {
             ev(3, 0, 311, EventKind::TaskSchedule),
             ev(3, 0, 330, EventKind::TaskComplete),
             ev(3, 0, 340, EventKind::LockAcquire { contended: true }),
-            ev(3, 0, 350, EventKind::SyncWait { ns: 5 }),
             ev(3, 0, 360, EventKind::CancelObserved),
             ev(3, 0, 400, EventKind::ParallelEnd),
         ];
@@ -2122,8 +2100,8 @@ mod tests {
         let trace = render_chrome_trace(&events, &counters);
         let stats = validate_chrome_trace(&trace).expect("trace must be valid JSON");
         // parallel, chunk, barrier, task-create, task, lock-contended,
-        // chunk-claim instant, sync-wait, cancel = 9 entries.
-        assert_eq!(stats.events, 9);
+        // chunk-claim instant, cancel = 8 entries.
+        assert_eq!(stats.events, 8);
         assert_eq!(stats.counters, 1);
     }
 

@@ -288,21 +288,13 @@ impl Claimed<'_> {
     /// successors that retirement released onto `released` for the caller
     /// to admit.
     ///
-    /// Panics in the body are caught and returned (not propagated): per the
-    /// OpenMP rule the paper cites, exceptions must not escape a task. The
-    /// node is still marked completed so barriers and `taskwait` release.
+    /// Panics in the body are caught and returned (see `execute`); the node
+    /// is still marked completed so barriers and `taskwait` release.
     fn finish(self, run: bool, released: &mut Released) -> Option<Box<dyn std::any::Any + Send>> {
         let node = self.0;
         let panic = if run {
-            ompt::record_here(ompt::EventKind::TaskSchedule);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Inside the catch: an injected task fault is recorded
-                // like any user panic instead of unwinding the executor.
-                faults::on_event(FaultSite::TaskExecute);
-                // SAFETY: `self` is the claim.
-                unsafe { node.body.take(true) };
-            }))
-            .err()
+            // SAFETY: `self` is the claim.
+            execute(|| unsafe { node.body.take(true) })
         } else {
             None
         };
@@ -317,6 +309,19 @@ impl Claimed<'_> {
         ompt::record_here(ompt::EventKind::TaskComplete);
         panic
     }
+}
+
+/// Run a task body on the calling thread: the `task-schedule` event, then
+/// the body behind the `task-execute` fault site. A panic — the body's, or
+/// an injected fault's, which pre-empts the body — is caught and returned:
+/// per the OpenMP rule the paper cites, exceptions must not escape a task.
+fn execute(body: impl FnOnce()) -> Option<Box<dyn std::any::Any + Send>> {
+    ompt::record_here(ompt::EventKind::TaskSchedule);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        faults::on_event(FaultSite::TaskExecute);
+        body();
+    }))
+    .err()
 }
 
 /// A `priority(n)` task's place in the heap: highest priority first,
@@ -561,14 +566,18 @@ impl TaskQueue {
         self.wake.notify_all();
     }
 
-    /// Execute a fresh node, built without dependences, as an *undeferred*
-    /// task (an `if(false)` task): immediately on the calling thread, off
-    /// the queue, as required by the spec.
-    pub(crate) fn run_undeferred(&self, node: &TaskNode) {
+    /// Run `body` as an *included* task: at once, on the calling thread,
+    /// with no [`TaskNode`] — never queued, never outstanding, never in the
+    /// dependence graph. Used for an `if(false)` task, and for any task of
+    /// a team whose every earlier task has completed (see
+    /// `Team::submit_task_scoped`). The body still passes the
+    /// `task-execute` fault site, and a panic is captured like a queued
+    /// task's, to be re-raised after the join.
+    pub(crate) fn run_included(&self, body: impl FnOnce()) {
         ompt::record_here(ompt::EventKind::TaskCreate { deferred: false });
-        if let Some(claim) = node.try_claim() {
-            self.record_panic(claim.finish(true, &mut Released::new()));
-        }
+        let panic = execute(body);
+        ompt::record_here(ompt::EventKind::TaskComplete);
+        self.record_panic(panic);
     }
 
     /// Execute a node the caller claimed (used by `taskwait` child
@@ -771,21 +780,15 @@ mod tests {
     fn undeferred_runs_inline() {
         for backend in both() {
             let q = TaskQueue::new(backend, Arc::new(Notifier::new()));
-            let hits = Arc::new(AtomicUsize::new(0));
-            let h = Arc::clone(&hits);
-            let node = TaskNode::new(
-                move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                },
-                None,
-                0,
-                false,
-            );
-            q.run_undeferred(&node);
+            let hits = AtomicUsize::new(0);
+            q.run_included(|| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
             assert_eq!(hits.load(Ordering::SeqCst), 1);
-            assert!(node.is_done());
             assert_eq!(q.outstanding(), 0);
             assert!(q.is_empty());
+            q.run_included(|| panic!("included"));
+            assert!(q.take_panic().is_some(), "a panic is captured, not raised");
         }
     }
 

@@ -530,9 +530,12 @@ impl Team {
     /// bodies would grow the stack with the task *count*; beyond the limit
     /// threads instead park and let shallower threads drain the queue
     /// (`taskwait` still executes its *own* children inline, which is
-    /// bounded by the task-tree depth).
+    /// bounded by the task-tree depth). A one-thread team has no shallower
+    /// thread, so there the limit would strand a deep `taskgroup` or
+    /// undeferred `depend` wait forever: it never refuses, and the stack
+    /// grows only with the nesting of such waits.
     pub fn run_one_task(&self) -> bool {
-        if EXEC_DEPTH.with(|d| d.get()) >= STEAL_DEPTH_LIMIT {
+        if self.size > 1 && EXEC_DEPTH.with(|d| d.get()) >= STEAL_DEPTH_LIMIT {
             return false;
         }
         EXEC_DEPTH.with(|d| d.set(d.get() + 1));
@@ -558,12 +561,8 @@ impl Team {
     /// The body is wrapped so that, on whichever thread runs it, a task
     /// frame is pushed (nested `task` directives then register as children
     /// of this task) and popped even if the body panics.
-    pub fn submit_task<F: FnOnce() + Send + 'static>(
-        &self,
-        body: F,
-        deferred: bool,
-    ) -> Arc<TaskNode> {
-        self.submit_task_ex(body, deferred, 0, &[])
+    pub fn submit_task<F: FnOnce() + Send + 'static>(&self, body: F, deferred: bool) {
+        self.submit_task_ex(body, deferred, 0, &[]);
     }
 
     /// [`Team::submit_task`] with the full clause set: a `priority(n)` hint
@@ -581,14 +580,32 @@ impl Team {
         deferred: bool,
         priority: i64,
         deps: &[Dep],
-    ) -> Arc<TaskNode> {
+    ) {
         // SAFETY: a `'static` closure borrows nothing.
         unsafe { self.submit_task_scoped(body, deferred, priority, deps) }
     }
 
+    /// Whether a task created now may be *included* — run at once on the
+    /// creating thread, with no task node — whatever its clauses. True in a
+    /// one-thread team with nothing outstanding: every earlier task has
+    /// completed, so running the new one at once satisfies any `depend`
+    /// item, and no other thread exists to run it sooner (libomp's
+    /// `task_serial`). A cancelled queue takes the queued path, which
+    /// discards; past the inline-depth limit the task is queued too, so a
+    /// self-spawning chain runs from the queue in constant stack instead of
+    /// recursing.
+    fn includes_tasks(&self) -> bool {
+        self.size == 1
+            && self.tasks.outstanding() == 0
+            && !self.tasks.is_cancelled()
+            && EXEC_DEPTH.with(Cell::get) < STEAL_DEPTH_LIMIT
+    }
+
     /// [`Team::submit_task_ex`] for a closure that borrows data living for
     /// `'a`. The task-frame and taskgroup wrapper and `body` become one
-    /// closure, stored inline in the task's one allocation.
+    /// closure: run at once as an included task (an `if(false)` task
+    /// without `depend` items, or see `includes_tasks`), or stored inline
+    /// in a queued task's one allocation.
     ///
     /// # Safety
     ///
@@ -601,7 +618,7 @@ impl Team {
         deferred: bool,
         priority: i64,
         deps: &[Dep],
-    ) -> Arc<TaskNode> {
+    ) {
         let membership = depgraph::Membership::enter_current();
         let wrapped = move || {
             let frame = context::current_frame();
@@ -621,23 +638,31 @@ impl Team {
             let _group = membership.install();
             body();
         };
+        // An `if(false)` task runs here in any case, so it adds no depth;
+        // a task included in place of queueing does, which bounds the
+        // recursion of a self-spawning chain.
+        if !deferred && deps.is_empty() {
+            self.tasks.run_included(wrapped);
+            return;
+        }
+        if self.includes_tasks() {
+            EXEC_DEPTH.with(|d| d.set(d.get() + 1));
+            self.tasks.run_included(wrapped);
+            EXEC_DEPTH.with(|d| d.set(d.get() - 1));
+            return;
+        }
         let frame = context::current_frame();
         let owner = self.member_num(frame.as_deref());
         let dependent = !deps.is_empty();
         // SAFETY: forwarded to the caller.
         let node = unsafe { TaskNode::new_scoped(wrapped, owner, priority, dependent) };
-        if dependent || deferred {
-            self.tasks.submit_node(&node, deps);
-            if !deferred {
-                self.wait_node(&node);
-            }
-        } else {
-            self.tasks.run_undeferred(&node);
+        self.tasks.submit_node(&node, deps);
+        if !deferred {
+            self.wait_node(&node);
         }
         if let Some(frame) = frame {
-            frame.register_child(Arc::clone(&node));
+            frame.register_child(node);
         }
-        node
     }
 
     /// Wait for one specific task to complete, executing queued tasks while

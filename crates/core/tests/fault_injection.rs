@@ -6,7 +6,7 @@
 //! join — in both synchronization backends.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -42,6 +42,25 @@ fn with_cancellation(f: impl FnOnce()) {
     Icvs::reset(before);
     if let Err(p) = result {
         std::panic::resume_unwind(p);
+    }
+}
+
+/// Hold a team thread in user code until `flag` is set. Spinning is no
+/// scheduling point, so the thread cannot steal a queued task meanwhile.
+fn hold_until(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+}
+
+/// Sets its flag when dropped. Thread 0 holds one for its whole body, so
+/// the thread in [`hold_until`] is released when that body ends, even by a
+/// panic or a failed assertion: the test then fails instead of hanging.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -222,15 +241,23 @@ fn cancel_taskgroup_discards_queued_tasks() {
     with_cancellation(|| {
         for backend in BACKENDS {
             let executed = AtomicUsize::new(0);
-            // One thread: deferred tasks stay queued until the end barrier,
-            // so cancelling before the barrier discards them deterministically.
-            parallel_region(&cfg(backend, 1), |ctx| {
-                for _ in 0..8 {
-                    ctx.task(|_| {
-                        executed.fetch_add(1, Ordering::SeqCst);
-                    });
+            let discarded = AtomicBool::new(false);
+            // Two threads, so tasks are queued, not included. Thread 1 waits
+            // on a flag in user code — no scheduling point, so it cannot
+            // steal — until thread 0 has cancelled: the queued tasks are
+            // discarded deterministically.
+            parallel_region(&cfg(backend, 2), |ctx| {
+                if ctx.thread_num() == 0 {
+                    let _release = SetOnDrop(&discarded);
+                    for _ in 0..8 {
+                        ctx.task(|_| {
+                            executed.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                    assert!(ctx.cancel("taskgroup"));
+                } else {
+                    hold_until(&discarded);
                 }
-                assert!(ctx.cancel("taskgroup"));
             });
             assert_eq!(executed.load(Ordering::SeqCst), 0, "{backend:?}");
         }

@@ -17,7 +17,7 @@ use omp4rs::exec::{parallel_region, parallel_region_result, DepSpec, ParallelCon
 use omp4rs::faults::{self, FaultPlan, FaultSite};
 use omp4rs::sync::Notifier;
 use omp4rs::tasks::TaskQueue;
-use omp4rs::{Backend, Dep, Icvs, InjectedFault, OmpError};
+use omp4rs::{Backend, Dep, Icvs, InjectedFault, OmpError, TaskCtx};
 
 const HANG_LIMIT: Duration = Duration::from_secs(30);
 const BACKENDS: [Backend; 2] = [Backend::Mutex, Backend::Atomic];
@@ -42,6 +42,27 @@ fn with_icvs(tweak: impl FnOnce(&mut Icvs), f: impl FnOnce()) {
     Icvs::reset(before);
     if let Err(p) = result {
         std::panic::resume_unwind(p);
+    }
+}
+
+/// Hold a team thread in user code until `flag` is set. Spinning is no
+/// scheduling point, so the thread cannot steal a queued task meanwhile:
+/// a two-thread team whose second thread waits here keeps its tasks
+/// queued (a one-thread team would run each at once, included).
+fn hold_until(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+}
+
+/// Sets its flag when dropped. Thread 0 holds one for its whole body, so
+/// the thread in [`hold_until`] is released when that body ends, even by a
+/// panic or a failed assertion: the test then fails instead of hanging.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -142,20 +163,29 @@ fn writer_waits_for_all_readers() {
     }
 }
 
-/// `priority(n)` must be *observable*, not merely accepted: on a one-thread
-/// team the deferred tasks drain at the region-end barrier strictly in
-/// priority order (ties in submission order is pinned by the unit tests).
+/// `priority(n)` must be *observable*, not merely accepted: with one thread
+/// draining the queue, the deferred tasks run strictly in priority order
+/// (ties in submission order is pinned by the unit tests). The second
+/// thread is held in user code so it cannot take one out of turn.
 #[test]
 fn priority_order_is_observable_in_a_region() {
     let _s = serial();
     for backend in BACKENDS {
         let order: Mutex<Vec<i64>> = Mutex::new(Vec::new());
-        parallel_region(&cfg(backend, 1), |ctx| {
+        let drained = AtomicBool::new(false);
+        parallel_region(&cfg(backend, 2), |ctx| {
+            if ctx.thread_num() != 0 {
+                return hold_until(&drained);
+            }
+            let _release = SetOnDrop(&drained);
             for p in [1i64, 3, 2, 5, 4] {
                 let order = &order;
                 ctx.task_priority(p, move |_| {
                     order.lock().unwrap().push(p);
                 });
+            }
+            while order.lock().unwrap().len() < 5 {
+                ctx.taskyield();
             }
         });
         let got = order.into_inner().unwrap();
@@ -164,9 +194,10 @@ fn priority_order_is_observable_in_a_region() {
 }
 
 /// `taskwait` waits on the *submitting task's children*, per spec — not the
-/// whole queue. Regression pin: with one thread, a sibling task queued
-/// before the parent must still be pending when the parent's `taskwait`
-/// returns (the old behavior drained the entire queue).
+/// whole queue. Regression pin: with one thread draining the queue (the
+/// other held in user code), a sibling task queued before the parent must
+/// still be pending when the parent's `taskwait` returns (the old behavior
+/// drained the entire queue).
 #[test]
 fn taskwait_is_child_scoped_not_queue_wide() {
     let _s = serial();
@@ -174,7 +205,12 @@ fn taskwait_is_child_scoped_not_queue_wide() {
         let sibling_ran = AtomicBool::new(false);
         let child_ran = AtomicBool::new(false);
         let sibling_seen_at_taskwait = AtomicBool::new(true);
-        parallel_region(&cfg(backend, 1), |ctx| {
+        let drained = AtomicBool::new(false);
+        parallel_region(&cfg(backend, 2), |ctx| {
+            if ctx.thread_num() != 0 {
+                return hold_until(&drained);
+            }
+            let _release = SetOnDrop(&drained);
             let (sibling_ran, child_ran, seen) =
                 (&sibling_ran, &child_ran, &sibling_seen_at_taskwait);
             // Sibling of the parent task below (both are children of the
@@ -190,6 +226,10 @@ fn taskwait_is_child_scoped_not_queue_wide() {
                 assert!(child_ran.load(Ordering::SeqCst), "taskwait skipped a child");
                 seen.store(sibling_ran.load(Ordering::SeqCst), Ordering::SeqCst);
             });
+            // The own deque pops LIFO: the parent task runs first.
+            while !sibling_ran.load(Ordering::SeqCst) {
+                ctx.taskyield();
+            }
         });
         assert!(sibling_ran.load(Ordering::SeqCst), "{backend:?}");
         assert!(
@@ -262,8 +302,13 @@ fn cancel_inside_taskgroup_releases_held_members() {
             for backend in BACKENDS {
                 let before = depgraph::counters();
                 let executed = AtomicUsize::new(0);
+                let discarded = AtomicBool::new(false);
                 let start = Instant::now();
-                parallel_region(&cfg(backend, 1), |ctx| {
+                parallel_region(&cfg(backend, 2), |ctx| {
+                    if ctx.thread_num() != 0 {
+                        return hold_until(&discarded);
+                    }
+                    let _release = SetOnDrop(&discarded);
                     let executed = &executed;
                     ctx.taskgroup(|| {
                         for _ in 0..8 {
@@ -271,7 +316,7 @@ fn cancel_inside_taskgroup_releases_held_members() {
                                 executed.fetch_add(1, Ordering::SeqCst);
                             });
                         }
-                        // One thread: everything is still queued/held here.
+                        // Thread 1 is held: everything is still queued/held.
                         assert!(ctx.cancel("taskgroup"));
                     });
                 });
@@ -370,9 +415,14 @@ fn dep_release_fault_discards_successor_and_cascades() {
         AtomicBool::new(false),
         AtomicBool::new(false),
     );
+    let drained = AtomicBool::new(false);
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        parallel_region(&cfg(Backend::Atomic, 1), |ctx| {
+        parallel_region(&cfg(Backend::Atomic, 2), |ctx| {
+            if ctx.thread_num() != 0 {
+                return hold_until(&drained);
+            }
+            let _release = SetOnDrop(&drained);
             let (a_ran, b_ran, c_ran) = (&a_ran, &b_ran, &c_ran);
             ctx.task_depend(DepSpec::new().inout(11), move |_| {
                 a_ran.store(true, Ordering::SeqCst);
@@ -383,6 +433,9 @@ fn dep_release_fault_discards_successor_and_cascades() {
             ctx.task_depend(DepSpec::new().inout(11), move |_| {
                 c_ran.store(true, Ordering::SeqCst);
             });
+            // Runs A inline, whose faulted release discards B and releases
+            // C, which runs next.
+            ctx.taskwait();
         });
     }));
     let payload = result.expect_err("the dep-release fault must re-raise");
@@ -409,6 +462,307 @@ fn dep_release_fault_discards_successor_and_cascades() {
         "a faulted release path stranded a successor"
     );
     assert_eq!(after.edges - before.edges, 2, "A→B and B→C");
+}
+
+/// The calling thread's team queue's outstanding count.
+fn outstanding() -> usize {
+    omp4rs::context::current_frame()
+        .expect("inside a region")
+        .team
+        .tasks()
+        .outstanding()
+}
+
+/// In a one-thread team with nothing outstanding a task is *included*: it
+/// has run when `task` or `task_depend` returns, it is never counted
+/// outstanding, and it never enters the dependence graph.
+#[test]
+fn one_thread_team_runs_its_tasks_included() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let before = depgraph::counters();
+        let ran = AtomicUsize::new(0);
+        parallel_region(&cfg(backend, 1), |ctx| {
+            let ran = &ran;
+            for i in 0..8 {
+                ctx.task(move |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(ran.load(Ordering::SeqCst), 2 * i + 1, "task ran at once");
+                ctx.task_depend(DepSpec::new().inout(3).input(4), move |tc| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    tc.task(|_| {});
+                    assert_eq!(outstanding(), 0, "a nested task is included too");
+                });
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    2 * i + 2,
+                    "task_depend ran at once"
+                );
+                assert_eq!(outstanding(), 0, "{backend:?}");
+            }
+        });
+        assert_eq!(
+            depgraph::counters(),
+            before,
+            "{backend:?}: an included task touched the dependence graph"
+        );
+    }
+}
+
+/// One link of a self-spawning chain: counts itself, records the queue's
+/// outstanding count, and spawns the next link.
+fn chain_link<'s>(tc: &TaskCtx<'s>, left: usize, ran: &'s AtomicUsize, queued: &'s AtomicUsize) {
+    ran.fetch_add(1, Ordering::Relaxed);
+    queued.fetch_max(outstanding(), Ordering::Relaxed);
+    if left > 0 {
+        tc.task(move |tc| chain_link(tc, left - 1, ran, queued));
+    }
+}
+
+/// Included tasks nest on the creating thread's stack, so inclusion stops
+/// at the inline-depth limit: a 100k-deep self-spawning chain at T = 1
+/// runs on a 1 MiB stack because the links past the limit are queued and
+/// run from the queue. An inclusion rule without the depth check overflows.
+#[test]
+fn deep_self_spawning_chain_defers_past_the_depth_limit() {
+    const N: usize = 100_000;
+    let _s = serial();
+    for backend in BACKENDS {
+        let (ran, queued) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(1 << 20)
+                .spawn_scoped(s, || {
+                    parallel_region(&cfg(backend, 1), |ctx| {
+                        let (ran, queued) = (&ran, &queued);
+                        ctx.task(move |tc| chain_link(tc, N - 1, ran, queued));
+                    });
+                })
+                .expect("spawn");
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), N, "{backend:?}");
+        assert!(
+            queued.load(Ordering::Relaxed) > 0,
+            "{backend:?}: no link was queued past the depth limit"
+        );
+    }
+}
+
+/// A panicking included task is captured like a queued one: the region
+/// goes on, later tasks run, and the panic re-raises after the join.
+#[test]
+fn included_task_panic_reraises_after_the_join() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let later_ran = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_region(&cfg(backend, 1), |ctx| {
+                ctx.task(|_| panic!("included task failed"));
+                ctx.task(|_| later_ran.store(true, Ordering::SeqCst));
+            });
+        }));
+        let payload = result.expect_err("the task panic must re-raise");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"included task failed"),
+            "{backend:?}"
+        );
+        assert!(
+            later_ran.load(Ordering::SeqCst),
+            "{backend:?}: later task skipped"
+        );
+    }
+}
+
+/// A cancelled queue includes nothing: after `cancel taskgroup` in a
+/// one-thread team, later tasks are discarded, not run.
+#[test]
+fn cancelled_one_thread_team_runs_no_later_task() {
+    let _s = serial();
+    with_icvs(
+        |icvs| icvs.cancellation = true,
+        || {
+            for backend in BACKENDS {
+                let (before, after) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                parallel_region(&cfg(backend, 1), |ctx| {
+                    ctx.task(|_| {
+                        before.fetch_add(1, Ordering::SeqCst);
+                    });
+                    assert!(ctx.cancel("taskgroup"));
+                    ctx.task(|_| {
+                        after.fetch_add(1, Ordering::SeqCst);
+                    });
+                    ctx.task_depend(DepSpec::new().inout(1), |_| {
+                        after.fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+                assert_eq!(before.load(Ordering::SeqCst), 1, "{backend:?}");
+                assert_eq!(after.load(Ordering::SeqCst), 0, "{backend:?}");
+            }
+        },
+    );
+}
+
+/// A writer of key 9 that, while every writer so far has run at once,
+/// nests one more below itself. The first writer that the inline-depth
+/// limit queues instead of running ends the nesting: it runs later, from
+/// the queue, and only that one sets `written`.
+fn nested_writer<'s>(tc: &TaskCtx<'s>, queued: &'s AtomicBool, written: &'s AtomicBool) {
+    tc.task_depend(DepSpec::new().output(9), move |tc| {
+        if queued.load(Ordering::SeqCst) {
+            written.store(true, Ordering::SeqCst);
+        } else {
+            nested_writer(tc, queued, written);
+        }
+    });
+    if outstanding() > 0 {
+        queued.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Inclusion needs *every* earlier task completed. A `depend` task created
+/// while an earlier one is still queued (here a writer created past the
+/// inline-depth limit, under nested included writers) goes through the
+/// dependence graph and runs after it, even in a one-thread team.
+#[test]
+fn depend_task_after_a_queued_task_is_still_ordered() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let (queued, written) = (AtomicBool::new(false), AtomicBool::new(false));
+        let read_after_write = AtomicBool::new(false);
+        parallel_region(&cfg(backend, 1), |ctx| {
+            let (queued, written, read_after_write) = (&queued, &written, &read_after_write);
+            ctx.task(move |tc| nested_writer(tc, queued, written));
+            assert!(queued.load(Ordering::SeqCst), "no writer was queued");
+            assert!(
+                !written.load(Ordering::SeqCst),
+                "the writer is still queued"
+            );
+            assert_eq!(outstanding(), 1, "the writer is queued");
+            ctx.task_depend(DepSpec::new().input(9), move |_| {
+                read_after_write.store(written.load(Ordering::SeqCst), Ordering::SeqCst);
+            });
+        });
+        assert!(written.load(Ordering::SeqCst), "{backend:?}");
+        assert!(
+            read_after_write.load(Ordering::SeqCst),
+            "{backend:?}: the reader overtook a queued writer"
+        );
+    }
+}
+
+/// Run `body` in a one-thread region whose waits are bounded by a region
+/// deadline, so a wait that nothing can satisfy fails as a typed
+/// `RegionTimeout` instead of hanging.
+fn one_thread_bounded<'env>(backend: Backend, body: impl Fn(&omp4rs::WorkerCtx<'env>) + Sync) {
+    with_icvs(
+        |icvs| icvs.region_deadline = Some(HANG_LIMIT / 3),
+        || {
+            let start = Instant::now();
+            let result = parallel_region_result(&cfg(backend, 1), body);
+            assert!(start.elapsed() < HANG_LIMIT, "{backend:?}: region hung");
+            result.unwrap_or_else(|e| panic!("{backend:?}: {e:?}"));
+        },
+    );
+}
+
+/// One link of a fire-and-forget chain: opens a taskgroup with one member
+/// task and checks that the member ran, then spawns the next link.
+fn group_link<'s>(tc: &TaskCtx<'s>, left: usize, links: &'s AtomicUsize) {
+    let member_ran = Arc::new(AtomicBool::new(false));
+    let m = Arc::clone(&member_ran);
+    tc.taskgroup(|| tc.task(move |_| m.store(true, Ordering::SeqCst)));
+    assert!(member_ran.load(Ordering::SeqCst), "taskgroup left a member");
+    links.fetch_add(1, Ordering::SeqCst);
+    if left > 0 {
+        tc.task(move |tc| group_link(tc, left - 1, links));
+    }
+}
+
+/// Links past the inline-depth limit queue their taskgroup member, and a
+/// one-thread team has no shallower thread to run it: the taskgroup's own
+/// wait must run it from the queue, at any depth.
+#[test]
+fn deep_taskgroup_in_a_one_thread_team_completes() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let links = AtomicUsize::new(0);
+        one_thread_bounded(backend, |ctx| {
+            let links = &links;
+            ctx.task(move |tc| group_link(tc, 29, links));
+        });
+        assert_eq!(links.load(Ordering::SeqCst), 30, "{backend:?}");
+    }
+}
+
+/// One link of a fire-and-forget chain: creates a writer of key 5, then an
+/// undeferred (`if(false)`) reader of it, which checks that the writer ran
+/// first; then spawns the next link. Past the inline-depth limit the
+/// writer is queued and the reader held on it.
+fn undeferred_reader_link<'s>(tc: &TaskCtx<'s>, left: usize, links: &'s AtomicUsize) {
+    let wrote = Arc::new(AtomicBool::new(false));
+    let (w, r) = (Arc::clone(&wrote), Arc::clone(&wrote));
+    tc.task_depend(DepSpec::new().output(5), move |_| {
+        w.store(true, Ordering::SeqCst);
+    });
+    let team = Arc::clone(&omp4rs::context::current_frame().expect("in a task").team);
+    let read = Arc::new(AtomicBool::new(false));
+    let seen = Arc::clone(&read);
+    team.submit_task_ex(
+        move || seen.store(r.load(Ordering::SeqCst), Ordering::SeqCst),
+        false,
+        0,
+        &[Dep::input(5)],
+    );
+    assert!(
+        read.load(Ordering::SeqCst),
+        "the undeferred reader overtook its writer"
+    );
+    links.fetch_add(1, Ordering::SeqCst);
+    if left > 0 {
+        tc.task(move |tc| undeferred_reader_link(tc, left - 1, links));
+    }
+}
+
+/// Nest `depth` `if(false)` tasks, then run `f` in the innermost.
+fn under_if_false<'s, F>(tc: &TaskCtx<'s>, depth: usize, f: F)
+where
+    F: FnOnce(&TaskCtx<'s>) + Send + 's,
+{
+    if depth == 0 {
+        return f(tc);
+    }
+    tc.task_if(false, move |tc| under_if_false(tc, depth - 1, f));
+}
+
+/// `if(false)` tasks run on the creating thread whatever the depth, so they
+/// do not count toward the inline-depth limit: 30 of them nested still let
+/// a task be included. Below them, an undeferred `depend` task held on a
+/// writer queued past the limit is waited for by running that writer from
+/// the queue, which a one-thread team must do at any depth.
+#[test]
+fn undeferred_depend_wait_in_a_one_thread_team_completes() {
+    let _s = serial();
+    for backend in BACKENDS {
+        let links = AtomicUsize::new(0);
+        one_thread_bounded(backend, |ctx| {
+            let links = &links;
+            ctx.task_if(false, move |tc| {
+                under_if_false(tc, 29, move |tc| {
+                    let ran = Arc::new(AtomicBool::new(false));
+                    let r = Arc::clone(&ran);
+                    tc.task(move |_| r.store(true, Ordering::SeqCst));
+                    assert!(
+                        ran.load(Ordering::SeqCst),
+                        "if(false) nesting used up the depth"
+                    );
+                    tc.task(move |tc| undeferred_reader_link(tc, 29, links));
+                });
+            });
+        });
+        assert_eq!(links.load(Ordering::SeqCst), 30, "{backend:?}");
+    }
 }
 
 /// A team task queue with `threads` steal deques, driven by hand: the

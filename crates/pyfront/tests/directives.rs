@@ -984,19 +984,31 @@ def diamond():
 
 #[test]
 fn task_priority_clause_is_honored() {
-    // One thread: every task defers into the priority heap while the
-    // single block runs, then drains highest-priority-first.
+    // Two threads, so every task defers into the priority heap, then
+    // thread 0 drains it highest-priority-first. Thread 1 waits on a flag
+    // in user code, which is no scheduling point, so it cannot take a task
+    // out of turn; `finally` releases it even if thread 0 raises. (A
+    // one-thread team runs each task at once, included.)
     let src = r#"
 from omp4py import *
 
 @omp
 def prio():
     order = []
-    with omp("parallel num_threads(1)"):
-        with omp("single"):
-            for p in [1, 3, 2, 5, 4]:
-                with omp("task priority(p) firstprivate(p)"):
-                    order.append(p)
+    drained = [False]
+    with omp("parallel num_threads(2)"):
+        if omp_get_thread_num() == 0:
+            try:
+                for p in [1, 3, 2, 5, 4]:
+                    with omp("task priority(p) firstprivate(p)"):
+                        order.append(p)
+                while len(order) < 5:
+                    omp("taskyield")
+            finally:
+                drained[0] = True
+        else:
+            while not drained[0]:
+                omp("flush")
     return order
 "#;
     for mode in both_modes() {

@@ -44,9 +44,14 @@ run cargo test -q -p omp4rs --test task_dependences
 # default passive parking, and the immediate-successor bypass changes which
 # threads park.
 run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test task_dependences
+# Fault injection and cancellation under spinning waiters too: its
+# cancel-taskgroup test holds a second team thread in user code while the
+# first cancels, and an active waiter interleaves differently.
+run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test fault_injection
 # Task allocation budget: a counting global allocator pins one heap block
 # per task (at most 2 per dependent task, 1 per plain one, plus the queues'
-# logarithmic growth) — named explicitly for the same reason; it is its own
+# logarithmic growth; none for a one-thread team's included tasks) — named
+# explicitly for the same reason; it is its own
 # test binary because it installs its own global allocator.
 run cargo test -q -p omp4rs --test task_alloc
 # Worker-pool lifecycle: a panic poisons the region not the pool,
@@ -84,8 +89,9 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo run --release -p omp4rs-bench --bin soak -- --check \
         --clients "$((nproc_now > 4 ? nproc_now : 4))"
     # Task-dependence figure smoke: all three DAG apps in all four modes at a
-    # small scale; the bin itself brackets the omp4rs.task.dep.* counters, so
-    # a stranded successor (deferred != released) shows up in its output.
+    # small scale. Its runs are one-thread, so every task is included and
+    # its omp4rs.task.dep.* columns read 0; stranding (deferred != released)
+    # is pinned at two or more threads by task_dependences' chaos tests.
     run cargo run --release -p omp4rs-bench --bin figure_tasks -- --scale 0.05
 fi
 
