@@ -11,7 +11,6 @@
 //! PyOMP cannot run this benchmark (no dict support in its Numba release).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use minipy::{HKey, Value};
 use omp4rs::exec::{parallel_region, ForSpec, ParallelConfig};
@@ -109,7 +108,7 @@ pub fn native(p: &Params, threads: usize, lines: &[String]) -> HashMap<String, u
 /// string splitting — Cython cannot optimize str/dict operations, which is
 /// why the paper sees only slight gains here.
 pub fn dynamic(p: &Params, threads: usize, lines: &[String]) -> HashMap<String, u64> {
-    let boxed_lines: Vec<Value> = lines.iter().map(|l| Value::str(l.clone())).collect();
+    let boxed_lines: Vec<Value> = lines.iter().map(|l| Value::str(l.as_str())).collect();
     let n = boxed_lines.len() as i64;
     let merged = Value::dict();
     let cfg = ParallelConfig::new()
@@ -122,7 +121,7 @@ pub fn dynamic(p: &Params, threads: usize, lines: &[String]) -> HashMap<String, 
             let text = line.as_str().expect("line").to_owned();
             if let Value::Dict(map) = &local {
                 for word in text.split_whitespace() {
-                    let key = HKey::Str(Arc::new(word.to_owned()));
+                    let key = HKey::Str(word.into());
                     let mut map = map.write();
                     let next = match map.get(&key) {
                         Some(v) => v.as_int().expect("count") + 1,
@@ -196,7 +195,7 @@ pub fn interpreted(
 ) -> HashMap<String, u64> {
     let source = source_with_schedule(&schedule_clause(p));
     let runner = crate::modes::interpreted_runner(mode, &source);
-    let boxed = Value::list(lines.iter().map(|l| Value::str(l.clone())).collect());
+    let boxed = Value::list(lines.iter().map(|l| Value::str(l.as_str())).collect());
     let result = runner
         .call_global(
             "wordcount",

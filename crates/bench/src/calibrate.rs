@@ -45,17 +45,19 @@ fn time_per_op(reps: u64, f: impl FnMut(u64)) -> f64 {
     start.elapsed().as_secs_f64() / reps as f64
 }
 
+/// Seconds per uncontended counter claim on `backend`'s counter.
+fn claim_time(backend: Backend, reps: u64) -> f64 {
+    let counter = SharedCounter::new(backend);
+    time_per_op(reps, |_| {
+        std::hint::black_box(counter.fetch_add(1));
+    })
+}
+
 /// Measure the primitive costs (sub-second total).
 pub fn measure_primitives() -> PrimitiveCosts {
     let reps = 200_000;
-    let mutex_counter = SharedCounter::new(Backend::Mutex);
-    let mutex_claim = time_per_op(reps, |_| {
-        std::hint::black_box(mutex_counter.fetch_add(1));
-    });
-    let atomic_counter = SharedCounter::new(Backend::Atomic);
-    let atomic_claim = time_per_op(reps, |_| {
-        std::hint::black_box(atomic_counter.fetch_add(1));
-    });
+    let mutex_claim = claim_time(Backend::Mutex, reps);
+    let atomic_claim = claim_time(Backend::Atomic, reps);
 
     // Barrier: a 1-thread team barrier measures the per-barrier bookkeeping
     // (multi-thread rendezvous latency is what the simulator's max-of-arrival
@@ -96,14 +98,19 @@ mod tests {
 
     #[test]
     fn mutex_claim_costs_at_least_as_much_as_atomic() {
-        // The design premise of the paper's cruntime.
+        // The design premise of the paper's cruntime. Sibling tests may run
+        // on other test threads, so one timing can catch a slow moment:
+        // interleave mutex/atomic trial pairs and compare the fastest of
+        // each.
         let _lock = crate::timing_lock();
-        let c = measure_primitives();
+        let (mut mutex, mut atomic) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            mutex = mutex.min(claim_time(Backend::Mutex, 50_000));
+            atomic = atomic.min(claim_time(Backend::Atomic, 50_000));
+        }
         assert!(
-            c.mutex_claim >= c.atomic_claim * 0.8,
-            "mutex {} vs atomic {}",
-            c.mutex_claim,
-            c.atomic_claim
+            mutex >= atomic * 0.8,
+            "mutex {mutex} vs atomic {atomic} (fastest of 7 trials each)"
         );
     }
 

@@ -122,10 +122,10 @@ impl AppKind {
     }
 }
 
-/// A measured single-thread cost: total seconds over `units` work units.
+/// A measured cost: total seconds over `units` work units.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredCost {
-    /// Wall-clock seconds at one thread.
+    /// Wall-clock seconds of the run (at one thread, from [`measure`]).
     pub seconds: f64,
     /// Number of work units the run performed.
     pub units: u64,
@@ -156,8 +156,8 @@ pub fn mode_scale(mode: Mode) -> f64 {
 ///
 /// `scale` scales all problem sizes (1.0 = harness defaults).
 pub fn measure(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
-    let first = measure_once(app, mode, scale)?;
-    let second = measure_once(app, mode, scale)?;
+    let first = run_once(app, mode, scale, 1)?;
+    let second = run_once(app, mode, scale, 1)?;
     Some(if second.seconds < first.seconds {
         second
     } else {
@@ -165,7 +165,12 @@ pub fn measure(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
     })
 }
 
-fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
+/// Run one benchmark once on `threads` threads with the sizes [`measure`]
+/// uses (`None` when the mode cannot run the benchmark). The cost is per
+/// run, not per thread: [`measure`] calls it at one thread; `figure_tasks`
+/// calls it at two for the dependence-graph accounting, which a one-thread
+/// team never exercises (it runs its tasks included).
+pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<MeasuredCost> {
     let s = scale * mode_scale(mode);
     let f = |v: f64| -> usize { (v * s).max(4.0) as usize };
     match app {
@@ -173,7 +178,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
             let p = pi::Params {
                 n: f(2_000_000.0) as i64,
             };
-            let out = pi::run(mode, 1, &p).ok()?;
+            let out = pi::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: p.n as u64,
@@ -186,7 +191,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 log2_n,
                 ..fft::Params::default()
             };
-            let out = fft::run(mode, 1, &p).ok()?;
+            let out = fft::run(mode, threads, &p).ok()?;
             let n = p.n() as u64;
             let units = (n / 2) * n.trailing_zeros() as u64; // butterflies
             Some(MeasuredCost {
@@ -202,7 +207,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 tol: 0.0,
                 ..jacobi::Params::default()
             };
-            let out = jacobi::run(mode, 1, &p).ok()?;
+            let out = jacobi::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: (p.max_iters * n) as u64,
@@ -214,7 +219,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 n,
                 ..lu::Params::default()
             };
-            let out = lu::run(mode, 1, &p).ok()?;
+            let out = lu::run(mode, threads, &p).ok()?;
             // Row updates: sum over k of (n-k-1).
             let units: u64 = (0..n as u64).map(|k| n as u64 - k - 1).sum();
             Some(MeasuredCost {
@@ -229,7 +234,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 steps: 2,
                 ..md::Params::default()
             };
-            let out = md::run(mode, 1, &p).ok()?;
+            let out = md::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: ((p.steps + 1) * n) as u64,
@@ -242,7 +247,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 cutoff: (n / 64).max(16),
                 ..qsort::Params::default()
             };
-            let out = qsort::run(mode, 1, &p).ok()?;
+            let out = qsort::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: n as u64,
@@ -254,7 +259,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 side,
                 ..bfs::Params::default()
             };
-            let out = bfs::run(mode, 1, &p).ok()?;
+            let out = bfs::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: (side * side) as u64,
@@ -265,7 +270,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 nodes: f(2_000.0),
                 ..clustering::Params::default()
             };
-            let out = clustering::run(mode, 1, &p).ok()?;
+            let out = clustering::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: p.nodes as u64,
@@ -276,7 +281,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 lines: f(4_000.0),
                 ..wordcount::Params::default()
             };
-            let out = wordcount::run(mode, 1, &p).ok()?;
+            let out = wordcount::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: p.lines as u64,
@@ -288,7 +293,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 block: 16,
                 ..wavefront::Params::default()
             };
-            let out = wavefront::run(mode, 1, &p).ok()?;
+            let out = wavefront::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 units: (p.n * p.n) as u64, // cells
@@ -299,7 +304,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 nb: f(6.0).max(2),
                 ..sparselu::Params::default()
             };
-            let out = sparselu::run(mode, 1, &p).ok()?;
+            let out = sparselu::run(mode, threads, &p).ok()?;
             let n = p.n() as u64;
             Some(MeasuredCost {
                 seconds: out.seconds,
@@ -311,7 +316,7 @@ fn measure_once(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
                 nodes: f(600.0),
                 ..pagerank::Params::default()
             };
-            let out = pagerank::run(mode, 1, &p).ok()?;
+            let out = pagerank::run(mode, threads, &p).ok()?;
             Some(MeasuredCost {
                 seconds: out.seconds,
                 // ~edge traversals (each undirected edge is read twice per

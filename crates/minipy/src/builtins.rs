@@ -377,7 +377,7 @@ pub fn install(env: &Env) {
         args.expect_len(1, "id")?;
         let v = args.req(0)?;
         let addr = match v {
-            Value::Str(s) => Arc::as_ptr(s) as usize,
+            Value::Str(s) => Arc::as_ptr(s) as *const u8 as usize,
             Value::List(l) => Arc::as_ptr(l) as usize,
             Value::Dict(d) => Arc::as_ptr(d) as usize,
             Value::Tuple(t) => Arc::as_ptr(t) as usize,
@@ -409,7 +409,7 @@ pub fn install(env: &Env) {
             .ok()
             .and_then(char::from_u32)
             .ok_or_else(|| value_err("chr() arg not in range"))?;
-        Ok(Value::str(c.to_string()))
+        Ok(Value::str(&*c.encode_utf8(&mut [0; 4])))
     });
 
     native(env, "divmod", |_, args| {

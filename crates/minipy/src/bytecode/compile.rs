@@ -386,7 +386,7 @@ impl<'a> Compiler<'a> {
                 Ok(())
             }
             Expr::Str(s) => {
-                self.intern(ConstKey::Str(s.clone()), || Value::str(s.clone()));
+                self.intern(ConstKey::Str(s.clone()), || Value::str(s.as_str()));
                 Ok(())
             }
             Expr::Bool(b) => {
@@ -899,7 +899,7 @@ impl<'a> Compiler<'a> {
                 Ok(CONST_TAG | self.intern(ConstKey::Float(v.to_bits()), || Value::Float(*v)))
             }
             Expr::Str(s) => {
-                Ok(CONST_TAG | self.intern(ConstKey::Str(s.clone()), || Value::str(s.clone())))
+                Ok(CONST_TAG | self.intern(ConstKey::Str(s.clone()), || Value::str(s.as_str())))
             }
             Expr::Bool(b) => Ok(CONST_TAG | self.intern(ConstKey::Bool(*b), || Value::Bool(*b))),
             Expr::None => Ok(CONST_TAG | self.intern(ConstKey::None, || Value::None)),
@@ -1178,7 +1178,7 @@ impl<'a> Compiler<'a> {
             let obj = self.operand(value)?;
             let attr = self.name_idx(attr);
             // Method calls get an inline-cache slot like intrinsics: the
-            // VM caches the receiver-type dispatch there.
+            // VM caches the resolved built-in method there.
             let site = self.n_sites;
             self.n_sites += 1;
             self.emit(Op::CallMethod {

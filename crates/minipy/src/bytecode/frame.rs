@@ -42,10 +42,10 @@ impl Num {
 
 /// One inline-cache slot: the cached resolution of a dispatch site.
 ///
-/// This generalizes the original intrinsic-only site cache into a uniform
-/// array: `CallIntrinsic` sites cache the resolved runtime callable,
-/// `CallMethod` sites cache the receiver-type method dispatch
-/// (guard-checked against the receiver's current type tag on every hit).
+/// `CallIntrinsic` sites cache the resolved runtime callable; `CallMethod`
+/// sites cache the built-in method their fixed name resolves to for one
+/// receiver type (guard-checked against the receiver's current type tag on
+/// every hit).
 #[derive(Clone, Default)]
 pub enum IcEntry {
     /// Nothing cached yet (every probe is a miss).
@@ -54,9 +54,9 @@ pub enum IcEntry {
     /// A resolved intrinsic callable (`CallIntrinsic`: the base is a free
     /// name the function never rebinds, so the callable is call-invariant).
     Callable(Value),
-    /// A resolved built-in method dispatch for `CallMethod`, valid while
+    /// The built-in method a `CallMethod` site resolved to, valid while
     /// the receiver keeps the cached type tag.
-    Method(methods::TypeTag, methods::MethodFn),
+    Method(methods::TypeTag, methods::BuiltinMethod),
 }
 
 /// `tags` low bits: what the unboxed `raw` slot holds (0 = register is
@@ -194,6 +194,17 @@ impl Frame {
             return None;
         }
         Some(&self.regs[reg as usize])
+    }
+
+    /// Borrow `n` consecutive registers from `base` (a call's argument
+    /// registers), or `None` when one of them is an unset local. Same
+    /// materialization precondition as [`Frame::read_ref`].
+    #[inline]
+    pub fn read_slice(&self, base: Reg, n: u16) -> Option<&[Value]> {
+        if (base..base + n).any(|r| r < self.n_locals && !self.is_set(r)) {
+            return None;
+        }
+        Some(&self.regs[base as usize..(base + n) as usize])
     }
 
     /// Read an operand register.

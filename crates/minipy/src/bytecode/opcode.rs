@@ -216,8 +216,8 @@ pub enum Op {
     CallMethod {
         /// Destination register.
         dst: Reg,
-        /// Per-frame inline-cache slot (caches the receiver-type method
-        /// dispatch).
+        /// Per-frame inline-cache slot (caches the built-in method this
+        /// site's name resolves to for the receiver's type).
         site: u16,
         /// Receiver register.
         obj: Reg,

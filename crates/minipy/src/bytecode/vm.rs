@@ -35,6 +35,12 @@
 //! * `GENERIC` — the generic handler, with the dispatch-site inline caches
 //!   ([`super::frame::IcEntry`]) armed and counted.
 //!
+//! A `CallMethod` site's cache holds the resolved built-in method (a
+//! [`BuiltinMethod`] for one receiver [`TypeTag`]); the call lends it the
+//! receiver and argument registers, so a method call clones no operand.
+//! The generic `GetItem`/`SetItem` handlers borrow their container and
+//! index the same way. Strings are `Arc<str>`: one allocation each.
+//!
 //! Every specialized arithmetic handler calls the *same* semantic helpers
 //! as the tree-walker (`int_binary`, `float_binary`, the `py_eq` coercion
 //! table), so values, errors, and error messages cannot drift.
@@ -57,9 +63,9 @@ use crate::interp::{
     binary_op, compare, current_exception, exception_from_value, float_binary, int_binary,
     normalize_index, unary_op, Interp, SliceValue, ValueIter,
 };
-use crate::methods;
+use crate::methods::{self, BuiltinMethod, TypeTag};
 use crate::stats;
-use crate::value::{Args, FuncValue, HKey, Value};
+use crate::value::{Args, ArgsRef, FuncValue, HKey, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -220,13 +226,35 @@ fn read_args(
     Ok(pos)
 }
 
+/// The built-in method a `CallMethod` site calls on `receiver`: the site's
+/// cached method while the receiver keeps the cached type tag, otherwise
+/// the method the site's name resolves to for the receiver's type, which
+/// the site then caches. Counts one inline-cache hit or miss.
+fn site_method(ic: &mut IcEntry, receiver: &Value, name: &str) -> Result<BuiltinMethod, PyErr> {
+    let tag = TypeTag::of(receiver);
+    if let IcEntry::Method(cached, method) = *ic {
+        if tag == Some(cached) {
+            if stats::enabled() {
+                stats::count_ic(true);
+            }
+            return Ok(method);
+        }
+    }
+    if stats::enabled() {
+        stats::count_ic(false);
+    }
+    let method = methods::lookup(receiver, name)?;
+    *ic = IcEntry::Method(tag.expect("a type with methods has a tag"), method);
+    Ok(method)
+}
+
 /// Dispatch one instruction generically: the handler for ops with no
 /// quickened fast path and the target of every deopt.
 ///
 /// Kept out of line (rather than inlining this whole match into
 /// [`step_quick`]) so the numeric hot loop stays cache-resident. Dispatch
 /// sites run with their inline caches armed and counted — `LoadFree` cell
-/// fills, `CallMethod` receiver-type dispatch, and `CallIntrinsic` callable
+/// fills, `CallMethod` resolved built-in methods, and `CallIntrinsic` callable
 /// caching each record a `minipy.vm.ic.*` hit or miss per execution.
 #[inline(never)]
 fn step(
@@ -421,50 +449,44 @@ fn step(
             argc,
             kw,
         } => {
-            let pos = read_args(frame, code, closure, *argbase, *argc)?;
-            let kwargs = read_kwargs(frame, code, closure, *argbase + *argc, *kw)?;
-            let call_args = Args { pos, kw: kwargs };
-            let receiver = frame.read(*obj, code, closure)?;
             let nm = &code.names[*attr as usize];
-            interp.gil().tick();
-            let v = if let Value::Opaque(o) = &receiver {
-                // Opaque attribute tables are dynamic — never cached.
-                if stats::enabled() {
-                    stats::count_ic(false);
-                }
-                match o.get_attr(nm) {
-                    Some(callable) => interp.call_value(&callable, call_args)?,
-                    None => methods::call_method(interp, &receiver, nm, call_args)?,
-                }
+            let borrowed = *kw == NO_KW
+                && frame
+                    .read_ref(*obj)
+                    .is_some_and(|r| !matches!(r, Value::Opaque(_)))
+                && frame.read_slice(*argbase, *argc).is_some();
+            let v = if borrowed {
+                // A positional call on a built-in receiver: the method
+                // borrows the receiver and the argument registers.
+                interp.gil().tick();
+                let method = site_method(
+                    &mut frame.ics[*site as usize],
+                    &frame.regs[*obj as usize],
+                    nm,
+                )?;
+                let pos = frame.read_slice(*argbase, *argc).expect("checked above");
+                method(interp, &frame.regs[*obj as usize], ArgsRef::positional(pos))?
             } else {
-                let cached = match &frame.ics[*site as usize] {
-                    IcEntry::Method(tag, func) => Some((*tag, *func)),
-                    _ => None,
-                };
-                let dispatch = match (cached, methods::resolve_dispatch(&receiver)) {
-                    (Some((tag, func)), Some((t, _))) if tag == t => {
-                        if stats::enabled() {
-                            stats::count_ic(true);
-                        }
-                        Some(func)
-                    }
-                    (_, Some((t, func))) => {
+                let pos = read_args(frame, code, closure, *argbase, *argc)?;
+                let kwargs = read_kwargs(frame, code, closure, *argbase + *argc, *kw)?;
+                let call_args = Args { pos, kw: kwargs };
+                let receiver = frame.read(*obj, code, closure)?;
+                interp.gil().tick();
+                match &receiver {
+                    Value::Opaque(o) => {
+                        // Opaque attribute tables are dynamic — never cached.
                         if stats::enabled() {
                             stats::count_ic(false);
                         }
-                        frame.ics[*site as usize] = IcEntry::Method(t, func);
-                        Some(func)
-                    }
-                    (_, None) => {
-                        if stats::enabled() {
-                            stats::count_ic(false);
+                        match o.get_attr(nm) {
+                            Some(callable) => interp.call_value(&callable, call_args)?,
+                            None => o.call_method(interp, nm, call_args.pos)?,
                         }
-                        None
                     }
-                };
-                match dispatch {
-                    Some(func) => func(interp, &receiver, nm, call_args)?,
-                    None => methods::call_method(interp, &receiver, nm, call_args)?,
+                    _ => {
+                        let method = site_method(&mut frame.ics[*site as usize], &receiver, nm)?;
+                        method(interp, &receiver, call_args.borrowed())?
+                    }
                 }
             };
             frame.write(*dst, v);
@@ -512,15 +534,28 @@ fn step(
             frame.write(*dst, v);
         }
         Op::GetItem { dst, obj, idx } => {
-            let container = frame.read(*obj, code, closure)?;
-            let index = frame.read(*idx, code, closure)?;
-            frame.write(*dst, interp.get_item(&container, &index)?);
+            let v = match (frame.read_ref(*obj), frame.read_ref(*idx)) {
+                (Some(container), Some(index)) => interp.get_item(container, index)?,
+                _ => {
+                    let container = frame.read(*obj, code, closure)?;
+                    let index = frame.read(*idx, code, closure)?;
+                    interp.get_item(&container, &index)?
+                }
+            };
+            frame.write(*dst, v);
         }
         Op::SetItem { obj, idx, src } => {
-            let container = frame.read(*obj, code, closure)?;
-            let index = frame.read(*idx, code, closure)?;
+            // The stored value is read (and cloned) first, as the
+            // tree-walker evaluates it first.
             let v = frame.read(*src, code, closure)?;
-            interp.set_item(&container, &index, v)?;
+            match (frame.read_ref(*obj), frame.read_ref(*idx)) {
+                (Some(container), Some(index)) => interp.set_item(container, index, v)?,
+                _ => {
+                    let container = frame.read(*obj, code, closure)?;
+                    let index = frame.read(*idx, code, closure)?;
+                    interp.set_item(&container, &index, v)?;
+                }
+            }
         }
         Op::DelItem { obj, idx } => {
             let container = frame.read(*obj, code, closure)?;

@@ -653,7 +653,7 @@ impl Interp {
                         let item = match &value {
                             Value::Opaque(o) => o.get_attr(name),
                             Value::Dict(d) => {
-                                d.read().get(&HKey::Str(Arc::new(name.clone()))).cloned()
+                                d.read().get(&HKey::Str(name.as_str().into())).cloned()
                             }
                             _ => None,
                         };
@@ -729,7 +729,7 @@ impl Interp {
         match expr {
             Expr::Int(v) => Ok(Value::Int(*v)),
             Expr::Float(v) => Ok(Value::Float(*v)),
-            Expr::Str(s) => Ok(Value::str(s.clone())),
+            Expr::Str(s) => Ok(Value::str(s.as_str())),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::None => Ok(Value::None),
             Expr::Name(name) => env.get(name).ok_or_else(|| name_err(name)),
@@ -926,7 +926,7 @@ impl Interp {
             Value::Str(s) => {
                 let chars: Vec<char> = s.chars().collect();
                 let i = normalize_index(index.as_int()?, chars.len())?;
-                Ok(Value::str(chars[i].to_string()))
+                Ok(Value::str(&*chars[i].encode_utf8(&mut [0; 4])))
             }
             Value::Dict(d) => {
                 let key = HKey::from_value(index)?;
@@ -1626,7 +1626,7 @@ impl Iterator for ValueIter {
             }
             ValueIter::Chars { chars, idx } => {
                 if *idx < chars.len() {
-                    let v = Value::str(chars[*idx].to_string());
+                    let v = Value::str(&*chars[*idx].encode_utf8(&mut [0; 4]));
                     *idx += 1;
                     Some(v)
                 } else {

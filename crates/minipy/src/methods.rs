@@ -1,39 +1,26 @@
-//! Method dispatch for built-in types (`list.append`, `str.split`, …).
+//! Built-in methods of the built-in types (`list.append`, `str.split`, …).
+//!
+//! A method is resolved once, from the receiver's [`TypeTag`] and its name,
+//! to one [`BuiltinMethod`], which then runs on borrowed arguments. The VM
+//! caches the resolution per `CallMethod` site and lends the method the
+//! call's argument registers; the tree-walker resolves on every call and
+//! lends the arguments it evaluated.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::builtins::sort_values;
 use crate::error::{type_err, value_err, ErrKind, PyErr};
 use crate::interp::{Interp, ValueIter};
-use crate::value::{Args, HKey, Value};
+use crate::value::{Args, ArgsRef, HKey, ObjLock, Value};
 
-/// Call `obj.method(args)` for a built-in receiver type.
-///
-/// # Errors
-///
-/// `AttributeError` for unknown methods and `TypeError` for bad arguments.
-pub fn call_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    match obj {
-        Value::List(_) => list_method(interp, obj, method, args),
-        Value::Str(s) => str_method(s, method, args),
-        Value::Dict(_) => dict_method(obj, method, args),
-        Value::Tuple(t) => tuple_method(t, method, args),
-        Value::Float(f) => float_method(*f, method, args),
-        Value::Opaque(o) => o.call_method(interp, method, args.pos),
-        other => Err(PyErr::new(
-            ErrKind::Attribute,
-            format!(
-                "'{}' object has no attribute '{}'",
-                other.type_name(),
-                method
-            ),
-        )),
-    }
-}
+/// A resolved built-in method: `(interp, receiver, args)`. The receiver's
+/// type is the one the method was resolved for.
+pub type BuiltinMethod = fn(&Interp, &Value, ArgsRef<'_>) -> Result<Value, PyErr>;
 
-/// Receiver-type tag guarding the VM's method inline caches: a cached
-/// dispatch entry is valid only while the receiver register keeps producing
-/// the same built-in type.
+/// The built-in receiver types that have methods. The VM's method inline
+/// caches are keyed on it: a site's resolved method is valid while its
+/// receiver keeps the same tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeTag {
     /// `Value::List` receivers.
@@ -48,51 +35,56 @@ pub enum TypeTag {
     Float,
 }
 
-/// A cached per-type method dispatch function. The method name is still
-/// validated by the per-type table on every call (so a cache hit cannot
-/// change which `AttributeError`/`TypeError` is raised); what the cache
-/// removes is the receiver-type dispatch of [`call_method`].
-pub type MethodFn = fn(&Interp, &Value, &str, Args) -> Result<Value, PyErr>;
+impl TypeTag {
+    /// The tag of a receiver, or `None` for a type with no built-in
+    /// methods (opaque objects dispatch through their own table).
+    #[inline]
+    pub fn of(v: &Value) -> Option<TypeTag> {
+        Some(match v {
+            Value::List(_) => TypeTag::List,
+            Value::Str(_) => TypeTag::Str,
+            Value::Dict(_) => TypeTag::Dict,
+            Value::Tuple(_) => TypeTag::Tuple,
+            Value::Float(_) => TypeTag::Float,
+            _ => return None,
+        })
+    }
+}
 
-/// Resolve a receiver to its method-dispatch entry for the VM inline cache.
+/// The method `name` of receivers tagged `tag`, or `None` if that type has
+/// no such method.
+fn resolve(tag: TypeTag, name: &str) -> Option<BuiltinMethod> {
+    match tag {
+        TypeTag::List => list_method(name),
+        TypeTag::Str => str_method(name),
+        TypeTag::Dict => dict_method(name),
+        TypeTag::Tuple => tuple_method(name),
+        TypeTag::Float => float_method(name),
+    }
+}
+
+/// The method `name` of a non-opaque receiver.
 ///
-/// `None` for receivers whose dispatch is not cacheable: opaque objects
-/// (their attribute table is dynamic) and types with no methods at all
-/// (which raise `AttributeError` through [`call_method`]).
-pub fn resolve_dispatch(obj: &Value) -> Option<(TypeTag, MethodFn)> {
-    Some(match obj {
-        Value::List(_) => (TypeTag::List, list_method),
-        Value::Str(_) => (TypeTag::Str, dispatch_str),
-        Value::Dict(_) => (TypeTag::Dict, dispatch_dict),
-        Value::Tuple(_) => (TypeTag::Tuple, dispatch_tuple),
-        Value::Float(_) => (TypeTag::Float, dispatch_float),
-        _ => return None,
-    })
+/// # Errors
+///
+/// `AttributeError` when the receiver's type has no such method.
+pub(crate) fn lookup(obj: &Value, name: &str) -> Result<BuiltinMethod, PyErr> {
+    TypeTag::of(obj)
+        .and_then(|tag| resolve(tag, name))
+        .ok_or_else(|| attr_err(obj.type_name(), name))
 }
 
-fn dispatch_str(_: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    match obj {
-        Value::Str(s) => str_method(s, method, args),
-        _ => unreachable!("IC tag guard matched str"),
+/// Call `obj.method(args)`: an opaque receiver's own method table, or the
+/// resolved built-in method on the borrowed arguments.
+///
+/// # Errors
+///
+/// `AttributeError` for unknown methods and `TypeError` for bad arguments.
+pub fn call_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
+    if let Value::Opaque(o) = obj {
+        return o.call_method(interp, method, args.pos);
     }
-}
-
-fn dispatch_dict(_: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    dict_method(obj, method, args)
-}
-
-fn dispatch_tuple(_: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    match obj {
-        Value::Tuple(t) => tuple_method(t, method, args),
-        _ => unreachable!("IC tag guard matched tuple"),
-    }
-}
-
-fn dispatch_float(_: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    match obj {
-        Value::Float(f) => float_method(*f, method, args),
-        _ => unreachable!("IC tag guard matched float"),
-    }
+    lookup(obj, method)?(interp, obj, args.borrowed())
 }
 
 fn attr_err(type_name: &str, method: &str) -> PyErr {
@@ -102,26 +94,53 @@ fn attr_err(type_name: &str, method: &str) -> PyErr {
     )
 }
 
-fn list_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    let list = match obj {
+// Receiver views: a method only ever runs on the type it was resolved for.
+
+fn list(obj: &Value) -> &ObjLock<Vec<Value>> {
+    match obj {
         Value::List(l) => l,
-        _ => unreachable!("caller matched list"),
-    };
-    match method {
-        "append" => {
+        _ => unreachable!("method resolved for list"),
+    }
+}
+
+fn dict(obj: &Value) -> &Arc<ObjLock<HashMap<HKey, Value>>> {
+    match obj {
+        Value::Dict(d) => d,
+        _ => unreachable!("method resolved for dict"),
+    }
+}
+
+fn tuple(obj: &Value) -> &[Value] {
+    match obj {
+        Value::Tuple(t) => t,
+        _ => unreachable!("method resolved for tuple"),
+    }
+}
+
+fn string(obj: &Value) -> &str {
+    match obj {
+        Value::Str(s) => s,
+        _ => unreachable!("method resolved for str"),
+    }
+}
+
+fn list_method(name: &str) -> Option<BuiltinMethod> {
+    let method: BuiltinMethod = match name {
+        "append" => |_, obj, args| {
             args.expect_len(1, "append")?;
-            list.write()
-                .push(args.pos.into_iter().next().expect("len checked"));
+            list(obj).write().push(args.pos[0].clone());
             Ok(Value::None)
-        }
-        "extend" => {
+        },
+        "extend" => |_, obj, args| {
             args.expect_len(1, "extend")?;
+            // Collected before the write lock: the argument may be the
+            // receiver itself.
             let items = ValueIter::new(args.req(0)?)?.collect_vec();
-            list.write().extend(items);
+            list(obj).write().extend(items);
             Ok(Value::None)
-        }
-        "pop" => {
-            let mut items = list.write();
+        },
+        "pop" => |_, obj, args| {
+            let mut items = list(obj).write();
             if items.is_empty() {
                 return Err(PyErr::new(ErrKind::Index, "pop from empty list"));
             }
@@ -138,10 +157,10 @@ fn list_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result
                 None => items.len() - 1,
             };
             Ok(items.remove(idx))
-        }
-        "insert" => {
+        },
+        "insert" => |_, obj, args| {
             args.expect_len(2, "insert")?;
-            let mut items = list.write();
+            let mut items = list(obj).write();
             let len = items.len() as i64;
             let i = args.req(0)?.as_int()?.clamp(-len, len);
             let i = if i < 0 {
@@ -151,46 +170,47 @@ fn list_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result
             };
             items.insert(i, args.req(1)?.clone());
             Ok(Value::None)
-        }
-        "sort" => {
-            // Copy out, sort, write back: the key function may run interpreted
-            // code, which must not execute while the list lock is held.
-            let mut items = list.read().clone();
+        },
+        "sort" => |interp, obj, args| {
+            // Copy out, sort, write back: the key function may run
+            // interpreted code, which must not execute while the list lock
+            // is held.
+            let mut items = list(obj).read().clone();
             let reverse = args.kwarg("reverse").map(Value::truthy).unwrap_or(false);
             sort_values(interp, &mut items, args.kwarg("key"), reverse)?;
-            *list.write() = items;
+            *list(obj).write() = items;
             Ok(Value::None)
-        }
-        "reverse" => {
-            list.write().reverse();
+        },
+        "reverse" => |_, obj, _| {
+            list(obj).write().reverse();
             Ok(Value::None)
-        }
-        "clear" => {
-            list.write().clear();
+        },
+        "clear" => |_, obj, _| {
+            list(obj).write().clear();
             Ok(Value::None)
-        }
-        "index" => {
+        },
+        "index" => |_, obj, args| {
             args.expect_len(1, "index")?;
             let needle = args.req(0)?;
-            let items = list.read();
+            let items = list(obj).read();
             items
                 .iter()
                 .position(|v| v.py_eq(needle))
                 .map(|i| Value::Int(i as i64))
                 .ok_or_else(|| value_err(format!("{} is not in list", needle.repr())))
-        }
-        "count" => {
+        },
+        "count" => |_, obj, args| {
             args.expect_len(1, "count")?;
             let needle = args.req(0)?;
             Ok(Value::Int(
-                list.read().iter().filter(|v| v.py_eq(needle)).count() as i64,
+                list(obj).read().iter().filter(|v| v.py_eq(needle)).count() as i64,
             ))
-        }
-        "copy" => Ok(Value::list(list.read().clone())),
-        "remove" => {
+        },
+        "copy" => |_, obj, _| Ok(Value::list(list(obj).read().clone())),
+        "remove" => |_, obj, args| {
             args.expect_len(1, "remove")?;
             let needle = args.req(0)?;
-            let mut items = list.write();
+            let mut items = list(obj).write();
             match items.iter().position(|v| v.py_eq(needle)) {
                 Some(i) => {
                     items.remove(i);
@@ -198,61 +218,59 @@ fn list_method(interp: &Interp, obj: &Value, method: &str, args: Args) -> Result
                 }
                 None => Err(value_err("list.remove(x): x not in list")),
             }
-        }
-        _ => Err(attr_err("list", method)),
-    }
+        },
+        _ => return None,
+    };
+    Some(method)
 }
 
-fn dict_method(obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
-    let dict = match obj {
-        Value::Dict(d) => d,
-        _ => unreachable!("caller matched dict"),
-    };
-    match method {
-        "get" => {
+fn dict_method(name: &str) -> Option<BuiltinMethod> {
+    let method: BuiltinMethod = match name {
+        "get" => |_, obj, args| {
             let key = HKey::from_value(args.req(0)?)?;
-            match dict.read().get(&key) {
+            match dict(obj).read().get(&key) {
                 Some(v) => Ok(v.clone()),
                 None => Ok(args.opt(1).cloned().unwrap_or(Value::None)),
             }
-        }
-        "keys" => {
-            let keys: Vec<Value> = dict.read().keys().map(HKey::to_value).collect();
+        },
+        "keys" => |_, obj, _| {
+            let keys: Vec<Value> = dict(obj).read().keys().map(HKey::to_value).collect();
             Ok(Value::list(keys))
-        }
-        "values" => {
-            let values: Vec<Value> = dict.read().values().cloned().collect();
+        },
+        "values" => |_, obj, _| {
+            let values: Vec<Value> = dict(obj).read().values().cloned().collect();
             Ok(Value::list(values))
-        }
-        "items" => {
-            let items: Vec<Value> = dict
+        },
+        "items" => |_, obj, _| {
+            let items: Vec<Value> = dict(obj)
                 .read()
                 .iter()
                 .map(|(k, v)| Value::tuple(vec![k.to_value(), v.clone()]))
                 .collect();
             Ok(Value::list(items))
-        }
-        "pop" => {
+        },
+        "pop" => |_, obj, args| {
             let key = HKey::from_value(args.req(0)?)?;
-            match dict.write().remove(&key) {
+            match dict(obj).write().remove(&key) {
                 Some(v) => Ok(v),
                 None => match args.opt(1) {
                     Some(d) => Ok(d.clone()),
                     None => Err(PyErr::new(ErrKind::Key, args.req(0)?.repr())),
                 },
             }
-        }
-        "setdefault" => {
+        },
+        "setdefault" => |_, obj, args| {
             let key = HKey::from_value(args.req(0)?)?;
             let default = args.opt(1).cloned().unwrap_or(Value::None);
-            let mut map = dict.write();
+            let mut map = dict(obj).write();
             Ok(map.entry(key).or_insert(default).clone())
-        }
-        "update" => {
+        },
+        "update" => |_, obj, args| {
             args.expect_len(1, "update")?;
+            let dst = dict(obj);
             match args.req(0)? {
                 Value::Dict(src) => {
-                    if Arc::ptr_eq(src, dict) {
+                    if Arc::ptr_eq(src, dst) {
                         return Ok(Value::None);
                     }
                     let src_items: Vec<(HKey, Value)> = src
@@ -260,7 +278,7 @@ fn dict_method(obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
                         .iter()
                         .map(|(k, v)| (k.clone(), v.clone()))
                         .collect();
-                    dict.write().extend(src_items);
+                    dst.write().extend(src_items);
                     Ok(Value::None)
                 }
                 other => Err(type_err(format!(
@@ -268,92 +286,103 @@ fn dict_method(obj: &Value, method: &str, args: Args) -> Result<Value, PyErr> {
                     other.type_name()
                 ))),
             }
-        }
-        "clear" => {
-            dict.write().clear();
+        },
+        "clear" => |_, obj, _| {
+            dict(obj).write().clear();
             Ok(Value::None)
-        }
-        "copy" => {
-            let snapshot = dict.read().clone();
-            Ok(Value::Dict(Arc::new(crate::value::ObjLock::new(snapshot))))
-        }
-        _ => Err(attr_err("dict", method)),
-    }
+        },
+        "copy" => |_, obj, _| {
+            let snapshot = dict(obj).read().clone();
+            Ok(Value::Dict(Arc::new(ObjLock::new(snapshot))))
+        },
+        _ => return None,
+    };
+    Some(method)
 }
 
-fn tuple_method(t: &Arc<Vec<Value>>, method: &str, args: Args) -> Result<Value, PyErr> {
-    match method {
-        "index" => {
+fn tuple_method(name: &str) -> Option<BuiltinMethod> {
+    let method: BuiltinMethod = match name {
+        "index" => |_, obj, args| {
             args.expect_len(1, "index")?;
             let needle = args.req(0)?;
-            t.iter()
+            tuple(obj)
+                .iter()
                 .position(|v| v.py_eq(needle))
                 .map(|i| Value::Int(i as i64))
                 .ok_or_else(|| value_err("tuple.index(x): x not in tuple"))
-        }
-        "count" => {
+        },
+        "count" => |_, obj, args| {
             args.expect_len(1, "count")?;
             let needle = args.req(0)?;
             Ok(Value::Int(
-                t.iter().filter(|v| v.py_eq(needle)).count() as i64
+                tuple(obj).iter().filter(|v| v.py_eq(needle)).count() as i64,
             ))
-        }
-        _ => Err(attr_err("tuple", method)),
-    }
+        },
+        _ => return None,
+    };
+    Some(method)
 }
 
-fn float_method(f: f64, method: &str, args: Args) -> Result<Value, PyErr> {
-    match method {
-        "is_integer" => {
+fn float_method(name: &str) -> Option<BuiltinMethod> {
+    let method: BuiltinMethod = match name {
+        "is_integer" => |_, obj, args| {
             args.expect_len(0, "is_integer")?;
-            Ok(Value::Bool(f.fract() == 0.0))
-        }
-        _ => Err(attr_err("float", method)),
-    }
-}
-
-fn str_method(s: &Arc<String>, method: &str, args: Args) -> Result<Value, PyErr> {
-    match method {
-        "split" => match args.opt(0) {
-            None | Some(Value::None) => {
-                Ok(Value::list(s.split_whitespace().map(Value::str).collect()))
-            }
-            Some(sep) => {
-                let sep = sep.as_str()?;
-                if sep.is_empty() {
-                    return Err(value_err("empty separator"));
-                }
-                Ok(Value::list(s.split(sep).map(Value::str).collect()))
+            match obj {
+                Value::Float(f) => Ok(Value::Bool(f.fract() == 0.0)),
+                _ => unreachable!("method resolved for float"),
             }
         },
-        "splitlines" => Ok(Value::list(s.lines().map(Value::str).collect())),
-        "strip" => Ok(strip(s, args, true, true)?),
-        "lstrip" => Ok(strip(s, args, true, false)?),
-        "rstrip" => Ok(strip(s, args, false, true)?),
-        "lower" => Ok(Value::str(s.to_lowercase())),
-        "upper" => Ok(Value::str(s.to_uppercase())),
-        "join" => {
+        _ => return None,
+    };
+    Some(method)
+}
+
+fn str_method(name: &str) -> Option<BuiltinMethod> {
+    let method: BuiltinMethod = match name {
+        "split" => |_, obj, args| {
+            let s = string(obj);
+            match args.opt(0) {
+                None | Some(Value::None) => {
+                    Ok(Value::list(s.split_whitespace().map(Value::str).collect()))
+                }
+                Some(sep) => {
+                    let sep = sep.as_str()?;
+                    if sep.is_empty() {
+                        return Err(value_err("empty separator"));
+                    }
+                    Ok(Value::list(s.split(sep).map(Value::str).collect()))
+                }
+            }
+        },
+        "splitlines" => |_, obj, _| Ok(Value::list(string(obj).lines().map(Value::str).collect())),
+        "strip" => |_, obj, args| strip(string(obj), args, true, true),
+        "lstrip" => |_, obj, args| strip(string(obj), args, true, false),
+        "rstrip" => |_, obj, args| strip(string(obj), args, false, true),
+        "lower" => |_, obj, _| Ok(Value::str(string(obj).to_lowercase())),
+        "upper" => |_, obj, _| Ok(Value::str(string(obj).to_uppercase())),
+        "join" => |_, obj, args| {
             args.expect_len(1, "join")?;
             let items = ValueIter::new(args.req(0)?)?.collect_vec();
             let parts: Result<Vec<&str>, PyErr> = items.iter().map(Value::as_str).collect();
-            Ok(Value::str(parts?.join(s)))
-        }
-        "startswith" => {
+            Ok(Value::str(parts?.join(string(obj))))
+        },
+        "startswith" => |_, obj, args| {
             args.expect_len(1, "startswith")?;
-            Ok(Value::Bool(s.starts_with(args.req(0)?.as_str()?)))
-        }
-        "endswith" => {
+            Ok(Value::Bool(string(obj).starts_with(args.req(0)?.as_str()?)))
+        },
+        "endswith" => |_, obj, args| {
             args.expect_len(1, "endswith")?;
-            Ok(Value::Bool(s.ends_with(args.req(0)?.as_str()?)))
-        }
-        "replace" => {
+            Ok(Value::Bool(string(obj).ends_with(args.req(0)?.as_str()?)))
+        },
+        "replace" => |_, obj, args| {
             args.expect_len(2, "replace")?;
             Ok(Value::str(
-                s.replace(args.req(0)?.as_str()?, args.req(1)?.as_str()?),
+                string(obj).replace(args.req(0)?.as_str()?, args.req(1)?.as_str()?),
             ))
-        }
-        "find" => {
+        },
+        "find" => |_, obj, args| {
             args.expect_len(1, "find")?;
+            let s = string(obj);
             let needle = args.req(0)?.as_str()?;
             match s.find(needle) {
                 Some(byte_pos) => {
@@ -362,28 +391,22 @@ fn str_method(s: &Arc<String>, method: &str, args: Args) -> Result<Value, PyErr>
                 }
                 None => Ok(Value::Int(-1)),
             }
-        }
-        "count" => {
+        },
+        "count" => |_, obj, args| {
             args.expect_len(1, "count")?;
+            let s = string(obj);
             let needle = args.req(0)?.as_str()?;
             if needle.is_empty() {
                 return Ok(Value::Int(s.chars().count() as i64 + 1));
             }
             Ok(Value::Int(s.matches(needle).count() as i64))
-        }
-        "isdigit" => Ok(Value::Bool(
-            !s.is_empty() && s.chars().all(|c| c.is_ascii_digit()),
-        )),
-        "isalpha" => Ok(Value::Bool(
-            !s.is_empty() && s.chars().all(char::is_alphabetic),
-        )),
-        "isalnum" => Ok(Value::Bool(
-            !s.is_empty() && s.chars().all(char::is_alphanumeric),
-        )),
-        "isspace" => Ok(Value::Bool(
-            !s.is_empty() && s.chars().all(char::is_whitespace),
-        )),
-        "title" => {
+        },
+        "isdigit" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), |c| c.is_ascii_digit()))),
+        "isalpha" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_alphabetic))),
+        "isalnum" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_alphanumeric))),
+        "isspace" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_whitespace))),
+        "title" => |_, obj, _| {
+            let s = string(obj);
             let mut out = String::with_capacity(s.len());
             let mut word_start = true;
             for c in s.chars() {
@@ -400,12 +423,18 @@ fn str_method(s: &Arc<String>, method: &str, args: Args) -> Result<Value, PyErr>
                 }
             }
             Ok(Value::str(out))
-        }
-        _ => Err(attr_err("str", method)),
-    }
+        },
+        _ => return None,
+    };
+    Some(method)
 }
 
-fn strip(s: &str, args: Args, left: bool, right: bool) -> Result<Value, PyErr> {
+/// `str.isdigit()` and kin: non-empty and every char satisfies `pred`.
+fn all_chars(s: &str, pred: impl Fn(char) -> bool) -> bool {
+    !s.is_empty() && s.chars().all(pred)
+}
+
+fn strip(s: &str, args: ArgsRef<'_>, left: bool, right: bool) -> Result<Value, PyErr> {
     let custom: Option<Vec<char>> = match args.opt(0) {
         None | Some(Value::None) => None,
         Some(v) => Some(v.as_str()?.chars().collect()),

@@ -94,8 +94,8 @@ pub enum Value {
     Int(i64),
     /// `float`
     Float(f64),
-    /// `str` (immutable, shared)
-    Str(Arc<String>),
+    /// `str` (immutable, shared; header and bytes in one allocation)
+    Str(Arc<str>),
     /// `list` (mutable, shared, per-object lock)
     List(Arc<ObjLock<Vec<Value>>>),
     /// `dict` (mutable, shared, per-object lock)
@@ -159,15 +159,21 @@ impl Args {
         self.pos.is_empty() && self.kw.is_empty()
     }
 
+    /// Borrow both argument lists.
+    pub fn borrowed(&self) -> ArgsRef<'_> {
+        ArgsRef {
+            pos: &self.pos,
+            kw: &self.kw,
+        }
+    }
+
     /// Fetch positional argument `i`.
     ///
     /// # Errors
     ///
     /// `TypeError` if fewer than `i + 1` positional arguments were passed.
     pub fn req(&self, i: usize) -> Result<&Value, PyErr> {
-        self.pos
-            .get(i)
-            .ok_or_else(|| type_err(format!("missing required argument {}", i + 1)))
+        self.borrowed().req(i)
     }
 
     /// Fetch optional positional argument `i`.
@@ -177,7 +183,7 @@ impl Args {
 
     /// Fetch a keyword argument by name.
     pub fn kwarg(&self, name: &str) -> Option<&Value> {
-        self.kw.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        self.borrowed().kwarg(name)
     }
 
     /// Require an exact positional arity.
@@ -186,6 +192,54 @@ impl Args {
     ///
     /// `TypeError` on arity mismatch.
     pub fn expect_len(&self, n: usize, fname: &str) -> Result<(), PyErr> {
+        self.borrowed().expect_len(n, fname)
+    }
+}
+
+/// Borrowed call arguments: what a built-in method receives. The VM lends
+/// a call's argument registers here directly, so a method call copies no
+/// argument.
+#[derive(Debug, Clone, Copy)]
+pub struct ArgsRef<'a> {
+    /// Positional arguments, in order.
+    pub pos: &'a [Value],
+    /// Keyword arguments, in source order.
+    pub kw: &'a [(String, Value)],
+}
+
+impl<'a> ArgsRef<'a> {
+    /// Positional-only arguments.
+    pub fn positional(pos: &'a [Value]) -> ArgsRef<'a> {
+        ArgsRef { pos, kw: &[] }
+    }
+
+    /// Fetch positional argument `i`.
+    ///
+    /// # Errors
+    ///
+    /// `TypeError` if fewer than `i + 1` positional arguments were passed.
+    pub fn req(self, i: usize) -> Result<&'a Value, PyErr> {
+        self.pos
+            .get(i)
+            .ok_or_else(|| type_err(format!("missing required argument {}", i + 1)))
+    }
+
+    /// Fetch optional positional argument `i`.
+    pub fn opt(self, i: usize) -> Option<&'a Value> {
+        self.pos.get(i)
+    }
+
+    /// Fetch a keyword argument by name.
+    pub fn kwarg(self, name: &str) -> Option<&'a Value> {
+        self.kw.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Require an exact positional arity.
+    ///
+    /// # Errors
+    ///
+    /// `TypeError` on arity mismatch.
+    pub fn expect_len(self, n: usize, fname: &str) -> Result<(), PyErr> {
         if self.pos.len() != n {
             return Err(type_err(format!(
                 "{fname}() takes {n} positional arguments but {} were given",
@@ -282,7 +336,7 @@ pub enum HKey {
     /// `float` key (bit pattern; `-0.0` normalized to `0.0`).
     FloatBits(u64),
     /// `str` key.
-    Str(Arc<String>),
+    Str(Arc<str>),
     /// `tuple` key.
     Tuple(Vec<HKey>),
 }
@@ -339,9 +393,10 @@ impl HKey {
 }
 
 impl Value {
-    /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Arc::new(s.into()))
+    /// Build a string value: one allocation holding the reference counts
+    /// and the bytes (a `String` argument is copied into it).
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
+        Value::Str(s.into())
     }
 
     /// Build a list value from items.
@@ -430,7 +485,7 @@ impl Value {
     /// `TypeError` if the value is not a `str`.
     pub fn as_str(&self) -> Result<&str, PyErr> {
         match self {
-            Value::Str(s) => Ok(s.as_str()),
+            Value::Str(s) => Ok(s),
             other => Err(type_err(format!("expected str, got {}", other.type_name()))),
         }
     }

@@ -117,6 +117,17 @@ const CORPUS: &[&str] = &[
     "def f(x, y):\n    return x < y, x == y, x // y, x % y\nprint(f(7, 2))\nprint(f(7.0, 2))\nprint(f(-7, 2.5))\n",
     "def f(x):\n    return x + 1\nprint(f(5))\nprint(f(True))\n",
     "def f(xs, i):\n    xs[i] = xs[i] + 1\n    return xs[i]\nprint(f([1, 2], 1))\nprint(f([1.5, 2.5], 1.0))\n",
+    // -- built-in method calls (a site resolves its method once per receiver
+    //    type and lends it the argument registers) ---------------------------
+    "def f(l):\n    n = len(l)\n    return l.nosuch(n)\nf([1])\n",
+    "def f(d):\n    d['k'] = 1\n    return d.get()\nf({})\n",
+    "def f(l):\n    l.append(1)\n    l.append()\nf([])\n",
+    "def f(d):\n    return d.get([1])\nf({})\n",
+    "def f(d):\n    return d.get('absent'), d.get('absent', 7)\nprint(f({'k': 1}))\n",
+    "def f(d):\n    return d.get(2.0), d.get(2.5, 'none')\nprint(f({2: 'two'}))\n",
+    "def f(xs):\n    out = []\n    for x in xs:\n        out.append(x.count('a'))\n    return out\nprint(f(['banana', ['a', 'b', 'a'], ('a', 'c'), 'aa', ['a'], ('b',)]))\n",
+    "def f(xs):\n    xs.extend(xs)\n    xs.extend(xs)\n    return xs\nprint(f([1, 2]))\n",
+    "def f(l):\n    l.sort(reverse=True)\n    l.sort()\n    return l\nprint(f([3, 1, 2]))\n",
 ];
 
 #[test]

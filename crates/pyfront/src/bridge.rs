@@ -483,10 +483,7 @@ fn install_api(module: &ModuleObj) {
             if let Value::Dict(map) = &out {
                 let mut entries = map.write();
                 for (name, value) in omp4rs::ompt::counters() {
-                    entries.insert(
-                        minipy::HKey::Str(Arc::new(name.to_string())),
-                        Value::Int(value as i64),
-                    );
+                    entries.insert(minipy::HKey::Str(name.into()), Value::Int(value as i64));
                 }
             }
             Ok(out)

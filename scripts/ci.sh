@@ -54,6 +54,11 @@ run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test fault_injection
 # explicitly for the same reason; it is its own
 # test binary because it installs its own global allocator.
 run cargo test -q -p omp4rs --test task_alloc
+# Interpreted-object allocation budget: the same kind of counting allocator
+# pins the wordcount loop with every key present (at most 1.3 allocations
+# per word through `line.split()`, fewer than 0.01 per word already split:
+# one block per string, method calls borrowing their arguments).
+run cargo test -q -p minipy --test object_alloc
 # Worker-pool lifecycle: a panic poisons the region not the pool,
 # cancellation, nested regions bypass the pool, hot-team reuse, and
 # concurrent masters (full teams, per-team poisoning, exact admission
@@ -89,9 +94,9 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo run --release -p omp4rs-bench --bin soak -- --check \
         --clients "$((nproc_now > 4 ? nproc_now : 4))"
     # Task-dependence figure smoke: all three DAG apps in all four modes at a
-    # small scale. Its runs are one-thread, so every task is included and
-    # its omp4rs.task.dep.* columns read 0; stranding (deferred != released)
-    # is pinned at two or more threads by task_dependences' chaos tests.
+    # small scale. Its timed runs are one-thread (every task included); one
+    # untimed two-thread run per app and mode builds the dependence graph,
+    # and the bin exits non-zero if it defers a task it never releases.
     run cargo run --release -p omp4rs-bench --bin figure_tasks -- --scale 0.05
 fi
 
