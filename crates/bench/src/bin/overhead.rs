@@ -9,30 +9,30 @@
 //!    profiler enabled and once disabled, several trials each, and reports
 //!    events/sec, per-event overhead, and the disabled-run invariant
 //!    (**zero** events recorded).
-//! 2. **Sustained throughput per overflow policy.** For each of
-//!    `drop-oldest`, `drop-newest`, and `block`, runs the same event-dense
-//!    regions for a fixed wall-clock window through the full production
-//!    pipeline — bounded per-thread rings, the dedicated flusher, and a
-//!    rotating streaming sink — and reports events/sec drained, events
-//!    dropped, the bounded-memory guarantee (`rings × capacity ×
-//!    sizeof(Event)`), and whether a lossy run's `omp4rs.trace.dropped`
-//!    counter landed in the trace footer.
+//! 2. **Sustained throughput.** Runs the same event-dense regions for a
+//!    fixed wall-clock window through the full production pipeline —
+//!    bounded per-thread rings, the dedicated flusher, the collector, and one
+//!    trace file written by [`ompt::finalize`] — and reports events/sec
+//!    drained, events dropped by full rings (drop-newest), the ring-memory
+//!    bound (`rings × capacity × sizeof(Event)`), the trace file's size (the
+//!    collected stream is *not* bounded: it grows with the window), and
+//!    whether a lossy run's `omp4rs.trace.dropped` counter landed in the
+//!    trace footer.
 //!
 //! ```text
 //! overhead [--trials N] [--iters N] [--ring N] [--sustained-ms N] [--json] [--check]
 //! ```
 //!
 //! `--check` exits nonzero unless (a) disabled runs record no events,
-//! (b) an enabled run's Chrome-trace dump passes the shape validator,
-//! (c) lossy policies on a tiny ring report drops in both the stats and the
-//! trace footer, and (d) the `block` policy loses nothing. For (c) the
-//! flusher is paused during lossy runs ([`ompt::set_flusher_paused`]) so the
-//! tiny ring deterministically overflows. `--json` writes the machine-
-//! readable document (`scripts/bench.sh` captures it as BENCH_trace.json)
+//! (b) an enabled run's Chrome-trace dump passes the shape validator, and
+//! (c) the sustained run on a tiny ring reports its drops in both the stats
+//! and the trace footer, and its trace file validates. For (c) the flusher
+//! is paused during the run ([`ompt::set_flusher_paused`]) so the tiny ring
+//! deterministically overflows. `--json` writes a machine-readable document
 //! to stdout and moves the human-readable report to stderr.
 
 use omp4rs::exec::{parallel, ForSpec};
-use omp4rs::ompt::{self, TracePolicy};
+use omp4rs::ompt;
 
 static JSON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
@@ -84,7 +84,6 @@ fn mean_sigma(xs: &[f64]) -> (f64, f64) {
 
 /// One sustained-throughput measurement through the full pipeline.
 struct Sustained {
-    policy: TracePolicy,
     ring: usize,
     threads: usize,
     seconds: f64,
@@ -92,8 +91,8 @@ struct Sustained {
     dropped: u64,
     rings: usize,
     bounded_bytes: usize,
-    parts: usize,
-    parts_valid: bool,
+    trace_bytes: usize,
+    trace_valid: bool,
     footer_drops: bool,
 }
 
@@ -104,11 +103,9 @@ impl Sustained {
 
     fn json(&self) -> String {
         format!(
-            "{{\"policy\":\"{}\",\"ring\":{},\"threads\":{},\"seconds\":{:.3},\
-             \"flushed\":{},\"dropped\":{},\"events_per_sec\":{:.0},\
-             \"rings\":{},\"bounded_bytes\":{},\"parts\":{},\
-             \"parts_valid\":{},\"footer_drops\":{}}}",
-            self.policy.name(),
+            "{{\"ring\":{},\"threads\":{},\"seconds\":{:.3},\"flushed\":{},\
+             \"dropped\":{},\"events_per_sec\":{:.0},\"rings\":{},\"bounded_bytes\":{},\
+             \"trace_bytes\":{},\"trace_valid\":{},\"footer_drops\":{}}}",
             self.ring,
             self.threads,
             self.seconds,
@@ -117,41 +114,32 @@ impl Sustained {
             self.events_per_sec(),
             self.rings,
             self.bounded_bytes,
-            self.parts,
-            self.parts_valid,
+            self.trace_bytes,
+            self.trace_valid,
             self.footer_drops
         )
     }
 }
 
-/// Run event-dense regions through a streaming (rotating) session under the
-/// given policy for `ms` of wall-clock, then finalize and inspect the parts.
+/// Run event-dense regions through a session writing one trace file for
+/// `ms` of wall-clock, then finalize and inspect the file.
 ///
 /// `pause_flusher` holds the dedicated flusher off during the measurement so
-/// a tiny ring deterministically overflows (`--check` uses it for the lossy
-/// policies); inline region-end drains still feed the sink, and shutdown
-/// drains everything that remains.
+/// a tiny ring deterministically overflows (`--check` uses it); inline
+/// region-end drains still feed the collector, and shutdown drains
+/// everything that remains.
 fn sustained_run(
-    policy: TracePolicy,
     ring: usize,
     threads: usize,
     ms: u64,
     iters: i64,
     pause_flusher: bool,
 ) -> Sustained {
-    let base = std::env::temp_dir().join(format!(
-        "overhead_sustained_{}_{}.json",
-        policy.name(),
-        std::process::id()
-    ));
-    let base = base.display().to_string();
+    let path = std::env::temp_dir().join(format!("overhead_sustained_{}.json", std::process::id()));
     let session = ompt::session(ompt::ToolConfig {
-        trace_path: Some(base.clone()),
+        trace_path: Some(path.display().to_string()),
         summary: false,
         ring_capacity: ring,
-        policy,
-        rotate_kib: Some(128),
-        rotate_keep: 3,
     });
     ompt::set_flusher_paused(pause_flusher);
     let start = std::time::Instant::now();
@@ -162,31 +150,14 @@ fn sustained_run(
     let seconds = start.elapsed().as_secs_f64();
     ompt::set_flusher_paused(false);
     let stats = ompt::ring_stats();
-    let final_part = ompt::finalize().expect("trace parts writable");
+    let written = ompt::finalize().expect("trace file writable");
     drop(session);
 
-    // Look for the drop counter in the *final* part's footer (rotation
-    // stamps the running total into every part it closes), then probe the
-    // rotation output: count surviving parts, validate, and clean up.
-    let footer_drops = final_part
-        .as_deref()
+    let text = written
         .and_then(|p| std::fs::read_to_string(p).ok())
-        .is_some_and(|text| text.contains("\"omp4rs.trace.dropped\""));
-    let mut parts = 0usize;
-    let mut parts_valid = true;
-    // Pruning means surviving part indices need not start at 0 (a long run
-    // rotates far past the keep window); scan a wide index range.
-    let stem = base.strip_suffix(".json").unwrap_or(&base);
-    for idx in 0..4096 {
-        let path = format!("{stem}.{idx}.json");
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            parts += 1;
-            parts_valid &= ompt::validate_chrome_trace(&text).is_ok();
-            let _ = std::fs::remove_file(&path);
-        }
-    }
+        .unwrap_or_default();
+    let _ = std::fs::remove_file(&path);
     Sustained {
-        policy,
         ring,
         threads,
         seconds,
@@ -194,9 +165,9 @@ fn sustained_run(
         dropped: stats.dropped,
         rings: stats.rings,
         bounded_bytes: stats.bounded_bytes(),
-        parts,
-        parts_valid,
-        footer_drops,
+        trace_bytes: text.len(),
+        trace_valid: ompt::validate_chrome_trace(&text).is_ok(),
+        footer_drops: text.contains("\"omp4rs.trace.dropped\""),
     }
 }
 
@@ -215,7 +186,10 @@ fn main() {
     let trials = get("--trials", 7).max(2);
     let iters = get("--iters", 20_000) as i64;
     let ring = get("--ring", if check { 256 } else { 2048 }).max(1);
-    let sustained_ms = get("--sustained-ms", if check { 300 } else { 1000 }) as u64;
+    // With the flusher live, the collected stream (and the validator's parse
+    // of the trace file) grows with the window by ~100 MB/s on a 2-CPU host:
+    // keep the default window short.
+    let sustained_ms = get("--sustained-ms", if check { 300 } else { 100 }) as u64;
     let threads = 4;
 
     say!("profiler overhead: {trials} trials, dynamic,1 loop of {iters} iters, {threads} threads");
@@ -243,6 +217,7 @@ fn main() {
     let mut enabled_secs = Vec::with_capacity(trials);
     let mut enabled_events = Vec::with_capacity(trials);
     let trace_result;
+    let enabled_dropped;
     {
         let session = ompt::session(ompt::ToolConfig {
             trace_path: Some(trace_path.display().to_string()),
@@ -255,6 +230,7 @@ fn main() {
             enabled_events.push(events as f64);
         }
         trace_result = ompt::validate_chrome_trace(&session.chrome_trace());
+        enabled_dropped = ompt::dropped_events();
     }
 
     let (dis_mean, dis_sigma) = mean_sigma(&disabled_secs);
@@ -280,11 +256,12 @@ fn main() {
         disabled_events
     );
     say!(
-        "  enabled:  {:.3} ± {:.3} ms/run, {:.0} ± {:.0} events/run",
+        "  enabled:  {:.3} ± {:.3} ms/run, {:.0} ± {:.0} events/run, {} dropped in all",
         en_mean * 1e3,
         en_sigma * 1e3,
         ev_mean,
-        ev_sigma
+        ev_sigma,
+        enabled_dropped
     );
     say!(
         "  rate:     {:.0} ± {:.0} events/sec while enabled",
@@ -305,50 +282,39 @@ fn main() {
         Err(e) => say!("  trace:    INVALID: {e}"),
     }
 
-    // Sustained throughput per overflow policy, through the full pipeline
-    // (ring buffers -> flusher -> rotating stream sink). Lossy policies run
-    // with the flusher paused under --check so the tiny ring must overflow;
-    // `block` always keeps the flusher live (it is what makes block make
-    // progress without self-draining every slice).
-    say!("sustained pipeline throughput: ring={ring} events/thread, {sustained_ms} ms per policy");
-    let mut sustained = Vec::new();
-    for policy in [
-        TracePolicy::DropOldest,
-        TracePolicy::DropNewest,
-        TracePolicy::Block,
-    ] {
-        let pause = check && policy != TracePolicy::Block;
-        let row = sustained_run(policy, ring, threads, sustained_ms, iters, pause);
-        say!(
-            "  {:<12} {:>9.0} events/sec drained, {:>7} dropped, {} rings x {} cap = {:.0} KiB bound, {} part(s){}{}",
-            row.policy.name(),
-            row.events_per_sec(),
-            row.dropped,
-            row.rings,
-            row.ring,
-            row.bounded_bytes as f64 / 1024.0,
-            row.parts,
-            if row.parts_valid { "" } else { " [INVALID PART]" },
-            if row.footer_drops { " [drops in footer]" } else { "" }
-        );
-        sustained.push(row);
-    }
+    // Sustained throughput through the full pipeline (rings -> flusher ->
+    // collector -> one trace file). Under --check the flusher is paused so
+    // the tiny ring must overflow and drop.
+    say!("sustained pipeline throughput: ring={ring} events/thread, {sustained_ms} ms");
+    let row = sustained_run(ring, threads, sustained_ms, iters, check);
+    say!(
+        "  drop-newest {:>9.0} events/sec drained, {:>7} dropped, {} rings x {} cap = {:.0} KiB bound, trace file {:.0} KiB{}{}",
+        row.events_per_sec(),
+        row.dropped,
+        row.rings,
+        row.ring,
+        row.bounded_bytes as f64 / 1024.0,
+        row.trace_bytes as f64 / 1024.0,
+        if row.trace_valid { "" } else { " [INVALID TRACE]" },
+        if row.footer_drops { " [drops in footer]" } else { "" }
+    );
 
     if json {
-        let rows: Vec<String> = sustained.iter().map(Sustained::json).collect();
         println!(
             "{{\n \"benchmark\": \"trace-pipeline\",\n \"threads\": {},\n \"iters\": {},\n \
              \"overhead\": {{\"disabled_ms\": {:.4}, \"enabled_ms\": {:.4}, \
-             \"events_per_run\": {:.0}, \"events_per_sec\": {:.0}, \"per_event_ns\": {:.1}}},\n \
-             \"sustained\": [\n  {}\n ]\n}}",
+             \"events_per_run\": {:.0}, \"dropped\": {}, \"events_per_sec\": {:.0}, \
+             \"per_event_ns\": {:.1}}},\n \
+             \"sustained\": {}\n}}",
             threads,
             iters,
             dis_mean * 1e3,
             en_mean * 1e3,
             ev_mean,
+            enabled_dropped,
             rate_mean,
             per_event_ns,
-            rows.join(",\n  ")
+            row.json()
         );
     }
 
@@ -366,48 +332,35 @@ fn main() {
             eprintln!("CHECK FAILED: Chrome trace did not validate: {e}");
             failed = true;
         }
-        for row in &sustained {
-            let name = row.policy.name();
-            if row.flushed == 0 {
-                eprintln!("CHECK FAILED: {name} drained no events through the pipeline");
-                failed = true;
-            }
-            if !row.parts_valid || row.parts == 0 {
-                eprintln!("CHECK FAILED: {name} produced missing/invalid trace parts");
-                failed = true;
-            }
-            match row.policy {
-                TracePolicy::Block => {
-                    if row.dropped != 0 {
-                        eprintln!("CHECK FAILED: block policy dropped {} events", row.dropped);
-                        failed = true;
-                    }
-                }
-                TracePolicy::DropOldest | TracePolicy::DropNewest => {
-                    if row.dropped == 0 {
-                        eprintln!(
-                            "CHECK FAILED: {name} on a {ring}-slot ring dropped nothing \
-                             (overflow never engaged?)"
-                        );
-                        failed = true;
-                    }
-                    if !row.footer_drops {
-                        eprintln!(
-                            "CHECK FAILED: {name} dropped {} events but the trace footer \
-                             has no omp4rs.trace.dropped entry",
-                            row.dropped
-                        );
-                        failed = true;
-                    }
-                }
-            }
+        if row.flushed == 0 {
+            eprintln!("CHECK FAILED: the sustained run drained no events through the pipeline");
+            failed = true;
+        }
+        if !row.trace_valid {
+            eprintln!("CHECK FAILED: the sustained run's trace file is missing or invalid");
+            failed = true;
+        }
+        if row.dropped == 0 {
+            eprintln!(
+                "CHECK FAILED: a {ring}-slot ring with the flusher paused dropped nothing \
+                 (overflow never engaged?)"
+            );
+            failed = true;
+        }
+        if !row.footer_drops {
+            eprintln!(
+                "CHECK FAILED: {} events dropped but the trace footer has no \
+                 omp4rs.trace.dropped entry",
+                row.dropped
+            );
+            failed = true;
         }
         if failed {
             std::process::exit(1);
         }
         say!(
             "  check:    OK (disabled records nothing; enabled trace validates; \
-             lossy drops surface in stats + footer; block is lossless)"
+             drop-newest drops surface in stats + footer)"
         );
     }
 }

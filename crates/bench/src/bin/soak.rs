@@ -8,15 +8,12 @@
 //! (every failure is a typed, per-region outcome), and deterministic
 //! degradation counters.
 //!
-//! Usage: `soak [--check] [--json] [--trace] [--clients <list>] [--seconds <s>]`
+//! Usage: `soak [--check] [--json] [--clients <list>] [--seconds <s>]`
 //!
 //! * `--check` — short seeded run under the full fault matrix; exits
 //!   nonzero unless the expected degradation counters come out exactly.
 //! * `--json`  — emit the `BENCH_serve.json` document on stdout: a sweep of
 //!   regions/sec vs client count, with and without chaos.
-//! * `--trace` — arm the streaming trace pipeline underneath the soak
-//!   (chaos included) and report what it sustained; see
-//!   [`omp4rs_bench::traceprobe`]. Adds a `"trace"` member to the JSON.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,8 +228,7 @@ fn arm_hang_monitor(limit: Duration) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let probe = omp4rs_bench::traceprobe::begin(&mut args, "soak");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let json = args.iter().any(|a| a == "--json");
     let seconds = args
@@ -259,9 +255,6 @@ fn main() {
         let row = run_cell(clients[0], seconds, true);
         let (recovered, typed_permanent) = mpi.join().expect("mpi sidecar must not panic");
         let admission_after = pool::admission_stats();
-        if let Some(report) = probe.finish() {
-            println!("{}", report.line());
-        }
 
         let admitted = (admission_after.granted - admission_before.granted)
             + (admission_after.shrunk - admission_before.shrunk)
@@ -339,7 +332,6 @@ fn main() {
     let (recovered, typed_permanent) = mpi_chaos(5);
     let admission = pool::admission_stats();
     let watchdog = pool::watchdog_stats();
-    let trace = probe.finish();
 
     if json {
         let body = rows
@@ -347,17 +339,13 @@ fn main() {
             .map(SweepRow::json)
             .collect::<Vec<_>>()
             .join(",\n  ");
-        let trace_member = trace
-            .as_ref()
-            .map(|t| format!(",\n \"trace\": {}", t.json()))
-            .unwrap_or_default();
         println!(
             "{{\n \"benchmark\": \"serve\",\n \
              \"seconds_per_cell\": {seconds},\n \"sweep\": [\n  \
              {body}\n ],\n \"mpi\": {{\"lossy_rounds_recovered\": {recovered}, \
              \"typed_permanent_failures\": {typed_permanent}}},\n \"admission\": \
              {{\"granted\": {}, \"shrunk\": {}, \"shed\": {}}},\n \"watchdog\": \
-             {{\"stalls\": {}, \"cancels\": {}}}{trace_member}\n}}",
+             {{\"stalls\": {}, \"cancels\": {}}}\n}}",
             admission.granted, admission.shrunk, admission.shed, watchdog.stalls, watchdog.cancels
         );
     } else {
@@ -380,8 +368,5 @@ fn main() {
              mpi: {recovered}/5 lossy rounds recovered, {typed_permanent} typed permanent failures",
             admission.granted, admission.shrunk, admission.shed, watchdog.stalls, watchdog.cancels
         );
-        if let Some(report) = &trace {
-            println!("{}", report.line());
-        }
     }
 }

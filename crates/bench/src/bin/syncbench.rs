@@ -25,7 +25,7 @@
 //!
 //! ```text
 //! syncbench [--threads 1,2,4,8] [--trials N] [--inner N] [--outer N]
-//!           [--scale-limit R] [--json] [--check] [--trace]
+//!           [--scale-limit R] [--json] [--check]
 //! ```
 //!
 //! `--json` emits one row per (construct, backend, policy, threads) for
@@ -41,12 +41,7 @@
 //! is a scaling regression gate, not a noise gate: it compares cost
 //! *floors*, and it measures the two gated teams in interleaved trials
 //! (narrow, wide, narrow, wide, …), so a slow host phase raises both
-//! floors instead of only the narrow one. `--trace` arms
-//! the
-//! streaming trace pipeline for the whole sweep and reports what it
-//! sustained ([`omp4rs_bench::traceprobe`]) — every overhead number is then
-//! measured *with* event recording on, so diffing against an untraced run
-//! prices tracing per construct.
+//! floors instead of only the narrow one.
 
 use std::time::Instant;
 
@@ -336,8 +331,7 @@ fn knobs_for(threads: usize, trials: usize, outer: usize, inner: usize) -> Knobs
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let probe = omp4rs_bench::traceprobe::begin(&mut args, "syncbench");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let get = |flag: &str, default: usize| -> usize {
         args.iter()
             .position(|a| a == flag)
@@ -408,17 +402,12 @@ fn main() {
     // Leave the ICVs as a fresh process would see them.
     std::env::remove_var("OMP_WAIT_POLICY");
     Icvs::reset(Icvs::from_env());
-    let trace = probe.finish();
 
     if json {
         let body = rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n  ");
-        let trace_member = trace
-            .as_ref()
-            .map(|t| format!(",\n \"trace\": {}", t.json()))
-            .unwrap_or_default();
         println!(
             "{{\n \"benchmark\": \"syncbench\",\n \"rows\": [\n  \
-             {body}\n ]{trace_member}\n}}"
+             {body}\n ]\n}}"
         );
     } else {
         println!("construct overhead (ns/op):");
@@ -436,9 +425,6 @@ fn main() {
                 row.ns_per_op,
                 row.ns_per_op_min
             );
-        }
-        if let Some(report) = &trace {
-            println!("{}", report.line());
         }
     }
 

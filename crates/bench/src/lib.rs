@@ -29,7 +29,6 @@
 pub mod calibrate;
 pub mod figures;
 pub mod profile;
-pub mod traceprobe;
 
 /// Serializes the unit tests that time real work, so one timing test's
 /// threads never compete with another's for this host's CPUs.

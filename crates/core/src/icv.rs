@@ -162,27 +162,12 @@ impl Icvs {
         if let Ok(text) = std::env::var("OMP_TOOL") {
             icvs.tool = crate::ompt::ToolConfig::parse(&text);
         }
-        // Trace-pipeline knobs layer onto the tool config (they are inert
+        // The ring-capacity knob layers onto the tool config (it is inert
         // when OMP_TOOL left the tool disabled).
         if let Some(tool) = icvs.tool.as_mut() {
             if let Some(n) = env_usize("OMP4RS_TRACE_RING") {
                 if n > 0 {
                     tool.ring_capacity = n;
-                }
-            }
-            if let Ok(text) = std::env::var("OMP4RS_TRACE_POLICY") {
-                if let Some(policy) = crate::ompt::TracePolicy::parse(&text) {
-                    tool.policy = policy;
-                }
-            }
-            if let Some(kib) = env_usize("OMP4RS_TRACE_ROTATE") {
-                if kib > 0 {
-                    tool.rotate_kib = Some(kib as u64);
-                }
-            }
-            if let Some(n) = env_usize("OMP4RS_TRACE_ROTATE_KEEP") {
-                if n > 0 {
-                    tool.rotate_keep = n;
                 }
             }
         }
@@ -377,7 +362,6 @@ mod tests {
 
     #[test]
     fn trace_pipeline_env_parsing() {
-        use crate::ompt::TracePolicy;
         let _guard = test_guard();
 
         // Inert without OMP_TOOL: the knobs only shape an enabled tool.
@@ -386,33 +370,17 @@ mod tests {
         assert_eq!(Icvs::from_env().tool, None);
 
         std::env::set_var("OMP_TOOL", "enabled");
-        std::env::set_var("OMP4RS_TRACE_POLICY", "block");
-        std::env::set_var("OMP4RS_TRACE_ROTATE", "256");
-        std::env::set_var("OMP4RS_TRACE_ROTATE_KEEP", "2");
         let tool = Icvs::from_env().tool.expect("tool enabled");
         assert_eq!(tool.ring_capacity, 128);
-        assert_eq!(tool.policy, TracePolicy::Block);
-        assert_eq!(tool.rotate_kib, Some(256));
-        assert_eq!(tool.rotate_keep, 2);
 
-        // Zero and garbage keep the defaults.
-        std::env::set_var("OMP4RS_TRACE_RING", "0");
-        std::env::set_var("OMP4RS_TRACE_POLICY", "spill");
-        std::env::set_var("OMP4RS_TRACE_ROTATE", "lots");
-        std::env::set_var("OMP4RS_TRACE_ROTATE_KEEP", "0");
-        let tool = Icvs::from_env().tool.expect("tool enabled");
-        assert_eq!(tool.ring_capacity, crate::ompt::DEFAULT_RING_CAPACITY);
-        assert_eq!(tool.policy, TracePolicy::DropOldest);
-        assert_eq!(tool.rotate_kib, None);
-        assert_eq!(tool.rotate_keep, 4);
+        // Zero and garbage keep the default.
+        for bad in ["0", "lots"] {
+            std::env::set_var("OMP4RS_TRACE_RING", bad);
+            let tool = Icvs::from_env().tool.expect("tool enabled");
+            assert_eq!(tool.ring_capacity, crate::ompt::DEFAULT_RING_CAPACITY);
+        }
 
-        for var in [
-            "OMP_TOOL",
-            "OMP4RS_TRACE_RING",
-            "OMP4RS_TRACE_POLICY",
-            "OMP4RS_TRACE_ROTATE",
-            "OMP4RS_TRACE_ROTATE_KEEP",
-        ] {
+        for var in ["OMP_TOOL", "OMP4RS_TRACE_RING"] {
             std::env::remove_var(var);
         }
     }

@@ -24,7 +24,7 @@
 //!   clause strings);
 //! * an **OMPT-inspired trace pipeline** ([`ompt`]): bounded per-thread
 //!   event rings drained by a dedicated flusher into per-region summaries
-//!   and (rotating) Chrome-trace files, with explicit overflow policies —
+//!   and Chrome-trace files; a full ring drops new events and counts them —
 //!   see `docs/OBSERVABILITY.md` for the full event/counter model.
 //!
 //! The interpreted **Pure**/**Hybrid** modes live in the companion

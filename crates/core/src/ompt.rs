@@ -23,19 +23,17 @@
 //!   cannot introduce the cross-thread contention it is trying to measure.
 //! * **A dedicated flusher.** Enabling collection lazily spawns one
 //!   `omp4rs-trace-flusher` thread that periodically (and on half-full
-//!   wakeups) drains every ring into the collector — or, in rotation mode
-//!   ([`ToolConfig::rotate_kib`]), streams them straight into rotating
-//!   Chrome-trace part files so even the collected output is bounded.
-//!   Shutdown ordering is strict: [`finalize`] and [`disable`] stop and join
-//!   the flusher, then drain every ring, *then* render — no events are lost
-//!   on a normal exit and the summary never races a live drain.
-//! * **Explicit overflow policies.** A full ring applies
-//!   [`ToolConfig::policy`] (`OMP4RS_TRACE_POLICY`): `drop-oldest` (default),
-//!   `drop-newest`, or `block`. Drops are counted per ring and surface as the
-//!   `omp4rs.trace.dropped` counter in [`counters`], the summary, and the
-//!   trace footer — truncation is never silent. `block` waits are bounded by
-//!   the region deadline ICV (`OMP4RS_REGION_DEADLINE`) and fall back to
-//!   self-draining, so tracing can never deadlock a serving process.
+//!   wakeups) drains every ring into the in-memory collector. The rings bound
+//!   *recording* memory; the collected stream grows with the run until
+//!   [`finalize`] writes it out. Shutdown ordering is strict: [`finalize`]
+//!   and [`disable`] stop and join the flusher, then drain every ring,
+//!   *then* render — no events are lost on a normal exit and the summary
+//!   never races a live drain.
+//! * **One overflow rule: drop-newest.** A full ring discards the new event
+//!   and counts it. The recording thread never waits and never touches the
+//!   events already buffered. Drops surface as the `omp4rs.trace.dropped`
+//!   counter in [`counters`], the summary, and the trace footer — truncation
+//!   is never silent.
 //! * **Region-scoped aggregation.** Every [`crate::team::Team`] draws a
 //!   unique region id ([`new_region_id`]); [`aggregate`] folds the event
 //!   stream into per-region [`RegionMetrics`] (barrier wait time, chunk-time
@@ -58,11 +56,8 @@
 //! OMP_TOOL=disabled             # explicit off (the default)
 //! ```
 //!
-//! The pipeline knobs layer on top (see `docs/ENVIRONMENT.md`):
-//! `OMP4RS_TRACE_RING` (per-thread ring capacity in events),
-//! `OMP4RS_TRACE_POLICY` (`drop-oldest` | `drop-newest` | `block`),
-//! `OMP4RS_TRACE_ROTATE` (rotate the trace file every N KiB), and
-//! `OMP4RS_TRACE_ROTATE_KEEP` (how many part files to retain).
+//! One pipeline knob layers on top (see `docs/ENVIRONMENT.md`):
+//! `OMP4RS_TRACE_RING`, the per-thread ring capacity in events.
 //!
 //! Programs call [`finalize`] (the `omp4rs-bench` binaries do under
 //! `--profile`) to emit the configured outputs. Programmatic use — tests,
@@ -84,9 +79,9 @@
 //! println!("{}", session.summary());
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -225,78 +220,19 @@ pub struct Event {
 // Enable gating and configuration
 // ---------------------------------------------------------------------------
 
-/// What a recording thread does when its ring buffer is full.
-///
-/// Selected by `OMP4RS_TRACE_POLICY`. The trade-off mirrors femtologging-style
-/// bounded handlers: `drop-oldest` keeps the most recent window (best for
-/// post-mortem "what just happened" traces), `drop-newest` preserves the
-/// prefix cheaply, and `block` is lossless but applies backpressure to the
-/// recording thread — bounded by the region deadline and a self-drain
-/// fallback so it can never deadlock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TracePolicy {
-    /// Overwrite the oldest buffered event with the new one (the default).
-    #[default]
-    DropOldest,
-    /// Discard the new event, keeping the buffered prefix.
-    DropNewest,
-    /// Wait for the flusher to make space; self-drain after a bounded slice
-    /// and trip the region deadline (if armed) rather than hang.
-    Block,
-}
-
-impl TracePolicy {
-    /// Parse an `OMP4RS_TRACE_POLICY` value. Accepts `drop-oldest`/`oldest`,
-    /// `drop-newest`/`newest`, and `block`; anything else is `None`.
-    pub fn parse(text: &str) -> Option<TracePolicy> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "drop-oldest" | "oldest" => Some(TracePolicy::DropOldest),
-            "drop-newest" | "newest" => Some(TracePolicy::DropNewest),
-            "block" => Some(TracePolicy::Block),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling (what [`TracePolicy::parse`] accepts).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TracePolicy::DropOldest => "drop-oldest",
-            TracePolicy::DropNewest => "drop-newest",
-            TracePolicy::Block => "block",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            TracePolicy::DropOldest => 0,
-            TracePolicy::DropNewest => 1,
-            TracePolicy::Block => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> TracePolicy {
-        match code {
-            1 => TracePolicy::DropNewest,
-            2 => TracePolicy::Block,
-            _ => TracePolicy::DropOldest,
-        }
-    }
-}
-
 /// Default per-thread ring capacity, in events.
 ///
 /// An [`Event`] is ~48 bytes, so 8192 events ≈ 384 KiB per recording thread —
 /// small enough to leave on per-worker, large enough to absorb roughly one
 /// flush tick of the densest emitter (a `schedule(dynamic,1)` loop records
-/// two events per iteration) before any overflow policy engages.
+/// two events per iteration) before the ring starts dropping.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
 /// Output configuration parsed from `OMP_TOOL` (or built programmatically).
 ///
-/// The pipeline fields (`ring_capacity`, `policy`, `rotate_kib`,
-/// `rotate_keep`) are not part of the `OMP_TOOL` grammar; they come from the
-/// dedicated `OMP4RS_TRACE_*` variables ([`crate::icv::Icvs::from_env`]) or
-/// are set programmatically with `..Default::default()` struct update syntax.
+/// `ring_capacity` is not part of the `OMP_TOOL` grammar; it comes from
+/// `OMP4RS_TRACE_RING` ([`crate::icv::Icvs::from_env`]) or is set
+/// programmatically with `..Default::default()` struct update syntax.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolConfig {
     /// Write a Chrome-trace JSON dump to this path on [`finalize`].
@@ -306,18 +242,6 @@ pub struct ToolConfig {
     /// Per-thread ring buffer capacity in events (`OMP4RS_TRACE_RING`,
     /// default [`DEFAULT_RING_CAPACITY`]).
     pub ring_capacity: usize,
-    /// What to do when a ring is full (`OMP4RS_TRACE_POLICY`).
-    pub policy: TracePolicy,
-    /// When set together with `trace_path`, stream events into rotating part
-    /// files (`trace.0.json`, `trace.1.json`, …), starting a new part every
-    /// time the serialized output reaches this many KiB
-    /// (`OMP4RS_TRACE_ROTATE`). Streaming keeps *collected* output bounded
-    /// too: events go to disk instead of the in-memory collector, so
-    /// [`events`] and the summary only cover what has not been streamed.
-    pub rotate_kib: Option<u64>,
-    /// How many rotated part files to retain (`OMP4RS_TRACE_ROTATE_KEEP`,
-    /// default 4); older parts are deleted as new ones are written.
-    pub rotate_keep: usize,
 }
 
 impl Default for ToolConfig {
@@ -326,9 +250,6 @@ impl Default for ToolConfig {
             trace_path: None,
             summary: false,
             ring_capacity: DEFAULT_RING_CAPACITY,
-            policy: TracePolicy::default(),
-            rotate_kib: None,
-            rotate_keep: 4,
         }
     }
 }
@@ -409,19 +330,12 @@ pub fn ensure_env_init() {
 
 /// Enable collection with the given output configuration.
 ///
-/// Publishes the ring capacity and overflow policy, arms the streaming sink
-/// when rotation is configured, and lazily spawns the flusher thread.
+/// Publishes the ring capacity and lazily spawns the flusher thread.
 ///
 /// Prefer [`session`] in tests and benchmarks: it additionally serializes on
 /// a global lock and disables collection on drop.
 pub fn enable(config: ToolConfig) {
     RING_CAP.store(config.ring_capacity.max(1), Ordering::SeqCst);
-    POLICY.store(config.policy.code(), Ordering::SeqCst);
-    let sink = match (&config.trace_path, config.rotate_kib) {
-        (Some(path), Some(kib)) => Some(StreamSink::new(path.clone(), kib, config.rotate_keep)),
-        _ => None,
-    };
-    *STREAM.lock() = sink;
     *ACTIVE.lock() = Some(config);
     // A fresh session starts unpaused: set_flusher_paused is a per-session
     // measurement aid, never sticky state.
@@ -432,17 +346,11 @@ pub fn enable(config: ToolConfig) {
 
 /// Disable collection (recorded events are retained until [`reset`]).
 ///
-/// Stops and joins the flusher, drains every ring, and — if a streaming sink
-/// is still armed (i.e. [`finalize`] did not run) — closes it, writing the
-/// final part file.
+/// Stops and joins the flusher and drains every ring.
 pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
     stop_flusher();
     drain_all();
-    let sink = STREAM.lock().take();
-    if let Some(sink) = sink {
-        let _ = sink.close();
-    }
     *ACTIVE.lock() = None;
 }
 
@@ -469,15 +377,12 @@ pub fn new_region_id() -> u64 {
 
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
-/// Events drained out of the rings when no streaming sink is armed (plus the
+/// Events drained out of the rings (by the flusher, inline drains, and the
 /// safety-net drain of exiting threads).
 static COLLECTED: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 
 /// Ring capacity applied to rings created after the last [`enable`].
 static RING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-
-/// Active overflow policy as a [`TracePolicy::code`].
-static POLICY: AtomicU8 = AtomicU8::new(0);
 
 /// Registry of live rings, one per recording thread; the flusher and
 /// [`events`] iterate it. Retired when the owning thread exits.
@@ -494,16 +399,12 @@ static DROPPED_RETIRED: AtomicU64 = AtomicU64::new(0);
 /// Total events drained out of rings since the last [`reset`].
 static FLUSHED: AtomicU64 = AtomicU64::new(0);
 
-/// Serializes drain → sink sequences so [`events`] can never observe a batch
-/// that another drainer has popped from a ring but not yet sunk.
+/// Serializes drain → collect sequences so [`events`] can never observe a
+/// batch that another drainer has popped from a ring but not yet collected.
 static DRAIN: Mutex<()> = Mutex::new(());
 
 /// How often the flusher sweeps all rings when nothing wakes it earlier.
 const FLUSH_TICK: Duration = Duration::from_millis(2);
-
-/// Longest a `block`-policy push waits for the flusher before draining its
-/// own ring (the no-deadlock guarantee when the flusher is absent or behind).
-const BLOCK_SLICE: Duration = Duration::from_millis(5);
 
 struct RingState {
     cap: usize,
@@ -511,16 +412,10 @@ struct RingState {
     dropped: u64,
 }
 
-/// One thread's bounded event buffer. `space` is notified after every drain
-/// so `block`-policy pushes can park instead of spinning.
+/// One thread's bounded event buffer.
 struct Ring {
     tid: u32,
-    space: Notifier,
     state: Mutex<RingState>,
-}
-
-fn active_policy() -> TracePolicy {
-    TracePolicy::from_code(POLICY.load(Ordering::Relaxed))
 }
 
 /// The thread-local handle: an [`Arc`] into [`RINGS`] plus the generation it
@@ -550,32 +445,26 @@ impl Drop for LocalRing {
             )
         };
         DROPPED_RETIRED.fetch_add(dropped, Ordering::Relaxed);
-        sink_batch(batch);
+        collect(batch);
         RINGS.lock().retain(|r| !Arc::ptr_eq(r, &self.ring));
     }
 }
 
 thread_local! {
     static RING: RefCell<Option<LocalRing>> = const { RefCell::new(None) };
-    /// Reentrancy guard: set while a `block`-policy push is in progress so a
-    /// nested record (e.g. the `DeadlineTrip` event emitted by
-    /// [`crate::team::Team::trip_deadline`] *from inside* that push) falls
-    /// back to drop-oldest instead of blocking recursively.
-    static IN_PUSH: Cell<bool> = const { Cell::new(false) };
 }
 
-fn with_ring(f: impl FnOnce(&Arc<Ring>)) {
-    // The `RefCell` borrow must end before `f` runs: a `block`-policy push
-    // inside `f` can trip a region deadline, which records a `DeadlineTrip`
-    // event and re-enters here on the same thread.
-    let ring = RING.with(|slot| {
+/// Run `f` on this thread's ring, creating it first if the thread has none
+/// yet or a [`reset`] made its ring stale. `f` must not record: it runs
+/// inside the thread-local borrow.
+fn with_ring(f: impl FnOnce(&Ring)) {
+    RING.with(|slot| {
         let mut slot = slot.borrow_mut();
         let epoch = RING_EPOCH.load(Ordering::Relaxed);
         if slot.as_ref().is_none_or(|lr| lr.epoch != epoch) {
             let cap = RING_CAP.load(Ordering::Relaxed).max(1);
             let ring = Arc::new(Ring {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                space: Notifier::new(),
                 state: Mutex::new(RingState {
                     cap,
                     events: VecDeque::with_capacity(cap),
@@ -587,9 +476,8 @@ fn with_ring(f: impl FnOnce(&Arc<Ring>)) {
             // mismatch and discards silently (reset already disowned it).
             *slot = Some(LocalRing { epoch, ring });
         }
-        Arc::clone(&slot.as_ref().expect("just initialized").ring)
+        f(&slot.as_ref().expect("just initialized").ring);
     });
-    f(&ring);
 }
 
 /// Record an event for an explicit region id. No-op (one relaxed load) when
@@ -627,140 +515,46 @@ fn record_enabled(region: u64, kind: EventKind) {
     });
 }
 
-fn push_event(ring: &Arc<Ring>, ev: Event) {
-    let fill = {
+/// Append `ev`, or count it dropped if the ring is full (drop-newest: the
+/// buffered events are never touched, so a full ring costs the recording
+/// thread one lock and one increment).
+fn push_event(ring: &Ring, ev: Event) {
+    let (len, cap) = {
         let mut s = ring.state.lock();
-        if s.events.len() < s.cap {
-            s.events.push_back(ev);
-            Some((s.events.len(), s.cap))
-        } else {
-            None
+        if s.events.len() >= s.cap {
+            s.dropped += 1;
+            return;
         }
-    };
-    match fill {
-        Some((len, cap)) => {
-            // Wake the flusher exactly as the ring crosses half-full (and
-            // again at full), keeping steady-state drains off this thread
-            // without a notify per event.
-            if len == cap / 2 + 1 || len == cap {
-                flush_wake().notify_all();
-            }
-        }
-        None => overflow(ring, ev),
-    }
-}
-
-/// The ring was observed full: apply the overflow policy. Re-checks for
-/// space under the lock first — the flusher may have drained between the
-/// fast-path check and here.
-#[cold]
-fn overflow(ring: &Arc<Ring>, ev: Event) {
-    let reentrant = IN_PUSH.with(Cell::get);
-    let policy = if reentrant {
-        // A nested record from inside block_push (deadline trip) must never
-        // block again; overwrite the oldest event instead.
-        TracePolicy::DropOldest
-    } else {
-        active_policy()
-    };
-    if policy == TracePolicy::Block {
-        block_push(ring, ev);
-        return;
-    }
-    let mut s = ring.state.lock();
-    if s.events.len() < s.cap {
         s.events.push_back(ev);
-        return;
-    }
-    s.dropped += 1;
-    if policy == TracePolicy::DropOldest {
-        s.events.pop_front();
-        s.events.push_back(ev);
-    }
-}
-
-/// `block` policy: wait (bounded) for space, self-draining as a fallback.
-///
-/// The wait is sliced: each [`BLOCK_SLICE`] the thread gives up on the
-/// flusher and drains its own ring — lossless, and immune to a missing or
-/// wedged flusher. When the enclosing region has a deadline
-/// (`OMP4RS_REGION_DEADLINE`) and it expires mid-push, the event is counted
-/// dropped and the region's deadline trips ([`crate::team::Team`] poisons it
-/// and the join surfaces [`crate::error::OmpError::RegionTimeout`]) — tracing
-/// backpressure can stall a region, but it can never hang one.
-fn block_push(ring: &Arc<Ring>, ev: Event) {
-    struct PushGuard;
-    impl Drop for PushGuard {
-        fn drop(&mut self) {
-            IN_PUSH.with(|c| c.set(false));
-        }
-    }
-    IN_PUSH.with(|c| c.set(true));
-    let _guard = PushGuard;
-    let deadline = crate::team::current_deadline();
-    let cap = ring.state.lock().cap;
-    loop {
-        {
-            let mut s = ring.state.lock();
-            if s.events.len() < s.cap {
-                s.events.push_back(ev);
-                return;
-            }
-        }
+        (s.events.len(), s.cap)
+    };
+    // Wake the flusher exactly as the ring crosses half-full (and again at
+    // full), keeping steady-state drains off this thread without a notify
+    // per event.
+    if len == cap / 2 + 1 || len == cap {
         flush_wake().notify_all();
-        let slice_end = Instant::now() + BLOCK_SLICE;
-        let has_space = || ring.state.lock().events.len() < cap;
-        match &deadline {
-            Some((team, dl)) => {
-                if Instant::now() >= *dl {
-                    ring.state.lock().dropped += 1;
-                    let _ = team.trip_deadline("trace");
-                    return;
-                }
-                let bound = (*dl).min(slice_end);
-                if !crate::sync::wait_until_deadline(&ring.space, bound, has_space)
-                    && Instant::now() < *dl
-                {
-                    drain_ring(ring);
-                }
-            }
-            None => {
-                if !crate::sync::wait_until_deadline(&ring.space, slice_end, has_space) {
-                    drain_ring(ring);
-                }
-            }
-        }
     }
 }
 
-/// Hand a drained batch to the active sink: the streaming part-file writer
-/// when rotation is armed, the in-memory collector otherwise. Callers hold
-/// [`DRAIN`] (directly or transitively) so [`events`] never sees a batch
-/// in flight.
-fn sink_batch(batch: Vec<Event>) {
+/// Move a drained batch into the collector. Callers hold [`DRAIN`]
+/// (directly or transitively) so [`events`] never sees a batch in flight.
+fn collect(batch: Vec<Event>) {
     if batch.is_empty() {
         return;
     }
     FLUSHED.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let mut stream = STREAM.lock();
-    if let Some(sink) = stream.as_mut() {
-        sink.append(&batch);
-    } else {
-        drop(stream);
-        COLLECTED.lock().extend(batch);
-    }
+    COLLECTED.lock().extend(batch);
 }
 
-/// Drain one ring into the sink. Caller holds [`DRAIN`]. The ring's state
-/// lock is released before sinking (and `space` notified, unparking any
-/// `block`-policy pushers) so recording threads are never blocked on I/O.
+/// Drain one ring into the collector. Caller holds [`DRAIN`]. The ring's
+/// state lock is released before collecting, so a recording thread never
+/// waits on the collector lock.
 fn drain_ring_inner(ring: &Ring) {
     let batch: Vec<Event> = {
         let mut s = ring.state.lock();
         s.events.drain(..).collect()
     };
-    ring.space.notify_all();
-    sink_batch(batch);
+    collect(batch);
 }
 
 fn drain_ring(ring: &Ring) {
@@ -824,7 +618,7 @@ fn drain_all() {
     }
 }
 
-/// Flush the calling thread's ring into the sink.
+/// Flush the calling thread's ring into the collector.
 ///
 /// The runtime calls this at the end of every team thread's region body:
 /// scoped threads signal completion *before* their TLS destructors run, so
@@ -844,8 +638,6 @@ pub fn flush_thread() {
 /// Snapshot every event recorded so far (drains all rings first).
 ///
 /// Call from the thread that ran the parallel regions *after* they complete.
-/// In streaming-rotation mode drained events go to part files instead of the
-/// in-memory collector, so this returns only what has not been streamed.
 pub fn events() -> Vec<Event> {
     quiesce_epilogues();
     drain_all();
@@ -857,8 +649,8 @@ pub fn events() -> Vec<Event> {
 /// Discard all recorded events, drop/flush accounting, and external counters.
 ///
 /// Bumps the ring generation: every thread's local ring is disowned (its
-/// buffered events discarded) and lazily recreated — with the capacity and
-/// policy of the *next* [`enable`] — on that thread's next record.
+/// buffered events discarded) and lazily recreated — with the capacity of
+/// the *next* [`enable`] — on that thread's next record.
 pub fn reset() {
     let _guard = DRAIN.lock();
     RING_EPOCH.fetch_add(1, Ordering::SeqCst);
@@ -891,8 +683,8 @@ static FLUSHER: Mutex<Option<Flusher>> = Mutex::new(None);
 static FLUSHER_PAUSED: AtomicBool = AtomicBool::new(false);
 
 /// Spawn the dedicated flusher if it is not already running. Spawn failure is
-/// tolerated: recording still works, drains just happen inline (`block`
-/// pushes self-drain after [`BLOCK_SLICE`]).
+/// tolerated: recording still works, drains just happen inline (region ends,
+/// [`events`], shutdown) and a full ring drops until then.
 fn ensure_flusher() {
     let mut slot = FLUSHER.lock();
     if slot.is_some() {
@@ -957,7 +749,7 @@ pub struct RingStats {
     pub capacity: usize,
     /// Events drained out of rings since the last [`reset`].
     pub flushed: u64,
-    /// Events dropped by overflow policies since the last [`reset`].
+    /// Events dropped by full rings since the last [`reset`].
     pub dropped: u64,
 }
 
@@ -983,7 +775,7 @@ pub fn ring_stats() -> RingStats {
     }
 }
 
-/// Total events dropped by overflow policies since the last [`reset`]
+/// Total events dropped by full rings since the last [`reset`]
 /// (retired rings' counts plus every live ring's).
 pub fn dropped_events() -> u64 {
     let mut total = DROPPED_RETIRED.load(Ordering::Relaxed);
@@ -1248,8 +1040,7 @@ pub fn render_summary(events: &[Event], counters: &BTreeMap<&'static str, u64>) 
     }
     if let Some(dropped) = counters.get("omp4rs.trace.dropped") {
         out.push_str(&format!(
-            "!! trace ring overflow: {dropped} events dropped — raise \
-             OMP4RS_TRACE_RING or switch OMP4RS_TRACE_POLICY\n"
+            "!! trace ring overflow: {dropped} events dropped — raise OMP4RS_TRACE_RING\n"
         ));
     }
     if !counters.is_empty() {
@@ -1370,37 +1161,16 @@ impl TraceWriter {
 /// profiler-assigned thread id.
 pub fn render_chrome_trace(events: &[Event], counters: &BTreeMap<&'static str, u64>) -> String {
     let mut w = TraceWriter::new();
-    let mut pairs = PairState::default();
+    // Open pairs per (region, thread): the slice is emitted at its closer.
+    let mut barrier_open: BTreeMap<(u64, u32), (u64, bool)> = BTreeMap::new();
+    let mut task_open: BTreeMap<(u64, u32), Vec<u64>> = BTreeMap::new();
+    let mut parallel_open: BTreeMap<(u64, u32), u64> = BTreeMap::new();
     let mut sorted: Vec<&Event> = events.iter().collect();
     sorted.sort_by_key(|e| e.ts_ns);
     for e in sorted {
-        pairs.emit(e, &mut w);
-    }
-    w.finish(counters)
-}
-
-/// Event-pairing state per (region, thread), shared by the one-shot exporter
-/// and the streaming sink. Kept *outside* [`TraceWriter`] so rotation can
-/// start a fresh part file while pairs that straddle the boundary (an open
-/// barrier, a running task) still close correctly — the duration slice is
-/// emitted into whichever part sees the closing event.
-#[derive(Default)]
-struct PairState {
-    barrier_open: BTreeMap<(u64, u32), (u64, bool)>,
-    task_open: BTreeMap<(u64, u32), Vec<u64>>,
-    parallel_open: BTreeMap<(u64, u32), u64>,
-}
-
-impl PairState {
-    /// Translate one event into trace output (possibly none, for openers).
-    fn emit(&mut self, e: &Event, w: &mut TraceWriter) {
-        let barrier_open = &mut self.barrier_open;
-        let task_open = &mut self.task_open;
-        let parallel_open = &mut self.parallel_open;
         let key = (e.region, e.thread);
         match e.kind {
-            EventKind::ParallelBegin { team_size } => {
-                let _ = team_size;
+            EventKind::ParallelBegin { .. } => {
                 parallel_open.insert(key, e.ts_ns);
             }
             EventKind::ParallelEnd => {
@@ -1491,6 +1261,7 @@ impl PairState {
             }
         }
     }
+    w.finish(counters)
 }
 
 /// Render the Chrome trace for everything recorded so far.
@@ -1498,96 +1269,9 @@ pub fn chrome_trace() -> String {
     render_chrome_trace(&events(), &counters())
 }
 
-// ---------------------------------------------------------------------------
-// Streaming sink (rotating part files)
-// ---------------------------------------------------------------------------
-
-/// The rotation-mode sink: drained batches are serialized incrementally into
-/// a [`TraceWriter`], which is finished and written out as a standalone,
-/// independently valid Chrome-trace part file (`trace.0.json`,
-/// `trace.1.json`, …) every time it reaches the configured size. Old parts
-/// beyond `keep` are deleted, so disk use is bounded just like ring memory.
-struct StreamSink {
-    base: String,
-    rotate_bytes: usize,
-    keep: usize,
-    part: u64,
-    parts: VecDeque<String>,
-    writer: TraceWriter,
-    pairs: PairState,
-    /// First write error, surfaced by [`StreamSink::close`] ([`sink_batch`]
-    /// runs on the flusher where there is nowhere to propagate).
-    error: Option<std::io::Error>,
-}
-
-static STREAM: Mutex<Option<StreamSink>> = Mutex::new(None);
-
-impl StreamSink {
-    fn new(base: String, rotate_kib: u64, keep: usize) -> StreamSink {
-        StreamSink {
-            base,
-            rotate_bytes: (rotate_kib.max(1) as usize).saturating_mul(1024),
-            keep: keep.max(1),
-            part: 0,
-            parts: VecDeque::new(),
-            writer: TraceWriter::new(),
-            pairs: PairState::default(),
-            error: None,
-        }
-    }
-
-    /// `trace.json` → `trace.0.json`; anything else gets `.<part>` appended.
-    fn part_path(&self) -> String {
-        match self.base.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.{}.json", self.part),
-            None => format!("{}.{}", self.base, self.part),
-        }
-    }
-
-    fn append(&mut self, batch: &[Event]) {
-        for e in batch {
-            self.pairs.emit(e, &mut self.writer);
-        }
-        if self.writer.out.len() >= self.rotate_bytes {
-            self.rotate();
-        }
-    }
-
-    fn rotate(&mut self) {
-        let writer = std::mem::replace(&mut self.writer, TraceWriter::new());
-        let text = writer.finish(&counters());
-        let path = self.part_path();
-        if let Err(e) = std::fs::write(&path, text) {
-            self.error.get_or_insert(e);
-        }
-        self.parts.push_back(path);
-        self.part += 1;
-        while self.parts.len() > self.keep {
-            if let Some(old) = self.parts.pop_front() {
-                let _ = std::fs::remove_file(&old);
-            }
-        }
-    }
-
-    /// Write the final part (the drop counter lands in its footer) and
-    /// return its path, or the first write error encountered.
-    fn close(mut self) -> std::io::Result<String> {
-        self.rotate();
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        Ok(self
-            .parts
-            .back()
-            .cloned()
-            .unwrap_or_else(|| self.base.clone()))
-    }
-}
-
 /// Emit the outputs configured by the active [`ToolConfig`] (write the trace
-/// file, print the summary to stderr). Returns the trace path written — in
-/// rotation mode, the path of the final part file. A no-op returning
-/// `Ok(None)` when no configuration is active.
+/// file, print the summary to stderr). Returns the trace path written. A
+/// no-op returning `Ok(None)` when no configuration is active.
 ///
 /// Shutdown ordering: the flusher is stopped and joined, every ring drained,
 /// and only *then* is anything rendered — the summary can never race a live
@@ -1606,10 +1290,6 @@ pub fn finalize() -> std::io::Result<Option<String>> {
     drain_all();
     if config.summary {
         eprintln!("{}", summary());
-    }
-    let sink = STREAM.lock().take();
-    if let Some(sink) = sink {
-        return sink.close().map(Some);
     }
     if let Some(path) = &config.trace_path {
         std::fs::write(path, chrome_trace())?;
@@ -1963,29 +1643,6 @@ mod tests {
         );
         assert_eq!(ToolConfig::parse("trace:"), None);
         assert_eq!(ToolConfig::parse("bogus"), None);
-    }
-
-    #[test]
-    fn parse_trace_policy_forms() {
-        assert_eq!(
-            TracePolicy::parse("drop-oldest"),
-            Some(TracePolicy::DropOldest)
-        );
-        assert_eq!(TracePolicy::parse("OLDEST"), Some(TracePolicy::DropOldest));
-        assert_eq!(
-            TracePolicy::parse("drop-newest"),
-            Some(TracePolicy::DropNewest)
-        );
-        assert_eq!(TracePolicy::parse(" block "), Some(TracePolicy::Block));
-        assert_eq!(TracePolicy::parse("bogus"), None);
-        for policy in [
-            TracePolicy::DropOldest,
-            TracePolicy::DropNewest,
-            TracePolicy::Block,
-        ] {
-            assert_eq!(TracePolicy::parse(policy.name()), Some(policy));
-            assert_eq!(TracePolicy::from_code(policy.code()), policy);
-        }
     }
 
     #[test]

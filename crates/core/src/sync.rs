@@ -154,12 +154,6 @@ pub fn wait_until(notifier: &Notifier, mut pred: impl FnMut() -> bool) {
 /// expiry (the predicate may of course become true immediately after — the
 /// caller decides what a timeout means). The untimed [`wait_until`] remains
 /// the zero-overhead path when no region deadline is armed.
-///
-/// Besides barriers and locks, this is how the trace pipeline's `block`
-/// overflow policy waits for ring space ([`crate::ompt`]): sliced waits on
-/// the ring's `space` notifier, bounded by the region deadline when one is
-/// armed — the same primitive everywhere means the "no unbounded parking"
-/// audit has a single choke point.
 pub fn wait_until_deadline(
     notifier: &Notifier,
     deadline: Instant,

@@ -84,8 +84,7 @@ impl Drop for Team {
 
 /// The calling thread's enclosing team and its region deadline, when both
 /// exist. Used by deadline-aware primitives that live outside the team —
-/// [`crate::locks::OmpLock`], [`crate::locks::critical`], and the trace
-/// pipeline's `block` overflow policy (`construct = "trace"`) — to bound
+/// [`crate::locks::OmpLock`] and [`crate::locks::critical`] — to bound
 /// their blocking waits.
 pub(crate) fn current_deadline() -> Option<(Arc<Team>, Instant)> {
     let frame = context::current_frame()?;
@@ -327,12 +326,6 @@ impl Team {
     /// path. The joining thread re-raises the stored failure after all team
     /// threads have left the region. Returns the error for callers with no
     /// cancellation return path (locks, `critical`) to unwind with.
-    ///
-    /// The `DeadlineTrip` event recorded here may itself re-enter the trace
-    /// pipeline from inside a `block`-policy push (`construct = "trace"`);
-    /// [`crate::ompt`]'s reentrancy guard downgrades that nested record to
-    /// drop-oldest so tripping a deadline can never block on the full ring
-    /// that caused it.
     pub(crate) fn trip_deadline(&self, construct: &'static str) -> OmpError {
         let waited = self.started.elapsed();
         let err = OmpError::RegionTimeout { construct, waited };

@@ -142,7 +142,7 @@ fn predicted_default_chunks(n: u64, threads: usize) -> Vec<(u64, u64)> {
 
 #[test]
 fn clause_less_loop_chunks_follow_the_rule_every_time() {
-    use omp4rs::ompt::{self, EventKind, ToolConfig, TracePolicy};
+    use omp4rs::ompt::{self, EventKind, ToolConfig};
 
     let src = r#"
 from omp4py import *
@@ -164,10 +164,7 @@ def total(n, t):
         // Repeat every shape: earlier instances must not change later ones.
         for _round in 0..3 {
             for &(threads, n) in &shapes {
-                let _session = ompt::session(ToolConfig {
-                    policy: TracePolicy::Block,
-                    ..ToolConfig::default()
-                });
+                let _session = ompt::session(ToolConfig::default());
                 let args = vec![Value::Int(n as i64), Value::Int(threads as i64)];
                 let sum = runner.call_global("total", args).expect("call");
                 assert_eq!(sum.as_int().unwrap() as u64, n * (n - 1) / 2);
@@ -178,6 +175,13 @@ def total(n, t):
                         by_region.entry(e.region).or_default().push((lo, hi));
                     }
                 }
+                // A full ring drops new events: a lost chunk claim would
+                // otherwise read as a wrong chunk list.
+                assert_eq!(
+                    ompt::dropped_events(),
+                    0,
+                    "{mode:?} T={threads} n={n}: trace events dropped"
+                );
                 let mut ours: Vec<Vec<(u64, u64)>> = by_region
                     .into_values()
                     .filter(|c| c.iter().any(|&(_, hi)| hi == n))

@@ -10,11 +10,7 @@
 #  3. BENCH_serve.json — chaos-soak serving throughput: regions/sec vs
 #     client count, with and without injected faults, plus admission and
 #     watchdog degradation counters.
-#  4. BENCH_trace.json — trace-pipeline cost and capacity: the enabled vs
-#     disabled per-event overhead, and sustained events/sec drained through
-#     the bounded-ring + flusher + rotating-sink pipeline per overflow
-#     policy (drop-oldest / drop-newest / block).
-#  5. BENCH_tasks.json — the task-dependence suite (wavefront, sparselu,
+#  4. BENCH_tasks.json — the task-dependence suite (wavefront, sparselu,
 #     pagerank: depend-ordered DAGs) across the four OMP4Py modes, plus a
 #     thread sweep for CompiledDT. PyOMP is absent by construction: it has
 #     no task depend clause (see omp4rs_apps::pyomp).
@@ -22,7 +18,7 @@
 #   ./scripts/bench.sh                 # defaults: 4 threads, 5 repeats
 #   THREADS=8 REPEAT=9 ./scripts/bench.sh
 #
-# Both files are tracked (see .gitignore): committing them alongside a perf
+# The files are tracked (see .gitignore): committing them alongside a perf
 # PR records the before/after baseline the numbers in EXPERIMENTS.md quote.
 #
 # Comparing modes: every pi row carries "effective_scale"
@@ -45,18 +41,14 @@ SYNC_TRIALS=${SYNC_TRIALS:-7}
 SERVE_OUT=${SERVE_OUT:-BENCH_serve.json}
 SERVE_SECONDS=${SERVE_SECONDS:-3}
 SERVE_CLIENTS=${SERVE_CLIENTS:-1,2,4,8}
-TRACE_OUT=${TRACE_OUT:-BENCH_trace.json}
-TRACE_TRIALS=${TRACE_TRIALS:-7}
-TRACE_SUSTAINED_MS=${TRACE_SUSTAINED_MS:-1000}
 TASKS_OUT=${TASKS_OUT:-BENCH_tasks.json}
 TASKS_SCALE=${TASKS_SCALE:-1.0}
 TASKS_REPEAT=${TASKS_REPEAT:-3}
 
-cargo build --release -p omp4rs-bench --bin main --bin syncbench --bin soak --bin overhead
+cargo build --release -p omp4rs-bench --bin main --bin syncbench --bin soak
 BIN=target/release/main
 SYNCBIN=target/release/syncbench
 SOAKBIN=target/release/soak
-OVERHEADBIN=target/release/overhead
 
 # ---------------------------------------------------------------- pi: modes
 # mode-id:minipy-vm rows. Compiled never enters the interpreter, so the VM
@@ -139,15 +131,6 @@ echo "==> soak clients=$SERVE_CLIENTS seconds/cell=$SERVE_SECONDS" >&2
 python3 -c "import json,sys; json.load(open('$SERVE_OUT'))" 2>/dev/null \
     || { echo "$SERVE_OUT is not valid JSON" >&2; exit 1; }
 echo "wrote $SERVE_OUT"
-
-# ------------------------------------------------------------------- trace
-# Trace-pipeline throughput: A/B profiler overhead plus sustained events/sec
-# per overflow policy through rings + flusher + rotating sink.
-echo "==> overhead trials=$TRACE_TRIALS sustained-ms=$TRACE_SUSTAINED_MS" >&2
-"$OVERHEADBIN" --json --trials "$TRACE_TRIALS" --sustained-ms "$TRACE_SUSTAINED_MS" > "$TRACE_OUT"
-python3 -c "import json,sys; json.load(open('$TRACE_OUT'))" 2>/dev/null \
-    || { echo "$TRACE_OUT is not valid JSON" >&2; exit 1; }
-echo "wrote $TRACE_OUT"
 
 # ------------------------------------------------------------------- tasks
 # Task-dependence suite: the three depend-ordered DAG apps in every OMP4Py

@@ -64,11 +64,16 @@ run cargo test -q -p minipy --test object_alloc
 # concurrent masters (full teams, per-team poisoning, exact admission
 # charge) — named explicitly for the same reason.
 run cargo test -q -p omp4rs --test pool_lifecycle
+# Trace pipeline: exact drop-newest counts on tiny rings (live and exited
+# threads), the drop counter in stats and trace footer, and the flusher
+# lifecycle around finalize — named explicitly for the same reason.
+run cargo test -q -p omp4rs-apps --test trace_pipeline
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Documentation drift: every env var read and counter published must be
-# documented (docs/ENVIRONMENT.md, docs/OBSERVABILITY.md).
+# documented (docs/ENVIRONMENT.md, docs/OBSERVABILITY.md), and no current
+# document may name a knob the code no longer reads.
 run ./scripts/check_docs.sh
 
 if [[ -z "${SKIP_SLOW:-}" ]]; then
@@ -76,9 +81,9 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # (it validates them itself and panics otherwise).
     run cargo run --release --example profiling
     # Profiler overhead contract: a disabled profiler records zero events,
-    # an enabled one produces a Chrome trace that passes the validator, the
-    # lossy overflow policies report their drops (stats + trace footer), and
-    # the block policy loses nothing.
+    # an enabled one produces a Chrome trace that passes the validator, and
+    # a tiny ring with the flusher paused reports its drop-newest drops in
+    # both the stats and the trace footer.
     run cargo run --release -p omp4rs-bench --bin overhead -- --check
     # Construct-overhead contract: every syncbench cell (parallel, barrier,
     # reduction, single, task, task-depend x backends x wait policies)

@@ -1,19 +1,16 @@
 //! Deterministic tests for the bounded trace pipeline (`omp4rs::ompt`):
-//! exact overflow-policy behavior on tiny rings, loss accounting in
-//! `ring_stats`/trace footers, flusher lifecycle around `finalize`, rotation
-//! and pruning of part files, and the `block`-policy/region-deadline
-//! interaction (backpressure may stall a region, never hang it).
+//! exact drop-newest behavior on tiny rings, on a live ring and on the ring
+//! of a thread that has exited, loss accounting in `ring_stats`/trace
+//! footers, and the flusher lifecycle around `finalize`.
 //!
 //! Determinism comes from [`ompt::set_flusher_paused`]: with the dedicated
-//! flusher held off, a capacity-`N` ring receiving `M > N` events must
-//! resolve exactly `M - N` overflows through the configured policy.
+//! flusher held off, a capacity-`N` ring receiving `M > N` events must drop
+//! exactly the last `M - N` of them.
 
-use omp4rs::exec::{parallel_region_result, ParallelConfig};
-use omp4rs::ompt::{self, EventKind, ToolConfig, TracePolicy};
-use omp4rs::{Icvs, OmpError};
+use omp4rs::ompt::{self, EventKind, ToolConfig};
 
 /// Record `n` distinguishable events on this thread (the payload indexes
-/// them so tests can see *which* events a policy kept).
+/// them so tests can see *which* events a full ring kept).
 fn record_indexed(n: u64) {
     for i in 0..n {
         ompt::record(1, EventKind::BarrierExit { wait_ns: i });
@@ -35,7 +32,6 @@ fn surviving_indexes() -> Vec<u64> {
 fn drop_newest_keeps_the_oldest_events_and_counts_exactly() {
     let _s = ompt::session(ToolConfig {
         ring_capacity: 4,
-        policy: TracePolicy::DropNewest,
         ..ToolConfig::default()
     });
     ompt::set_flusher_paused(true);
@@ -50,75 +46,6 @@ fn drop_newest_keeps_the_oldest_events_and_counts_exactly() {
     assert_eq!(stats.dropped, 6);
     assert_eq!(stats.capacity, 4);
     assert!(stats.bounded_bytes() > 0);
-}
-
-#[test]
-fn drop_oldest_keeps_the_newest_events_and_counts_exactly() {
-    let _s = ompt::session(ToolConfig {
-        ring_capacity: 4,
-        policy: TracePolicy::DropOldest,
-        ..ToolConfig::default()
-    });
-    ompt::set_flusher_paused(true);
-    record_indexed(10);
-    assert_eq!(ompt::dropped_events(), 6, "exactly M - N events dropped");
-    assert_eq!(
-        surviving_indexes(),
-        vec![6, 7, 8, 9],
-        "newest events survive"
-    );
-}
-
-#[test]
-fn block_is_lossless_even_with_the_flusher_paused() {
-    let _s = ompt::session(ToolConfig {
-        ring_capacity: 4,
-        policy: TracePolicy::Block,
-        ..ToolConfig::default()
-    });
-    ompt::set_flusher_paused(true);
-    // Every 4th push overflows; with no flusher responding, the pusher's
-    // sliced wait expires and it drains its own ring — lossless either way.
-    record_indexed(50);
-    assert_eq!(ompt::dropped_events(), 0, "block never drops");
-    assert_eq!(surviving_indexes().len(), 50, "every event survives");
-}
-
-#[test]
-fn block_with_expired_deadline_surfaces_region_timeout_not_a_hang() {
-    let _s = ompt::session(ToolConfig {
-        ring_capacity: 1,
-        policy: TracePolicy::Block,
-        ..ToolConfig::default()
-    });
-    ompt::set_flusher_paused(true);
-    let before = Icvs::current();
-    Icvs::update(|icvs| icvs.region_deadline = Some(std::time::Duration::from_millis(25)));
-
-    let started = std::time::Instant::now();
-    let cfg = ParallelConfig::new().num_threads(2);
-    let result = parallel_region_result(&cfg, |_ctx| {
-        // Outlive the deadline, then force overflows on the 1-slot ring: the
-        // blocked push must trip the deadline ("trace") instead of waiting.
-        std::thread::sleep(std::time::Duration::from_millis(40));
-        for _ in 0..8 {
-            ompt::record_here(EventKind::TaskComplete);
-        }
-    });
-    Icvs::reset(before);
-
-    assert!(
-        matches!(result, Err(OmpError::RegionTimeout { .. })),
-        "expected RegionTimeout, got {result:?}"
-    );
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(10),
-        "a block-policy push under an expired deadline must return promptly"
-    );
-    assert!(
-        ompt::dropped_events() > 0,
-        "the deadline-tripping push counts its event as dropped"
-    );
 }
 
 #[test]
@@ -169,8 +96,6 @@ fn lossy_run_stamps_drop_counter_into_the_trace_footer() {
         trace_path: Some(path.clone()),
         summary: false,
         ring_capacity: 4,
-        policy: TracePolicy::DropNewest,
-        ..ToolConfig::default()
     });
     ompt::set_flusher_paused(true);
     record_indexed(10);
@@ -190,52 +115,37 @@ fn lossy_run_stamps_drop_counter_into_the_trace_footer() {
 }
 
 #[test]
-fn rotation_emits_multiple_valid_parts_and_prunes_to_keep() {
-    let dir = std::env::temp_dir();
-    let base = dir.join(format!("trace_pipeline_rotate_{}.json", std::process::id()));
-    let base = base.display().to_string();
-    let keep = 2usize;
+fn an_exited_threads_drops_are_counted_exactly() {
+    let path = std::env::temp_dir().join(format!(
+        "trace_pipeline_retired_{}.json",
+        std::process::id()
+    ));
+    let path = path.display().to_string();
     let _s = ompt::session(ToolConfig {
-        trace_path: Some(base.clone()),
+        trace_path: Some(path.clone()),
         summary: false,
-        rotate_kib: Some(1), // rotate every KiB: a few hundred events = many parts
-        rotate_keep: keep,
-        ..ToolConfig::default()
+        ring_capacity: 4,
     });
-    // ChunkClaim renders unconditionally (an instant per event), so the
-    // writer's byte count grows deterministically toward the rotate size.
-    // Rotation is checked per drained batch; flushing between bursts makes
-    // the batch boundaries (and so the part count) deterministic.
-    for burst in 0..20u64 {
-        for i in 0..100 {
-            let lo = burst * 100 + i;
-            ompt::record(1, EventKind::ChunkClaim { lo, hi: lo + 1 });
-        }
-        ompt::flush_thread();
-    }
-    ompt::finalize().expect("trace parts writable");
-
-    let stem = base.strip_suffix(".json").unwrap();
-    let mut found = Vec::new();
-    for idx in 0..4096 {
-        let path = format!("{stem}.{idx}.json");
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            found.push(idx);
-            ompt::validate_chrome_trace(&text)
-                .unwrap_or_else(|e| panic!("part {idx} is not a valid Chrome trace: {e}"));
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-    assert!(
-        found.len() >= 2,
-        "2000 events across 1 KiB parts must rotate"
+    ompt::set_flusher_paused(true);
+    // The recorder's ring is retired when the thread exits: its survivors
+    // are drained and its drop count carried over to the process total.
+    std::thread::spawn(|| record_indexed(10))
+        .join()
+        .expect("recorder thread");
+    assert_eq!(ompt::dropped_events(), 6, "exactly M - N events dropped");
+    assert_eq!(ompt::ring_stats().dropped, 6);
+    assert_eq!(
+        surviving_indexes(),
+        vec![0, 1, 2, 3],
+        "arrivals kept in order"
     );
+    let written = ompt::finalize()
+        .expect("trace writable")
+        .expect("path configured");
+    let text = std::fs::read_to_string(&written).expect("trace file readable");
     assert!(
-        found.len() <= keep,
-        "pruning keeps at most rotate_keep parts, found {found:?}"
+        text.contains("\"omp4rs.trace.dropped\":6"),
+        "the footer carries the exact drop count"
     );
-    assert!(
-        found[0] > 0,
-        "early parts were pruned, so indices start late"
-    );
+    let _ = std::fs::remove_file(&written);
 }
