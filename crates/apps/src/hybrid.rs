@@ -261,63 +261,6 @@ pub fn solve_with_fault(
     Ok(solutions.into_iter().next().expect("rank 0 result"))
 }
 
-/// [`solve`] with every exchange routed through minimpi's reliable layer
-/// (`allgather_resilient` / `allreduce_max_resilient`): transient message
-/// loss from a lossy [`NetModel`] is absorbed by `policy`'s retransmits,
-/// so the solve converges to the same solution it would on a reliable
-/// interconnect — the paper-Fig. 8 workload surviving a lossy netmodel.
-///
-/// Only the CompiledDT kernel is exercised here (the exchange layer under
-/// test is mode-independent).
-///
-/// # Errors
-///
-/// Decomposition errors as in [`solve`]; additionally
-/// [`minimpi::MpiError::RetriesExhausted`] (stringified, with rank and
-/// iteration) when loss persists past the retry budget.
-pub fn solve_resilient(
-    nodes: usize,
-    threads: usize,
-    p: &Params,
-    net: NetModel,
-    policy: &minimpi::RetryPolicy,
-) -> Result<Vec<f64>, String> {
-    if !p.n.is_multiple_of(nodes) {
-        return Err(format!("n={} must be divisible by nodes={nodes}", p.n));
-    }
-    let (a, b) = diag_dominant_system(p.n, p.seed);
-    let rows_per_rank = p.n / nodes;
-    let p = *p;
-
-    let results: Vec<Result<Vec<f64>, String>> =
-        World::run_with_net(nodes, net, move |comm: &Comm| {
-            let rank = comm.rank();
-            let row_start = rank * rows_per_rank;
-            let a_rows: Vec<Vec<f64>> = a[row_start..row_start + rows_per_rank].to_vec();
-            let b_local: Vec<f64> = b[row_start..row_start + rows_per_rank].to_vec();
-            let mut x = vec![0.0f64; p.n];
-            for iter in 0..p.max_iters {
-                let (x_new, local_err) =
-                    local_update_native(&a_rows, &b_local, &x, row_start, threads);
-                x = comm
-                    .allgather_resilient(x_new, policy)
-                    .map_err(|e| format!("rank {rank}, iteration {iter}: {e}"))?;
-                let global_err = comm
-                    .allreduce_max_resilient(local_err, policy)
-                    .map_err(|e| format!("rank {rank}, iteration {iter}: {e}"))?;
-                if global_err < p.tol {
-                    break;
-                }
-            }
-            Ok(x)
-        });
-    let mut solutions = Vec::with_capacity(results.len());
-    for r in results {
-        solutions.push(r?);
-    }
-    Ok(solutions.into_iter().next().expect("rank 0 result"))
-}
-
 /// Run + time; check is the solution checksum.
 ///
 /// # Errors
@@ -423,28 +366,6 @@ mod tests {
             "unexpected error: {msg}"
         );
         assert!(start.elapsed() < Duration::from_secs(30), "must not hang");
-    }
-
-    #[test]
-    fn resilient_solve_survives_a_lossy_net() {
-        use std::time::Duration;
-        let p = small();
-        let reference: f64 = solve(Mode::CompiledDT, 2, 1, &p, NetModel::local())
-            .unwrap()
-            .iter()
-            .sum();
-        // 10% deterministic message loss: the plain exchange would hang or
-        // time out, the resilient exchange retransmits and converges to the
-        // same solution.
-        let net = NetModel::local().with_loss(0.10, 23);
-        let policy = minimpi::RetryPolicy {
-            max_attempts: 12,
-            base_backoff: Duration::from_millis(1),
-            per_attempt_timeout: Duration::from_millis(150),
-            seed: 5,
-        };
-        let x = solve_resilient(2, 1, &p, net, &policy).unwrap();
-        assert!(close(x.iter().sum(), reference, 1e-9));
     }
 
     #[test]

@@ -127,43 +127,5 @@ fn main() {
     }
     println!("\n(paper: CompiledDT speedups over one node of 1.6x/3x/5.2x/8.6x at 2/4/8/16 nodes)");
 
-    // Resilience: the same hybrid solve over a *lossy* interconnect, driven
-    // through the retry layer — the checksum must match the reliable run.
-    println!("\n-- resilient run (10% message loss, retry/backoff transport) --");
-    let p = hybrid::Params {
-        n,
-        max_iters: 200,
-        ..hybrid::Params::default()
-    };
-    // MINIMPI_RETRY overrides; the built-in policy retries generously
-    // enough that a 10% loss rate virtually never exhausts it.
-    let policy = if std::env::var("MINIMPI_RETRY").is_ok() {
-        minimpi::RetryPolicy::from_env()
-    } else {
-        minimpi::RetryPolicy {
-            max_attempts: 12,
-            base_backoff: std::time::Duration::from_millis(1),
-            per_attempt_timeout: std::time::Duration::from_millis(150),
-            seed: 8,
-        }
-    };
-    let reference = hybrid::run(Mode::CompiledDT, 2, threads, &p, NetModel::cluster(1));
-    let lossy = NetModel::cluster(1).with_loss(0.10, 88);
-    let start = std::time::Instant::now();
-    let resilient = hybrid::solve_resilient(2, threads, &p, lossy, &policy);
-    let elapsed = start.elapsed();
-    match (reference, resilient) {
-        (Ok(reliable), Ok(x)) => {
-            let check: f64 = x.iter().sum();
-            println!(
-                "  CompiledDT   2n: {:>8.1} ms (chk {:>10.4}, drift vs reliable {:.2e})",
-                elapsed.as_secs_f64() * 1e3,
-                check,
-                (check - reliable.check).abs()
-            );
-        }
-        (_, Err(e)) => println!("  CompiledDT   2n: resilient run failed: {e}"),
-        (Err(e), _) => println!("  CompiledDT   2n: reference run failed: {e}"),
-    }
     profile.finish();
 }

@@ -8,7 +8,9 @@
 //!    completion is an event, plus the region's barriers — once with the
 //!    profiler enabled and once disabled, several trials each, and reports
 //!    events/sec, per-event overhead, and the disabled-run invariant
-//!    (**zero** events recorded).
+//!    (**zero** events recorded). The enabled runs' rings hold a whole
+//!    trial, so no event is dropped and the per-event figure divides by
+//!    every event recorded, not only the ones a full ring let through.
 //! 2. **Sustained throughput.** Runs the same event-dense regions for a
 //!    fixed wall-clock window through the full production pipeline —
 //!    bounded per-thread rings, the dedicated flusher, the collector, and one
@@ -24,9 +26,10 @@
 //! ```
 //!
 //! `--check` exits nonzero unless (a) disabled runs record no events,
-//! (b) an enabled run's Chrome-trace dump passes the shape validator, and
-//! (c) the sustained run on a tiny ring reports its drops in both the stats
-//! and the trace footer, and its trace file validates. For (c) the flusher
+//! (b) an enabled run's Chrome-trace dump passes the shape validator and its
+//! trials dropped no event, and (c) the sustained run on a tiny ring reports
+//! its drops in both the stats and the trace footer, and its trace file
+//! validates. For (c) the flusher
 //! is paused during the run ([`ompt::set_flusher_paused`]) so the tiny ring
 //! deterministically overflows. `--json` writes a machine-readable document
 //! to stdout and moves the human-readable report to stderr.
@@ -212,7 +215,12 @@ fn main() {
         }
     }
 
-    // Enabled runs: count events and wall-clock.
+    // Enabled runs: count events and wall-clock. One trial is one region,
+    // and every team thread drains its ring at region exit, so a ring that
+    // holds one thread's share of a trial never drops: at most 2 events per
+    // iteration (chunk claim and done, if one thread ran them all) plus the
+    // region's own begin/end/barrier events.
+    let ab_ring = 2 * iters as usize + 64;
     let trace_path = std::env::temp_dir().join("overhead_trace.json");
     let mut enabled_secs = Vec::with_capacity(trials);
     let mut enabled_events = Vec::with_capacity(trials);
@@ -222,7 +230,7 @@ fn main() {
         let session = ompt::session(ompt::ToolConfig {
             trace_path: Some(trace_path.display().to_string()),
             summary: false,
-            ..Default::default()
+            ring_capacity: ab_ring,
         });
         for _ in 0..trials {
             let (secs, events) = run_once(iters, threads);
@@ -332,6 +340,13 @@ fn main() {
             eprintln!("CHECK FAILED: Chrome trace did not validate: {e}");
             failed = true;
         }
+        if enabled_dropped != 0 {
+            eprintln!(
+                "CHECK FAILED: the A/B trials dropped {enabled_dropped} events on \
+                 {ab_ring}-slot rings (the per-event cost would skip them)"
+            );
+            failed = true;
+        }
         if row.flushed == 0 {
             eprintln!("CHECK FAILED: the sustained run drained no events through the pipeline");
             failed = true;
@@ -359,8 +374,8 @@ fn main() {
             std::process::exit(1);
         }
         say!(
-            "  check:    OK (disabled records nothing; enabled trace validates; \
-             drop-newest drops surface in stats + footer)"
+            "  check:    OK (disabled records nothing; enabled trace validates and \
+             drops nothing; drop-newest drops surface in stats + footer)"
         );
     }
 }

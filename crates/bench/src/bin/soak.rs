@@ -2,24 +2,23 @@
 //!
 //! N client threads fire small parallel regions continuously while the
 //! fault layer injects worker panics and "infinite" stalls, and a sidecar
-//! exercises minimpi rank failures over a lossy interconnect — all
-//! simultaneously. The run must complete with **zero hangs** (an internal
-//! monitor thread enforces an overall deadline), **zero cascading panics**
-//! (every failure is a typed, per-region outcome), and deterministic
-//! degradation counters.
+//! silences a minimpi rank mid-collective — all simultaneously. The run
+//! must complete with **zero hangs** (an internal monitor thread enforces
+//! an overall deadline), **zero cascading panics** (every failure is a
+//! typed, per-region outcome), and deterministic degradation counters.
 //!
-//! Usage: `soak [--check] [--json] [--clients <list>] [--seconds <s>]`
+//! Usage: `soak [--check] [--clients <list>] [--seconds <s>]`
 //!
 //! * `--check` — short seeded run under the full fault matrix; exits
 //!   nonzero unless the expected degradation counters come out exactly.
-//! * `--json`  — emit the `BENCH_serve.json` document on stdout: a sweep of
-//!   regions/sec vs client count, with and without chaos.
+//! * otherwise — print a sweep of regions/sec vs client count, with and
+//!   without chaos.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use minimpi::{NetModel, RetryPolicy, World};
+use minimpi::{MpiError, World};
 use omp4rs::exec::{parallel_region_result, ParallelConfig};
 use omp4rs::faults::{self, FaultPlan, FaultSite};
 use omp4rs::{pool, Backend, Icvs, InjectedFault, OmpError};
@@ -91,58 +90,52 @@ fn soak(clients: usize, threads: usize, duration: Duration, tally: &Tally) {
     });
 }
 
-/// The minimpi leg of the fault matrix: resilient collectives over a lossy
-/// net must all recover, and a permanently silenced rank must surface as a
-/// typed `RetriesExhausted` — not a hang. Returns (recoveries, typed
-/// permanent failures observed).
-fn mpi_chaos(rounds: usize) -> (u64, u64) {
-    let policy = RetryPolicy {
-        max_attempts: 12,
-        base_backoff: Duration::from_millis(1),
-        per_attempt_timeout: Duration::from_millis(100),
-        seed: 11,
-    };
-    let mut recovered = 0u64;
-    for round in 0..rounds {
-        let net = NetModel::local().with_loss(0.25, 1000 + round as u64);
-        let out = World::run_with_net(2, net, |comm| {
-            comm.allreduce_sum_resilient(comm.rank() as f64 + 1.0, &policy)
-        });
-        if out.iter().all(|r| r == &Ok(3.0)) {
-            recovered += 1;
-        }
-    }
-    // Permanent failure: rank 1 goes silent; rank 0's retries must exhaust
-    // into the typed error within bounded time.
-    let fast = RetryPolicy {
-        max_attempts: 2,
-        per_attempt_timeout: Duration::from_millis(40),
-        ..policy
-    };
-    let out = World::run(2, |comm| {
+/// How long the minimpi leg's dead-rank collective waits for a peer.
+const MPI_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The minimpi leg of the fault matrix: a timed allreduce on a healthy
+/// two-rank world must succeed, and the same collective with rank 1
+/// silenced must end on every rank in a typed [`MpiError`] — not a hang.
+/// Returns (healthy ranks that got the sum, ranks that got a typed error,
+/// how long the failed collective took).
+fn mpi_chaos() -> (usize, usize, Duration) {
+    // A generous bound: the healthy round runs beside the oversubscribed
+    // client soak, and a descheduled rank must not read as a failure.
+    let healthy = World::run(2, |comm| {
+        comm.allreduce_sum_timeout(comm.rank() as f64 + 1.0, Duration::from_secs(10))
+    })
+    .into_iter()
+    .filter(|r| r == &Ok(3.0))
+    .count();
+    let start = Instant::now();
+    let dead = World::run(2, |comm| {
         if comm.rank() == 1 {
             comm.inject_failure();
         }
-        comm.allreduce_sum_resilient(1.0, &fast)
+        comm.allreduce_sum_timeout(1.0, MPI_TIMEOUT)
     });
-    let typed = out
+    let elapsed = start.elapsed();
+    let typed = dead
         .iter()
-        .filter(|r| matches!(r, Err(minimpi::MpiError::RetriesExhausted { .. })))
-        .count() as u64;
-    (recovered, typed)
+        .filter(|r| {
+            matches!(
+                r,
+                Err(MpiError::Timeout { .. } | MpiError::Disconnected { .. })
+            )
+        })
+        .count();
+    (healthy, typed, elapsed)
 }
 
 /// Install the ICVs a serving process would run with. The region deadline
 /// turns injected stalls into `RegionTimeout`s; `dynamic` turns pool
-/// saturation into shrunken/shed teams; the generous watchdog is armed as
-/// the backstop without flagging healthy-but-descheduled workers.
+/// saturation into shrunken/shed teams.
 fn serve_icvs(chaos: bool) -> Icvs {
     let before = Icvs::current();
     Icvs::update(|icvs| {
         icvs.dynamic = true;
         if chaos {
             icvs.region_deadline = Some(Duration::from_millis(300));
-            icvs.watchdog = Some(Duration::from_secs(10));
         }
     });
     before
@@ -157,23 +150,6 @@ struct SweepRow {
     deadline_timeouts: u64,
     unexpected: u64,
     regions_per_sec: f64,
-}
-
-impl SweepRow {
-    fn json(&self) -> String {
-        format!(
-            "{{\"clients\":{},\"chaos\":{},\"regions\":{},\"ok\":{},\"injected_panics\":{},\
-             \"deadline_timeouts\":{},\"unexpected\":{},\"regions_per_sec\":{:.1}}}",
-            self.clients,
-            self.chaos,
-            self.regions,
-            self.ok,
-            self.injected_panics,
-            self.deadline_timeouts,
-            self.unexpected,
-            self.regions_per_sec
-        )
-    }
 }
 
 /// One sweep cell: soak at `clients` for `seconds`, optionally under the
@@ -216,9 +192,8 @@ fn arm_hang_monitor(limit: Duration) {
         .spawn(move || {
             std::thread::sleep(limit);
             eprintln!(
-                "soak: HANG — still running after {limit:?}; pool stats {:?}, watchdog {:?}",
-                pool::stats(),
-                pool::watchdog_stats()
+                "soak: HANG — still running after {limit:?}; pool stats {:?}",
+                pool::stats()
             );
             std::process::exit(2);
         });
@@ -230,7 +205,6 @@ fn arm_hang_monitor(limit: Duration) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
-    let json = args.iter().any(|a| a == "--json");
     let seconds = args
         .iter()
         .position(|a| a == "--seconds")
@@ -251,9 +225,9 @@ fn main() {
         // The full fault matrix at once: worker panic + injected stall
         // (clients) and rank failures (mpi sidecar), concurrently.
         let admission_before = pool::admission_stats();
-        let mpi = std::thread::spawn(|| mpi_chaos(10));
+        let mpi = std::thread::spawn(mpi_chaos);
         let row = run_cell(clients[0], seconds, true);
-        let (recovered, typed_permanent) = mpi.join().expect("mpi sidecar must not panic");
+        let (mpi_healthy, mpi_typed, mpi_elapsed) = mpi.join().expect("mpi sidecar must not panic");
         let admission_after = pool::admission_stats();
 
         let admitted = (admission_after.granted - admission_before.granted)
@@ -261,7 +235,8 @@ fn main() {
             + (admission_after.shed - admission_before.shed);
         println!(
             "check: {} regions ({:.0}/s), {} ok, {} injected panics, {} deadline timeouts, \
-             {} unexpected; admission decisions {}; mpi {}/10 recovered, {} typed permanent",
+             {} unexpected; admission decisions {}; mpi: {}/2 healthy ranks summed, \
+             {}/2 ranks typed errors after a dead rank ({:?})",
             row.regions,
             row.regions_per_sec,
             row.ok,
@@ -269,8 +244,9 @@ fn main() {
             row.deadline_timeouts,
             row.unexpected,
             admitted,
-            recovered,
-            typed_permanent
+            mpi_healthy,
+            mpi_typed,
+            mpi_elapsed
         );
         let mut failures = Vec::new();
         // Deterministic counters: each plan entry fires exactly once, and
@@ -305,11 +281,20 @@ fn main() {
                 row.regions
             ));
         }
-        if recovered != 10 {
-            failures.push(format!("mpi recovered {recovered}/10 lossy rounds"));
+        if mpi_healthy != 2 {
+            failures.push(format!(
+                "healthy mpi allreduce summed on {mpi_healthy}/2 ranks"
+            ));
         }
-        if typed_permanent == 0 {
-            failures.push("dead rank produced no typed RetriesExhausted".into());
+        if mpi_typed != 2 {
+            failures.push(format!(
+                "dead rank: {mpi_typed}/2 ranks got a typed MpiError"
+            ));
+        }
+        // Bounded, not a hang: each rank's wait is MPI_TIMEOUT; the slack
+        // covers a descheduled rank on a loaded host.
+        if mpi_elapsed > Duration::from_secs(10) {
+            failures.push(format!("dead-rank allreduce took {mpi_elapsed:?}"));
         }
         if !failures.is_empty() {
             for f in &failures {
@@ -329,44 +314,23 @@ fn main() {
             rows.push(run_cell(c, seconds, chaos));
         }
     }
-    let (recovered, typed_permanent) = mpi_chaos(5);
     let admission = pool::admission_stats();
-    let watchdog = pool::watchdog_stats();
-
-    if json {
-        let body = rows
-            .iter()
-            .map(SweepRow::json)
-            .collect::<Vec<_>>()
-            .join(",\n  ");
+    println!("SOAK — regions/sec vs clients (4 threads per region)");
+    for row in &rows {
         println!(
-            "{{\n \"benchmark\": \"serve\",\n \
-             \"seconds_per_cell\": {seconds},\n \"sweep\": [\n  \
-             {body}\n ],\n \"mpi\": {{\"lossy_rounds_recovered\": {recovered}, \
-             \"typed_permanent_failures\": {typed_permanent}}},\n \"admission\": \
-             {{\"granted\": {}, \"shrunk\": {}, \"shed\": {}}},\n \"watchdog\": \
-             {{\"stalls\": {}, \"cancels\": {}}}\n}}",
-            admission.granted, admission.shrunk, admission.shed, watchdog.stalls, watchdog.cancels
-        );
-    } else {
-        println!("SOAK — regions/sec vs clients (4 threads per region)");
-        for row in &rows {
-            println!(
-                "  clients={:<2} chaos={:<5} {:>8.0} regions/s  ({} regions, {} ok, {} panics, {} timeouts, {} unexpected)",
-                row.clients,
-                row.chaos,
-                row.regions_per_sec,
-                row.regions,
-                row.ok,
-                row.injected_panics,
-                row.deadline_timeouts,
-                row.unexpected
-            );
-        }
-        println!(
-            "admission: {} granted, {} shrunk, {} shed; watchdog: {} stalls, {} cancels; \
-             mpi: {recovered}/5 lossy rounds recovered, {typed_permanent} typed permanent failures",
-            admission.granted, admission.shrunk, admission.shed, watchdog.stalls, watchdog.cancels
+            "  clients={:<2} chaos={:<5} {:>8.0} regions/s  ({} regions, {} ok, {} panics, {} timeouts, {} unexpected)",
+            row.clients,
+            row.chaos,
+            row.regions_per_sec,
+            row.regions,
+            row.ok,
+            row.injected_panics,
+            row.deadline_timeouts,
+            row.unexpected
         );
     }
+    println!(
+        "admission: {} granted, {} shrunk, {} shed",
+        admission.granted, admission.shrunk, admission.shed
+    );
 }

@@ -21,7 +21,7 @@
 //!
 //! A task with no live predecessor at submission goes straight to the
 //! deques; otherwise its node is **held** — counted as outstanding (so
-//! region barriers, deadlines, and the stall watchdog all see it) but
+//! region barriers and deadlines see it) but
 //! unclaimable, its state word parked at *held*, until the release path
 //! hands it back. When a task retires (its body ran, panicked, or was
 //! discarded by cancellation — finishing a node retires it on each of those

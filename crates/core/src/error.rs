@@ -31,14 +31,15 @@ pub enum OmpError {
     /// `single`, `ordered`, and `taskwait` in the region was released so the
     /// surviving threads could exit cleanly instead of hanging.
     RegionPoisoned(String),
-    /// A region deadline (`OMP4RS_REGION_DEADLINE` /
-    /// `omp_set_region_deadline`) or the stall watchdog tripped: a blocking
-    /// wait in the region exceeded its budget, the region was poisoned
-    /// exactly like a panic (all waiters released, queued tasks discarded),
-    /// and this error surfaces on the joining thread.
+    /// The region deadline (`OMP4RS_REGION_DEADLINE` /
+    /// `omp_set_region_deadline`) tripped: a blocking wait in the region
+    /// exceeded its budget, the region was poisoned exactly like a panic (all
+    /// waiters released, queued tasks discarded), and this error surfaces on
+    /// the joining thread. Region deadlines are the runtime's one stall
+    /// bound; without one, a wait that never completes blocks forever.
     RegionTimeout {
         /// The construct whose wait expired (`barrier`, `taskwait`,
-        /// `critical`, `lock`, `watchdog`, …).
+        /// `critical`, `lock`, `region`, …).
         construct: &'static str,
         /// How long the region had been running when the deadline tripped.
         waited: std::time::Duration,

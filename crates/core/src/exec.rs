@@ -345,8 +345,8 @@ where
     // serial region (including one just shed by `admit`) takes no workers
     // at all. Charging serial regions used to make shedding self-
     // sustaining — each shed region's own charge helped keep the budget
-    // exhausted for the next — which is how BENCH_serve.json ended up
-    // shedding >90% of offered regions.
+    // exhausted for the next — which is how the chaos soak's serving sweep
+    // once shed >90% of offered regions.
     let pooled = level == 0 && size > 1;
     let _inflight = pooled.then(|| crate::pool::InflightGuard::new(size - 1));
 
@@ -487,9 +487,9 @@ where
         std::panic::resume_unwind(p);
     }
     // No thread or task panic, but the region was failed asynchronously — a
-    // deadline trip whose tripping thread exited via the cancellation path,
-    // or a watchdog cancellation. Raise the stored typed error so callers
-    // ([`parallel_region_result`]) can observe it.
+    // deadline trip whose tripping thread exited via the cancellation path.
+    // Raise the stored typed error so callers ([`parallel_region_result`])
+    // can observe it.
     if let Some(err) = team.take_failure() {
         std::panic::panic_any(err);
     }
@@ -498,9 +498,9 @@ where
 /// [`parallel_region`] with typed runtime failures as a `Result`.
 ///
 /// Catches the region's re-raised unwind and converts an [`OmpError`]
-/// payload — e.g. [`OmpError::RegionTimeout`] from a deadline trip or
-/// watchdog cancellation — into `Err`. Any other panic (user panics,
-/// injected faults) is resumed unchanged.
+/// payload — [`OmpError::RegionTimeout`] from a region-deadline trip —
+/// into `Err`. Any other panic (user panics, injected faults) is resumed
+/// unchanged.
 ///
 /// # Errors
 ///
@@ -527,22 +527,10 @@ fn run_worker<'env, F>(
 ) where
     F: Fn(&WorkerCtx<'env>) + Sync,
 {
+    // The team frame also lets an injected delay on this thread find its
+    // team and yield once the region is cancelled, poisoned or past its
+    // deadline (`faults::delay_interrupted`).
     let _guard = context::enter_team(Arc::clone(&team), thread_num, positions);
-    // Tell the pool's watchdog which region this worker is serving, so a
-    // stall flagged on the heartbeat can be traced back to (and poison) the
-    // right team. No-op on non-pooled threads.
-    crate::pool::note_region(team.region());
-    // Injected delays on this thread yield once the region is cancelled or
-    // poisoned: a simulated stall must not pin the region open past a
-    // deadline trip (the guard restores the enclosing hook on exit). The
-    // deadline probe also lets a *serial* team (admission shed) rescue
-    // itself — there is no sibling waiter to trip the deadline for it.
-    let _interrupt = {
-        let team = Arc::clone(&team);
-        crate::faults::set_delay_interrupt(Box::new(move |site| {
-            team.is_cancelled() || team.deadline_probe(site.construct())
-        }))
-    };
     crate::ompt::record(
         team.region(),
         crate::ompt::EventKind::ParallelBegin {
@@ -582,9 +570,9 @@ fn run_worker<'env, F>(
     // and see no outstanding tasks may leave without waiting for the
     // release — their remaining obligation (the pooled latch decrement /
     // scoped-join exit, which is also the master's own rendezvous) happens
-    // on return from this function. With a region deadline or the stall
-    // watchdog armed, everyone takes the full barrier instead — the parked
-    // threads are the detector's sensor (see `Team::final_barrier`).
+    // on return from this function. With a region deadline armed, everyone
+    // takes the full barrier instead — the parked threads are the stall
+    // sensor (see `Team::final_barrier`).
     if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| team.final_barrier()))
     {
         team.poison();

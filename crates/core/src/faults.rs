@@ -19,7 +19,7 @@
 //! Injected panics carry an [`InjectedFault`] payload so tests can assert
 //! that the panic that surfaced is the one they planted.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[cfg(test)]
@@ -251,46 +251,24 @@ thread_local! {
     /// same-thread `arm` would self-deadlock on the (non-reentrant)
     /// `TEST_LOCK`; this flag converts that silent hang into a clear panic.
     static ARMED_HERE: Cell<bool> = const { Cell::new(false) };
-
-    /// Per-thread interrupt predicate polled by injected delays with the
-    /// stalled site: when it returns `true` (e.g. the worker's region was
-    /// cancelled or poisoned), the remainder of the delay is abandoned so a
-    /// "stalled" worker can observe a deadline trip and exit instead of
-    /// pinning the region open.
-    static DELAY_INTERRUPT: RefCell<Option<DelayInterrupt>> = const { RefCell::new(None) };
 }
 
-/// An injected delay's interrupt predicate, given the stalled site.
-type DelayInterrupt = Box<dyn Fn(FaultSite) -> bool>;
-
-/// Injected delays sleep in slices of at most this, polling the interrupt
-/// predicate between slices.
+/// Injected delays sleep in slices of at most this, checking
+/// [`delay_interrupted`] between slices.
 const DELAY_SLICE: Duration = Duration::from_millis(5);
 
-/// RAII installer for the per-thread delay interrupt; restores the previous
-/// predicate (usually `None`) on drop.
-pub(crate) struct InterruptGuard {
-    prev: Option<DelayInterrupt>,
-}
-
-impl Drop for InterruptGuard {
-    fn drop(&mut self) {
-        DELAY_INTERRUPT.with(|cell| *cell.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Install a delay-interrupt predicate for the calling thread (see
-/// [`DELAY_INTERRUPT`]). Used by the pooled-region worker loop so injected
-/// stalls become recoverable once the region is poisoned.
-pub(crate) fn set_delay_interrupt(pred: DelayInterrupt) -> InterruptGuard {
-    let prev = DELAY_INTERRUPT.with(|cell| cell.borrow_mut().replace(pred));
-    InterruptGuard { prev }
-}
-
-/// Whether the calling thread's installed interrupt predicate (if any) says
-/// to abandon an in-progress injected delay at `site`.
+/// Whether an in-progress injected delay at `site` should be abandoned: the
+/// calling thread's innermost team was cancelled or poisoned, or has run
+/// past its region deadline (which this probe trips). A simulated stall
+/// must not pin the region open past a deadline trip, and the probe lets a
+/// *serial* team (admission shed) rescue itself — there is no sibling
+/// waiter to trip the deadline for it. A thread outside any team — a pooled
+/// worker at [`FaultSite::WorkerDispatch`], before it joins one — is never
+/// interrupted.
 fn delay_interrupted(site: FaultSite) -> bool {
-    DELAY_INTERRUPT.with(|cell| cell.borrow().as_ref().is_some_and(|pred| pred(site)))
+    crate::context::current_frame().is_some_and(|frame| {
+        frame.team.is_cancelled() || frame.team.deadline_probe(site.construct())
+    })
 }
 
 /// Guard returned by [`arm`]: disarms the plan when dropped and holds the
@@ -400,10 +378,10 @@ fn on_event_armed(site: FaultSite) {
         // Jitter in [1.0, 2.0)× base, derived from (seed, site, occurrence).
         let r = splitmix64(seed ^ (site.index() as u64) << 32 ^ n);
         let factor = 1.0 + (r >> 11) as f64 / (1u64 << 53) as f64;
-        // Sleep in short slices, polling the thread's interrupt predicate:
-        // a delay meant to simulate a stall must still yield once the
-        // region it is stalling has been poisoned/cancelled, or the stall
-        // would pin the region open past every deadline.
+        // Sleep in short slices, polling the thread's team: a delay meant to
+        // simulate a stall must still yield once the region it is stalling
+        // has been poisoned/cancelled, or the stall would pin the region
+        // open past every deadline.
         let until = std::time::Instant::now() + base.mul_f64(factor);
         loop {
             let now = std::time::Instant::now();
@@ -528,9 +506,11 @@ mod tests {
             1,
             Duration::from_secs(120),
         ));
-        // Predicate fires immediately: the two-minute stall collapses to at
-        // most a couple of slices.
-        let _interrupt = set_delay_interrupt(Box::new(|_| true));
+        // The delay fires inside a cancelled one-thread region: the
+        // two-minute stall collapses to at most a couple of slices.
+        let team = crate::team::Team::new(1, crate::sync::Backend::Atomic);
+        team.cancel_region();
+        let _frame = crate::context::enter_team(team, 0, Vec::new());
         let start = std::time::Instant::now();
         on_event(FaultSite::BarrierArrival);
         assert!(

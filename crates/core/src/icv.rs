@@ -56,15 +56,6 @@ pub struct Icvs {
     /// surfaces [`crate::OmpError::RegionTimeout`] on the joining thread.
     /// `None` (the default) keeps every wait untimed and zero-overhead.
     pub region_deadline: Option<std::time::Duration>,
-    /// Optional stall-watchdog threshold (`OMP4RS_WATCHDOG`, milliseconds).
-    /// When set, the worker pool runs a monitor thread that flags any pooled
-    /// worker busy inside a single region job for longer than this
-    /// threshold: it records a diagnostic snapshot through [`crate::ompt`]
-    /// (`watchdog-stall` events, `omp4rs.watchdog.*` counters) and poisons
-    /// the afflicted team so its region fails with
-    /// [`crate::OmpError::RegionTimeout`] instead of hanging. `None` (the
-    /// default) never starts the monitor thread.
-    pub watchdog: Option<std::time::Duration>,
 }
 
 /// The minipy bytecode-VM switch (`OMP4RS_MINIPY_VM`); mirrors
@@ -107,7 +98,6 @@ impl Default for Icvs {
             minipy_vm: MinipyVm::On,
             wait_policy: crate::sync::WaitPolicy::Passive,
             region_deadline: None,
-            watchdog: None,
         }
     }
 }
@@ -184,11 +174,6 @@ impl Icvs {
         if let Some(ms) = env_usize("OMP4RS_REGION_DEADLINE") {
             if ms > 0 {
                 icvs.region_deadline = Some(std::time::Duration::from_millis(ms as u64));
-            }
-        }
-        if let Some(ms) = env_usize("OMP4RS_WATCHDOG") {
-            if ms > 0 {
-                icvs.watchdog = Some(std::time::Duration::from_millis(ms as u64));
             }
         }
         icvs
@@ -338,26 +323,21 @@ mod tests {
         let _guard = test_guard();
 
         assert_eq!(Icvs::default().region_deadline, None);
-        assert_eq!(Icvs::default().watchdog, None);
 
         std::env::set_var("OMP4RS_REGION_DEADLINE", "250");
-        std::env::set_var("OMP4RS_WATCHDOG", "100");
         let icvs = Icvs::from_env();
         assert_eq!(
             icvs.region_deadline,
             Some(std::time::Duration::from_millis(250))
         );
-        assert_eq!(icvs.watchdog, Some(std::time::Duration::from_millis(100)));
 
         // Zero and garbage both keep the (disabled) default.
-        std::env::set_var("OMP4RS_REGION_DEADLINE", "0");
-        std::env::set_var("OMP4RS_WATCHDOG", "soon");
-        let icvs = Icvs::from_env();
-        assert_eq!(icvs.region_deadline, None);
-        assert_eq!(icvs.watchdog, None);
+        for bad in ["0", "soon"] {
+            std::env::set_var("OMP4RS_REGION_DEADLINE", bad);
+            assert_eq!(Icvs::from_env().region_deadline, None);
+        }
 
         std::env::remove_var("OMP4RS_REGION_DEADLINE");
-        std::env::remove_var("OMP4RS_WATCHDOG");
     }
 
     #[test]

@@ -161,16 +161,6 @@ pub enum EventKind {
     },
     /// Cancellation was requested or first observed for a construct.
     CancelObserved,
-    /// The stall watchdog flagged a pooled worker as stalled past the
-    /// `OMP4RS_WATCHDOG` threshold (the diagnostic snapshot accompanying it
-    /// is published through the `omp4rs.watchdog.*` counters).
-    WatchdogStall {
-        /// Pool id of the stalled worker.
-        worker: u64,
-        /// Nanoseconds the worker had been busy on its current region when
-        /// flagged.
-        busy_ns: u64,
-    },
     /// A region deadline tripped: a blocking wait exceeded the region's
     /// deadline ICV and the region was poisoned (an
     /// [`crate::error::OmpError::RegionTimeout`] surfaces at the join).
@@ -196,7 +186,6 @@ impl EventKind {
             EventKind::ChunkDone { .. } => "chunk-done",
             EventKind::LockAcquire { .. } => "lock-acquire",
             EventKind::CancelObserved => "cancel-observed",
-            EventKind::WatchdogStall { .. } => "watchdog-stall",
             EventKind::DeadlineTrip { .. } => "deadline-trip",
         }
     }
@@ -953,9 +942,9 @@ pub fn aggregate(events: &[Event]) -> Vec<RegionMetrics> {
                     m.lock_contended += u64::from(contended);
                 }
                 EventKind::CancelObserved => m.cancellations += 1,
-                // Resilience trips always poison the region, which records a
+                // A deadline trip always poisons the region, which records a
                 // CancelObserved counted above — no separate aggregate.
-                EventKind::WatchdogStall { .. } | EventKind::DeadlineTrip { .. } => {}
+                EventKind::DeadlineTrip { .. } => {}
             }
         }
         m.threads = threads.len();
@@ -1250,10 +1239,6 @@ pub fn render_chrome_trace(events: &[Event], counters: &BTreeMap<&'static str, u
             }
             EventKind::CancelObserved => {
                 w.instant("cancel", e.region, e.thread, e.ts_ns, "");
-            }
-            EventKind::WatchdogStall { worker, busy_ns } => {
-                let args = format!(",\"args\":{{\"worker\":{worker},\"busy_ns\":{busy_ns}}}");
-                w.instant("watchdog-stall", e.region, e.thread, e.ts_ns, &args);
             }
             EventKind::DeadlineTrip { wait_ns } => {
                 let args = format!(",\"args\":{{\"wait_ns\":{wait_ns}}}");

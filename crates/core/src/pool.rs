@@ -67,7 +67,7 @@
 //! `ompt::finalize`/`disable` alone; nothing here needs to know it exists.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -195,10 +195,6 @@ struct Mailbox {
 /// lock, when it lists itself) and only a dispatcher clears it (`true →
 /// false`, having just popped the entry), so a slot sits in the idle list
 /// at most once.
-///
-/// The atomic heartbeat fields (`busy_since`, `region`, `flagged`) are the
-/// watchdog's view of this worker: written by the worker itself on job
-/// take/finish and on barrier arrivals, read by the watchdog thread.
 #[derive(Default)]
 struct WorkerSlot {
     mailbox: Mutex<Mailbox>,
@@ -206,21 +202,6 @@ struct WorkerSlot {
     /// dispatcher bumps it after filling the mailbox.
     dock: Notifier,
     listed: AtomicBool,
-    /// Stable worker number (matches the `omp4rs-pool-N` thread name).
-    id: AtomicU64,
-    /// Heartbeat: nanoseconds since process start at the last observed
-    /// progress point (job take or barrier arrival); `0` while idle. The
-    /// watchdog flags the worker once `now - busy_since` exceeds the
-    /// threshold.
-    busy_since: AtomicU64,
-    /// Region id of the team the current job serves (`0` between jobs), so
-    /// a flagged stall can be traced back to — and poison — the right team.
-    region: AtomicU64,
-    /// Latched by the watchdog on the first stall observation for the
-    /// current job, so one stall yields one snapshot/cancel rather than one
-    /// per tick. Cleared when the worker takes its next job or makes
-    /// barrier progress.
-    flagged: AtomicBool,
 }
 
 struct Pool {
@@ -233,10 +214,6 @@ struct Pool {
     /// [`InflightGuard`]); exact, since every charge and its release go to
     /// this one counter.
     inflight: AtomicU64,
-    /// Every worker ever spawned, for the watchdog's sweep. Pool workers
-    /// are never torn down, so this only grows (bounded by peak concurrent
-    /// demand).
-    slots: Mutex<Vec<Arc<WorkerSlot>>>,
     reuse: AtomicU64,
     spawn: AtomicU64,
     next_id: AtomicU64,
@@ -245,15 +222,11 @@ struct Pool {
     granted: AtomicU64,
     shrunk: AtomicU64,
     shed: AtomicU64,
-    /// Watchdog outcomes: stalls flagged, teams cancelled in response.
-    wd_stalls: AtomicU64,
-    wd_cancels: AtomicU64,
 }
 
 static POOL: Pool = Pool {
     idle: Mutex::new(Vec::new()),
     inflight: AtomicU64::new(0),
-    slots: Mutex::new(Vec::new()),
     reuse: AtomicU64::new(0),
     spawn: AtomicU64::new(0),
     next_id: AtomicU64::new(0),
@@ -261,49 +234,7 @@ static POOL: Pool = Pool {
     granted: AtomicU64::new(0),
     shrunk: AtomicU64::new(0),
     shed: AtomicU64::new(0),
-    wd_stalls: AtomicU64::new(0),
-    wd_cancels: AtomicU64::new(0),
 };
-
-/// Monotonic nanoseconds since the first call (process-lifetime clock for
-/// the heartbeat fields; offset by 1 so a live heartbeat is never `0`).
-fn now_ns() -> u64 {
-    static START: OnceLock<std::time::Instant> = OnceLock::new();
-    let start = START.get_or_init(std::time::Instant::now);
-    start.elapsed().as_nanos() as u64 + 1
-}
-
-thread_local! {
-    /// The pool slot owned by this thread, when it is a pooled worker;
-    /// lets the worker (and code running inside its jobs, via
-    /// [`note_region`] / [`heartbeat`]) update its own heartbeat without
-    /// threading the slot through every call.
-    static CURRENT_SLOT: std::cell::RefCell<Option<Arc<WorkerSlot>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Record which region this pooled worker is currently serving (no-op on
-/// threads that are not pool workers). Called by `exec::run_worker` on
-/// region entry.
-pub(crate) fn note_region(region: u64) {
-    CURRENT_SLOT.with(|slot| {
-        if let Some(slot) = slot.borrow().as_ref() {
-            slot.region.store(region, Ordering::Release);
-        }
-    });
-}
-
-/// Refresh this worker's heartbeat (no-op off the pool): called at barrier
-/// arrivals so "stalled" means *no synchronization progress* for the
-/// watchdog threshold, not merely "inside a long region".
-pub(crate) fn heartbeat() {
-    CURRENT_SLOT.with(|slot| {
-        if let Some(slot) = slot.borrow().as_ref() {
-            slot.busy_since.store(now_ns(), Ordering::Release);
-            slot.flagged.store(false, Ordering::Relaxed);
-        }
-    });
-}
 
 thread_local! {
     /// This (master) thread's dispatch identity and remembered gang: the
@@ -358,9 +289,6 @@ fn pop_idle(p: &Pool) -> Option<Arc<WorkerSlot>> {
 /// guarantees the spawned members exit first.)
 pub(crate) fn dispatch(jobs: Vec<Job>, latch: &Arc<RegionLatch>) {
     let p = &POOL;
-    if crate::icv::Icvs::current().watchdog.is_some() {
-        ensure_watchdog();
-    }
     let mut pending = jobs;
     pending.reverse();
     let mut assigned: Vec<Arc<WorkerSlot>> = Vec::with_capacity(pending.len());
@@ -402,8 +330,6 @@ fn spawn_worker(job: Job, latch: &Arc<RegionLatch>, master: u64) -> Arc<WorkerSl
     let p = &POOL;
     let id = p.next_id.fetch_add(1, Ordering::Relaxed) + 1;
     let slot = Arc::new(WorkerSlot::default());
-    slot.id.store(id, Ordering::Relaxed);
-    p.slots.lock().push(Arc::clone(&slot));
     {
         let mut mb = slot.mailbox.lock();
         mb.work = Some((job, Arc::clone(latch)));
@@ -439,17 +365,12 @@ fn spawn_worker(job: Job, latch: &Arc<RegionLatch>, master: u64) -> Arc<WorkerSl
 
 fn worker_loop(slot: Arc<WorkerSlot>) {
     let p = &POOL;
-    CURRENT_SLOT.with(|s| *s.borrow_mut() = Some(Arc::clone(&slot)));
     loop {
         let (job, latch) = wait_for_mail(p, &slot);
-        slot.flagged.store(false, Ordering::Relaxed);
-        slot.busy_since.store(now_ns(), Ordering::Release);
         // A panicking job must not take the worker down: region poisoning
         // and panic capture happen inside the job (exec::run_worker and its
         // dispatch wrapper); the pool recycles the thread no matter what.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        slot.busy_since.store(0, Ordering::Release);
-        slot.region.store(0, Ordering::Release);
         // On the normal path the region's final-barrier releaser has
         // already zeroed this latch (`complete_all`); this decrement is the
         // release only on cancelled/poisoned paths.
@@ -591,115 +512,6 @@ pub fn admission_stats() -> AdmissionStats {
     }
 }
 
-/// Stall-watchdog outcomes since process start; also published to the
-/// profiler as `omp4rs.watchdog.*`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogStats {
-    /// Workers flagged as stalled (heartbeat older than the threshold).
-    pub stalls: u64,
-    /// Teams cancelled (poisoned) in response to a flagged stall.
-    pub cancels: u64,
-}
-
-/// Read the current [`WatchdogStats`].
-pub fn watchdog_stats() -> WatchdogStats {
-    let p = &POOL;
-    WatchdogStats {
-        stalls: p.wd_stalls.load(Ordering::Relaxed),
-        cancels: p.wd_cancels.load(Ordering::Relaxed),
-    }
-}
-
-/// Spawn the stall-watchdog monitor thread, once per process. Called from
-/// [`dispatch`] whenever the watchdog ICV (`OMP4RS_WATCHDOG`) is set, so
-/// processes that never opt in never pay for the thread.
-fn ensure_watchdog() {
-    static WATCHDOG: OnceLock<()> = OnceLock::new();
-    WATCHDOG.get_or_init(|| {
-        let spawned = std::thread::Builder::new()
-            .name("omp4rs-watchdog".into())
-            .spawn(watchdog_loop);
-        if let Err(e) = spawned {
-            // Diagnostics-only thread: losing it degrades observability,
-            // not correctness.
-            eprintln!("omp4rs: failed to spawn watchdog thread: {e}");
-        }
-    });
-}
-
-/// The monitor: sample every worker's heartbeat at roughly half the stall
-/// threshold. A worker whose heartbeat is older than the threshold is
-/// flagged once per job: the watchdog records a `watchdog-stall` profiler
-/// event and counter snapshot (per-worker state, pool queue depth), then
-/// poisons the afflicted team through the deadline machinery so its master
-/// observes a `RegionTimeout` instead of hanging.
-///
-/// The sweep reads atomics plus the (cold) `slots` roster; a traced tick
-/// also takes the idle lock once, for its length, which no tick (≥ 1 ms)
-/// can hold long enough to stall live dispatch.
-fn watchdog_loop() {
-    let p = &POOL;
-    loop {
-        let threshold = match crate::icv::Icvs::current().watchdog {
-            Some(t) => t,
-            // ICV cleared after startup: keep the thread parked cheaply.
-            None => {
-                std::thread::sleep(std::time::Duration::from_millis(500));
-                continue;
-            }
-        };
-        let thr_ns = threshold.as_nanos() as u64;
-        let now = now_ns();
-        let slots: Vec<Arc<WorkerSlot>> = p.slots.lock().clone();
-        let mut busy = 0u64;
-        for slot in &slots {
-            let since = slot.busy_since.load(Ordering::Acquire);
-            if since == 0 || since > now {
-                continue;
-            }
-            busy += 1;
-            let busy_ns = now - since;
-            if busy_ns < thr_ns || slot.flagged.swap(true, Ordering::Relaxed) {
-                continue;
-            }
-            p.wd_stalls.fetch_add(1, Ordering::Relaxed);
-            let region = slot.region.load(Ordering::Acquire);
-            let worker = slot.id.load(Ordering::Relaxed);
-            crate::ompt::record(
-                region,
-                crate::ompt::EventKind::WatchdogStall { worker, busy_ns },
-            );
-            if let Some(team) = crate::team::find_by_region(region) {
-                // Count before tripping: the trip wakes the region's master,
-                // which may read `watchdog_stats` immediately — the cancel
-                // must already be visible by then.
-                p.wd_cancels.fetch_add(1, Ordering::Relaxed);
-                team.trip_deadline("watchdog");
-            }
-        }
-        if crate::ompt::enabled() {
-            crate::ompt::set_counter(
-                "omp4rs.watchdog.stalls",
-                p.wd_stalls.load(Ordering::Relaxed),
-            );
-            crate::ompt::set_counter(
-                "omp4rs.watchdog.cancels",
-                p.wd_cancels.load(Ordering::Relaxed),
-            );
-            crate::ompt::set_counter("omp4rs.watchdog.busy_workers", busy);
-            crate::ompt::set_counter("omp4rs.watchdog.idle_workers", idle_workers() as u64);
-            crate::ompt::flush_thread();
-        }
-        // Half the threshold bounds detection latency at 1.5x the
-        // threshold; clamped so a tiny threshold cannot busy-spin the
-        // monitor and a huge one still notices ICV changes promptly.
-        let tick = (threshold / 2)
-            .max(std::time::Duration::from_millis(1))
-            .min(std::time::Duration::from_millis(500));
-        std::thread::sleep(tick);
-    }
-}
-
 /// A snapshot of the pool's counters, as published to the profiler under
 /// `omp4rs.pool.*`.
 ///
@@ -728,14 +540,6 @@ pub fn stats() -> PoolStats {
         park: sync::park_count(),
         spin_exit: sync::spin_exit_count(),
     }
-}
-
-/// Number of currently listed (idle) workers: the idle list's length, read
-/// under its lock. Advisory: stale idle-list entries (workers that took a
-/// gang post without being popped) are counted until a dispatcher pops
-/// them.
-pub fn idle_workers() -> usize {
-    POOL.idle.lock().len()
 }
 
 /// Publish the pool counters to the [`crate::ompt`] profiler (no-op when it

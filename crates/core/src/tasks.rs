@@ -500,8 +500,8 @@ impl TaskQueue {
     /// FIFO among equals). With `depend` items it runs only after every
     /// live predecessor (per the in/out/inout rules in [`crate::depgraph`])
     /// has retired; held tasks still count as outstanding — region
-    /// barriers, deadlines, and the watchdog all see them — but cannot be
-    /// claimed until released.
+    /// barriers and deadlines see them — but cannot be claimed until
+    /// released.
     pub fn submit_depend<F: FnOnce() + Send + 'static>(
         &self,
         body: F,

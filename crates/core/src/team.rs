@@ -1,8 +1,7 @@
 //! Thread teams and the task-draining implicit barrier.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -54,32 +53,9 @@ pub struct Team {
     /// (barriers, `taskwait`, `critical`, locks), from the
     /// `region_deadline` ICV at team creation. `None` = unbounded.
     deadline: Option<Instant>,
-    /// First-wins typed failure (deadline trip or watchdog cancellation)
-    /// re-raised by the joining thread after all team threads exit.
+    /// First-wins typed failure (a deadline trip) re-raised by the joining
+    /// thread after all team threads exit.
     failure: Mutex<Option<OmpError>>,
-    /// Whether this team was entered into the watchdog's region registry.
-    registered: bool,
-}
-
-/// Region-id → team map so the stall watchdog ([`crate::pool`]) can reach a
-/// team from a worker-slot heartbeat and cancel it. Teams register only when
-/// the watchdog ICV is enabled at creation time, and deregister on drop.
-fn registry() -> &'static Mutex<HashMap<u64, Weak<Team>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<u64, Weak<Team>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Look up a live team by its region id (watchdog use).
-pub(crate) fn find_by_region(region: u64) -> Option<Arc<Team>> {
-    registry().lock().get(&region).and_then(Weak::upgrade)
-}
-
-impl Drop for Team {
-    fn drop(&mut self) {
-        if self.registered {
-            registry().lock().remove(&self.region);
-        }
-    }
 }
 
 /// The calling thread's enclosing team and its region deadline, when both
@@ -113,15 +89,14 @@ const STEAL_DEPTH_LIMIT: usize = 24;
 impl Team {
     /// Create a team of `size` threads using the given backend.
     ///
-    /// The region deadline and watchdog ICVs are sampled here, so a deadline
-    /// covers the whole region lifetime starting from team creation.
+    /// The region deadline ICV is sampled here, so a deadline covers the
+    /// whole region lifetime starting from team creation.
     pub fn new(size: usize, backend: Backend) -> Arc<Team> {
         let wake = Arc::new(Notifier::new());
         let cancelled = Arc::new(CancelFlag::new(backend));
         let icvs = crate::icv::Icvs::current();
         let started = Instant::now();
-        let registered = icvs.watchdog.is_some();
-        let team = Arc::new(Team {
+        Arc::new(Team {
             size: size.max(1),
             backend,
             region: ompt::new_region_id(),
@@ -138,12 +113,7 @@ impl Team {
             started,
             deadline: icvs.region_deadline.map(|d| started + d),
             failure: Mutex::new(None),
-            registered,
-        });
-        if registered {
-            registry().lock().insert(team.region, Arc::downgrade(&team));
-        }
-        team
+        })
     }
 
     /// Attach the pooled region's completion latch (set by the master
@@ -154,7 +124,7 @@ impl Team {
     }
 
     /// The region's final (region-end implicit) barrier, with an
-    /// *early-leave* fast path when no stall detector is armed.
+    /// *early-leave* fast path unless a region deadline is armed.
     ///
     /// A full barrier makes every thread wait for the generation flip, which
     /// on the final rendezvous buys the workers nothing: nothing after it
@@ -177,33 +147,23 @@ impl Team {
     /// the region, and neither can complete before the last arriver has
     /// drained the tasks and released.
     ///
-    /// Two exceptions, one per stall detector — in both, the threads parked
-    /// at this barrier *are* the detector's sensor, so nobody early-leaves:
-    ///
-    /// * Under a region *deadline*, every arriver's park here is
-    ///   deadline-bounded (`park_until` → `trip_deadline`); the latch wait
-    ///   and the scoped join are not. A region whose slowest thread stalls
-    ///   *before* arriving is rescued by a teammate's bounded park tripping
-    ///   the deadline (typed as a `"barrier"` timeout) — if the teammates
-    ///   early-left instead, the trip would fall to the master's coarser
-    ///   region-level probe, or (for an early-leaving leader) to nothing at
-    ///   all, turning the deadline into a hang.
-    /// * With the stall *watchdog* armed, the sensor is a busy pool worker
-    ///   whose heartbeat went stale while parked here waiting out a stalled
-    ///   teammate. The master runs on the caller's thread and has no
-    ///   heartbeat, so if its teammates early-left and re-docked (idle,
-    ///   fresh heartbeats) a master stalled in its body would be invisible —
-    ///   the watchdog would watch an apparently idle pool while the region
-    ///   hangs. The full barrier preserves the PR 6 semantics: no
-    ///   synchronization progress anywhere in the team for the threshold ⇒
-    ///   some parked worker is flagged ⇒ the team is cancelled.
+    /// The exception is a region *deadline*: every arriver's park here is
+    /// deadline-bounded (`park_until` → `trip_deadline`); the latch wait and
+    /// the scoped join are not. A region whose slowest thread stalls
+    /// *before* arriving is rescued by a teammate's bounded park tripping the
+    /// deadline (typed as a `"barrier"` timeout) — if the teammates
+    /// early-left instead, the trip would fall to the master's coarser
+    /// region-level probe, or (for an early-leaving leader) to nothing at
+    /// all, turning the deadline into a hang. So under a deadline the
+    /// threads parked here are the stall sensor, and nobody early-leaves.
+    /// (A one-thread team has no one to leave early from.)
     ///
     /// (A non-conforming program whose threads execute *different* numbers
     /// of explicit barriers could fire this at a mismatched rendezvous —
     /// such programs already have no defined behavior under OpenMP.)
     pub(crate) fn final_barrier(&self) {
         self.finalists.fetch_add(1, Ordering::AcqRel);
-        if self.size == 1 || self.deadline.is_some() || self.registered {
+        if self.size == 1 || self.deadline.is_some() {
             return self.barrier();
         }
         if !ompt::enabled() {
@@ -225,7 +185,6 @@ impl Team {
 
     /// Worker-side final-barrier arrival (see [`Team::final_barrier`]).
     fn final_barrier_body(&self) {
-        crate::pool::heartbeat();
         faults::on_event(FaultSite::BarrierArrival);
         if self.cancelled.is_set() {
             return;
@@ -349,8 +308,7 @@ impl Team {
     /// `construct` (the injected delay interrupt hook): if the deadline has
     /// passed, trip it and return `true`. This is the only rescue path for a
     /// *serial* region (admission shed, team of one) — there are no sibling
-    /// waiters parked with the deadline and no pool slot for the watchdog to
-    /// monitor. In a larger team it races the parked waiters to the trip;
+    /// waiters parked with the deadline. In a larger team it races the parked waiters to the trip;
     /// naming the stalled construct keeps the reported error the same
     /// whichever thread wins.
     pub(crate) fn deadline_probe(&self, construct: &'static str) -> bool {
@@ -363,7 +321,7 @@ impl Team {
         }
     }
 
-    /// Take the stored typed failure (deadline trip or watchdog), if any.
+    /// Take the stored typed failure (a deadline trip), if any.
     /// Called once by the joining thread after the region completes.
     pub(crate) fn take_failure(&self) -> Option<OmpError> {
         self.failure.lock().take()
@@ -418,10 +376,6 @@ impl Team {
     }
 
     fn barrier_body(&self) {
-        // A barrier arrival is synchronization progress: refresh this
-        // worker's watchdog heartbeat so only threads that stop *arriving*
-        // (not merely long regions) count as stalled.
-        crate::pool::heartbeat();
         faults::on_event(FaultSite::BarrierArrival);
         // A cancelled/poisoned region's barriers are no-ops: the region is
         // exiting and no further cross-thread phase agreement exists.

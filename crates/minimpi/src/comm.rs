@@ -8,18 +8,12 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::error::MpiError;
 use crate::netmodel::NetModel;
-use crate::retry::RetryPolicy;
 
 /// A message in flight: (source rank, tag, payload).
 type Packet = (usize, u64, Vec<f64>);
 
 /// Tag space reserved for collectives (user tags must stay below this).
 const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
-
-/// Tag space reserved for the reliable layer's acknowledgements: the ACK
-/// for a message on `tag` travels on `ACK_TAG_BASE + tag`. Above both the
-/// user and collective tag spaces, so it never collides with either.
-const ACK_TAG_BASE: u64 = 1 << 60;
 
 /// A communicator handle owned by one rank.
 ///
@@ -33,9 +27,6 @@ pub struct Comm {
     barrier: Arc<std::sync::Barrier>,
     net: Arc<NetModel>,
     collective_seq: RefCell<u64>,
-    /// Monotonic outgoing-message counter, feeding the network model's
-    /// deterministic per-message loss decision.
-    send_seq: Cell<u64>,
     /// Fault injection: a silenced rank drops every outgoing message,
     /// emulating a crashed or partitioned process.
     silenced: Cell<bool>,
@@ -68,7 +59,6 @@ impl Comm {
             barrier,
             net,
             collective_seq: RefCell::new(0),
-            send_seq: Cell::new(0),
             silenced: Cell::new(false),
         }
     }
@@ -107,17 +97,6 @@ impl Comm {
             return Ok(());
         }
         self.net.charge(self.rank, dest, data.len() * 8);
-        let seq = self.send_seq.get();
-        self.send_seq.set(seq + 1);
-        // Injected transient loss: payload vanishes in flight (after its
-        // cost has been charged, like a real dropped packet). ACKs are
-        // exempt — modelling ACK loss would demand duplicate suppression at
-        // the receiver, complexity the retry layer under test doesn't need:
-        // a retry here happens if and only if the payload was not
-        // delivered.
-        if tag < ACK_TAG_BASE && self.net.drops(self.rank, seq) {
-            return Ok(());
-        }
         self.senders[dest]
             .send((self.rank, tag, data))
             .map_err(|_| MpiError::Disconnected { peer: dest, tag })
@@ -231,229 +210,6 @@ impl Comm {
         let mut seq = self.collective_seq.borrow_mut();
         *seq += 1;
         COLLECTIVE_TAG_BASE + *seq
-    }
-
-    /// Reliable send over a lossy transport: deliver, then wait for the
-    /// receiver's acknowledgement; on a missing ACK, back off per `policy`
-    /// and retransmit. Recovers from transient injected loss
-    /// ([`NetModel::loss`]); a permanently dead peer (silenced or exited)
-    /// surfaces as [`MpiError::RetriesExhausted`] once the attempt budget
-    /// is spent. The receiver must use [`Comm::recv_reliable`].
-    ///
-    /// At-least-once delivery: if the ACK (not the payload) is lost the
-    /// receiver may buffer a duplicate — use a fresh tag per logical
-    /// message (as the `_resilient` collectives do) to keep duplicates
-    /// unmatchable.
-    ///
-    /// # Errors
-    ///
-    /// [`MpiError::RetriesExhausted`] wrapping the final attempt's error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tag` is in the reserved collective range or `dest` is out
-    /// of range.
-    pub fn send_reliable(
-        &self,
-        dest: usize,
-        tag: u64,
-        data: Vec<f64>,
-        policy: &RetryPolicy,
-    ) -> Result<(), MpiError> {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag too large (reserved for collectives)"
-        );
-        self.send_reliable_tag(dest, tag, data, policy)
-    }
-
-    fn send_reliable_tag(
-        &self,
-        dest: usize,
-        tag: u64,
-        data: Vec<f64>,
-        policy: &RetryPolicy,
-    ) -> Result<(), MpiError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(policy.backoff(attempt));
-            }
-            if let Err(e) = self.send_raw(dest, tag, data.clone()) {
-                last = Some(e);
-                continue;
-            }
-            match self.recv_raw_deadline(
-                dest,
-                ACK_TAG_BASE + tag,
-                Instant::now() + policy.per_attempt_timeout,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(MpiError::RetriesExhausted {
-            attempts,
-            last: Box::new(last.expect("at least one attempt ran")),
-        })
-    }
-
-    /// Receive the reliable counterpart of [`Comm::send_reliable`]: wait
-    /// for the payload (bounded per attempt by the policy's timeout, with
-    /// the same attempt budget as the sender) and acknowledge it.
-    ///
-    /// # Errors
-    ///
-    /// [`MpiError::RetriesExhausted`] when no payload arrives across the
-    /// whole attempt budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tag` is in the reserved collective range.
-    pub fn recv_reliable(
-        &self,
-        src: usize,
-        tag: u64,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f64>, MpiError> {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag too large (reserved for collectives)"
-        );
-        self.recv_reliable_tag(src, tag, policy)
-    }
-
-    fn recv_reliable_tag(
-        &self,
-        src: usize,
-        tag: u64,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f64>, MpiError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            // The receive window must outlast the sender's backoff before
-            // its next retransmission, or the two can interleave so that
-            // every wait expires just before its payload lands.
-            let window = policy.per_attempt_timeout + policy.backoff(attempt + 1);
-            match self.recv_raw_deadline(src, tag, Instant::now() + window) {
-                Ok(data) => {
-                    // ACK delivery is best-effort (an exited peer is fine:
-                    // it can no longer care).
-                    let _ = self.send_raw(src, ACK_TAG_BASE + tag, Vec::new());
-                    return Ok(data);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(MpiError::RetriesExhausted {
-            attempts,
-            last: Box::new(last.expect("at least one attempt ran")),
-        })
-    }
-
-    /// [`Comm::gather`] over the reliable layer: every hop retries under
-    /// `policy`, so the collective survives transient message loss.
-    ///
-    /// # Errors
-    ///
-    /// [`MpiError::RetriesExhausted`] when a contribution is permanently
-    /// lost (dead rank).
-    pub fn gather_resilient(
-        &self,
-        root: usize,
-        data: Vec<f64>,
-        policy: &RetryPolicy,
-    ) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
-        let tag = self.next_collective_tag();
-        if self.rank == root {
-            let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-            out[root] = data;
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = self.recv_reliable_tag(src, tag, policy)?;
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send_reliable_tag(root, tag, data, policy)?;
-            Ok(None)
-        }
-    }
-
-    /// [`Comm::bcast`] over the reliable layer.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::gather_resilient`].
-    pub fn bcast_resilient(
-        &self,
-        root: usize,
-        data: Vec<f64>,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f64>, MpiError> {
-        let tag = self.next_collective_tag();
-        if self.rank == root {
-            for dest in 0..self.size {
-                if dest != root {
-                    self.send_reliable_tag(dest, tag, data.clone(), policy)?;
-                }
-            }
-            Ok(data)
-        } else {
-            self.recv_reliable_tag(root, tag, policy)
-        }
-    }
-
-    /// [`Comm::allgather`] over the reliable layer (gather to rank 0, then
-    /// broadcast) — the hybrid Jacobi's exchange under a lossy net.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::gather_resilient`].
-    pub fn allgather_resilient(
-        &self,
-        data: Vec<f64>,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f64>, MpiError> {
-        let flat = match self.gather_resilient(0, data, policy)? {
-            Some(parts) => parts.concat(),
-            None => Vec::new(),
-        };
-        self.bcast_resilient(0, flat, policy)
-    }
-
-    /// `MPI_Allreduce(MPI_MAX)` over the reliable layer.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::gather_resilient`].
-    pub fn allreduce_max_resilient(
-        &self,
-        value: f64,
-        policy: &RetryPolicy,
-    ) -> Result<f64, MpiError> {
-        let parts = self.gather_resilient(0, vec![value], policy)?;
-        let max = parts
-            .map(|p| p.iter().map(|v| v[0]).fold(f64::NEG_INFINITY, f64::max))
-            .unwrap_or(f64::NEG_INFINITY);
-        Ok(self.bcast_resilient(0, vec![max], policy)?[0])
-    }
-
-    /// `MPI_Allreduce(MPI_SUM)` over the reliable layer.
-    ///
-    /// # Errors
-    ///
-    /// See [`Comm::gather_resilient`].
-    pub fn allreduce_sum_resilient(
-        &self,
-        value: f64,
-        policy: &RetryPolicy,
-    ) -> Result<f64, MpiError> {
-        let parts = self.gather_resilient(0, vec![value], policy)?;
-        let sum = parts.map(|p| p.iter().map(|v| v[0]).sum()).unwrap_or(0.0);
-        Ok(self.bcast_resilient(0, vec![sum], policy)?[0])
     }
 
     /// `MPI_Barrier`.

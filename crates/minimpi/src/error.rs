@@ -26,16 +26,6 @@ pub enum MpiError {
         /// Message tag of the failed operation.
         tag: u64,
     },
-    /// A reliable operation (`send_reliable` / `_resilient` collective)
-    /// gave up after exhausting its [`crate::RetryPolicy`] attempt budget.
-    /// Transient loss is absorbed by the retries; this error means the
-    /// failure persisted across every attempt (dead or partitioned peer).
-    RetriesExhausted {
-        /// Attempts made before giving up.
-        attempts: u32,
-        /// The error the final attempt observed.
-        last: Box<MpiError>,
-    },
 }
 
 impl std::fmt::Display for MpiError {
@@ -47,9 +37,6 @@ impl std::fmt::Display for MpiError {
             ),
             MpiError::Disconnected { peer, tag } => {
                 write!(f, "rank {peer} has exited (tag {tag})")
-            }
-            MpiError::RetriesExhausted { attempts, last } => {
-                write!(f, "gave up after {attempts} attempts; last error: {last}")
             }
         }
     }

@@ -27,11 +27,9 @@
 pub mod comm;
 pub mod error;
 pub mod netmodel;
-pub mod retry;
 pub mod world;
 
 pub use comm::Comm;
 pub use error::MpiError;
 pub use netmodel::NetModel;
-pub use retry::RetryPolicy;
 pub use world::World;

@@ -19,25 +19,15 @@ pub struct NetModel {
     /// Number of ranks hosted per emulated node (intra-node messages are
     /// free). `usize::MAX` puts every rank on one node.
     pub ranks_per_node: usize,
-    /// Probability in `[0, 1)` that any given payload message is silently
-    /// dropped in flight (fault injection for the retry layer). `0.0`
-    /// (default) models a reliable transport. Acknowledgement messages are
-    /// exempt — see `Comm::send_reliable`.
-    pub loss: f64,
-    /// Seed for the deterministic per-message loss decision: the same seed
-    /// drops the same messages, so chaos runs replay exactly.
-    pub loss_seed: u64,
 }
 
 impl Default for NetModel {
-    /// Everything on one node: no charges, no loss.
+    /// Everything on one node: no charges.
     fn default() -> NetModel {
         NetModel {
             latency: Duration::ZERO,
             bandwidth: f64::INFINITY,
             ranks_per_node: usize::MAX,
-            loss: 0.0,
-            loss_seed: 0,
         }
     }
 }
@@ -55,32 +45,7 @@ impl NetModel {
             latency: Duration::from_micros(2),
             bandwidth: 12.5e9,
             ranks_per_node: ranks_per_node.max(1),
-            ..NetModel::default()
         }
-    }
-
-    /// Builder: this model with a message-loss probability and seed (see
-    /// the [`NetModel::loss`] field).
-    pub fn with_loss(self, loss: f64, seed: u64) -> NetModel {
-        NetModel {
-            loss: loss.clamp(0.0, 0.999_999),
-            loss_seed: seed,
-            ..self
-        }
-    }
-
-    /// Deterministic per-message loss decision: whether the `seq`-th
-    /// message sent by rank `from` is dropped in flight. Pure function of
-    /// `(loss_seed, from, seq)` so a replay with the same seed loses the
-    /// same messages.
-    pub fn drops(&self, from: usize, seq: u64) -> bool {
-        if self.loss <= 0.0 {
-            return false;
-        }
-        let h = crate::retry::splitmix64(
-            self.loss_seed ^ (from as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seq,
-        );
-        crate::retry::unit(crate::retry::splitmix64(h)) < self.loss
     }
 
     /// The emulated node index of a rank.
@@ -154,7 +119,6 @@ mod tests {
             latency: Duration::from_micros(1),
             bandwidth: 1e9,
             ranks_per_node: 1,
-            ..NetModel::default()
         };
         let small = m.cost(0, 1, 1_000);
         let big = m.cost(0, 1, 1_000_000);
@@ -163,25 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn loss_is_deterministic_and_roughly_calibrated() {
-        let m = NetModel::local().with_loss(0.3, 17);
-        let dropped = (0..10_000).filter(|&s| m.drops(1, s)).count();
-        // Same seed, same decisions.
-        let again = (0..10_000).filter(|&s| m.drops(1, s)).count();
-        assert_eq!(dropped, again);
-        // Loose calibration band: the decision really tracks `loss`.
-        assert!((2_500..3_500).contains(&dropped), "dropped {dropped}");
-        // loss = 0 never drops.
-        assert!(!(0..1000).any(|s| NetModel::local().drops(0, s)));
-    }
-
-    #[test]
     fn charge_spins_for_cost() {
         let m = NetModel {
             latency: Duration::from_micros(200),
             bandwidth: f64::INFINITY,
             ranks_per_node: 1,
-            ..NetModel::default()
         };
         let start = Instant::now();
         m.charge(0, 1, 8);

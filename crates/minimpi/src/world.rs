@@ -255,89 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_p2p_survives_a_lossy_net() {
-        use std::time::Duration;
-        // 40% deterministic loss: the blocking API would hang, the reliable
-        // layer retransmits until the payload lands. Seeded, so this either
-        // always passes or always fails — no flake window.
-        let net = NetModel::local().with_loss(0.4, 42);
-        let policy = crate::RetryPolicy {
-            max_attempts: 12,
-            base_backoff: Duration::from_millis(1),
-            per_attempt_timeout: Duration::from_millis(100),
-            seed: 7,
-        };
-        let out = World::run_with_net(2, net, |comm| {
-            if comm.rank() == 0 {
-                comm.send_reliable(1, 3, vec![1.25], &policy).map(|()| 0.0)
-            } else {
-                comm.recv_reliable(0, 3, &policy).map(|d| d[0])
-            }
-        });
-        assert_eq!(out[0], Ok(0.0));
-        assert_eq!(out[1], Ok(1.25));
-    }
-
-    #[test]
-    fn resilient_collectives_survive_a_lossy_net() {
-        use std::time::Duration;
-        let net = NetModel::local().with_loss(0.25, 9);
-        let policy = crate::RetryPolicy {
-            max_attempts: 12,
-            base_backoff: Duration::from_millis(1),
-            per_attempt_timeout: Duration::from_millis(100),
-            seed: 3,
-        };
-        let out = World::run_with_net(3, net, |comm| {
-            let sum = comm
-                .allreduce_sum_resilient(comm.rank() as f64 + 1.0, &policy)
-                .unwrap();
-            let max = comm
-                .allreduce_max_resilient(comm.rank() as f64, &policy)
-                .unwrap();
-            let all = comm
-                .allgather_resilient(vec![comm.rank() as f64], &policy)
-                .unwrap();
-            (sum, max, all)
-        });
-        for (sum, max, all) in out {
-            assert_eq!(sum, 6.0);
-            assert_eq!(max, 2.0);
-            assert_eq!(all, vec![0.0, 1.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn dead_rank_exhausts_retries_with_typed_error() {
-        use std::time::Duration;
-        let policy = crate::RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            per_attempt_timeout: Duration::from_millis(40),
-            seed: 1,
-        };
-        let start = std::time::Instant::now();
-        let out = World::run(2, |comm| {
-            if comm.rank() == 1 {
-                // Permanently dead: drops payloads *and* its own ACKs.
-                comm.inject_failure();
-                comm.recv_reliable(0, 3, &policy).map(|_| ())
-            } else {
-                comm.send_reliable(1, 3, vec![5.0], &policy)
-            }
-        });
-        assert!(
-            matches!(
-                out[0],
-                Err(crate::MpiError::RetriesExhausted { attempts: 2, .. })
-            ),
-            "got {:?}",
-            out[0]
-        );
-        assert!(start.elapsed() < Duration::from_secs(10), "bounded give-up");
-    }
-
-    #[test]
     fn single_rank_world() {
         let out = World::run(1, |comm| {
             assert_eq!(comm.allgather(vec![5.0]), vec![5.0]);

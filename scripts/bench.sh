@@ -7,10 +7,7 @@
 #  2. BENCH_sync.json — EPCC-syncbench-style construct overheads
 #     (parallel/barrier/reduction/single/task x backends x wait policies)
 #     across the same thread sweep.
-#  3. BENCH_serve.json — chaos-soak serving throughput: regions/sec vs
-#     client count, with and without injected faults, plus admission and
-#     watchdog degradation counters.
-#  4. BENCH_tasks.json — the task-dependence suite (wavefront, sparselu,
+#  3. BENCH_tasks.json — the task-dependence suite (wavefront, sparselu,
 #     pagerank: depend-ordered DAGs) across the four OMP4Py modes, plus a
 #     thread sweep for CompiledDT. PyOMP is absent by construction: it has
 #     no task depend clause (see omp4rs_apps::pyomp).
@@ -38,17 +35,13 @@ SYNC_OUT=${SYNC_OUT:-BENCH_sync.json}
 SWEEP_THREADS=${SWEEP_THREADS:-1,2,4,8,16,32}
 SWEEP_REPEAT=${SWEEP_REPEAT:-3}
 SYNC_TRIALS=${SYNC_TRIALS:-7}
-SERVE_OUT=${SERVE_OUT:-BENCH_serve.json}
-SERVE_SECONDS=${SERVE_SECONDS:-3}
-SERVE_CLIENTS=${SERVE_CLIENTS:-1,2,4,8}
 TASKS_OUT=${TASKS_OUT:-BENCH_tasks.json}
 TASKS_SCALE=${TASKS_SCALE:-1.0}
 TASKS_REPEAT=${TASKS_REPEAT:-3}
 
-cargo build --release -p omp4rs-bench --bin main --bin syncbench --bin soak
+cargo build --release -p omp4rs-bench --bin main --bin syncbench
 BIN=target/release/main
 SYNCBIN=target/release/syncbench
-SOAKBIN=target/release/soak
 
 # ---------------------------------------------------------------- pi: modes
 # mode-id:minipy-vm rows. Compiled never enters the interpreter, so the VM
@@ -122,15 +115,6 @@ echo "==> syncbench threads=$SWEEP_THREADS trials=$SYNC_TRIALS" >&2
 python3 -c "import json,sys; json.load(open('$SYNC_OUT'))" 2>/dev/null \
     || { echo "$SYNC_OUT is not valid JSON" >&2; exit 1; }
 echo "wrote $SYNC_OUT"
-
-# ------------------------------------------------------------------- serve
-# Chaos soak: serving throughput vs client count with and without injected
-# faults (worker panics + stalls + minimpi rank failures).
-echo "==> soak clients=$SERVE_CLIENTS seconds/cell=$SERVE_SECONDS" >&2
-"$SOAKBIN" --json --clients "$SERVE_CLIENTS" --seconds "$SERVE_SECONDS" > "$SERVE_OUT"
-python3 -c "import json,sys; json.load(open('$SERVE_OUT'))" 2>/dev/null \
-    || { echo "$SERVE_OUT is not valid JSON" >&2; exit 1; }
-echo "wrote $SERVE_OUT"
 
 # ------------------------------------------------------------------- tasks
 # Task-dependence suite: the three depend-ordered DAG apps in every OMP4Py

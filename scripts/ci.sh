@@ -64,6 +64,12 @@ run cargo test -q -p minipy --test object_alloc
 # concurrent masters (full teams, per-team poisoning, exact admission
 # charge) — named explicitly for the same reason.
 run cargo test -q -p omp4rs --test pool_lifecycle
+# Region deadlines and admission control: a stalled barrier becomes a typed
+# RegionTimeout (the runtime's one stall bound) and the pool serves the next
+# region, a saturated pool sheds to serial, deadlines leave healthy regions
+# and user panics alone — named explicitly for the same reason; this suite
+# is the only home of the deadline and admission contract.
+run cargo test -q -p omp4rs --test resilience
 # Trace pipeline: exact drop-newest counts on tiny rings (live and exited
 # threads), the drop counter in stats and trace footer, and the flusher
 # lifecycle around finalize — named explicitly for the same reason.
@@ -92,8 +98,10 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # of the 1-thread cost (catches serialized dispatch / lost early-leave).
     run cargo run --release -p omp4rs-bench --bin syncbench -- --check --trials 2
     # Resilience contract: a short seeded chaos soak (injected worker panic
-    # + injected stall + minimpi rank failures, simultaneously) must finish
-    # with zero hangs, zero cascading panics, and exact degradation counts.
+    # + injected stall under a region deadline + a silenced minimpi rank in
+    # a timed allreduce, simultaneously) must finish with zero hangs, zero
+    # cascading panics, exact degradation counts, and a typed MpiError on
+    # every rank of the dead-rank collective.
     # One client per CPU, and never fewer than 4, so wide hosts soak wide.
     nproc_now=$(nproc)
     run cargo run --release -p omp4rs-bench --bin soak -- --check \
