@@ -26,7 +26,7 @@ pub fn omp_get_num_threads() -> usize {
 
 /// `omp_get_max_threads`: team size the next `parallel` would use.
 pub fn omp_get_max_threads() -> usize {
-    Icvs::current().num_threads
+    Icvs::with(|icvs| icvs.num_threads)
 }
 
 /// `omp_get_thread_num`: this thread's number in the current team.
@@ -62,7 +62,7 @@ pub fn omp_set_dynamic(dynamic: bool) {
 
 /// `omp_get_dynamic`.
 pub fn omp_get_dynamic() -> bool {
-    Icvs::current().dynamic
+    Icvs::with(|icvs| icvs.dynamic)
 }
 
 /// `omp_set_nested` (`nest-var`): enable nested parallel regions.
@@ -72,7 +72,7 @@ pub fn omp_set_nested(nested: bool) {
 
 /// `omp_get_nested`.
 pub fn omp_get_nested() -> bool {
-    Icvs::current().nested
+    Icvs::with(|icvs| icvs.nested)
 }
 
 /// `omp_set_schedule`: set the `schedule(runtime)` policy.
@@ -82,12 +82,12 @@ pub fn omp_set_schedule(kind: ScheduleKind, chunk: Option<u64>) {
 
 /// `omp_get_schedule`.
 pub fn omp_get_schedule() -> (ScheduleKind, Option<u64>) {
-    Icvs::current().run_schedule
+    Icvs::with(|icvs| icvs.run_schedule)
 }
 
 /// `omp_get_thread_limit`.
 pub fn omp_get_thread_limit() -> usize {
-    Icvs::current().thread_limit
+    Icvs::with(|icvs| icvs.thread_limit)
 }
 
 /// Set the per-region deadline (omp4rs extension, mirrors
@@ -106,14 +106,14 @@ pub fn omp_set_region_deadline(deadline: Option<std::time::Duration>) {
 /// Read back the per-region deadline set by [`omp_set_region_deadline`] or
 /// `OMP4RS_REGION_DEADLINE`.
 pub fn omp_get_region_deadline() -> Option<std::time::Duration> {
-    Icvs::current().region_deadline
+    Icvs::with(|icvs| icvs.region_deadline)
 }
 
 /// `omp_get_cancellation` (`cancel-var`): whether `cancel` directives are
 /// honoured. Controlled by `OMP_CANCELLATION`; there is no spec setter, but
 /// tests may flip it through [`Icvs::update`].
 pub fn omp_get_cancellation() -> bool {
-    Icvs::current().cancellation
+    Icvs::with(|icvs| icvs.cancellation)
 }
 
 /// `omp_set_max_active_levels`.
@@ -123,7 +123,7 @@ pub fn omp_set_max_active_levels(levels: usize) {
 
 /// `omp_get_max_active_levels`.
 pub fn omp_get_max_active_levels() -> usize {
-    Icvs::current().max_active_levels
+    Icvs::with(|icvs| icvs.max_active_levels)
 }
 
 /// `omp_get_level`: nesting depth of parallel regions (active or not).

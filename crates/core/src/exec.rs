@@ -317,26 +317,28 @@ where
     F: Fn(&WorkerCtx<'env>) + Sync,
 {
     crate::ompt::ensure_env_init();
-    let icvs = Icvs::current();
     let level = context::level();
     let active = context::active_level();
-    let serialized =
-        !cfg.if_parallel || (level >= 1 && !icvs.nested) || active >= icvs.max_active_levels;
-    let mut size = if serialized {
-        1
-    } else {
-        cfg.num_threads
-            .unwrap_or(icvs.num_threads)
-            .min(icvs.thread_limit)
-            .max(1)
-    };
+    let (serialized, mut size, dynamic, thread_limit) = Icvs::with(|icvs| {
+        let serialized =
+            !cfg.if_parallel || (level >= 1 && !icvs.nested) || active >= icvs.max_active_levels;
+        let size = if serialized {
+            1
+        } else {
+            cfg.num_threads
+                .unwrap_or(icvs.num_threads)
+                .min(icvs.thread_limit)
+                .max(1)
+        };
+        (serialized, size, icvs.dynamic, icvs.thread_limit)
+    });
     // Admission control (`dyn-var`): under pool pressure, grant fewer
     // threads than requested — shrink toward the remaining concurrency
     // budget, shedding to caller-runs-serial as the last resort — instead of
     // oversubscribing. Only top-level (pooled) regions are admitted this
     // way; nested regions already serialize by default.
-    if icvs.dynamic && !serialized && size > 1 && level == 0 {
-        size = crate::pool::admit(size, icvs.thread_limit);
+    if dynamic && !serialized && size > 1 && level == 0 {
+        size = crate::pool::admit(size, thread_limit);
     }
     // Threads-in-flight accounting feeding future admission decisions; the
     // guard spans the whole region including the join below. Only the pool
@@ -762,7 +764,7 @@ impl<'scope> WorkerCtx<'scope> {
 
     /// Typed variant of [`WorkerCtx::cancel`].
     pub fn cancel_construct(&self, construct: CancelConstruct) -> bool {
-        if !Icvs::current().cancellation {
+        if !Icvs::with(|icvs| icvs.cancellation) {
             return false;
         }
         match construct {

@@ -184,6 +184,13 @@ impl Icvs {
         store().read().clone()
     }
 
+    /// Read fields of the current global ICVs under one borrowed read
+    /// guard, without cloning the set. `f` runs with the guard held, so it
+    /// must not call back into `Icvs`.
+    pub fn with<R>(f: impl FnOnce(&Icvs) -> R) -> R {
+        f(&store().read())
+    }
+
     /// Mutate the global ICVs.
     pub fn update(f: impl FnOnce(&mut Icvs)) {
         let mut guard = store().write();

@@ -311,7 +311,7 @@ static ENV_INIT: OnceLock<()> = OnceLock::new();
 /// invokes it so env-var activation needs no code changes in user programs.
 pub fn ensure_env_init() {
     ENV_INIT.get_or_init(|| {
-        if let Some(cfg) = crate::icv::Icvs::current().tool {
+        if let Some(cfg) = crate::icv::Icvs::with(|icvs| icvs.tool.clone()) {
             enable(cfg);
         }
     });

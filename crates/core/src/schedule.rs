@@ -148,14 +148,15 @@ impl ResolvedSchedule {
         nthreads: usize,
         interpreted: bool,
     ) -> ResolvedSchedule {
-        let icvs = Icvs::current();
-        let default = icvs.def_schedule == (ScheduleKind::Static, None);
+        let (def_schedule, run_schedule) =
+            Icvs::with(|icvs| (icvs.def_schedule, icvs.run_schedule));
+        let default = def_schedule == (ScheduleKind::Static, None);
         let (mut kind, mut chunk) = match clause {
             Some(spec) => spec,
-            None => icvs.def_schedule,
+            None => def_schedule,
         };
         if kind == ScheduleKind::Runtime {
-            (kind, chunk) = icvs.run_schedule;
+            (kind, chunk) = run_schedule;
         }
         if kind == ScheduleKind::Auto || (clause.is_none() && default) {
             if interpreted {

@@ -94,7 +94,7 @@ impl Team {
     pub fn new(size: usize, backend: Backend) -> Arc<Team> {
         let wake = Arc::new(Notifier::new());
         let cancelled = Arc::new(CancelFlag::new(backend));
-        let icvs = crate::icv::Icvs::current();
+        let deadline = crate::icv::Icvs::with(|icvs| icvs.region_deadline);
         let started = Instant::now();
         Arc::new(Team {
             size: size.max(1),
@@ -111,7 +111,7 @@ impl Team {
             finalists: AtomicUsize::new(0),
             final_latch: Mutex::new(None),
             started,
-            deadline: icvs.region_deadline.map(|d| started + d),
+            deadline: deadline.map(|d| started + d),
             failure: Mutex::new(None),
         })
     }

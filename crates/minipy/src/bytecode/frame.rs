@@ -38,6 +38,33 @@ impl Num {
             Num::F(v) => Value::Float(v),
         }
     }
+
+    /// The number's kind.
+    #[inline]
+    pub fn kind(self) -> Kind {
+        match self {
+            Num::I(_) => Kind::Int,
+            Num::F(_) => Kind::Float,
+        }
+    }
+
+    /// The raw-plane payload: `i64` or `f64` bits.
+    #[inline]
+    pub fn bits(self) -> u64 {
+        match self {
+            Num::I(v) => v as u64,
+            Num::F(v) => v.to_bits(),
+        }
+    }
+}
+
+/// What a raw-plane word holds: the tag plane's two numeric kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `i64` bits.
+    Int,
+    /// `f64` bits.
+    Float,
 }
 
 /// One inline-cache slot: the cached resolution of a dispatch site.
@@ -258,19 +285,50 @@ impl Frame {
     /// Write a numeric result into the tag plane (no `Value` constructed).
     #[inline(always)]
     pub fn write_num(&mut self, reg: Reg, n: Num) {
+        self.raw[reg as usize] = n.bits();
+        self.seal(reg, n.kind());
+    }
+
+    /// Declare that `reg`'s raw word now holds a `kind` value: tag it, mark
+    /// a local assigned, and queue it for materialization. A fused run
+    /// writes raw words through [`Frame::raw_plane`] and seals each
+    /// register it wrote once, when the run exits or bails.
+    #[inline(always)]
+    pub fn seal(&mut self, reg: Reg, kind: Kind) {
         if reg < self.n_locals {
             self.set[reg as usize / 64] |= 1u64 << (reg % 64);
         }
         let i = reg as usize;
-        let (kind, bits) = match n {
-            Num::I(v) => (TAG_INT, v as u64),
-            Num::F(v) => (TAG_FLOAT, v.to_bits()),
-        };
         if self.tags[i] & TAG_QUEUED == 0 {
             self.unboxed.push(reg);
         }
-        self.tags[i] = kind | TAG_QUEUED;
-        self.raw[i] = bits;
+        self.tags[i] = TAG_QUEUED
+            | match kind {
+                Kind::Int => TAG_INT,
+                Kind::Float => TAG_FLOAT,
+            };
+    }
+
+    /// The raw plane, for a fused run: the run reads and writes words
+    /// whose kinds its plan settled, testing no tag, and seals what it
+    /// wrote before anything else reads the frame.
+    #[inline]
+    pub fn raw_plane(&mut self) -> &mut [u64] {
+        &mut self.raw
+    }
+
+    /// Read `reg` as a number for a fused run's plan and stage its payload
+    /// in the raw plane, so the run can read it without a tag test. `None`
+    /// when the register holds no `int`/`float` or is an unset local.
+    ///
+    /// Staging leaves the register's observable state alone: an unboxed
+    /// register already holds these bits, and a boxed one keeps its boxed
+    /// tag (its raw word is not read until a seal tags it).
+    #[inline]
+    pub fn stage_num(&mut self, reg: Reg) -> Option<Kind> {
+        let n = self.read_num(reg)?;
+        self.raw[reg as usize] = n.bits();
+        Some(n.kind())
     }
 
     /// Tag-aware truthiness for jump conditions, without materializing.

@@ -69,7 +69,7 @@ use crate::value::{Args, ArgsRef, FuncValue, HKey, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::frame::{Frame, IcEntry, Num};
+use super::frame::{Frame, IcEntry, Kind, Num};
 use super::opcode::{quick as qk, CompiledCode, Op, Reg, NO_KW};
 
 /// What one dispatched instruction asks the loop to do next.
@@ -1033,20 +1033,30 @@ fn step_quick(
 /// compile-time-verified body length), and the back-edge run as one handler
 /// without returning to the dispatch loop between instructions.
 ///
-/// Semantics are preserved exactly:
+/// Each entry first builds a [`Plan`]: the body's operand kinds settled
+/// from the frame, constants and cells staged as raw words, and every
+/// operator lowered to a kind-specific [`Micro`] op. The iterations then
+/// run on the frame's raw plane with no tag test, and the registers they
+/// wrote are sealed (tagged, marked set, queued) once, when the run exits
+/// or bails. Semantics are preserved exactly:
 ///
 /// * **GIL cadence** — `tick()` runs once per completed iteration, where
 ///   the back-edge `Jump` would have ticked.
 /// * **Errors and guard failures** — the handler bails via
-///   `Ctl::Jump(sub_pc)` *without executing the failing instruction* (the
-///   arithmetic helpers are pure, so nothing has happened); the per-op dispatch
+///   `Ctl::Jump(sub_pc)` *without executing the failing instruction*
+///   (overflow, a zero divisor, a helper result of another kind than
+///   planned, an operand that is not a number); the per-op dispatch
 ///   re-executes it and raises the identical error with the correct
 ///   per-instruction line annotation.
-/// * **Counters** — `executed` tracks every completed sub-instruction so
-///   `vm_ops` matches per-op execution exactly, and a fused `LoadFree`
-///   counts its IC hit exactly as the generic handler would. Both are
-///   summed in locals and published once, when the run exits.
-/// * **Cells** — read once per run, in [`decode_fused`], and kept: OpenMP's
+/// * **Unsettled kinds** — when a loop-carried register would leave an
+///   iteration with another kind than it entered with (`x = 0` then
+///   `x += 0.5`), the plan holds for no second iteration: the handler runs
+///   this iteration's `IterNext` and leaves the body to per-op dispatch,
+///   re-planning at the next back-edge.
+/// * **Counters** — `vm_ops` and the fused `LoadFree` IC hits match per-op
+///   execution exactly. Both follow from the iteration count and the bail
+///   position, and are published once, when the run exits.
+/// * **Cells** — read once per run, in [`plan_fused`], and kept: OpenMP's
 ///   temporary view, legal because a fused body has no flush point (barriers,
 ///   locks, `atomic`, `flush`, chunk claims are non-fusible `CallIntrinsic`s)
 ///   and writes no cell. Every chunk and every re-entry reads afresh.
@@ -1072,247 +1082,416 @@ fn run_fused(
         // dispatch rather than trusting that.
         _ => return Ok(Ctl::Jump(pc)),
     };
-    // Decode the body once: the iteration loop dispatches over flat
-    // [`FusedOp`]s instead of re-walking the `Op` enum (and the `BinOp`
-    // jump table inside the arithmetic helpers) every iteration.
-    let mut micro = [FusedOp::NOP; super::opcode::FUSED_MAX_BODY];
-    decode_fused(code, frame, pc, body, &mut micro);
+    let live = |cur: i64| (step > 0 && cur < stop) || (step < 0 && cur > stop);
+    if !live(cur) {
+        frame.iters[slot] = None;
+        return Ok(Ctl::Jump(*exit as usize));
+    }
+    let plan = plan_fused(code, frame, pc, body);
+    if !plan.settled {
+        // This iteration's `IterNext`; per-op dispatch runs the body.
+        if let Some(ValueIter::Range { cur: c, .. }) = frame.iters[slot].as_mut() {
+            *c = cur + step;
+        }
+        frame.write_num(*dst, Num::I(cur));
+        return Ok(Ctl::Next);
+    }
+    let micro = &plan.micro[..body];
+    let var = *dst as usize;
     // Keep the GIL tick counter in a register for the whole loop; identical
     // cadence to one `tick()` per back-edge.
     let mut batch = interp.gil().tick_batch();
-    // The caller's dispatch already counted one op for this pc.
-    let mut executed: u64 = 0;
-    let mut ic_hits: u64 = 0;
-    let ctl = 'iter: loop {
-        // -- the IterNext itself --
-        executed += 1;
-        if !((step > 0 && cur < stop) || (step < 0 && cur > stop)) {
-            frame.iters[slot] = None;
-            break 'iter Ctl::Jump(*exit as usize);
+    let mut iters: u64 = 0;
+    let raw = frame.raw_plane();
+    // `None`: the range ran out; `Some(k)`: body op `k` bailed.
+    let bailed = 'iter: loop {
+        if !live(cur) {
+            break None;
         }
-        let v = cur;
+        raw[var] = cur as u64;
         cur += step;
-        frame.write_num(*dst, Num::I(v));
-        // -- the body --
-        for (k, m) in micro[..body].iter().enumerate() {
-            if !exec_fused(frame, m, &mut ic_hits) {
-                if let Some(ValueIter::Range { cur: c, .. }) = frame.iters[slot].as_mut() {
-                    *c = cur;
-                }
-                break 'iter Ctl::Jump(pc + 1 + k);
+        for (k, m) in micro.iter().enumerate() {
+            if !m.exec(raw) {
+                break 'iter Some(k);
             }
-            executed += 1;
         }
-        // -- the back-edge: a GIL switch point per iteration --
-        executed += 1;
+        iters += 1;
         batch.tick();
     };
-    *ops += executed.saturating_sub(1);
+    // Seal in write order, so a register written twice keeps the kind of
+    // its last write: the last full iteration from the bail point on (its
+    // `IterNext` first, when the range ran out), then the bailing
+    // iteration's `IterNext` and the ops before the bail.
+    let done = bailed.unwrap_or(0);
+    if iters > 0 {
+        if bailed.is_none() {
+            frame.seal(*dst, Kind::Int);
+        }
+        seal(frame, &micro[done..]);
+    }
+    if bailed.is_some() {
+        frame.seal(*dst, Kind::Int);
+        seal(frame, &micro[..done]);
+    }
+    let ctl = match bailed {
+        Some(k) => {
+            if let Some(ValueIter::Range { cur: c, .. }) = frame.iters[slot].as_mut() {
+                *c = cur;
+            }
+            Ctl::Jump(pc + 1 + k)
+        }
+        None => {
+            frame.iters[slot] = None;
+            Ctl::Jump(*exit as usize)
+        }
+    };
+    // Per iteration: `IterNext`, the body and the back-edge; then the last
+    // `IterNext` (which the caller's dispatch already counted) and the ops
+    // before a bail.
+    *ops += iters * (body as u64 + 2) + done as u64;
+    let ic_hits = iters * loads(micro) + loads(&micro[..done]);
     if ic_hits > 0 && stats::enabled() {
         stats::add_ic_hits(ic_hits);
     }
     Ok(ctl)
 }
 
-/// The executable shape of one fused-body instruction; see [`FusedOp`].
+/// Seal the destinations of `micro`, in order.
+fn seal(frame: &mut Frame, micro: &[Micro]) {
+    for m in micro {
+        frame.seal(m.d, m.kind);
+    }
+}
+
+/// A fused body lowered for one run: one [`Micro`] op per body
+/// instruction (so a bail at op `k` maps back to pc `IterNext + 1 + k`).
+struct Plan {
+    micro: [Micro; super::opcode::FUSED_MAX_BODY],
+    /// Every loop-carried register leaves an iteration with the kind it
+    /// entered with, so the plan holds for every iteration of the run.
+    settled: bool,
+}
+
+/// Closure-cell reads among `micro`: one IC hit each, as the generic
+/// `LoadFree` handler counts.
+fn loads(micro: &[Micro]) -> u64 {
+    micro
+        .iter()
+        .filter(|m| matches!(m.op, MicroOp::Load(_)))
+        .count() as u64
+}
+
+/// The operation of a [`Micro`] op. `II`/`FF` name the settled operand
+/// kinds; in `IF`/`FI` the `int` side converts to `f64`, as `binary_op`'s
+/// mixed arm does. Results are bit-identical to `int_binary` and
+/// `float_binary`, and every case where those raise bails instead.
 #[derive(Clone, Copy)]
-enum FusedKind {
-    /// `int`/`int` checked add, anything else numeric as `f64` add.
-    Add,
-    /// As [`FusedKind::Add`] for `-`.
-    Sub,
-    /// As [`FusedKind::Add`] for `*`.
-    Mul,
-    /// True division: zero divisors bail (the per-op helper raises).
-    Div,
-    /// Any other operator: route through [`fused_binary`].
-    Helper,
-    /// Register copy.
-    Copy,
-    /// Closure-cell read of the value the cell held when the run started.
-    Free(Num),
-    /// Unfilled or non-numeric cell: bails to the generic handler.
+enum MicroOp {
+    AddII,
+    SubII,
+    MulII,
+    DivII,
+    AddFF,
+    SubFF,
+    MulFF,
+    DivFF,
+    AddIF,
+    SubIF,
+    MulIF,
+    DivIF,
+    AddFI,
+    SubFI,
+    MulFI,
+    DivFI,
+    /// Any other operator, through the shared semantic helpers on the
+    /// settled operand kinds. A result of another kind than the plan's
+    /// (`int ** negative int` is a `float`) bails.
+    Helper(BinOp, Kind, Kind),
+    /// Register copy of a settled kind.
+    Move,
+    /// A closure cell's value, read when the run started.
+    Load(u64),
+    /// An operand that is not a number, or an unfilled cell: per-op
+    /// dispatch handles it.
     Bail,
 }
 
-/// A fused-body instruction pre-decoded at loop entry: operator shape and
-/// register operands flattened out of the `Op` enum so the per-iteration
-/// dispatch is one small jump table with the common arithmetic inline. The
-/// inline arithmetic is bit-identical to `int_binary`/`float_binary` for
-/// the success cases; **every** error case (overflow, zero divisor) bails
-/// so the real helper raises it with identical kind and message.
+/// One fused-body instruction with its operand kinds settled: `d = a op b`
+/// on raw-plane words, `kind` being what it writes to `d`.
 #[derive(Clone, Copy)]
-struct FusedOp {
-    kind: FusedKind,
-    /// The original operator, for the [`FusedKind::Helper`] path.
-    op: BinOp,
-    dst: Reg,
-    /// Left operand register.
+struct Micro {
+    op: MicroOp,
+    kind: Kind,
+    d: Reg,
     a: Reg,
     b: Reg,
 }
 
-impl FusedOp {
-    /// Filler for unused decode slots; never executed.
-    const NOP: FusedOp = FusedOp {
-        kind: FusedKind::Helper,
-        op: BinOp::Add,
-        dst: 0,
+impl Micro {
+    const BAIL: Micro = Micro {
+        op: MicroOp::Bail,
+        kind: Kind::Int,
+        d: 0,
         a: 0,
         b: 0,
     };
+
+    /// Execute on the raw plane. `false` — with **no effects** — when the
+    /// instruction would raise or the plan does not cover it.
+    #[inline(always)]
+    fn exec(&self, raw: &mut [u64]) -> bool {
+        let (x, y) = (raw[self.a as usize], raw[self.b as usize]);
+        let (xi, yi) = (x as i64, y as i64);
+        let (xf, yf) = (f64::from_bits(x), f64::from_bits(y));
+        let v = match self.op {
+            MicroOp::AddII => match xi.checked_add(yi) {
+                Some(v) => v as u64,
+                None => return false,
+            },
+            MicroOp::SubII => match xi.checked_sub(yi) {
+                Some(v) => v as u64,
+                None => return false,
+            },
+            MicroOp::MulII => match xi.checked_mul(yi) {
+                Some(v) => v as u64,
+                None => return false,
+            },
+            MicroOp::DivII if yi != 0 => (xi as f64 / yi as f64).to_bits(),
+            MicroOp::AddFF => (xf + yf).to_bits(),
+            MicroOp::SubFF => (xf - yf).to_bits(),
+            MicroOp::MulFF => (xf * yf).to_bits(),
+            MicroOp::DivFF if yf != 0.0 => (xf / yf).to_bits(),
+            MicroOp::AddIF => (xi as f64 + yf).to_bits(),
+            MicroOp::SubIF => (xi as f64 - yf).to_bits(),
+            MicroOp::MulIF => (xi as f64 * yf).to_bits(),
+            MicroOp::DivIF if yf != 0.0 => (xi as f64 / yf).to_bits(),
+            MicroOp::AddFI => (xf + yi as f64).to_bits(),
+            MicroOp::SubFI => (xf - yi as f64).to_bits(),
+            MicroOp::MulFI => (xf * yi as f64).to_bits(),
+            MicroOp::DivFI if yi != 0 => (xf / yi as f64).to_bits(),
+            MicroOp::Helper(op, ka, kb) => match helper(op, ka, kb, x, y, self.kind) {
+                Some(v) => v,
+                None => return false,
+            },
+            MicroOp::Move => x,
+            MicroOp::Load(v) => v,
+            // `Bail`, and the zero-divisor arms: `int_binary` and
+            // `float_binary` raise `ZeroDivisionError` per-op.
+            _ => return false,
+        };
+        raw[self.d as usize] = v;
+        true
+    }
 }
 
-/// Decode a compile-time-verified fused body (see `CompiledCode::fused`)
-/// into [`FusedOp`]s, reading each `LoadFree`'s cell. Once per
-/// [`run_fused`] entry, not per iteration.
+/// [`MicroOp::Helper`]: `op` on raw words of kinds `ka`/`kb` through
+/// `int_binary`/`float_binary`, or `None` on an error or a result that is
+/// not of kind `want`.
 #[inline(never)]
-fn decode_fused(code: &CompiledCode, frame: &Frame, pc: usize, body: usize, out: &mut [FusedOp]) {
-    let kind_of = |op: BinOp| match op {
-        BinOp::Add => FusedKind::Add,
-        BinOp::Sub => FusedKind::Sub,
-        BinOp::Mul => FusedKind::Mul,
-        BinOp::Div => FusedKind::Div,
-        _ => FusedKind::Helper,
+fn helper(op: BinOp, ka: Kind, kb: Kind, x: u64, y: u64, want: Kind) -> Option<u64> {
+    let f = |k: Kind, w: u64| match k {
+        Kind::Int => w as i64 as f64,
+        Kind::Float => f64::from_bits(w),
     };
-    for (k, slot) in out.iter_mut().enumerate().take(body) {
-        *slot = match &code.ops[pc + 1 + k] {
-            Op::Binary { op, dst, l, r } => FusedOp {
-                kind: kind_of(*op),
-                op: *op,
-                dst: *dst,
-                a: *l,
-                b: *r,
+    let r = match (ka, kb) {
+        (Kind::Int, Kind::Int) => int_binary(op, x as i64, y as i64),
+        _ => float_binary(op, f(ka, x), f(kb, y)),
+    };
+    match (r, want) {
+        (Ok(Value::Int(v)), Kind::Int) => Some(v as u64),
+        (Ok(Value::Float(v)), Kind::Float) => Some(v.to_bits()),
+        _ => None,
+    }
+}
+
+/// Most registers a fused body can name: the loop variable, then a
+/// destination and two operands per instruction.
+const PLAN_REGS: usize = 1 + 3 * super::opcode::FUSED_MAX_BODY;
+
+/// Build the [`Plan`] for one [`run_fused`] entry: walk the body once,
+/// settling each operand's kind (from the frame for a register the body has
+/// not written yet, staging its value in the raw plane; from the op that
+/// wrote it otherwise), reading each `LoadFree`'s cell, and lowering every
+/// instruction to its kind-specific [`Micro`] op.
+#[inline(never)]
+fn plan_fused(code: &CompiledCode, frame: &mut Frame, pc: usize, body: usize) -> Plan {
+    let Op::IterNext { dst: var, .. } = &code.ops[pc] else {
+        unreachable!("FUSED_RANGE is only installed on IterNext");
+    };
+    let ops = &code.ops[pc + 1..pc + 1 + body];
+    let dst_of = |op: &Op| match op {
+        Op::Binary { dst, .. } | Op::Copy { dst, .. } | Op::LoadFree { dst, .. } => *dst,
+        Op::AugLocal { slot, .. } => *slot,
+        // `CompiledCode::fused` only marks bodies made of the arms above.
+        op => unreachable!("non-fusible op in fused body: {op:?}"),
+    };
+    let mut seen = Seen {
+        regs: [Seen::NONE; PLAN_REGS],
+        n: 0,
+    };
+    seen.push(*var, Some(Kind::Int), false);
+    let mut plan = Plan {
+        micro: [Micro::BAIL; super::opcode::FUSED_MAX_BODY],
+        settled: true,
+    };
+    // A register the body has not written yet this iteration has the kind
+    // the frame holds; one it reads before writing is loop-carried.
+    let kind_of = |seen: &mut Seen, frame: &mut Frame, r: Reg| match seen.find(r) {
+        Some(i) => seen.regs[i].now,
+        None => {
+            let k = frame.stage_num(r);
+            seen.push(r, k, ops.iter().any(|op| dst_of(op) == r));
+            k
+        }
+    };
+    for (m, op) in plan.micro.iter_mut().zip(ops) {
+        let d = dst_of(op);
+        *m = match op {
+            Op::Binary { op, l, r, .. } => {
+                let ka = kind_of(&mut seen, frame, *l);
+                let kb = kind_of(&mut seen, frame, *r);
+                lower(frame, *op, d, *l, *r, ka, kb)
+            }
+            Op::AugLocal { op, slot, src } => {
+                let ka = kind_of(&mut seen, frame, *slot);
+                let kb = kind_of(&mut seen, frame, *src);
+                lower(frame, *op, d, *slot, *src, ka, kb)
+            }
+            Op::Copy { src, .. } => match kind_of(&mut seen, frame, *src) {
+                Some(kind) => Micro {
+                    op: MicroOp::Move,
+                    kind,
+                    d,
+                    a: *src,
+                    b: *src,
+                },
+                None => Micro::BAIL,
             },
-            // In-place update: `dst = dst <op> src` on the same slot.
-            Op::AugLocal { op, slot, src } => FusedOp {
-                kind: kind_of(*op),
-                op: *op,
-                dst: *slot,
-                a: *slot,
-                b: *src,
-            },
-            Op::Copy { dst, src } => FusedOp {
-                kind: FusedKind::Copy,
-                dst: *dst,
-                a: *src,
-                ..FusedOp::NOP
-            },
-            Op::LoadFree { dst, cell, .. } => {
-                let kind = match frame.cells[*cell as usize]
+            Op::LoadFree { cell, .. } => {
+                let n = match frame.cells[*cell as usize]
                     .as_ref()
                     .map(|c| c.read())
                     .as_deref()
                 {
-                    Some(Value::Int(v)) => FusedKind::Free(Num::I(*v)),
-                    Some(Value::Float(v)) => FusedKind::Free(Num::F(*v)),
-                    _ => FusedKind::Bail,
+                    Some(Value::Int(v)) => Some(Num::I(*v)),
+                    Some(Value::Float(v)) => Some(Num::F(*v)),
+                    _ => None,
                 };
-                FusedOp {
-                    kind,
-                    dst: *dst,
-                    ..FusedOp::NOP
+                match n {
+                    Some(n) => Micro {
+                        op: MicroOp::Load(n.bits()),
+                        kind: n.kind(),
+                        d,
+                        a: d,
+                        b: d,
+                    },
+                    None => Micro::BAIL,
                 }
             }
-            // `CompiledCode::fused` only marks bodies made of the arms above.
             op => unreachable!("non-fusible op in fused body: {op:?}"),
         };
+        let k = (!matches!(m.op, MicroOp::Bail)).then_some(m.kind);
+        match seen.find(d) {
+            Some(i) => seen.regs[i].now = k,
+            None => seen.push(d, k, false),
+        }
     }
+    plan.settled = seen.regs[..seen.n]
+        .iter()
+        .all(|r| !r.carried || r.now == r.entry);
+    plan
 }
 
-/// Execute one pre-decoded fused-body instruction against the tag plane.
-/// Returns `false` — with **no effects** — when an operand guard fails or
-/// the operation would raise; the caller bails so the per-op dispatch
-/// re-executes the instruction and raises the identical error.
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn exec_fused(frame: &mut Frame, m: &FusedOp, ic_hits: &mut u64) -> bool {
-    // `int`/`int` takes the checked-int path, anything mixed computes as
-    // `f64` — the same coercion ladder as `binary_op`.
-    macro_rules! arith {
-        ($checked:ident, $op:tt) => {
-            match (frame.read_num(m.a), frame.read_num(m.b)) {
-                (Some(Num::I(x)), Some(Num::I(y))) => match x.$checked(y) {
-                    Some(v) => {
-                        frame.write_num(m.dst, Num::I(v));
-                        true
-                    }
-                    // Overflow: `int_binary` raises `OverflowError` per-op.
-                    None => false,
-                },
-                (Some(x), Some(y)) => {
-                    frame.write_num(m.dst, Num::F(x.as_f64() $op y.as_f64()));
-                    true
-                }
-                _ => false,
-            }
-        };
-    }
-    match m.kind {
-        FusedKind::Add => arith!(checked_add, +),
-        FusedKind::Sub => arith!(checked_sub, -),
-        FusedKind::Mul => arith!(checked_mul, *),
-        FusedKind::Div => match (frame.read_num(m.a), frame.read_num(m.b)) {
-            // Zero divisors bail: `int_binary`/`float_binary` raise the
-            // matching `ZeroDivisionError` per-op.
-            (Some(Num::I(x)), Some(Num::I(y))) => {
-                y != 0 && {
-                    frame.write_num(m.dst, Num::F(x as f64 / y as f64));
-                    true
-                }
-            }
-            (Some(x), Some(y)) => {
-                let d = y.as_f64();
-                d != 0.0 && {
-                    frame.write_num(m.dst, Num::F(x.as_f64() / d));
-                    true
-                }
-            }
-            _ => false,
-        },
-        FusedKind::Helper => fused_binary(frame, m.op, m.dst, m.a, m.b),
-        FusedKind::Copy => {
-            if frame.copy_unboxed(m.dst, m.a) {
-                return true;
-            }
-            match frame.read_ref(m.a) {
-                Some(v) => {
-                    let v = v.clone();
-                    frame.write(m.dst, v);
-                    true
-                }
-                // Unset local: the generic handler's closure-chain read.
-                None => false,
-            }
-        }
-        FusedKind::Free(n) => {
-            // One dispatch, one IC hit, exactly as the generic handler
-            // counts this execution.
-            *ic_hits += 1;
-            frame.write_num(m.dst, n);
-            true
-        }
-        FusedKind::Bail => false,
-    }
+/// What a plan walk knows of one register.
+#[derive(Clone, Copy)]
+struct SeenReg {
+    reg: Reg,
+    /// Its kind at this point of the iteration (`None`: not a number).
+    now: Option<Kind>,
+    /// Its kind when the iteration starts.
+    entry: Option<Kind>,
+    /// Loop-carried: the body reads it before writing it.
+    carried: bool,
 }
 
-/// The fused numeric-binary kernel: the same operand coercion as the
-/// generic `binary_op` (`int`/`int` takes the int path, anything mixed
-/// compares as `f64`) through the same semantic helpers. `false` (no
-/// effects) on a non-numeric operand or a helper error.
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn fused_binary(frame: &mut Frame, op: BinOp, dst: Reg, l: Reg, r: Reg) -> bool {
-    let result = match (frame.read_num(l), frame.read_num(r)) {
-        (Some(Num::I(a)), Some(Num::I(b))) => int_binary(op, a, b),
-        (Some(a), Some(b)) => float_binary(op, a.as_f64(), b.as_f64()),
-        _ => return false,
+/// The registers a plan walk has met, in a fixed array (no allocation per
+/// run).
+struct Seen {
+    regs: [SeenReg; PLAN_REGS],
+    n: usize,
+}
+
+impl Seen {
+    const NONE: SeenReg = SeenReg {
+        reg: 0,
+        now: None,
+        entry: None,
+        carried: false,
     };
-    match result {
-        Ok(Value::Int(v)) => frame.write_num(dst, Num::I(v)),
-        Ok(Value::Float(v)) => frame.write_num(dst, Num::F(v)),
-        Ok(v) => frame.write(dst, v),
-        Err(_) => return false,
+
+    fn find(&self, r: Reg) -> Option<usize> {
+        self.regs[..self.n].iter().position(|e| e.reg == r)
     }
-    true
+
+    fn push(&mut self, reg: Reg, kind: Option<Kind>, carried: bool) {
+        self.regs[self.n] = SeenReg {
+            reg,
+            now: kind,
+            entry: kind,
+            carried,
+        };
+        self.n += 1;
+    }
+}
+
+/// Lower `d = a op b` on operands of kinds `ka`/`kb` (`None`: not a number,
+/// which bails).
+fn lower(
+    frame: &Frame,
+    op: BinOp,
+    d: Reg,
+    a: Reg,
+    b: Reg,
+    ka: Option<Kind>,
+    kb: Option<Kind>,
+) -> Micro {
+    use Kind::{Float as F, Int as I};
+    let (Some(ka), Some(kb)) = (ka, kb) else {
+        return Micro::BAIL;
+    };
+    let (mop, kind) = match (op, ka, kb) {
+        (BinOp::Add, I, I) => (MicroOp::AddII, I),
+        (BinOp::Sub, I, I) => (MicroOp::SubII, I),
+        (BinOp::Mul, I, I) => (MicroOp::MulII, I),
+        (BinOp::Div, I, I) => (MicroOp::DivII, F),
+        (BinOp::Add, F, F) => (MicroOp::AddFF, F),
+        (BinOp::Sub, F, F) => (MicroOp::SubFF, F),
+        (BinOp::Mul, F, F) => (MicroOp::MulFF, F),
+        (BinOp::Div, F, F) => (MicroOp::DivFF, F),
+        (BinOp::Add, I, F) => (MicroOp::AddIF, F),
+        (BinOp::Sub, I, F) => (MicroOp::SubIF, F),
+        (BinOp::Mul, I, F) => (MicroOp::MulIF, F),
+        (BinOp::Div, I, F) => (MicroOp::DivIF, F),
+        (BinOp::Add, F, I) => (MicroOp::AddFI, F),
+        (BinOp::Sub, F, I) => (MicroOp::SubFI, F),
+        (BinOp::Mul, F, I) => (MicroOp::MulFI, F),
+        (BinOp::Div, F, I) => (MicroOp::DivFI, F),
+        // `int ** int` is a `float` for a negative exponent: expect the
+        // kind this instruction's destination holds from its last run.
+        (BinOp::Pow, I, I) => (
+            MicroOp::Helper(op, I, I),
+            frame.read_num(d).map_or(I, Num::kind),
+        ),
+        (_, I, I) => (MicroOp::Helper(op, I, I), I),
+        _ => (MicroOp::Helper(op, ka, kb), F),
+    };
+    Micro {
+        op: mop,
+        kind,
+        d,
+        a,
+        b,
+    }
 }
 
 /// Out-of-line slow path for a quickenable op whose inline fast path did

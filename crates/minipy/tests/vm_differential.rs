@@ -128,6 +128,35 @@ const CORPUS: &[&str] = &[
     "def f(xs):\n    out = []\n    for x in xs:\n        out.append(x.count('a'))\n    return out\nprint(f(['banana', ['a', 'b', 'a'], ('a', 'c'), 'aa', ['a'], ('b',)]))\n",
     "def f(xs):\n    xs.extend(xs)\n    xs.extend(xs)\n    return xs\nprint(f([1, 2]))\n",
     "def f(l):\n    l.sort(reverse=True)\n    l.sort()\n    return l\nprint(f([3, 1, 2]))\n",
+    // -- typed fused range loops: every bail and settle path of a run's plan
+    //    (the first call's first iteration runs per-op and installs the
+    //    fused loop, so later calls are fused from their first iteration) --
+    // int overflow in a run's first iteration, then in a later one
+    "def f(a, n):\n    x = a\n    for i in range(n):\n        x = x * 3 + i\n    return x\nprint(f(1, 5))\nf(4611686018427387904, 3)\n",
+    "def f(a, n):\n    x = a\n    for i in range(n):\n        x = x * 3 + i\n    return x\nprint(f(1, 5))\nf(1000000000000000, 40)\n",
+    "def f(a, n):\n    x = a\n    for i in range(n):\n        t = i - 1\n        x -= t * 7\n    return x\nprint(f(0, 4))\nf(-9223372036854775800, 6)\n",
+    // a zero divisor partway through a run (float / int, then int / int)
+    "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        s += 1.0 / (i - k)\n    return s\nprint(f(3, -1))\nprint(f(10, 5))\n",
+    "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        d = k - i\n        s = s + i / d\n    return s\nprint(f(3, 9))\nprint(f(10, 4))\n",
+    // `x = 0` then `x += 0.5`: the int accumulator widens to float
+    "def f(n):\n    x = 0\n    for i in range(n):\n        x += 0.5\n    return x\nprint(f(1))\nprint(f(6))\nprint(f(0))\n",
+    "def f(n, h):\n    x = 0\n    y = 0\n    for i in range(n):\n        y = x\n        x = x + h\n    return x, y\nprint(f(5, 1))\nprint(f(5, 0.25))\nprint(f(5, 1))\n",
+    // `2 ** k` with `k` crossing zero (the result kind flips mid-run)
+    "def f(a, b):\n    out = 0.0\n    for k in range(a, b):\n        p = 2 ** k\n        out = out + p\n    return out, p\nprint(f(-3, 4))\nprint(f(2, 6))\nprint(f(-5, -1))\nprint(f(3, -3))\n",
+    "def f(a, b):\n    t = 0\n    for k in range(a, b):\n        t = t + 2 ** k\n    return t\nprint(f(0, 5))\nprint(f(-2, 3))\nprint(f(3, 6))\n",
+    "def f(a, b):\n    for k in range(a, b, -1):\n        p = 0 ** k\n    return p\nprint(f(3, 0))\nf(3, -2)\n",
+    // `//` and `%` on mixed kinds, and their zero divisors
+    "def f(n, d):\n    q = 0\n    r = 0\n    for i in range(n):\n        q = (i - 3) // d\n        r = (i - 3) % d\n    return q, r\nprint(f(7, 2))\nprint(f(7, 2.5))\nprint(f(7, -2))\nprint(f(7, -0.75))\nf(7, 0)\n",
+    "def f(n, d):\n    s = 0.0\n    for i in range(n):\n        s = s + (i * 0.5) // d + (i * 1.5) % d\n    return s\nprint(f(6, 2))\nprint(f(6, 0.5))\nf(6, 0.0)\n",
+    // a `LoadFree` cell holding an int, then a float on the next call
+    "step = 2\ndef f(n):\n    s = 0\n    for i in range(n):\n        s = s + step * i\n    return s\nprint(f(4))\nstep = 0.5\nprint(f(4))\nstep = 3\nprint(f(4))\nstep = 'x'\nf(4)\n",
+    // the loop variable after the loop, and rewritten by the body with
+    // another kind, around a bail (`2 ** (i + a)` turns float, then int)
+    "def f(n):\n    s = 0\n    for i in range(n):\n        s = s + 1\n    return i, s\nprint(f(3))\nprint(f(4))\n",
+    "def f(a, n):\n    y = 0\n    for i in range(n):\n        y = 2 ** (i + a)\n        i = i * 0.5\n    return y, i\nprint(f(0, 3))\nprint(f(-2, 5))\nprint(f(-3, 2))\n",
+    // an unset local read in the body (closure-chain fallback, then NameError)
+    "v = 7\ndef f(n):\n    s = 0\n    for i in range(n):\n        s = s + v\n        w = v\n    if n < 0:\n        v = 1\n    return s, w\nprint(f(5))\nprint(f(1))\n",
+    "def f(n):\n    s = 0\n    for i in range(n):\n        s = s + u\n    if n < 0:\n        u = 1\n    return s\nprint(f(0))\nf(3)\n",
 ];
 
 #[test]
@@ -196,6 +225,64 @@ fn quickening_actually_rewrites_and_deopts_on_the_corpus() {
     );
 }
 
+#[test]
+fn fused_loop_bailing_mid_iteration_keeps_per_op_counts() {
+    // `2 ** (k + a)` is an int for `k + a >= 0` and a float below: a run
+    // whose plan expects one kind bails at the `**` when `k + a` crosses
+    // zero, mid-iteration, without raising. The op and IC counts must still
+    // be exactly those of per-op dispatch.
+    let src = "c = 2\ndef f(a, n):\n    y = 0\n    for k in range(n):\n        t = k * c\n        y = c ** (k + a)\n        y = y + t\n    return y\n";
+    let _guard = lock();
+    let prev = bytecode::set_mode(VmMode::On);
+    let interp = Interp::new().capture_output();
+    interp.run(src).expect("program loads");
+    let f = interp.get_global("f").expect("f is defined");
+    let minipy::Value::Func(func) = &f else {
+        panic!("f is a function");
+    };
+    let code = bytecode::compile::compile_function(&func.def).expect("f compiles");
+    // Per call: the straight-line prologue up to the loop's `IterNext`,
+    // then per iteration the `IterNext`, the body and the back-edge, then
+    // the exhausted `IterNext` and the `Return`. IC dispatches: the `range`
+    // cell read, then the body's `LoadFree`s once per iteration; each of
+    // the call's two cells misses once, when its frame fills it.
+    let head = code
+        .ops
+        .iter()
+        .position(|op| matches!(op, bytecode::Op::IterNext { .. }))
+        .expect("f has a loop");
+    let body = code.fused[head] as u64 - 1;
+    assert!(body > 0, "the loop body is fusible");
+    let loads = code.ops[head + 1..=head + body as usize]
+        .iter()
+        .filter(|op| matches!(op, bytecode::Op::LoadFree { .. }))
+        .count() as u64;
+    minipy::stats::reset();
+    minipy::stats::set_enabled(true);
+    let calls: [(i64, i64); 4] = [(-3, 8), (0, 6), (-6, 9), (-1, 1)];
+    for (a, n) in calls {
+        interp
+            .call(&f, vec![minipy::Value::Int(a), minipy::Value::Int(n)])
+            .expect("f runs");
+    }
+    let stats = minipy::stats::snapshot();
+    minipy::stats::set_enabled(false);
+    bytecode::set_mode(prev);
+    let per_op_ops: u64 = calls
+        .iter()
+        .map(|&(_, n)| head as u64 + n as u64 * (body + 2) + 2)
+        .sum();
+    let dispatches: u64 = calls.iter().map(|&(_, n)| 1 + n as u64 * loads).sum();
+    let misses = 2 * calls.len() as u64;
+    assert_eq!(stats.vm_ops, per_op_ops, "vm.ops must count per-op");
+    assert_eq!(stats.ic_misses, misses, "one fill per cell per call");
+    assert_eq!(
+        stats.ic_hits,
+        dispatches - misses,
+        "ic.hits must count per-op"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -226,6 +313,32 @@ proptest! {
     ) {
         let src = format!(
             "def f():\n    total = 0\n    for i in range({start}, {stop}, {step}):\n        if i == {cut}:\n            break\n        total += i\n    return total\nprint(f())\n"
+        );
+        differential(&src);
+    }
+
+    /// Random straight-line `range` bodies (the fused loop's typed plan):
+    /// int and float operands, every arithmetic operator, loop-carried
+    /// registers whose kind may widen, and the loop variable, called twice
+    /// so the second call runs fused from its first iteration.
+    #[test]
+    fn random_fused_bodies_are_mode_invariant(
+        x0 in prop_oneof![Just("0"), Just("1.5"), Just("-3")],
+        stmts in proptest::collection::vec((0usize..3, 0usize..4, 0usize..7, 0usize..4), 1..5),
+        a in -3i64..3,
+        n in 0i64..5,
+    ) {
+        const VARS: [&str; 3] = ["x", "y", "z"];
+        const LHS: [&str; 4] = ["x", "y", "i", "a"];
+        const OPS: [&str; 7] = ["+", "-", "*", "/", "//", "%", "**"];
+        const RHS: [&str; 4] = ["i", "2", "0.5", "z"];
+        let body: String = stmts
+            .iter()
+            .map(|&(t, l, o, r)| format!("        {} = {} {} {}\n", VARS[t], LHS[l], OPS[o], RHS[r]))
+            .collect();
+        let src = format!(
+            "def f(a, n):\n    x = {x0}\n    y = 1\n    z = 0.25\n    for i in range(n):\n{body}    return x, y, z, i\nprint(f({a}, {n}))\nprint(f({a}, {}))\n",
+            n + 3
         );
         differential(&src);
     }

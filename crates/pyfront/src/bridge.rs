@@ -200,7 +200,7 @@ pub fn install(interp: &Interp, mode: ExecMode) {
     // Mirror the `OMP4RS_MINIPY_VM` ICV into the interpreter's bytecode
     // VM. `Icvs` owns the env parse (and test overrides via
     // `Icvs::update`); the interpreter only sees the resolved mode.
-    minipy::bytecode::set_mode(match omp4rs::Icvs::current().minipy_vm {
+    minipy::bytecode::set_mode(match omp4rs::Icvs::with(|icvs| icvs.minipy_vm) {
         omp4rs::MinipyVm::Off => minipy::bytecode::VmMode::Off,
         omp4rs::MinipyVm::On => minipy::bytecode::VmMode::On,
     });
@@ -981,7 +981,7 @@ fn build_runtime_module(mode: ExecMode) -> Value {
             .ok_or_else(|| err(ErrKind::Value, format!("invalid cancel construct '{name}'")))?;
         // User-requested cancellation is gated by the cancel-var ICV
         // (OMP_CANCELLATION); outside a team there is nothing to cancel.
-        if !omp4rs::Icvs::current().cancellation {
+        if !omp4rs::Icvs::with(|icvs| icvs.cancellation) {
             return Ok(Value::Bool(false));
         }
         let frame = match context::current_frame() {

@@ -111,6 +111,11 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # untimed two-thread run per app and mode builds the dependence graph,
     # and the bin exits non-zero if it defers a task it never releases.
     run cargo run --release -p omp4rs-bench --bin figure_tasks -- --scale 0.05
+    # Both VM differential suites again in release: the fused loop's raw
+    # int arithmetic must bail on overflow where a debug build would trap
+    # and a release build would wrap.
+    run cargo test -q --release -p minipy --test vm_differential
+    run cargo test -q --release -p omp4rs-apps --test vm_differential
 fi
 
 echo
