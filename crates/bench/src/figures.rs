@@ -824,10 +824,11 @@ mod tests {
                 "{app:?} per-unit costs must order: pure={pure:.2e} compiled={compiled:.2e} native={native:.2e}"
             );
         }
-        // π is the exception: the VM runs its loop body as one fused
-        // superinstruction over unboxed floats, which puts interpreted π
-        // level with boxed-compiled code (EXPERIMENTS.md, Figure 5). It
-        // must still order above native and be clearly interpreted.
+        // π is the exception: the VM runs its loop body as one fused,
+        // typed superinstruction over unboxed floats, which puts
+        // interpreted π ahead of boxed-compiled code (EXPERIMENTS.md,
+        // Figure 5). It must still order above native and be clearly
+        // interpreted.
         let pure = per_unit(AppKind::Pi, Mode::Pure);
         let compiled = per_unit(AppKind::Pi, Mode::Compiled);
         let native = per_unit(AppKind::Pi, Mode::CompiledDT);

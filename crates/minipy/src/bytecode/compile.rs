@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::ast::*;
 use crate::value::Value;
 
-use super::opcode::{CompiledCode, Op, Reg, NO_KW};
+use super::opcode::{CompiledCode, FusedBody, FusedInput, Op, Reg, Src, NO_KW};
 
 /// Why a function is not VM-eligible (the tree-walker runs it instead).
 ///
@@ -1313,14 +1313,14 @@ impl<'a> Compiler<'a> {
         // whole iterations in one quickened handler (`quick::FUSED_RANGE`).
         // Any control flow, call, cell store, or container build in the body
         // disqualifies the loop (those ops need per-op dispatch semantics —
-        // ticks, materialization, unwind targets). Encoded as body length
-        // plus one; 0 = ineligible.
+        // ticks, materialization, unwind targets). An eligible loop keeps
+        // its body's register dataflow (`fused_body`).
         use super::opcode::FUSED_MAX_BODY;
         let fused = (0..self.ops.len())
             .map(|pc| {
-                if !matches!(self.ops[pc], Op::IterNext { .. }) {
-                    return 0;
-                }
+                let Op::IterNext { dst: var, .. } = self.ops[pc] else {
+                    return None;
+                };
                 let mut k = pc + 1;
                 while k < self.ops.len() && k - pc <= FUSED_MAX_BODY {
                     match &self.ops[k] {
@@ -1329,12 +1329,12 @@ impl<'a> Compiler<'a> {
                         | Op::Copy { .. }
                         | Op::LoadFree { .. } => k += 1,
                         Op::Jump { target } if *target as usize == pc => {
-                            return (k - pc) as u16;
+                            return Some(Box::new(fused_body(var, &self.ops[pc + 1..k])));
                         }
-                        _ => return 0,
+                        _ => return None,
                     }
                 }
-                0
+                None
             })
             .collect();
         Ok(Arc::new(CompiledCode {
@@ -1356,4 +1356,49 @@ impl<'a> Compiler<'a> {
             param_slots,
         }))
     }
+}
+
+/// The register dataflow of the fused loop body `body`, whose `IterNext`
+/// writes `var`: where each operand's value comes from, and which registers
+/// the body reads before writing (its inputs) and carries to the next
+/// iteration.
+fn fused_body(var: Reg, body: &[Op]) -> FusedBody {
+    // Each register's latest write so far, as a `Src::Write` index.
+    let mut written: Vec<(Reg, u16)> = vec![(var, 0)];
+    let mut inputs: Vec<FusedInput> = Vec::new();
+    let mut args = Vec::with_capacity(body.len());
+    for (k, op) in body.iter().enumerate() {
+        let (dst, operands) = match *op {
+            Op::Binary { dst, l, r, .. } => (dst, [l, r]),
+            Op::AugLocal { slot, src, .. } => (slot, [slot, src]),
+            Op::Copy { dst, src } => (dst, [src, src]),
+            Op::LoadFree { dst, .. } => (dst, [var, var]),
+            ref op => unreachable!("non-fusible op in fused body: {op:?}"),
+        };
+        args.push(operands.map(|r| {
+            if let Some(&(_, w)) = written.iter().find(|(w, _)| *w == r) {
+                return Src::Write(w);
+            }
+            let i = match inputs.iter().position(|input| input.reg == r) {
+                Some(i) => i,
+                None => {
+                    inputs.push(FusedInput { reg: r, last: None });
+                    inputs.len() - 1
+                }
+            };
+            Src::Input(i as u16)
+        }));
+        let w = k as u16 + 1;
+        match written.iter_mut().find(|(r, _)| *r == dst) {
+            Some(entry) => entry.1 = w,
+            None => written.push((dst, w)),
+        }
+    }
+    for input in &mut inputs {
+        input.last = written
+            .iter()
+            .find(|(r, _)| *r == input.reg)
+            .map(|&(_, w)| w);
+    }
+    FusedBody { args, inputs }
 }

@@ -38,33 +38,6 @@ impl Num {
             Num::F(v) => Value::Float(v),
         }
     }
-
-    /// The number's kind.
-    #[inline]
-    pub fn kind(self) -> Kind {
-        match self {
-            Num::I(_) => Kind::Int,
-            Num::F(_) => Kind::Float,
-        }
-    }
-
-    /// The raw-plane payload: `i64` or `f64` bits.
-    #[inline]
-    pub fn bits(self) -> u64 {
-        match self {
-            Num::I(v) => v as u64,
-            Num::F(v) => v.to_bits(),
-        }
-    }
-}
-
-/// What a raw-plane word holds: the tag plane's two numeric kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// `i64` bits.
-    Int,
-    /// `f64` bits.
-    Float,
 }
 
 /// One inline-cache slot: the cached resolution of a dispatch site.
@@ -87,10 +60,11 @@ pub enum IcEntry {
 }
 
 /// `tags` low bits: what the unboxed `raw` slot holds (0 = register is
-/// boxed in `regs` as usual).
-const TAG_BOXED: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_FLOAT: u8 = 2;
+/// boxed in `regs` as usual). A fused run's plan names operand kinds by
+/// these tags too.
+pub(super) const TAG_BOXED: u8 = 0;
+pub(super) const TAG_INT: u8 = 1;
+pub(super) const TAG_FLOAT: u8 = 2;
 const TAG_KIND: u8 = 0x3;
 /// `tags` bit 2: the register is queued in `unboxed` for materialization
 /// (kept set when a boxed write overwrites the slot, so the queue never
@@ -285,50 +259,71 @@ impl Frame {
     /// Write a numeric result into the tag plane (no `Value` constructed).
     #[inline(always)]
     pub fn write_num(&mut self, reg: Reg, n: Num) {
-        self.raw[reg as usize] = n.bits();
-        self.seal(reg, n.kind());
-    }
-
-    /// Declare that `reg`'s raw word now holds a `kind` value: tag it, mark
-    /// a local assigned, and queue it for materialization. A fused run
-    /// writes raw words through [`Frame::raw_plane`] and seals each
-    /// register it wrote once, when the run exits or bails.
-    #[inline(always)]
-    pub fn seal(&mut self, reg: Reg, kind: Kind) {
         if reg < self.n_locals {
             self.set[reg as usize / 64] |= 1u64 << (reg % 64);
         }
         let i = reg as usize;
+        let (kind, bits) = match n {
+            Num::I(v) => (TAG_INT, v as u64),
+            Num::F(v) => (TAG_FLOAT, v.to_bits()),
+        };
         if self.tags[i] & TAG_QUEUED == 0 {
             self.unboxed.push(reg);
         }
-        self.tags[i] = TAG_QUEUED
-            | match kind {
-                Kind::Int => TAG_INT,
-                Kind::Float => TAG_FLOAT,
-            };
+        self.tags[i] = kind | TAG_QUEUED;
+        self.raw[i] = bits;
     }
 
-    /// The raw plane, for a fused run: the run reads and writes words
-    /// whose kinds its plan settled, testing no tag, and seals what it
-    /// wrote before anything else reads the frame.
+    /// Declare what a fused run left in `reg`: a `TAG_INT`/`TAG_FLOAT` word
+    /// in the raw plane (tag it and queue it for materialization) or, for
+    /// `TAG_BOXED`, a `Value` in `regs`; either way a local is marked
+    /// assigned. The run writes both planes through [`Frame::planes`] and
+    /// seals each register it wrote once, when it exits or bails.
+    pub fn seal(&mut self, reg: Reg, tag: u8) {
+        if reg < self.n_locals {
+            self.set[reg as usize / 64] |= 1u64 << (reg % 64);
+        }
+        let i = reg as usize;
+        if tag == TAG_BOXED {
+            // As [`Frame::write`]: keep the queued bit, drop the kind.
+            self.tags[i] &= TAG_QUEUED;
+            return;
+        }
+        if self.tags[i] & TAG_QUEUED == 0 {
+            self.unboxed.push(reg);
+        }
+        self.tags[i] = tag | TAG_QUEUED;
+    }
+
+    /// The raw plane and the boxed registers, for a fused run: the run
+    /// reads and writes them by the kinds its plan settled, testing no
+    /// tag, and seals what it wrote before anything else reads the frame.
     #[inline]
-    pub fn raw_plane(&mut self) -> &mut [u64] {
-        &mut self.raw
+    pub fn planes(&mut self) -> (&mut [u64], &mut [Value]) {
+        (&mut self.raw, &mut self.regs)
     }
 
-    /// Read `reg` as a number for a fused run's plan and stage its payload
-    /// in the raw plane, so the run can read it without a tag test. `None`
-    /// when the register holds no `int`/`float` or is an unset local.
+    /// Settle `reg`'s kind for a fused run's plan: `TAG_INT`/`TAG_FLOAT`
+    /// with its payload staged in the raw plane, so the run reads it
+    /// without a tag test, or `TAG_BOXED` for any other value (current in
+    /// `regs`). `None` for an unset local.
     ///
     /// Staging leaves the register's observable state alone: an unboxed
     /// register already holds these bits, and a boxed one keeps its boxed
     /// tag (its raw word is not read until a seal tags it).
-    #[inline]
-    pub fn stage_num(&mut self, reg: Reg) -> Option<Kind> {
-        let n = self.read_num(reg)?;
-        self.raw[reg as usize] = n.bits();
-        Some(n.kind())
+    pub fn stage(&mut self, reg: Reg) -> Option<u8> {
+        let i = reg as usize;
+        let kind = self.tags[i] & TAG_KIND;
+        if kind != TAG_BOXED {
+            return Some(kind);
+        }
+        let (kind, bits) = match self.read_ref(reg)? {
+            Value::Int(v) => (TAG_INT, *v as u64),
+            Value::Float(v) => (TAG_FLOAT, v.to_bits()),
+            _ => return Some(TAG_BOXED),
+        };
+        self.raw[i] = bits;
+        Some(kind)
     }
 
     /// Tag-aware truthiness for jump conditions, without materializing.

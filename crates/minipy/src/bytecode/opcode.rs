@@ -393,6 +393,42 @@ pub enum Op {
     ReturnNone,
 }
 
+/// The register dataflow of a fused loop body ([`CompiledCode::fused`]),
+/// fixed for the body: which registers an iteration takes from the frame,
+/// which of those it carries to the next iteration, and where each operand
+/// comes from.
+#[derive(Debug)]
+pub struct FusedBody {
+    /// Per body instruction, where its two operands come from (a `Copy`
+    /// names its source twice; a `LoadFree` reads no register and names
+    /// the loop variable). Its length is the body length.
+    pub args: Vec<[Src; 2]>,
+    /// The registers the body reads before writing them, in first-read
+    /// order.
+    pub inputs: Vec<FusedInput>,
+}
+
+/// Where a fused-body operand's value comes from ([`FusedBody::args`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Src {
+    /// The latest write before it in the iteration: `0` is the loop
+    /// variable's (the `IterNext`), `k + 1` body instruction `k`'s.
+    Write(u16),
+    /// [`FusedBody::inputs`]`[k]`: what the register held when the
+    /// iteration began.
+    Input(u16),
+}
+
+/// A register a fused body reads before writing it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FusedInput {
+    /// The register.
+    pub reg: Reg,
+    /// The body's last write to it, as a [`Src::Write`] index; `Some`
+    /// makes the register loop-carried.
+    pub last: Option<u16>,
+}
+
 /// A function compiled to bytecode.
 ///
 /// Shared (behind `Arc`) by every thread calling the function; all mutable
@@ -412,10 +448,11 @@ pub struct CompiledCode {
     /// Fused-loop eligibility, per instruction: at an `IterNext` whose loop
     /// body is straight-line register-only numeric work
     /// (`Binary`/`AugLocal`/`Copy`/`LoadFree`) closed by its own back-edge
-    /// `Jump`, this holds the body length **plus one** (so `0` means
-    /// ineligible). Computed once at compile time so the fused handler
-    /// ([`quick::FUSED_RANGE`]) never rescans the instruction stream.
-    pub fused: Vec<u16>,
+    /// `Jump`, the body's register dataflow; `None` elsewhere. Computed
+    /// once at compile time so the fused handler ([`quick::FUSED_RANGE`])
+    /// never rescans the instruction stream, and each run's plan only
+    /// reads operand kinds and cells.
+    pub fused: Vec<Option<Box<FusedBody>>>,
     /// Per-instruction source line (innermost enclosing statement; 0 for
     /// synthesized code), used to annotate errors exactly as the
     /// tree-walker's per-statement `with_line` does.

@@ -69,8 +69,8 @@ use crate::value::{Args, ArgsRef, FuncValue, HKey, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::frame::{Frame, IcEntry, Kind, Num};
-use super::opcode::{quick as qk, CompiledCode, Op, Reg, NO_KW};
+use super::frame::{Frame, IcEntry, Num, TAG_BOXED, TAG_FLOAT, TAG_INT};
+use super::opcode::{quick as qk, CompiledCode, FusedBody, Op, Reg, Src, FUSED_MAX_BODY, NO_KW};
 
 /// What one dispatched instruction asks the loop to do next.
 enum Ctl {
@@ -1030,22 +1030,23 @@ fn step_quick(
 
 /// Execute a fused `range` loop ([`qk::FUSED_RANGE`]): the `IterNext`, its
 /// straight-line register-only body (`CompiledCode::fused` holds the
-/// compile-time-verified body length), and the back-edge run as one handler
-/// without returning to the dispatch loop between instructions.
+/// compile-time-verified body and its register dataflow), and the back-edge
+/// run as one handler without returning to the dispatch loop between
+/// instructions.
 ///
-/// Each entry first builds a [`Plan`]: the body's operand kinds settled
-/// from the frame, constants and cells staged as raw words, and every
-/// operator lowered to a kind-specific [`Micro`] op. The iterations then
-/// run on the frame's raw plane with no tag test, and the registers they
-/// wrote are sealed (tagged, marked set, queued) once, when the run exits
-/// or bails. Semantics are preserved exactly:
+/// Each entry first builds a [`Plan`]: the body's inputs staged from the
+/// frame with their kinds, cells read into immediates, and every
+/// instruction lowered to a kind-specific [`Micro`] op. The iterations then
+/// run on the frame's planes with no tag test, and the registers they wrote
+/// are sealed (tagged, marked set, queued) once, when the run exits or
+/// bails. Semantics are preserved exactly:
 ///
 /// * **GIL cadence** — `tick()` runs once per completed iteration, where
 ///   the back-edge `Jump` would have ticked.
 /// * **Errors and guard failures** — the handler bails via
 ///   `Ctl::Jump(sub_pc)` *without executing the failing instruction*
 ///   (overflow, a zero divisor, a helper result of another kind than
-///   planned, an operand that is not a number); the per-op dispatch
+///   planned, an unset local, an unfilled cell); the per-op dispatch
 ///   re-executes it and raises the identical error with the correct
 ///   per-instruction line annotation.
 /// * **Unsettled kinds** — when a loop-carried register would leave an
@@ -1053,6 +1054,12 @@ fn step_quick(
 ///   `x += 0.5`), the plan holds for no second iteration: the handler runs
 ///   this iteration's `IterNext` and leaves the body to per-op dispatch,
 ///   re-planning at the next back-edge.
+/// * **Shape failures** — an arithmetic operand that is not a number, a
+///   cell that holds none, or an unset local the body never assigns (read
+///   through the closure chain on every iteration) fails the plan's guard
+///   as it would fail any quickened slot's: the slot deopts to `GENERIC`
+///   and per-op dispatch runs the loop from this iteration on. A `Copy` of
+///   a non-number stays in the run (a boxed move).
 /// * **Counters** — `vm_ops` and the fused `LoadFree` IC hits match per-op
 ///   execution exactly. Both follow from the iteration count and the bail
 ///   position, and are published once, when the run exits.
@@ -1068,11 +1075,12 @@ fn run_fused(
     pc: usize,
     ops: &mut u64,
 ) -> Result<Ctl, PyErr> {
-    let Op::IterNext { iter, dst, exit } = &code.ops[pc] else {
-        unreachable!("FUSED_RANGE is only installed on IterNext");
+    let (Op::IterNext { iter, dst, exit }, Some(flow)) = (&code.ops[pc], code.fused[pc].as_deref())
+    else {
+        unreachable!("FUSED_RANGE is only installed on a fusible IterNext");
     };
     let slot = *iter as usize;
-    let body = code.fused[pc] as usize - 1;
+    let body = flow.args.len();
     // Hoist the range state into locals: body ops never touch the iterator
     // plane, and the frame is per-call, so no other thread can observe the
     // stale slot across a GIL yield. Written back before any bail-out.
@@ -1087,8 +1095,11 @@ fn run_fused(
         frame.iters[slot] = None;
         return Ok(Ctl::Jump(*exit as usize));
     }
-    let plan = plan_fused(code, frame, pc, body);
-    if !plan.settled {
+    let plan = plan_fused(code, frame, pc, flow);
+    if plan.misshapen {
+        deopt(code, pc, qk::FUSED_RANGE);
+    }
+    if !plan.settled || plan.misshapen {
         // This iteration's `IterNext`; per-op dispatch runs the body.
         if let Some(ValueIter::Range { cur: c, .. }) = frame.iters[slot].as_mut() {
             *c = cur + step;
@@ -1102,7 +1113,7 @@ fn run_fused(
     // cadence to one `tick()` per back-edge.
     let mut batch = interp.gil().tick_batch();
     let mut iters: u64 = 0;
-    let raw = frame.raw_plane();
+    let (raw, regs) = frame.planes();
     // `None`: the range ran out; `Some(k)`: body op `k` bailed.
     let bailed = 'iter: loop {
         if !live(cur) {
@@ -1111,7 +1122,7 @@ fn run_fused(
         raw[var] = cur as u64;
         cur += step;
         for (k, m) in micro.iter().enumerate() {
-            if !m.exec(raw) {
+            if !m.exec(raw, regs) {
                 break 'iter Some(k);
             }
         }
@@ -1125,12 +1136,12 @@ fn run_fused(
     let done = bailed.unwrap_or(0);
     if iters > 0 {
         if bailed.is_none() {
-            frame.seal(*dst, Kind::Int);
+            frame.seal(*dst, TAG_INT);
         }
         seal(frame, &micro[done..]);
     }
     if bailed.is_some() {
-        frame.seal(*dst, Kind::Int);
+        frame.seal(*dst, TAG_INT);
         seal(frame, &micro[..done]);
     }
     let ctl = match bailed {
@@ -1166,10 +1177,14 @@ fn seal(frame: &mut Frame, micro: &[Micro]) {
 /// A fused body lowered for one run: one [`Micro`] op per body
 /// instruction (so a bail at op `k` maps back to pc `IterNext + 1 + k`).
 struct Plan {
-    micro: [Micro; super::opcode::FUSED_MAX_BODY],
+    micro: [Micro; FUSED_MAX_BODY],
     /// Every loop-carried register leaves an iteration with the kind it
     /// entered with, so the plan holds for every iteration of the run.
     settled: bool,
+    /// An arithmetic operand is not a number, a filled cell holds none, or
+    /// the body reads a local it never assigns and the frame has not set:
+    /// the slot's guard failed.
+    misshapen: bool,
 }
 
 /// Closure-cell reads among `micro`: one IC hit each, as the generic
@@ -1204,24 +1219,26 @@ enum MicroOp {
     MulFI,
     DivFI,
     /// Any other operator, through the shared semantic helpers on the
-    /// settled operand kinds. A result of another kind than the plan's
-    /// (`int ** negative int` is a `float`) bails.
-    Helper(BinOp, Kind, Kind),
-    /// Register copy of a settled kind.
+    /// settled operand kinds (`TAG_INT`/`TAG_FLOAT`). A result of another
+    /// kind than the plan's (`int ** negative int` is a `float`) bails.
+    Helper(BinOp, u8, u8),
+    /// Register copy of a raw-plane word.
     Move,
+    /// Register copy of a boxed value (not a number).
+    Boxed,
     /// A closure cell's value, read when the run started.
     Load(u64),
-    /// An operand that is not a number, or an unfilled cell: per-op
-    /// dispatch handles it.
+    /// An operand that is not a number, an unset local, or an unfilled
+    /// cell: per-op dispatch handles it.
     Bail,
 }
 
 /// One fused-body instruction with its operand kinds settled: `d = a op b`
-/// on raw-plane words, `kind` being what it writes to `d`.
+/// on the frame's planes, `kind` being the tag of what it writes to `d`.
 #[derive(Clone, Copy)]
 struct Micro {
     op: MicroOp,
-    kind: Kind,
+    kind: u8,
     d: Reg,
     a: Reg,
     b: Reg,
@@ -1230,16 +1247,17 @@ struct Micro {
 impl Micro {
     const BAIL: Micro = Micro {
         op: MicroOp::Bail,
-        kind: Kind::Int,
+        kind: TAG_BOXED,
         d: 0,
         a: 0,
         b: 0,
     };
 
-    /// Execute on the raw plane. `false` — with **no effects** — when the
-    /// instruction would raise or the plan does not cover it.
+    /// Execute on the raw plane (or, for [`MicroOp::Boxed`], the boxed
+    /// registers). `false` — with **no effects** — when the instruction
+    /// would raise or the plan does not cover it.
     #[inline(always)]
-    fn exec(&self, raw: &mut [u64]) -> bool {
+    fn exec(&self, raw: &mut [u64], regs: &mut [Value]) -> bool {
         let (x, y) = (raw[self.a as usize], raw[self.b as usize]);
         let (xi, yi) = (x as i64, y as i64);
         let (xf, yf) = (f64::from_bits(x), f64::from_bits(y));
@@ -1274,6 +1292,10 @@ impl Micro {
                 None => return false,
             },
             MicroOp::Move => x,
+            MicroOp::Boxed => {
+                regs[self.d as usize] = regs[self.a as usize].clone();
+                return true;
+            }
             MicroOp::Load(v) => v,
             // `Bail`, and the zero-divisor arms: `int_binary` and
             // `float_binary` raise `ZeroDivisionError` per-op.
@@ -1288,175 +1310,115 @@ impl Micro {
 /// `int_binary`/`float_binary`, or `None` on an error or a result that is
 /// not of kind `want`.
 #[inline(never)]
-fn helper(op: BinOp, ka: Kind, kb: Kind, x: u64, y: u64, want: Kind) -> Option<u64> {
-    let f = |k: Kind, w: u64| match k {
-        Kind::Int => w as i64 as f64,
-        Kind::Float => f64::from_bits(w),
+fn helper(op: BinOp, ka: u8, kb: u8, x: u64, y: u64, want: u8) -> Option<u64> {
+    let f = |k: u8, w: u64| match k {
+        TAG_INT => w as i64 as f64,
+        _ => f64::from_bits(w),
     };
     let r = match (ka, kb) {
-        (Kind::Int, Kind::Int) => int_binary(op, x as i64, y as i64),
+        (TAG_INT, TAG_INT) => int_binary(op, x as i64, y as i64),
         _ => float_binary(op, f(ka, x), f(kb, y)),
     };
     match (r, want) {
-        (Ok(Value::Int(v)), Kind::Int) => Some(v as u64),
-        (Ok(Value::Float(v)), Kind::Float) => Some(v.to_bits()),
+        (Ok(Value::Int(v)), TAG_INT) => Some(v as u64),
+        (Ok(Value::Float(v)), TAG_FLOAT) => Some(v.to_bits()),
         _ => None,
     }
 }
 
-/// Most registers a fused body can name: the loop variable, then a
-/// destination and two operands per instruction.
-const PLAN_REGS: usize = 1 + 3 * super::opcode::FUSED_MAX_BODY;
-
-/// Build the [`Plan`] for one [`run_fused`] entry: walk the body once,
-/// settling each operand's kind (from the frame for a register the body has
-/// not written yet, staging its value in the raw plane; from the op that
-/// wrote it otherwise), reading each `LoadFree`'s cell, and lowering every
-/// instruction to its kind-specific [`Micro`] op.
+/// Build the [`Plan`] for one [`run_fused`] entry: stage the body's inputs
+/// from the frame, then walk the body once, taking each operand's kind
+/// from its input or from the write before it ([`FusedBody::args`]),
+/// reading each `LoadFree`'s cell, and lowering every instruction to its
+/// kind-specific [`Micro`] op.
 #[inline(never)]
-fn plan_fused(code: &CompiledCode, frame: &mut Frame, pc: usize, body: usize) -> Plan {
-    let Op::IterNext { dst: var, .. } = &code.ops[pc] else {
-        unreachable!("FUSED_RANGE is only installed on IterNext");
-    };
-    let ops = &code.ops[pc + 1..pc + 1 + body];
-    let dst_of = |op: &Op| match op {
-        Op::Binary { dst, .. } | Op::Copy { dst, .. } | Op::LoadFree { dst, .. } => *dst,
-        Op::AugLocal { slot, .. } => *slot,
-        // `CompiledCode::fused` only marks bodies made of the arms above.
-        op => unreachable!("non-fusible op in fused body: {op:?}"),
-    };
-    let mut seen = Seen {
-        regs: [Seen::NONE; PLAN_REGS],
-        n: 0,
-    };
-    seen.push(*var, Some(Kind::Int), false);
+fn plan_fused(code: &CompiledCode, frame: &mut Frame, pc: usize, flow: &FusedBody) -> Plan {
+    // Each input's kind as the frame holds it (`None`: an unset local).
+    // An unset local the body never writes stays unset for the whole run,
+    // so every iteration would bail at its first reader: a shape failure.
+    let mut entry = [None; 2 * FUSED_MAX_BODY];
+    let mut misshapen = false;
+    for (e, input) in entry.iter_mut().zip(&flow.inputs) {
+        *e = frame.stage(input.reg);
+        misshapen |= e.is_none() && input.last.is_none();
+    }
+    // The kind each write leaves: the loop variable's, then each body
+    // instruction's (`None`: it bails).
+    let mut wrote = [None; FUSED_MAX_BODY + 1];
+    wrote[0] = Some(TAG_INT);
     let mut plan = Plan {
-        micro: [Micro::BAIL; super::opcode::FUSED_MAX_BODY],
+        micro: [Micro::BAIL; FUSED_MAX_BODY],
         settled: true,
+        misshapen,
     };
-    // A register the body has not written yet this iteration has the kind
-    // the frame holds; one it reads before writing is loop-carried.
-    let kind_of = |seen: &mut Seen, frame: &mut Frame, r: Reg| match seen.find(r) {
-        Some(i) => seen.regs[i].now,
-        None => {
-            let k = frame.stage_num(r);
-            seen.push(r, k, ops.iter().any(|op| dst_of(op) == r));
-            k
-        }
-    };
-    for (m, op) in plan.micro.iter_mut().zip(ops) {
-        let d = dst_of(op);
-        *m = match op {
-            Op::Binary { op, l, r, .. } => {
-                let ka = kind_of(&mut seen, frame, *l);
-                let kb = kind_of(&mut seen, frame, *r);
-                lower(frame, *op, d, *l, *r, ka, kb)
-            }
-            Op::AugLocal { op, slot, src } => {
-                let ka = kind_of(&mut seen, frame, *slot);
-                let kb = kind_of(&mut seen, frame, *src);
-                lower(frame, *op, d, *slot, *src, ka, kb)
-            }
-            Op::Copy { src, .. } => match kind_of(&mut seen, frame, *src) {
-                Some(kind) => Micro {
-                    op: MicroOp::Move,
-                    kind,
-                    d,
-                    a: *src,
-                    b: *src,
+    let ops = &code.ops[pc + 1..pc + 1 + flow.args.len()];
+    for (k, (op, args)) in ops.iter().zip(&flow.args).enumerate() {
+        let [ka, kb] = args.map(|s| match s {
+            Src::Write(w) => wrote[w as usize],
+            Src::Input(i) => entry[i as usize],
+        });
+        let m = match op {
+            Op::Binary { op, dst, l, r } => lower(frame, *op, *dst, *l, *r, ka, kb),
+            Op::AugLocal { op, slot, src } => lower(frame, *op, *slot, *slot, *src, ka, kb),
+            Op::Copy { dst, src } => Micro {
+                op: match ka {
+                    Some(TAG_BOXED) => MicroOp::Boxed,
+                    Some(_) => MicroOp::Move,
+                    None => MicroOp::Bail,
                 },
-                None => Micro::BAIL,
+                kind: ka.unwrap_or(TAG_BOXED),
+                d: *dst,
+                a: *src,
+                b: *src,
             },
-            Op::LoadFree { cell, .. } => {
-                let n = match frame.cells[*cell as usize]
-                    .as_ref()
-                    .map(|c| c.read())
-                    .as_deref()
-                {
-                    Some(Value::Int(v)) => Some(Num::I(*v)),
-                    Some(Value::Float(v)) => Some(Num::F(*v)),
-                    _ => None,
+            Op::LoadFree { dst, cell, .. } => {
+                let cell = frame.cells[*cell as usize].as_ref().map(|c| c.read());
+                let (op, kind) = match cell.as_deref() {
+                    Some(Value::Int(v)) => (MicroOp::Load(*v as u64), TAG_INT),
+                    Some(Value::Float(v)) => (MicroOp::Load(v.to_bits()), TAG_FLOAT),
+                    Some(_) => {
+                        plan.misshapen = true;
+                        (MicroOp::Bail, TAG_BOXED)
+                    }
+                    None => (MicroOp::Bail, TAG_BOXED),
                 };
-                match n {
-                    Some(n) => Micro {
-                        op: MicroOp::Load(n.bits()),
-                        kind: n.kind(),
-                        d,
-                        a: d,
-                        b: d,
-                    },
-                    None => Micro::BAIL,
+                Micro {
+                    op,
+                    kind,
+                    d: *dst,
+                    a: *dst,
+                    b: *dst,
                 }
             }
             op => unreachable!("non-fusible op in fused body: {op:?}"),
         };
-        let k = (!matches!(m.op, MicroOp::Bail)).then_some(m.kind);
-        match seen.find(d) {
-            Some(i) => seen.regs[i].now = k,
-            None => seen.push(d, k, false),
+        if matches!(op, Op::Binary { .. } | Op::AugLocal { .. }) {
+            plan.misshapen |= ka == Some(TAG_BOXED) || kb == Some(TAG_BOXED);
         }
+        plan.micro[k] = m;
+        wrote[k + 1] = (!matches!(m.op, MicroOp::Bail)).then_some(m.kind);
     }
-    plan.settled = seen.regs[..seen.n]
+    plan.settled = flow
+        .inputs
         .iter()
-        .all(|r| !r.carried || r.now == r.entry);
+        .zip(&entry)
+        .all(|(input, e)| input.last.is_none_or(|w| wrote[w as usize] == *e));
     plan
 }
 
-/// What a plan walk knows of one register.
-#[derive(Clone, Copy)]
-struct SeenReg {
-    reg: Reg,
-    /// Its kind at this point of the iteration (`None`: not a number).
-    now: Option<Kind>,
-    /// Its kind when the iteration starts.
-    entry: Option<Kind>,
-    /// Loop-carried: the body reads it before writing it.
-    carried: bool,
-}
-
-/// The registers a plan walk has met, in a fixed array (no allocation per
-/// run).
-struct Seen {
-    regs: [SeenReg; PLAN_REGS],
-    n: usize,
-}
-
-impl Seen {
-    const NONE: SeenReg = SeenReg {
-        reg: 0,
-        now: None,
-        entry: None,
-        carried: false,
-    };
-
-    fn find(&self, r: Reg) -> Option<usize> {
-        self.regs[..self.n].iter().position(|e| e.reg == r)
-    }
-
-    fn push(&mut self, reg: Reg, kind: Option<Kind>, carried: bool) {
-        self.regs[self.n] = SeenReg {
-            reg,
-            now: kind,
-            entry: kind,
-            carried,
-        };
-        self.n += 1;
-    }
-}
-
-/// Lower `d = a op b` on operands of kinds `ka`/`kb` (`None`: not a number,
-/// which bails).
+/// Lower `d = a op b` on operands of kinds `ka`/`kb`; anything but two
+/// numbers bails.
 fn lower(
     frame: &Frame,
     op: BinOp,
     d: Reg,
     a: Reg,
     b: Reg,
-    ka: Option<Kind>,
-    kb: Option<Kind>,
+    ka: Option<u8>,
+    kb: Option<u8>,
 ) -> Micro {
-    use Kind::{Float as F, Int as I};
-    let (Some(ka), Some(kb)) = (ka, kb) else {
+    use super::frame::{TAG_FLOAT as F, TAG_INT as I};
+    let (Some(ka @ (I | F)), Some(kb @ (I | F))) = (ka, kb) else {
         return Micro::BAIL;
     };
     let (mop, kind) = match (op, ka, kb) {
@@ -1480,7 +1442,10 @@ fn lower(
         // kind this instruction's destination holds from its last run.
         (BinOp::Pow, I, I) => (
             MicroOp::Helper(op, I, I),
-            frame.read_num(d).map_or(I, Num::kind),
+            match frame.read_num(d) {
+                Some(Num::F(_)) => F,
+                _ => I,
+            },
         ),
         (_, I, I) => (MicroOp::Helper(op, I, I), I),
         _ => (MicroOp::Helper(op, ka, kb), F),
@@ -1587,7 +1552,7 @@ fn profile(f: &FuncValue, code: &CompiledCode, frame: &Frame, pc: usize) -> u8 {
         }
         Op::IterNext { iter, .. } => {
             if matches!(frame.iters[*iter as usize], Some(ValueIter::Range { .. })) {
-                if code.fused[pc] != 0 {
+                if code.fused[pc].is_some() {
                     qk::FUSED_RANGE
                 } else {
                     qk::ITER_RANGE

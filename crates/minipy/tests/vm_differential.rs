@@ -135,9 +135,13 @@ const CORPUS: &[&str] = &[
     "def f(a, n):\n    x = a\n    for i in range(n):\n        x = x * 3 + i\n    return x\nprint(f(1, 5))\nf(4611686018427387904, 3)\n",
     "def f(a, n):\n    x = a\n    for i in range(n):\n        x = x * 3 + i\n    return x\nprint(f(1, 5))\nf(1000000000000000, 40)\n",
     "def f(a, n):\n    x = a\n    for i in range(n):\n        t = i - 1\n        x -= t * 7\n    return x\nprint(f(0, 4))\nf(-9223372036854775800, 6)\n",
+    "def f(a, n, k):\n    x = a\n    for i in range(n):\n        x = x + k\n    return x\nprint(f(0, 3, 5))\nf(9223372036854775000, 5, 300)\n",
     // a zero divisor partway through a run (float / int, then int / int)
     "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        s += 1.0 / (i - k)\n    return s\nprint(f(3, -1))\nprint(f(10, 5))\n",
     "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        d = k - i\n        s = s + i / d\n    return s\nprint(f(3, 9))\nprint(f(10, 4))\n",
+    // ... and float / float, int / float
+    "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        d = k - i * 1.0\n        s = s + 2.5 / d\n    return s\nprint(f(3, 9))\nprint(f(10, 4))\n",
+    "def f(n, k):\n    s = 0.0\n    for i in range(n):\n        d = k - i * 1.0\n        s = s + i / d\n    return s\nprint(f(3, 9))\nprint(f(10, 4))\n",
     // `x = 0` then `x += 0.5`: the int accumulator widens to float
     "def f(n):\n    x = 0\n    for i in range(n):\n        x += 0.5\n    return x\nprint(f(1))\nprint(f(6))\nprint(f(0))\n",
     "def f(n, h):\n    x = 0\n    y = 0\n    for i in range(n):\n        y = x\n        x = x + h\n    return x, y\nprint(f(5, 1))\nprint(f(5, 0.25))\nprint(f(5, 1))\n",
@@ -157,6 +161,19 @@ const CORPUS: &[&str] = &[
     // an unset local read in the body (closure-chain fallback, then NameError)
     "v = 7\ndef f(n):\n    s = 0\n    for i in range(n):\n        s = s + v\n        w = v\n    if n < 0:\n        v = 1\n    return s, w\nprint(f(5))\nprint(f(1))\n",
     "def f(n):\n    s = 0\n    for i in range(n):\n        s = s + u\n    if n < 0:\n        u = 1\n    return s\nprint(f(0))\nf(3)\n",
+    // an unset local the body assigns: read through the closure chain in
+    // the first iteration only
+    "x = 5\ndef f(n):\n    t = 0\n    for i in range(n):\n        t = t + x\n        x = i * 0.5\n    return t, x\nprint(f(1))\nprint(f(4))\n",
+    // copies of non-numbers stay in the run (boxed moves): values rotated
+    // through three registers, a register that turns from int to str, and
+    // boxed moves around a `**` bail
+    "def f(n, a, b):\n    x = a\n    y = b\n    s = 0\n    for i in range(n):\n        t = x\n        x = y\n        y = t\n        s = s + i\n    return x, y, s\nprint(f(3, 'p', [1]))\nprint(f(4, (1, 2), 'q'))\nprint(f(5, 1, 'r'))\nprint(f(0, 'a', 'b'))\n",
+    "def f(n, s):\n    v = 0\n    for i in range(n):\n        v = i * 2\n        v = s\n    return v\nprint(f(2, 'x'))\nprint(f(3, [2]))\nprint(f(0, 'z'))\n",
+    "def f(a, n, s):\n    w = 0\n    v = 0\n    for i in range(n):\n        v = w\n        y = 2 ** (i + a)\n        w = s\n    return v, w, y\nprint(f(-2, 5, 'ab'))\nprint(f(0, 3, [1]))\nprint(f(-3, 2, (1,)))\n",
+    // arithmetic on non-numbers fails the plan's shape guard (the loop
+    // deopts): strs and lists added, a cell holding a str
+    "def f(n, s):\n    t = s\n    for i in range(n):\n        t = t + s\n    return t\nprint(f(3, 'ab'))\nprint(f(3, 2))\nprint(f(2, [0]))\n",
+    "sep = '-'\ndef f(n):\n    s = ''\n    for i in range(n):\n        s = s + sep\n    return s\nprint(f(3))\nsep = 2\nf(2)\n",
 ];
 
 #[test]
@@ -251,7 +268,7 @@ fn fused_loop_bailing_mid_iteration_keeps_per_op_counts() {
         .iter()
         .position(|op| matches!(op, bytecode::Op::IterNext { .. }))
         .expect("f has a loop");
-    let body = code.fused[head] as u64 - 1;
+    let body = code.fused[head].as_ref().map_or(0, |b| b.args.len() as u64);
     assert!(body > 0, "the loop body is fusible");
     let loads = code.ops[head + 1..=head + body as usize]
         .iter()
@@ -280,6 +297,57 @@ fn fused_loop_bailing_mid_iteration_keeps_per_op_counts() {
         stats.ic_hits,
         dispatches - misses,
         "ic.hits must count per-op"
+    );
+}
+
+#[test]
+fn fused_loops_over_non_numbers_and_unset_locals_keep_per_op_counts() {
+    // `g` copies a str in its fused body: the copy is a boxed move, so the
+    // loop stays fused and nothing deopts. `h` adds strs, and `r` reads a
+    // local that is never set (the closure chain finds the global): each
+    // plan fails the shape guard and its loop deopts, once. Either way
+    // `vm.ops` must count exactly what per-op dispatch executes.
+    let src = "q = 3\ndef g(n, s):\n    w = s\n    v = s\n    for i in range(n):\n        v = w\n        w = s\n        k = i * 2\n    return v\ndef h(n, s):\n    t = s\n    for i in range(n):\n        t = t + s\n    return t\ndef r(n, s):\n    k = 0\n    for i in range(n):\n        k = k + q\n    return k\n    q = 1\n";
+    let _guard = lock();
+    let prev = bytecode::set_mode(VmMode::On);
+    let interp = Interp::new().capture_output();
+    interp.run(src).expect("program loads");
+    let mut counts = Vec::new();
+    for name in ["g", "h", "r"] {
+        let f = interp.get_global(name).expect("function is defined");
+        let minipy::Value::Func(func) = &f else {
+            panic!("{name} is a function");
+        };
+        let code = bytecode::compile::compile_function(&func.def).expect("compiles");
+        let head = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, bytecode::Op::IterNext { .. }))
+            .expect("a loop");
+        let body = code.fused[head].as_ref().map_or(0, |b| b.args.len() as u64);
+        assert!(body > 0, "{name}'s loop body is fusible");
+        minipy::stats::reset();
+        minipy::stats::set_enabled(true);
+        let ns = [4i64, 7, 1, 5];
+        for n in ns {
+            interp
+                .call(&f, vec![minipy::Value::Int(n), minipy::Value::from("ab")])
+                .expect("runs");
+        }
+        let stats = minipy::stats::snapshot();
+        minipy::stats::set_enabled(false);
+        let per_op_ops: u64 = ns
+            .iter()
+            .map(|&n| head as u64 + n as u64 * (body + 2) + 2)
+            .sum();
+        assert_eq!(stats.vm_ops, per_op_ops, "{name}: vm.ops must count per-op");
+        counts.push(stats.quicken_deopts);
+    }
+    bytecode::set_mode(prev);
+    assert_eq!(
+        counts,
+        [0, 1, 1],
+        "deopts of g (boxed copy), h (str add) and r (unset local)"
     );
 }
 
