@@ -638,8 +638,16 @@ fn step(
             }
         }
         Op::IterNew { iter, src } => {
-            let v = frame.read(*src, code, closure)?;
-            frame.iters[*iter as usize] = Some(ValueIter::new(&v)?);
+            // A temporary is dead once its loop starts, so the iterator
+            // takes it: a list only the loop holds then iterates owned
+            // (`ValueIter::new_owned`). Locals and constants outlive the
+            // loop and are read as usual.
+            let v = if (code.n_locals..code.const_base).contains(src) {
+                std::mem::replace(&mut frame.regs[*src as usize], Value::None)
+            } else {
+                frame.read(*src, code, closure)?
+            };
+            frame.iters[*iter as usize] = Some(ValueIter::new_owned(v)?);
         }
         Op::IterNext { iter, dst, exit } => {
             let slot = *iter as usize;
@@ -908,13 +916,11 @@ fn step_quick(
                 if let (Some(Num::I(i)), Some(Value::List(l))) =
                     (frame.read_num(*idx), frame.read_ref(*obj))
                 {
-                    let l = Arc::clone(l);
+                    // The list stays borrowed from its register: no
+                    // refcount traffic on a list other threads share.
                     let v = {
                         let items = l.read();
-                        match normalize_index(i, items.len()) {
-                            Ok(ix) => items[ix].clone(),
-                            Err(e) => return Err(e),
-                        }
+                        items[normalize_index(i, items.len())?].clone()
                     };
                     frame.write(*dst, v);
                     return Ok(Ctl::Next);
@@ -924,25 +930,18 @@ fn step_quick(
         }
         Op::SetItem { obj, idx, src } => {
             if code.quick[pc].load(Ordering::Relaxed) == qk::LIST_SET && !frame.is_unboxed(*obj) {
-                if let Some(Num::I(i)) = frame.read_num(*idx) {
-                    if matches!(frame.read_ref(*obj), Some(Value::List(_))) {
-                        // Guards passed: from here on, effects and error
-                        // order match the generic handler (src read first,
-                        // then the index check).
-                        let v = frame.read_boxed(*src, code, closure)?;
-                        let Some(Value::List(l)) = frame.read_ref(*obj) else {
-                            unreachable!("guard above matched a list");
-                        };
-                        let l = Arc::clone(l);
-                        let mut items = l.write();
-                        return match normalize_index(i, items.len()) {
-                            Ok(ix) => {
-                                items[ix] = v;
-                                Ok(Ctl::Next)
-                            }
-                            Err(e) => Err(e),
-                        };
-                    }
+                if let (Some(Num::I(i)), Some(Value::List(l))) =
+                    (frame.read_num(*idx), frame.read_ref(*obj))
+                {
+                    // Guards passed: from here on, effects and error order
+                    // match the generic handler (src read first, then the
+                    // index check). The list stays borrowed, as in
+                    // `LIST_GET`.
+                    let v = frame.read_boxed(*src, code, closure)?;
+                    let mut items = l.write();
+                    let ix = normalize_index(i, items.len())?;
+                    items[ix] = v;
+                    return Ok(Ctl::Next);
                 }
             }
             quick_fallback(interp, f, code, frame, pc)

@@ -14,7 +14,7 @@ use crate::ast::*;
 use crate::env::Env;
 use crate::error::{name_err, type_err, value_err, ErrKind, PyErr};
 use crate::gil::{Gil, GilMode};
-use crate::value::{range_len, Args, FuncValue, HKey, Opaque, Value};
+use crate::value::{range_len, Args, FuncValue, HKey, Lookup, Opaque, Value};
 use crate::{builtins, methods, parser};
 
 /// Result of executing a statement.
@@ -426,8 +426,7 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             StmtKind::For { target, iter, body } => {
-                let iterable = self.eval(iter, env)?;
-                let it = ValueIter::new(&iterable)?;
+                let it = ValueIter::new_owned(self.eval(iter, env)?)?;
                 for item in it {
                     self.assign(target, item, env)?;
                     match self.exec_block(body, env)? {
@@ -685,7 +684,7 @@ impl Interp {
                 Ok(())
             }
             Expr::Tuple(items) | Expr::List(items) => {
-                let it = ValueIter::new(&value)?;
+                let it = ValueIter::new_owned(value)?;
                 let mut supplied = Vec::with_capacity(items.len());
                 for v in it {
                     supplied.push(v);
@@ -924,14 +923,22 @@ impl Interp {
                 Ok(t[i].clone())
             }
             Value::Str(s) => {
-                let chars: Vec<char> = s.chars().collect();
-                let i = normalize_index(index.as_int()?, chars.len())?;
-                Ok(Value::str(&*chars[i].encode_utf8(&mut [0; 4])))
+                let i = index.as_int()?;
+                if s.is_ascii() {
+                    let i = normalize_index(i, s.len())?;
+                    return Ok(Value::str(&s[i..=i]));
+                }
+                let i = normalize_index(i, s.chars().count())?;
+                let c = s
+                    .chars()
+                    .nth(i)
+                    .expect("index normalized to the char count");
+                Ok(Value::str(&*c.encode_utf8(&mut [0; 4])))
             }
             Value::Dict(d) => {
-                let key = HKey::from_value(index)?;
+                let key = Lookup::of(index)?;
                 d.read()
-                    .get(&key)
+                    .get(key.key())
                     .cloned()
                     .ok_or_else(|| PyErr::new(ErrKind::Key, index.repr()))
             }
@@ -961,8 +968,20 @@ impl Interp {
                 Ok(())
             }
             Value::Dict(d) => {
-                let key = HKey::from_value(index)?;
-                d.write().insert(key, value);
+                // An existing key is updated in place through the borrowed
+                // view; only a new key is built as an `HKey`.
+                let key = Lookup::of(index)?;
+                let mut map = d.write();
+                match map.get_mut(key.key()) {
+                    Some(slot) => *slot = value,
+                    None => {
+                        let key = match key {
+                            Lookup::Owned(k) => k,
+                            Lookup::Ref(_) => HKey::from_value(index)?,
+                        };
+                        map.insert(key, value);
+                    }
+                }
                 Ok(())
             }
             other => Err(type_err(format!(
@@ -981,8 +1000,8 @@ impl Interp {
                 Ok(())
             }
             Value::Dict(d) => {
-                let key = HKey::from_value(index)?;
-                if d.write().remove(&key).is_none() {
+                let key = Lookup::of(index)?;
+                if d.write().remove(key.key()).is_none() {
                     return Err(PyErr::new(ErrKind::Key, index.repr()));
                 }
                 Ok(())
@@ -1480,8 +1499,8 @@ fn contains(container: &Value, item: &Value) -> Result<bool, PyErr> {
         Value::List(l) => Ok(l.read().iter().any(|v| v.py_eq(item))),
         Value::Tuple(t) => Ok(t.iter().any(|v| v.py_eq(item))),
         Value::Dict(d) => {
-            let key = HKey::from_value(item)?;
-            Ok(d.read().contains_key(&key))
+            let key = Lookup::of(item)?;
+            Ok(d.read().contains_key(key.key()))
         }
         Value::Str(s) => {
             let needle = item.as_str()?;
@@ -1506,7 +1525,21 @@ fn contains(container: &Value, item: &Value) -> Result<bool, PyErr> {
 
 // ---- iteration ---------------------------------------------------------
 
-/// An iterator over a dynamic value (snapshots mutable containers' shape).
+/// An iterator over a dynamic value.
+///
+/// A list is iterated live or owned, by who else holds it:
+///
+/// * **Owned** — [`ValueIter::new_owned`] was handed the list's only
+///   reference (a `for` over a temporary: a call result, a literal, a
+///   `split()`). No one else can see the list, so its items move out one by
+///   one: no lock, no clone. Tuples held alone go the same way.
+/// * **Live** — anything else still holds the list (a local, a cell, another
+///   container, or [`ValueIter::new`]'s borrowed argument). Each step takes
+///   the list's lock and clones the item at the current index, so the loop
+///   sees appends and removals made while it runs, as Python's does.
+///
+/// Strings are iterated over a snapshot of their characters and dicts over
+/// a snapshot of their keys, which each step hands out by value.
 pub enum ValueIter {
     /// Range iteration.
     Range {
@@ -1524,6 +1557,8 @@ pub enum ValueIter {
         /// Next index.
         idx: usize,
     },
+    /// Owned list or tuple iteration: the items, moved out in order.
+    Owned(std::vec::IntoIter<Value>),
     /// Tuple iteration.
     Tuple {
         /// The tuple.
@@ -1538,17 +1573,12 @@ pub enum ValueIter {
         /// Next index.
         idx: usize,
     },
-    /// Dict-key iteration (snapshot of keys).
-    Keys {
-        /// Snapshot of keys.
-        keys: Vec<HKey>,
-        /// Next index.
-        idx: usize,
-    },
+    /// Dict-key iteration (snapshot of keys, each moved out in turn).
+    Keys(std::vec::IntoIter<HKey>),
 }
 
 impl ValueIter {
-    /// Build an iterator for a value.
+    /// Build an iterator for a borrowed value (a list is iterated live).
     ///
     /// # Errors
     ///
@@ -1572,16 +1602,37 @@ impl ValueIter {
                 chars: s.chars().collect(),
                 idx: 0,
             },
-            Value::Dict(d) => ValueIter::Keys {
-                keys: d.read().keys().cloned().collect(),
-                idx: 0,
-            },
+            Value::Dict(d) => {
+                ValueIter::Keys(d.read().keys().cloned().collect::<Vec<_>>().into_iter())
+            }
             other => {
                 return Err(type_err(format!(
                     "'{}' object is not iterable",
                     other.type_name()
                 )))
             }
+        })
+    }
+
+    /// Build an iterator that takes `v`: a list or tuple whose only
+    /// reference this is iterates owned, anything else as [`ValueIter::new`].
+    ///
+    /// # Errors
+    ///
+    /// `TypeError` if the value is not iterable.
+    pub fn new_owned(v: Value) -> Result<ValueIter, PyErr> {
+        // `try_unwrap` succeeds only for the last strong reference, and
+        // minipy makes no weak ones: no one else can reach the items.
+        Ok(match v {
+            Value::List(l) => match Arc::try_unwrap(l) {
+                Ok(items) => ValueIter::Owned(items.into_inner().into_iter()),
+                Err(list) => ValueIter::List { list, idx: 0 },
+            },
+            Value::Tuple(t) => match Arc::try_unwrap(t) {
+                Ok(items) => ValueIter::Owned(items.into_iter()),
+                Err(items) => ValueIter::Tuple { items, idx: 0 },
+            },
+            other => return ValueIter::new(&other),
         })
     }
 
@@ -1633,15 +1684,8 @@ impl Iterator for ValueIter {
                     None
                 }
             }
-            ValueIter::Keys { keys, idx } => {
-                if *idx < keys.len() {
-                    let v = keys[*idx].to_value();
-                    *idx += 1;
-                    Some(v)
-                } else {
-                    None
-                }
-            }
+            ValueIter::Owned(items) => items.next(),
+            ValueIter::Keys(keys) => keys.next().map(HKey::into_value),
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::builtins::sort_values;
 use crate::error::{type_err, value_err, ErrKind, PyErr};
 use crate::interp::{Interp, ValueIter};
-use crate::value::{Args, ArgsRef, HKey, ObjLock, Value};
+use crate::value::{Args, ArgsRef, HKey, Lookup, ObjLock, Value};
 
 /// A resolved built-in method: `(interp, receiver, args)`. The receiver's
 /// type is the one the method was resolved for.
@@ -227,8 +227,8 @@ fn list_method(name: &str) -> Option<BuiltinMethod> {
 fn dict_method(name: &str) -> Option<BuiltinMethod> {
     let method: BuiltinMethod = match name {
         "get" => |_, obj, args| {
-            let key = HKey::from_value(args.req(0)?)?;
-            match dict(obj).read().get(&key) {
+            let key = Lookup::of(args.req(0)?)?;
+            match dict(obj).read().get(key.key()) {
                 Some(v) => Ok(v.clone()),
                 None => Ok(args.opt(1).cloned().unwrap_or(Value::None)),
             }
@@ -250,8 +250,8 @@ fn dict_method(name: &str) -> Option<BuiltinMethod> {
             Ok(Value::list(items))
         },
         "pop" => |_, obj, args| {
-            let key = HKey::from_value(args.req(0)?)?;
-            match dict(obj).write().remove(&key) {
+            let key = Lookup::of(args.req(0)?)?;
+            match dict(obj).write().remove(key.key()) {
                 Some(v) => Ok(v),
                 None => match args.opt(1) {
                     Some(d) => Ok(d.clone()),

@@ -8,8 +8,10 @@
 //! CPython 3.14b1 free-threaded interpreter.
 
 use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -74,6 +76,11 @@ impl<T> ObjLock<T> {
                 guard
             }
         }
+    }
+
+    /// Take the value out of a lock no one else can reach (no acquisition).
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner()
     }
 }
 
@@ -325,7 +332,11 @@ pub trait Opaque: Send + Sync {
 }
 
 /// Hashable key for dict storage (Python dict keys).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// It hashes through its borrowed view, [`KeyRef`], so a dict can be
+/// searched with a key borrowed from the looked-up value (see [`Lookup`])
+/// and finds the same entries an owned key would.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HKey {
     /// `None` key.
     None,
@@ -349,45 +360,178 @@ impl HKey {
     /// Returns a `TypeError` for unhashable values (lists, dicts, functions).
     pub fn from_value(v: &Value) -> Result<HKey, PyErr> {
         Ok(match v {
-            Value::None => HKey::None,
-            Value::Bool(b) => HKey::Bool(*b),
-            Value::Int(i) => HKey::Int(*i),
-            Value::Float(f) => {
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                // Floats that are exact integers hash like the int, as in Python.
-                if f.fract() == 0.0 && f.abs() < i64::MAX as f64 {
-                    HKey::Int(f as i64)
-                } else {
-                    HKey::FloatBits(f.to_bits())
-                }
-            }
+            // Share the string's block rather than copy its bytes.
             Value::Str(s) => HKey::Str(Arc::clone(s)),
-            Value::Tuple(items) => HKey::Tuple(
-                items
-                    .iter()
-                    .map(HKey::from_value)
-                    .collect::<Result<_, _>>()?,
-            ),
+            other => match Lookup::of(other)? {
+                Lookup::Ref(k) => k.to_hkey(),
+                Lookup::Owned(k) => k,
+            },
+        })
+    }
+
+    /// Convert a key back to a value (for `keys()` / iteration).
+    pub fn to_value(&self) -> Value {
+        self.clone().into_value()
+    }
+
+    /// Convert a key into a value, moving its string or items.
+    pub fn into_value(self) -> Value {
+        match self {
+            HKey::None => Value::None,
+            HKey::Bool(b) => Value::Bool(b),
+            HKey::Int(i) => Value::Int(i),
+            HKey::FloatBits(bits) => Value::Float(f64::from_bits(bits)),
+            HKey::Str(s) => Value::Str(s),
+            HKey::Tuple(items) => {
+                Value::Tuple(Arc::new(items.into_iter().map(HKey::into_value).collect()))
+            }
+        }
+    }
+}
+
+impl Hash for HKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key_ref().hash(state);
+    }
+}
+
+/// A borrowed view of a dict key: what [`HKey`] holds, with its string and
+/// items borrowed. An `HKey` hashes as its view, so a lookup by view finds
+/// the entry the owned key would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KeyRef<'a> {
+    /// `None` key.
+    None,
+    /// `bool` key.
+    Bool(bool),
+    /// `int` key (and any float that is an exact integer).
+    Int(i64),
+    /// `float` key (bit pattern; `-0.0` normalized to `0.0`).
+    FloatBits(u64),
+    /// `str` key.
+    Str(&'a str),
+    /// `tuple` key.
+    Tuple(&'a [HKey]),
+}
+
+impl KeyRef<'_> {
+    /// The key of a float: an exact integer keys like the int (as in
+    /// Python), anything else by its bits, with `-0.0` as `0.0`.
+    fn float(f: f64) -> KeyRef<'static> {
+        let f = if f == 0.0 { 0.0 } else { f };
+        if f.fract() == 0.0 && f.abs() < i64::MAX as f64 {
+            KeyRef::Int(f as i64)
+        } else {
+            KeyRef::FloatBits(f.to_bits())
+        }
+    }
+
+    /// Build the owned key (copying a string's bytes).
+    pub fn to_hkey(self) -> HKey {
+        match self {
+            KeyRef::None => HKey::None,
+            KeyRef::Bool(b) => HKey::Bool(b),
+            KeyRef::Int(i) => HKey::Int(i),
+            KeyRef::FloatBits(bits) => HKey::FloatBits(bits),
+            KeyRef::Str(s) => HKey::Str(s.into()),
+            KeyRef::Tuple(items) => HKey::Tuple(items.to_vec()),
+        }
+    }
+}
+
+/// A dict key seen through its borrowed view. A `HashMap<HKey, _>` is
+/// searched with a `&dyn DictKey` (`HKey: Borrow<dyn DictKey>`), so a
+/// lookup hashes and compares a [`KeyRef`] and builds no `HKey`.
+pub trait DictKey {
+    /// The key's borrowed view.
+    fn key_ref(&self) -> KeyRef<'_>;
+}
+
+impl DictKey for HKey {
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            HKey::None => KeyRef::None,
+            HKey::Bool(b) => KeyRef::Bool(*b),
+            HKey::Int(i) => KeyRef::Int(*i),
+            HKey::FloatBits(bits) => KeyRef::FloatBits(*bits),
+            HKey::Str(s) => KeyRef::Str(s),
+            HKey::Tuple(items) => KeyRef::Tuple(items),
+        }
+    }
+}
+
+impl DictKey for KeyRef<'_> {
+    fn key_ref(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn DictKey + 'a> for HKey {
+    fn borrow(&self) -> &(dyn DictKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn DictKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key_ref().hash(state);
+    }
+}
+
+impl PartialEq for dyn DictKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_ref() == other.key_ref()
+    }
+}
+
+impl Eq for dyn DictKey + '_ {}
+
+/// A value as a dict key for one lookup: borrowed from the value where the
+/// key is the value's own data (`None`, bools, numbers, strings), owned
+/// where it has to be built (a tuple's items become `HKey`s).
+pub enum Lookup<'a> {
+    /// A view into the value.
+    Ref(KeyRef<'a>),
+    /// A key built from the value.
+    Owned(HKey),
+}
+
+impl<'a> Lookup<'a> {
+    /// View `v` as a dict key.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `TypeError` for unhashable values (lists, dicts, functions),
+    /// with [`HKey::from_value`]'s message.
+    pub fn of(v: &'a Value) -> Result<Lookup<'a>, PyErr> {
+        Ok(Lookup::Ref(match v {
+            Value::None => KeyRef::None,
+            Value::Bool(b) => KeyRef::Bool(*b),
+            Value::Int(i) => KeyRef::Int(*i),
+            Value::Float(f) => KeyRef::float(*f),
+            Value::Str(s) => KeyRef::Str(s),
+            Value::Tuple(items) => {
+                return Ok(Lookup::Owned(HKey::Tuple(
+                    items
+                        .iter()
+                        .map(HKey::from_value)
+                        .collect::<Result<_, _>>()?,
+                )))
+            }
             other => {
                 return Err(type_err(format!(
                     "unhashable type: '{}'",
                     other.type_name()
                 )))
             }
-        })
+        }))
     }
 
-    /// Convert a key back to a value (for `keys()` / iteration).
-    pub fn to_value(&self) -> Value {
+    /// The key, to pass to `HashMap::get` and friends.
+    pub fn key(&self) -> &(dyn DictKey + 'a) {
         match self {
-            HKey::None => Value::None,
-            HKey::Bool(b) => Value::Bool(*b),
-            HKey::Int(i) => Value::Int(*i),
-            HKey::FloatBits(bits) => Value::Float(f64::from_bits(*bits)),
-            HKey::Str(s) => Value::Str(Arc::clone(s)),
-            HKey::Tuple(items) => {
-                Value::Tuple(Arc::new(items.iter().map(HKey::to_value).collect()))
-            }
+            Lookup::Ref(k) => k,
+            Lookup::Owned(k) => k,
         }
     }
 }
@@ -721,6 +865,55 @@ mod tests {
         let t = Value::tuple(vec![Value::Int(1), Value::str("a")]);
         let k = HKey::from_value(&t).unwrap();
         assert!(k.to_value().py_eq(&t));
+    }
+
+    #[test]
+    fn hkey_hashes_as_its_view() {
+        use std::hash::BuildHasher;
+        let state = std::collections::hash_map::RandomState::new();
+        let keys = [
+            HKey::None,
+            HKey::Bool(true),
+            HKey::Int(-3),
+            HKey::FloatBits(2.5f64.to_bits()),
+            HKey::Str("w".into()),
+            HKey::Tuple(vec![HKey::Int(1), HKey::Str("a".into())]),
+        ];
+        for k in &keys {
+            let view = k.key_ref();
+            assert_eq!(state.hash_one(k), state.hash_one(view), "{k:?}");
+            assert_eq!(state.hash_one(k), state.hash_one(&view as &dyn DictKey));
+            assert_eq!(view.to_hkey(), *k);
+        }
+    }
+
+    #[test]
+    fn lookup_finds_what_the_owned_key_inserted() {
+        let mut map = HashMap::new();
+        let keys = [
+            Value::None,
+            Value::Bool(false),
+            Value::Int(1),
+            Value::Float(0.5),
+            Value::str("w"),
+            Value::tuple(vec![Value::Int(1), Value::str("a")]),
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            map.insert(HKey::from_value(k).unwrap(), i);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(map.get(Lookup::of(k).unwrap().key()), Some(&i), "{k:?}");
+        }
+        // 1.0 and -0.0 key as the ints 1 and 0; True stays apart from 1.
+        map.insert(HKey::Int(0), 9);
+        let one = Value::Float(1.0);
+        assert_eq!(map.get(Lookup::of(&one).unwrap().key()), Some(&2));
+        let zero = Value::Float(-0.0);
+        assert_eq!(map.get(Lookup::of(&zero).unwrap().key()), Some(&9));
+        let t = Value::Bool(true);
+        assert!(!map.contains_key(Lookup::of(&t).unwrap().key()));
+        let err = Lookup::of(&Value::list(vec![])).err().unwrap();
+        assert_eq!(err.to_string(), "TypeError: unhashable type: 'list'");
     }
 
     #[test]

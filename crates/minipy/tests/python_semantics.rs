@@ -113,6 +113,39 @@ fn while_and_for_loops() {
 }
 
 #[test]
+fn for_over_a_shared_list_sees_appends() {
+    // `get()` returns a list a global also holds: the loop must iterate it
+    // live (in a VM frame in `f`, on the tree-walker at module level), not
+    // a snapshot taken when the loop starts.
+    let interp = run("
+shared = [1, 2]
+def get():
+    return shared
+def f():
+    seen = []
+    for x in get():
+        seen.append(x)
+        if len(seen) < 4:
+            shared.append(x * 10)
+    return seen
+a = f()
+b = []
+for x in get():
+    b.append(x)
+    if len(b) < 6:
+        shared.append(-x)
+");
+    assert_eq!(
+        interp.get_global("a").unwrap().repr(),
+        "[1, 2, 10, 20, 100]"
+    );
+    assert_eq!(
+        interp.get_global("b").unwrap().repr(),
+        "[1, 2, 10, 20, 100, -1, -2, -10, -20, -100]"
+    );
+}
+
+#[test]
 fn negative_range_iteration() {
     let interp = run("acc = []\nfor i in range(5, 0, -2):\n    acc.append(i)\n");
     assert_eq!(interp.get_global("acc").unwrap().repr(), "[5, 3, 1]");

@@ -174,6 +174,45 @@ const CORPUS: &[&str] = &[
     // deopts): strs and lists added, a cell holding a str
     "def f(n, s):\n    t = s\n    for i in range(n):\n        t = t + s\n    return t\nprint(f(3, 'ab'))\nprint(f(3, 2))\nprint(f(2, [0]))\n",
     "sep = '-'\ndef f(n):\n    s = ''\n    for i in range(n):\n        s = s + sep\n    return s\nprint(f(3))\nsep = 2\nf(2)\n",
+    // -- owned iteration: a `for` over a temporary takes it; a list anything
+    //    else still holds is iterated live -------------------------------------
+    // a call result a global also holds: appends in the body stay visible
+    "shared = [1, 2, 3]\ndef get():\n    return shared\ndef f():\n    seen = []\n    for x in get():\n        seen.append(x)\n        shared.append(x * 10)\n        if len(seen) > 6:\n            break\n    return seen, len(shared)\nprint(f())\nprint(shared)\n",
+    // a list two locals hold, appended to through one while the loop runs
+    // over the other
+    "def f(xs):\n    ys = xs\n    out = []\n    for x in ys:\n        out.append(x)\n        if len(xs) < 5:\n            xs.append(x + 100)\n    return out, ys\nprint(f([1, 2]))\n",
+    // a list literal, `d.keys()`, `sorted(...)`, `s.split()`, a tuple, a str
+    "def f(d, s):\n    out = []\n    for x in [3, 1, 2]:\n        out.append(x)\n    ks = []\n    for k in d.keys():\n        ks.append(k)\n    out.append(sorted(ks))\n    for k in sorted(d):\n        out.append(d[k])\n    for w in s.split():\n        out.append(w + '!')\n    for t in (4, (5, 6)):\n        out.append(t)\n    for c in 'ab':\n        out.append(c)\n    return out\nprint(f({'b': 2, 'a': 1}, 'x y  z'))\nprint(f({}, ''))\n",
+    // nested and sequential loops reusing the same temporary registers
+    "def f(n):\n    out = []\n    for i in range(n):\n        for w in ('a b ' * i).split():\n            out.append(w + str(i))\n        for w in [i, i + 1]:\n            for v in [w, -w]:\n                out.append(v)\n    for x in [7, 8]:\n        for y in [x, x * 2]:\n            out.append(y)\n    return out\nprint(f(3))\n",
+    // `break` out of an owned loop, then enter it again
+    "def f(xs):\n    out = []\n    for rnd in range(4):\n        for x in list(xs):\n            if x == rnd:\n                break\n            out.append(x)\n        out.append('|')\n    return out\nprint(f([5, 0, 1, 2]))\n",
+    // raise mid-iteration (out of a VM frame, then inside a `try`), catch,
+    // loop again
+    "def g(xs):\n    total = 0\n    for x in list(xs):\n        total += 10 // x\n    return total\ndef h(s):\n    n = 0\n    for x in s.split():\n        n = n + int(x)\n    return n\nfor a in [[1, 2], [1, 0, 2], [5]]:\n    try:\n        print(g(a))\n    except ZeroDivisionError as e:\n        print('caught', e)\nfor s in ['1 2', '3 x 4', '5']:\n    try:\n        print(h(s))\n    except ValueError:\n        print('bad')\n",
+    "def f(rows):\n    out = []\n    for r in list(rows):\n        try:\n            for x in [10 // r, r]:\n                out.append(x)\n        except ZeroDivisionError:\n            out.append('z')\n    return out\nprint(f([2, 0, 5]))\n",
+    // `for k in d` while the body writes `d` (keys are a snapshot)
+    "def f(d):\n    for k in d:\n        d[k] = d[k] + 1\n        d[k + '_x'] = 0\n    return sorted(d.items())\nprint(f({'a': 1, 'b': 2}))\n",
+    // -- borrowed dict keys: lookups through the borrowed view find what the
+    //    owned key inserted ---------------------------------------------------
+    // `1` and `1.0`, `0.0` and `-0.0` are one key; `True` and `1` are two
+    // (unlike Python); str and tuple keys
+    "def f(d):\n    d[1] = 'int'\n    d[1.0] = 'float'\n    d[True] = 'bool'\n    d[0.0] = 'zero'\n    d[-0.0] = 'negzero'\n    d['s'] = 1\n    d['s'] += 1\n    d[(1, 's')] = 'tup'\n    d[(1.0, 's')] = 'tup2'\n    d[2.5] = 'half'\n    return d.get(1), d.get(1.0), d.get(True), d[0], d[-0.0], d['s'], d[(1, 's')], d.get((2,)), d.get(2.5, 'no'), d[5 / 2], len(d)\nprint(f({}))\n",
+    "def f(d, keys):\n    out = []\n    for k in keys:\n        d[k] = d.get(k, 0) + 1\n        out.append(k in d)\n    for k in [1, 1.0, True, False, 0, -0.0, 'a', (1,), (1.0,)]:\n        out.append(d.get(k, 'none'))\n    return out, len(d)\nprint(f({}, [1, 1.0, True, 0.0, -0.0, 'a', 'a', (1,), (True,)]))\n",
+    "def f(d):\n    return d[2.0]\nf({2.5: 1})\n",
+    "def f(d):\n    return d['missing']\nf({'m': 1})\n",
+    "def f(d):\n    del d[1.0]\n    del d[(1, 'a')]\n    return d, d.pop(2.0, 'gone'), d.pop('k')\nprint(f({1: 'x', (1, 'a'): 'y', 'k': 3}))\n",
+    // unhashable keys keep their TypeErrors
+    "def f(d):\n    return d[[1]]\nf({})\n",
+    "def f(d):\n    d[{}] = 1\nf({})\n",
+    "def f(d):\n    return d.get((1, [2]))\nf({})\n",
+    "def f(d):\n    return [0] in d\nf({})\n",
+    // `d[k] = v` reads the stored value first: an unset value raises
+    // NameError before the key's TypeError
+    "def f(d, flag):\n    if flag:\n        v = 1\n    d[[0]] = v\nf({}, False)\n",
+    "def f(d, flag):\n    if flag:\n        v = 1\n    d[[0]] = v\nf({}, True)\n",
+    // -- str indexing: ASCII by byte, other strings by char ------------------
+    "def f(s, i):\n    return s[i]\nfor s in ['hello', 'héllo', 'ñ', '']:\n    for i in [0, 1, -1, -5, 4, 5, -6]:\n        try:\n            print(f(s, i))\n        except IndexError as e:\n            print('IndexError', e)\n",
 ];
 
 #[test]

@@ -59,6 +59,11 @@ run cargo test -q -p omp4rs --test task_alloc
 # per word through `line.split()`, fewer than 0.01 per word already split:
 # one block per string, method calls borrowing their arguments).
 run cargo test -q -p minipy --test object_alloc
+# Interpreted-object lock budget: with stats armed, the same loop takes
+# exactly two object locks per word (the dict's read and write; a list only
+# the loop holds is iterated owned, with no lock per step), in both tiers —
+# its own test binary because stats are process-global.
+run cargo test -q -p minipy --test object_locks
 # Worker-pool lifecycle: a panic poisons the region not the pool,
 # cancellation, nested regions bypass the pool, hot-team reuse, and
 # concurrent masters (full teams, per-team poisoning, exact admission
