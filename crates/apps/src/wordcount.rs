@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use minipy::value::{DictKey, KeyRef};
 use minipy::{HKey, Value};
 use omp4rs::exec::{parallel_region, ForSpec, ParallelConfig};
 use omp4rs::{Backend, ScheduleKind};
@@ -117,17 +118,18 @@ pub fn dynamic(p: &Params, threads: usize, lines: &[String]) -> HashMap<String, 
     parallel_region(&cfg, |ctx| {
         let local = Value::dict();
         ctx.for_each(for_spec(p), 0..n, |i| {
-            let line = &boxed_lines[i as usize];
-            let text = line.as_str().expect("line").to_owned();
+            let text = boxed_lines[i as usize].as_str().expect("line");
             if let Value::Dict(map) = &local {
                 for word in text.split_whitespace() {
-                    let key = HKey::Str(word.into());
+                    // Look the word up by its borrowed view; only a new word
+                    // is copied into an owned key.
                     let mut map = map.write();
-                    let next = match map.get(&key) {
-                        Some(v) => v.as_int().expect("count") + 1,
-                        None => 1,
-                    };
-                    map.insert(key, Value::Int(next));
+                    match map.get_mut(&KeyRef::Str(word) as &dyn DictKey) {
+                        Some(v) => *v = Value::Int(v.as_int().expect("count") + 1),
+                        None => {
+                            map.insert(HKey::Str(word.into()), Value::Int(1));
+                        }
+                    }
                 }
             }
         });

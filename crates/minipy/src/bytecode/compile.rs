@@ -1156,16 +1156,19 @@ impl<'a> Compiler<'a> {
         if let Expr::Attribute { value, attr } = func {
             if let Expr::Name(base) = &**value {
                 if kwargs.is_empty() && !self.bindings.contains_key(base.as_str()) {
-                    // Free-name receiver (`__omp.for_next(…)`, `math.sqrt(…)`):
-                    // dedicated opcode with a per-frame callable cache.
+                    // Free-name receiver (`__omp.for_next(…)`, `math.sqrt(…)`,
+                    // `counts.get(…)`): one opcode with a per-frame cell
+                    // and inline cache.
                     let argbase = self.eval_seq(args)?;
                     let site = self.n_sites;
                     self.n_sites += 1;
+                    let cell = self.free_cell(base);
                     let base = self.name_idx(base);
                     let attr = self.name_idx(attr);
                     self.emit(Op::CallIntrinsic {
                         dst,
                         site,
+                        cell,
                         base,
                         attr,
                         argbase,

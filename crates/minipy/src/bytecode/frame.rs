@@ -42,8 +42,9 @@ impl Num {
 
 /// One inline-cache slot: the cached resolution of a dispatch site.
 ///
-/// `CallIntrinsic` sites cache the resolved runtime callable; `CallMethod`
-/// sites cache the built-in method their fixed name resolves to for one
+/// `CallIntrinsic` sites on an opaque base cache the resolved runtime
+/// callable; `CallMethod` sites, and `CallIntrinsic` sites on a built-in
+/// value, cache the built-in method their fixed name resolves to for one
 /// receiver type (guard-checked against the receiver's current type tag on
 /// every hit).
 #[derive(Clone, Default)]
@@ -81,9 +82,12 @@ const TAG_QUEUED: u8 = 0x4;
 ///
 /// A register may live in the `tags`/`raw` plane instead of `regs`:
 /// quickened numeric handlers read and write registers there without
-/// boxing, and the dispatch loop materializes the boxed `Value`s back into
-/// `regs` before any instruction that is not tag-aware (calls, container
-/// builds, returns — the escape points).
+/// boxing. A handler that reads `regs` either runs after the dispatch loop
+/// has materialized the boxed `Value`s back into `regs` (the generic
+/// handlers: container builds, plain calls, anything not tag-aware — the
+/// escape points), or reads only the registers it needs and checks each
+/// with [`Frame::is_unboxed`] first (the inline object path: dict
+/// subscripts, iteration, built-in method calls), so nothing else is flushed.
 pub struct Frame {
     /// The register file: `[locals][temporaries][constants]`.
     pub regs: Vec<Value>,
@@ -186,9 +190,11 @@ impl Frame {
     /// assigned locals — everything straight-line numeric code touches —
     /// borrow without cloning.
     ///
-    /// Callers must have materialized the frame first (the dispatch loop
-    /// does this before every non-tag-aware instruction), so an unboxed
-    /// register can never be observed stale here.
+    /// An unboxed register's slot here is stale, so callers must either
+    /// have materialized the frame first (the dispatch loop does this
+    /// before every generic handler), or have checked [`Frame::is_unboxed`]
+    /// on this register (and taken its [`Frame::unboxed_num`] payload or
+    /// boxed it with [`Frame::box_reg`]).
     #[inline(always)]
     pub fn read_ref(&self, reg: Reg) -> Option<&Value> {
         if reg < self.n_locals && !self.is_set(reg) {
@@ -247,7 +253,7 @@ impl Frame {
 
     /// The register's unboxed payload, or `None` when it is boxed.
     #[inline(always)]
-    fn unboxed_num(&self, reg: Reg) -> Option<Num> {
+    pub fn unboxed_num(&self, reg: Reg) -> Option<Num> {
         let i = reg as usize;
         match self.tags[i] & TAG_KIND {
             TAG_INT => Some(Num::I(self.raw[i] as i64)),
@@ -349,6 +355,22 @@ impl Frame {
     #[inline(always)]
     pub fn is_unboxed(&self, reg: Reg) -> bool {
         self.tags[reg as usize] & TAG_KIND != TAG_BOXED
+    }
+
+    /// Box one register in place when it holds a pending unboxed value, so
+    /// [`Frame::read_ref`] may borrow it: its queue entry stays, and the
+    /// next [`Frame::materialize`] skips it. A constant already holds both
+    /// planes and is left alone.
+    #[inline]
+    pub fn box_reg(&mut self, reg: Reg) {
+        let i = reg as usize;
+        if self.tags[i] & TAG_QUEUED == 0 {
+            return;
+        }
+        if let Some(n) = self.unboxed_num(reg) {
+            self.regs[i] = n.to_value();
+            self.tags[i] = TAG_QUEUED;
+        }
     }
 
     /// Box every unboxed register back into `regs` (the escape point: the

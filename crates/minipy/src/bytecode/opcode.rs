@@ -230,18 +230,23 @@ pub enum Op {
         /// Keyword-table index or [`NO_KW`].
         kw: u16,
     },
-    /// Runtime-intrinsic call: `base.attr(...)` where `base` is a free
-    /// module name (in practice the pyfront `__omp` runtime module). The
-    /// resolved callable is cached per frame in `site`, so hot-loop
-    /// intrinsics (`for_next`, `for_chunk`, `barrier`, reduction merges)
-    /// dispatch through one cached indirect call into the runtime instead of
-    /// an environment walk plus a module-dict lookup per iteration.
+    /// Free-receiver call: `base.attr(...)` where `base` is a free name
+    /// (the pyfront `__omp` runtime module, or a variable of an enclosing
+    /// scope such as a `critical` merge's shared dict). The base's cell is
+    /// cached per frame in `cell`, as `LoadFree` caches it. An opaque
+    /// base's resolved callable is cached in `site`, so hot-loop intrinsics
+    /// (`for_next`, `for_chunk`, `barrier`, reduction merges) dispatch
+    /// through one cached indirect call into the runtime instead of an
+    /// environment walk plus a module-dict lookup per iteration; any other
+    /// base's built-in method is cached there as `CallMethod` caches it.
     CallIntrinsic {
         /// Destination register.
         dst: Reg,
-        /// Per-frame callable-cache slot.
+        /// Per-frame inline-cache slot.
         site: u16,
-        /// Module name-table index (the base name).
+        /// Cell-cache slot of the base name.
+        cell: u16,
+        /// Name-table index of the base name.
         base: u16,
         /// Attribute name-table index.
         attr: u16,

@@ -37,9 +37,18 @@
 //!
 //! A `CallMethod` site's cache holds the resolved built-in method (a
 //! [`BuiltinMethod`] for one receiver [`TypeTag`]); the call lends it the
-//! receiver and argument registers, so a method call clones no operand.
-//! The generic `GetItem`/`SetItem` handlers borrow their container and
-//! index the same way. Strings are `Arc<str>`: one allocation each.
+//! receiver and argument registers, so a method call clones no operand. A
+//! `CallIntrinsic` on a free name with a built-in value (`counts.get(k, 0)`
+//! on an enclosing function's dict) uses the same cache. The `GetItem`/
+//! `SetItem` handlers borrow their container and index the same way.
+//! Strings are `Arc<str>`: one allocation each.
+//!
+//! The object path's hot ops run inline in `step_quick` with no new
+//! quicken state, each guarded by its shape: a dict subscript on a
+//! `GENERIC` slot, a `GENERIC` `IterNext`, and a positional `CallMethod`
+//! on a built-in receiver (the site's cache consulted and filled by
+//! `site_method`). A miss of the shape falls through to the generic path
+//! unchanged.
 //!
 //! Every specialized arithmetic handler calls the *same* semantic helpers
 //! as the tree-walker (`int_binary`, `float_binary`, the `py_eq` coercion
@@ -50,11 +59,13 @@
 //! Every frame carries a tag plane: specialized numeric handlers write results
 //! as raw `i64`/`f64` bits instead of `Value`s, and read operands from the
 //! plane. Tag-aware instructions (`Jump`, conditional jumps, `Copy`,
-//! `Return`, the specialized handlers themselves) execute without boxing;
-//! any other instruction is an escape point — the loop calls
-//! [`Frame::materialize`] first, so generic handlers (and anything that
-//! leaks a register into a call, container, cell, or closure) always see
-//! exactly the boxed state a boxed-only execution would have produced.
+//! `Return`, the specialized handlers themselves, and the inline object
+//! path, which checks the tag of each register it reads and boxes only
+//! those) execute without a flush; any other instruction is an escape
+//! point — the loop calls [`Frame::materialize`] first, so generic handlers
+//! (and anything that leaks a register into a call, container, cell, or
+//! closure) always see exactly the boxed state a boxed-only execution would
+//! have produced.
 
 use crate::ast::{BinOp, CmpOp};
 use crate::env::Env;
@@ -248,14 +259,36 @@ fn site_method(ic: &mut IcEntry, receiver: &Value, name: &str) -> Result<Builtin
     Ok(method)
 }
 
+/// The value of the free name `name` through the frame's cell slot `cell`:
+/// the cached cell, or the closure chain's, which the slot then caches for
+/// the rest of the call (CPython closure-cell semantics).
+fn free_value(
+    frame: &mut Frame,
+    code: &CompiledCode,
+    closure: &Env,
+    cell: u16,
+    name: u16,
+) -> Result<Value, PyErr> {
+    let slot = &mut frame.cells[cell as usize];
+    if let Some(c) = slot {
+        return Ok(c.read().clone());
+    }
+    let nm = &code.names[name as usize];
+    let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
+    let v = c.read().clone();
+    *slot = Some(c);
+    Ok(v)
+}
+
 /// Dispatch one instruction generically: the handler for ops with no
 /// quickened fast path and the target of every deopt.
 ///
 /// Kept out of line (rather than inlining this whole match into
 /// [`step_quick`]) so the numeric hot loop stays cache-resident. Dispatch
 /// sites run with their inline caches armed and counted — `LoadFree` cell
-/// fills, `CallMethod` resolved built-in methods, and `CallIntrinsic` callable
-/// caching each record a `minipy.vm.ic.*` hit or miss per execution.
+/// fills, `CallMethod` resolved built-in methods, and `CallIntrinsic`
+/// callables and methods each record a `minipy.vm.ic.*` hit or miss per
+/// execution.
 #[inline(never)]
 fn step(
     interp: &Interp,
@@ -310,24 +343,10 @@ fn step(
                 .write() = v;
         }
         Op::LoadFree { dst, cell, name } => {
-            let v = match &frame.cells[*cell as usize] {
-                Some(c) => {
-                    if stats::enabled() {
-                        stats::count_ic(true);
-                    }
-                    c.read().clone()
-                }
-                None => {
-                    if stats::enabled() {
-                        stats::count_ic(false);
-                    }
-                    let nm = &code.names[*name as usize];
-                    let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
-                    let v = c.read().clone();
-                    frame.cells[*cell as usize] = Some(c);
-                    v
-                }
-            };
+            if stats::enabled() {
+                stats::count_ic(frame.cells[*cell as usize].is_some());
+            }
+            let v = free_value(frame, code, closure, *cell, *name)?;
             frame.write(*dst, v);
         }
         Op::Binary { op, dst, l, r } => {
@@ -449,44 +468,29 @@ fn step(
             argc,
             kw,
         } => {
+            // A keyword call, an opaque receiver, or an unset local read
+            // through the closure chain (`step_quick` runs a positional call
+            // on set built-in registers borrowed).
             let nm = &code.names[*attr as usize];
-            let borrowed = *kw == NO_KW
-                && frame
-                    .read_ref(*obj)
-                    .is_some_and(|r| !matches!(r, Value::Opaque(_)))
-                && frame.read_slice(*argbase, *argc).is_some();
-            let v = if borrowed {
-                // A positional call on a built-in receiver: the method
-                // borrows the receiver and the argument registers.
-                interp.gil().tick();
-                let method = site_method(
-                    &mut frame.ics[*site as usize],
-                    &frame.regs[*obj as usize],
-                    nm,
-                )?;
-                let pos = frame.read_slice(*argbase, *argc).expect("checked above");
-                method(interp, &frame.regs[*obj as usize], ArgsRef::positional(pos))?
-            } else {
-                let pos = read_args(frame, code, closure, *argbase, *argc)?;
-                let kwargs = read_kwargs(frame, code, closure, *argbase + *argc, *kw)?;
-                let call_args = Args { pos, kw: kwargs };
-                let receiver = frame.read(*obj, code, closure)?;
-                interp.gil().tick();
-                match &receiver {
-                    Value::Opaque(o) => {
-                        // Opaque attribute tables are dynamic — never cached.
-                        if stats::enabled() {
-                            stats::count_ic(false);
-                        }
-                        match o.get_attr(nm) {
-                            Some(callable) => interp.call_value(&callable, call_args)?,
-                            None => o.call_method(interp, nm, call_args.pos)?,
-                        }
+            let pos = read_args(frame, code, closure, *argbase, *argc)?;
+            let kwargs = read_kwargs(frame, code, closure, *argbase + *argc, *kw)?;
+            let call_args = Args { pos, kw: kwargs };
+            let receiver = frame.read(*obj, code, closure)?;
+            interp.gil().tick();
+            let v = match &receiver {
+                Value::Opaque(o) => {
+                    // Opaque attribute tables are dynamic — never cached.
+                    if stats::enabled() {
+                        stats::count_ic(false);
                     }
-                    _ => {
-                        let method = site_method(&mut frame.ics[*site as usize], &receiver, nm)?;
-                        method(interp, &receiver, call_args.borrowed())?
+                    match o.get_attr(nm) {
+                        Some(callable) => interp.call_value(&callable, call_args)?,
+                        None => o.call_method(interp, nm, call_args.pos)?,
                     }
+                }
+                _ => {
+                    let method = site_method(&mut frame.ics[*site as usize], &receiver, nm)?;
+                    method(interp, &receiver, call_args.borrowed())?
                 }
             };
             frame.write(*dst, v);
@@ -494,41 +498,56 @@ fn step(
         Op::CallIntrinsic {
             dst,
             site,
+            cell,
             base,
             attr,
             argbase,
             argc,
         } => {
-            let pos = read_args(frame, code, closure, *argbase, *argc)?;
-            let call_args = Args::positional(pos);
-            interp.gil().tick();
-            let cached = match &frame.ics[*site as usize] {
-                IcEntry::Callable(v) => Some(v.clone()),
-                _ => None,
+            let site = *site as usize;
+            // Arguments first (an unset one is read through the chain), as
+            // the tree-walker evaluates them before the callee.
+            let owned = match frame.read_slice(*argbase, *argc) {
+                Some(_) => None,
+                None => Some(read_args(frame, code, closure, *argbase, *argc)?),
             };
-            if stats::enabled() {
-                stats::count_ic(cached.is_some());
-            }
-            let v = match cached {
-                Some(callable) => interp.call_value(&callable, call_args)?,
-                None => {
-                    let base_nm = &code.names[*base as usize];
-                    let attr_nm = &code.names[*attr as usize];
-                    let receiver = closure.get(base_nm).ok_or_else(|| name_err(base_nm))?;
-                    if let Value::Opaque(o) = &receiver {
-                        match o.get_attr(attr_nm) {
-                            Some(callable) => {
-                                // Cache the resolved runtime intrinsic: the
-                                // base is a free name this function never
-                                // rebinds, so the callable is call-invariant.
-                                frame.ics[*site as usize] = IcEntry::Callable(callable.clone());
-                                interp.call_value(&callable, call_args)?
-                            }
-                            None => methods::call_method(interp, &receiver, attr_nm, call_args)?,
-                        }
-                    } else {
-                        methods::call_method(interp, &receiver, attr_nm, call_args)?
+            interp.gil().tick();
+            let v = if let IcEntry::Callable(callable) = &frame.ics[site] {
+                let callable = callable.clone();
+                if stats::enabled() {
+                    stats::count_ic(true);
+                }
+                let pos =
+                    owned.map_or_else(|| read_args(frame, code, closure, *argbase, *argc), Ok)?;
+                interp.call_value(&callable, Args::positional(pos))?
+            } else {
+                let receiver = free_value(frame, code, closure, *cell, *base)?;
+                let attr_nm = &code.names[*attr as usize];
+                if let Value::Opaque(o) = &receiver {
+                    if stats::enabled() {
+                        stats::count_ic(false);
                     }
+                    let pos = owned
+                        .map_or_else(|| read_args(frame, code, closure, *argbase, *argc), Ok)?;
+                    match o.get_attr(attr_nm) {
+                        Some(callable) => {
+                            // Cache the resolved runtime intrinsic: the
+                            // base is a free name this function never
+                            // rebinds, so the callable is call-invariant.
+                            frame.ics[site] = IcEntry::Callable(callable.clone());
+                            interp.call_value(&callable, Args::positional(pos))?
+                        }
+                        None => o.call_method(interp, attr_nm, pos)?,
+                    }
+                } else {
+                    // A built-in receiver: the `CallMethod` inline cache,
+                    // with the argument registers borrowed.
+                    let method = site_method(&mut frame.ics[site], &receiver, attr_nm)?;
+                    let pos = match &owned {
+                        Some(pos) => pos,
+                        None => frame.read_slice(*argbase, *argc).expect("checked above"),
+                    };
+                    method(interp, &receiver, ArgsRef::positional(pos))?
                 }
             };
             frame.write(*dst, v);
@@ -649,16 +668,7 @@ fn step(
             };
             frame.iters[*iter as usize] = Some(ValueIter::new_owned(v)?);
         }
-        Op::IterNext { iter, dst, exit } => {
-            let slot = *iter as usize;
-            match frame.iters[slot].as_mut().expect("IterNew precedes").next() {
-                Some(item) => frame.write(*dst, item),
-                None => {
-                    frame.iters[slot] = None;
-                    return Ok(Ctl::Jump(*exit as usize));
-                }
-            }
-        }
+        Op::IterNext { iter, dst, exit } => return Ok(iter_step(frame, *iter, *dst, *exit)),
         Op::IterClear { iter } => frame.iters[*iter as usize] = None,
         Op::SetupFinally { target } => frame.blocks.push(*target),
         Op::PopBlock => {
@@ -762,10 +772,12 @@ fn deopt(code: &CompiledCode, pc: usize, from: u8) {
 ///
 /// One primary match over the hot ops: tag-aware control ops run
 /// directly, each quickenable op loads its slot state and runs its
-/// specialized handler inline when the operand guard holds, and dispatch
-/// sites and everything else take the generic [`step`]. `UNSEEN`
-/// profiling, deopts, and post-deopt generic execution live out of line in
-/// [`quick_fallback`] so the hot loop body stays compact.
+/// specialized handler inline when the operand guard holds, the object
+/// path (dict subscripts, generic iteration, built-in method calls) runs
+/// inline when its shape guard holds, and everything else takes the
+/// generic [`step`]. `UNSEEN` profiling, deopts, and post-deopt generic
+/// execution live out of line in [`quick_fallback`] so the hot loop body
+/// stays compact.
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn step_quick(
     interp: &Interp,
@@ -814,7 +826,9 @@ fn step_quick(
             })
         }
         Op::Copy { dst, src } => {
-            if !frame.copy_unboxed(*dst, *src) {
+            // A constant holds both planes (`Frame::new`), so its copy is
+            // written boxed and queues nothing for a later flush.
+            if *src >= code.const_base || !frame.copy_unboxed(*dst, *src) {
                 let v = frame.read(*src, code, closure)?;
                 frame.write(*dst, v);
             }
@@ -912,37 +926,63 @@ fn step_quick(
             quick_fallback(interp, f, code, frame, pc)
         }
         Op::GetItem { dst, obj, idx } => {
-            if code.quick[pc].load(Ordering::Relaxed) == qk::LIST_GET && !frame.is_unboxed(*obj) {
-                if let (Some(Num::I(i)), Some(Value::List(l))) =
-                    (frame.read_num(*idx), frame.read_ref(*obj))
-                {
-                    // The list stays borrowed from its register: no
-                    // refcount traffic on a list other threads share.
-                    let v = {
-                        let items = l.read();
-                        items[normalize_index(i, items.len())?].clone()
-                    };
-                    frame.write(*dst, v);
-                    return Ok(Ctl::Next);
+            match code.quick[pc].load(Ordering::Relaxed) {
+                qk::LIST_GET if !frame.is_unboxed(*obj) => {
+                    if let (Some(Num::I(i)), Some(Value::List(l))) =
+                        (frame.read_num(*idx), frame.read_ref(*obj))
+                    {
+                        // The list stays borrowed from its register: no
+                        // refcount traffic on a list other threads share.
+                        let v = {
+                            let items = l.read();
+                            items[normalize_index(i, items.len())?].clone()
+                        };
+                        frame.write(*dst, v);
+                        return Ok(Ctl::Next);
+                    }
                 }
+                // A generic site on a dict: the generic handler's lookup,
+                // on the two registers it reads.
+                qk::GENERIC => {
+                    if let Some(v) = on_dict(frame, *obj, *idx, |d, k| interp.get_item(d, k)) {
+                        frame.write(*dst, v?);
+                        return Ok(Ctl::Next);
+                    }
+                }
+                _ => {}
             }
             quick_fallback(interp, f, code, frame, pc)
         }
         Op::SetItem { obj, idx, src } => {
-            if code.quick[pc].load(Ordering::Relaxed) == qk::LIST_SET && !frame.is_unboxed(*obj) {
-                if let (Some(Num::I(i)), Some(Value::List(l))) =
-                    (frame.read_num(*idx), frame.read_ref(*obj))
-                {
-                    // Guards passed: from here on, effects and error order
-                    // match the generic handler (src read first, then the
-                    // index check). The list stays borrowed, as in
-                    // `LIST_GET`.
-                    let v = frame.read_boxed(*src, code, closure)?;
-                    let mut items = l.write();
-                    let ix = normalize_index(i, items.len())?;
-                    items[ix] = v;
-                    return Ok(Ctl::Next);
+            match code.quick[pc].load(Ordering::Relaxed) {
+                qk::LIST_SET if !frame.is_unboxed(*obj) => {
+                    if let (Some(Num::I(i)), Some(Value::List(l))) =
+                        (frame.read_num(*idx), frame.read_ref(*obj))
+                    {
+                        // Guards passed: from here on, effects and error
+                        // order match the generic handler (src read first,
+                        // then the index check). The list stays borrowed,
+                        // as in `LIST_GET`.
+                        let v = frame.read_boxed(*src, code, closure)?;
+                        let mut items = l.write();
+                        let ix = normalize_index(i, items.len())?;
+                        items[ix] = v;
+                        return Ok(Ctl::Next);
+                    }
                 }
+                qk::GENERIC => {
+                    let set = on_dict(frame, *obj, *idx, |d, k| {
+                        // The stored value is read first, as in the generic
+                        // handler.
+                        let v = frame.read_boxed(*src, code, closure)?;
+                        interp.set_item(d, k, v)
+                    });
+                    if let Some(r) = set {
+                        r?;
+                        return Ok(Ctl::Next);
+                    }
+                }
+                _ => {}
             }
             quick_fallback(interp, f, code, frame, pc)
         }
@@ -975,6 +1015,10 @@ fn step_quick(
                         }
                     });
                 }
+            } else if state == qk::GENERIC {
+                // Any other iterator (owned, live list, tuple, keys, str):
+                // the generic handler's step, inline.
+                return Ok(iter_step(frame, *iter, *dst, *exit));
             }
             quick_fallback(interp, f, code, frame, pc)
         }
@@ -1012,7 +1056,39 @@ fn step_quick(
             }
             quick_fallback(interp, f, code, frame, pc)
         }
-        Op::CallMethod { .. } | Op::CallIntrinsic { .. } => {
+        Op::CallMethod {
+            dst,
+            site,
+            obj,
+            attr,
+            argbase,
+            argc,
+            kw: NO_KW,
+        } => {
+            // A positional call on a built-in receiver: the site's cached
+            // method borrows the receiver and argument registers, boxing
+            // only those, so neither a hit nor a miss flushes the frame.
+            if frame.has_unboxed() {
+                frame.box_reg(*obj);
+                for r in *argbase..*argbase + *argc {
+                    frame.box_reg(r);
+                }
+            }
+            if frame
+                .read_ref(*obj)
+                .is_some_and(|r| !matches!(r, Value::Opaque(_)))
+                && frame.read_slice(*argbase, *argc).is_some()
+            {
+                interp.gil().tick();
+                let receiver = &frame.regs[*obj as usize];
+                let nm = &code.names[*attr as usize];
+                let method = site_method(&mut frame.ics[*site as usize], receiver, nm)?;
+                let pos = &frame.regs[*argbase as usize..(*argbase + *argc) as usize];
+                let v = method(interp, receiver, ArgsRef::positional(pos))?;
+                frame.write(*dst, v);
+                return Ok(Ctl::Next);
+            }
+            // An opaque receiver or an unset local: the generic handler.
             if frame.has_unboxed() {
                 frame.materialize();
             }
@@ -1023,6 +1099,47 @@ fn step_quick(
                 frame.materialize();
             }
             step(interp, f, code, frame, pc)
+        }
+    }
+}
+
+/// Run `op` on a dict subscript's container, borrowed from `obj`, and its
+/// key, from `idx`. `None` when `obj` does not hold a dict or `idx` is an
+/// unset local (the generic handler reads it through the closure chain).
+#[inline(always)]
+fn on_dict<R>(
+    frame: &Frame,
+    obj: Reg,
+    idx: Reg,
+    op: impl FnOnce(&Value, &Value) -> R,
+) -> Option<R> {
+    if frame.is_unboxed(obj) {
+        return None;
+    }
+    let dict = frame
+        .read_ref(obj)
+        .filter(|v| matches!(v, Value::Dict(_)))?;
+    Some(match frame.unboxed_num(idx) {
+        // An unboxed key, boxed on the stack: the value a flush would have
+        // written, so the same key rules apply.
+        Some(n) => op(dict, &n.to_value()),
+        None => op(dict, frame.read_ref(idx)?),
+    })
+}
+
+/// Step a non-range iterator: the next item into `dst`, or, once it is
+/// exhausted, clear its slot and leave the loop for `exit`.
+#[inline(always)]
+fn iter_step(frame: &mut Frame, iter: u16, dst: Reg, exit: u32) -> Ctl {
+    let slot = iter as usize;
+    match frame.iters[slot].as_mut().expect("IterNew precedes").next() {
+        Some(item) => {
+            frame.write(dst, item);
+            Ctl::Next
+        }
+        None => {
+            frame.iters[slot] = None;
+            Ctl::Jump(exit as usize)
         }
     }
 }

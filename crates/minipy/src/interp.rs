@@ -1538,8 +1538,9 @@ fn contains(container: &Value, item: &Value) -> Result<bool, PyErr> {
 ///   the list's lock and clones the item at the current index, so the loop
 ///   sees appends and removals made while it runs, as Python's does.
 ///
-/// Strings are iterated over a snapshot of their characters and dicts over
-/// a snapshot of their keys, which each step hands out by value.
+/// Strings are immutable and iterated in place, one character per step;
+/// dicts are iterated over a snapshot of their keys, which each step hands
+/// out by value.
 pub enum ValueIter {
     /// Range iteration.
     Range {
@@ -1566,12 +1567,12 @@ pub enum ValueIter {
         /// Next index.
         idx: usize,
     },
-    /// String iteration (per character).
+    /// String iteration (per character, stepped lazily).
     Chars {
-        /// Snapshot of characters.
-        chars: Vec<char>,
-        /// Next index.
-        idx: usize,
+        /// The string (immutable, so sharing it is a snapshot).
+        s: Arc<str>,
+        /// Byte offset of the next character.
+        pos: usize,
     },
     /// Dict-key iteration (snapshot of keys, each moved out in turn).
     Keys(std::vec::IntoIter<HKey>),
@@ -1599,8 +1600,8 @@ impl ValueIter {
                 idx: 0,
             },
             Value::Str(s) => ValueIter::Chars {
-                chars: s.chars().collect(),
-                idx: 0,
+                s: Arc::clone(s),
+                pos: 0,
             },
             Value::Dict(d) => {
                 ValueIter::Keys(d.read().keys().cloned().collect::<Vec<_>>().into_iter())
@@ -1675,14 +1676,11 @@ impl Iterator for ValueIter {
                     None
                 }
             }
-            ValueIter::Chars { chars, idx } => {
-                if *idx < chars.len() {
-                    let v = Value::str(&*chars[*idx].encode_utf8(&mut [0; 4]));
-                    *idx += 1;
-                    Some(v)
-                } else {
-                    None
-                }
+            ValueIter::Chars { s, pos } => {
+                let c = s[*pos..].chars().next()?;
+                let start = *pos;
+                *pos += c.len_utf8();
+                Some(Value::str(&s[start..*pos]))
             }
             ValueIter::Owned(items) => items.next(),
             ValueIter::Keys(keys) => keys.next().map(HKey::into_value),

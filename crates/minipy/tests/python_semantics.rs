@@ -146,6 +146,33 @@ for x in get():
 }
 
 #[test]
+fn for_over_a_str_steps_by_character() {
+    // A string is iterated in place, one character (of one to four UTF-8
+    // bytes) per step, in a VM frame and on the tree-walker alike; a
+    // `break` leaves the rest unread, and a new loop starts at the front.
+    let interp = run("
+def f(s):
+    out = []
+    for c in s:
+        if c == '|':
+            break
+        out.append(c)
+    for c in s:
+        out.append(c)
+    return out
+a = f('aé€😀|z')
+b = []
+for c in 'x€':
+    b.append(c)
+");
+    assert_eq!(
+        interp.get_global("a").unwrap().repr(),
+        "['a', 'é', '€', '😀', 'a', 'é', '€', '😀', '|', 'z']"
+    );
+    assert_eq!(interp.get_global("b").unwrap().repr(), "['x', '€']");
+}
+
+#[test]
 fn negative_range_iteration() {
     let interp = run("acc = []\nfor i in range(5, 0, -2):\n    acc.append(i)\n");
     assert_eq!(interp.get_global("acc").unwrap().repr(), "[5, 3, 1]");

@@ -213,6 +213,44 @@ const CORPUS: &[&str] = &[
     "def f(d, flag):\n    if flag:\n        v = 1\n    d[[0]] = v\nf({}, True)\n",
     // -- str indexing: ASCII by byte, other strings by char ------------------
     "def f(s, i):\n    return s[i]\nfor s in ['hello', 'héllo', 'ñ', '']:\n    for i in [0, 1, -1, -5, 4, 5, -6]:\n        try:\n            print(f(s, i))\n        except IndexError as e:\n            print('IndexError', e)\n",
+    // -- the inline object path: dict subscripts, iteration and built-in
+    //    method calls run in the quickened dispatcher, and each miss falls
+    //    through to the generic handler ------------------------------------
+    // one subscript site seeing a dict, then a list, a str and a tuple (and
+    // a list first, then a dict: a deopted `LIST_GET`); the TypeError of a
+    // non-subscriptable value and a KeyError
+    "def f(cs):\n    out = []\n    for c in cs:\n        out.append(c[1])\n    return out\nprint(f([{1: 'a'}, [0, 'b'], 'xc', (5, 'd'), {1.0: 'e'}]))\nprint(f([[0, 'l'], {1: 'd'}, 'ab']))\nf([{1: 'a'}, 3])\n",
+    "def f(cs):\n    out = []\n    for c in cs:\n        out.append(c[0])\n    return out\nprint(f([[7], {0: 'd'}, [8], {0.0: 'e'}, (9,)]))\n",
+    "def f(c, k):\n    return c[k]\nprint(f({'a': 1}, 'a'))\nprint(f([10, 20], 1))\nprint(f('xy', 0))\nprint(f({'a': 1}, 'a'))\nf({'a': 1}, 'b')\n",
+    "def f(cs):\n    for c in cs:\n        c[0] = len(cs)\n    return cs\nprint(f([{}, [5], {0.0: 'z'}]))\nf([{}, 'str'])\n",
+    // unboxed range-loop keys and values: an int key and value, a float
+    // key equal to an int (`1` and `1.0` are one key), `-0.0`, a float
+    // value, and a KeyError on an unboxed key of each kind
+    "def f(n):\n    d = {}\n    x = 0.5\n    for i in range(n):\n        d[i] = i * 2\n        k = i * 1.0\n        d[k + 0.5] = x + 1.5\n        x = d[i] + d[k + 0.5]\n        d[i + 10] = d.get(i, -1)\n    z = 0.0 * -1\n    d[z] = 'zero'\n    return sorted(d.items()), x, d[1], d[1.0], d[2.5], d[0]\nprint(f(4))\nprint(f(0))\n",
+    "def f(n):\n    d = {0: 'a'}\n    for i in range(n):\n        v = d[i]\n    return v\nprint(f(1))\nf(3)\n",
+    "def f(n):\n    d = {0.5: 'a'}\n    for i in range(n):\n        v = d[i + 0.5]\n    return v\nprint(f(1))\nf(2)\n",
+    // a dict register overwritten by an unboxed number: its stale boxed
+    // slot must not be subscripted or called
+    "def f(n):\n    d = {0: 'x'}\n    out = []\n    for i in range(n):\n        out.append(d[0])\n        d = i + 1\n    return out\nprint(f(1))\nf(2)\n",
+    "def f(n):\n    d = {0: 'x'}\n    for i in range(n):\n        d[0] = i\n        d = i + 1\n    return d\nprint(f(1))\nf(2)\n",
+    "def f(n):\n    d = {0: 'x'}\n    out = []\n    for i in range(n):\n        out.append(d.get(0))\n        d = i + 0.5\n    return out\nprint(f(1))\nf(2)\n",
+    // a method site whose receiver changes type mid-loop (str, list, tuple
+    // all have `count`; a dict does not), unboxed receivers and arguments
+    "def f(xs):\n    out = []\n    for x in xs:\n        out.append(x.count('a'))\n    return out\nprint(f(['aa', ['a', 'b', 'a'], ('a',), 'b', 'banana']))\nf(['a', {'a': 1}])\n",
+    "def f(n):\n    out = []\n    for i in range(n):\n        x = i * 0.5\n        out.append(x.is_integer())\n        out.insert(0, i + 1)\n        out.append(out.count(i + 1))\n    return out\nprint(f(5))\n",
+    // a method raising inside `try`/`finally`, with unboxed registers
+    // pending: the `finally` reads them boxed
+    "def f(d, keys):\n    t = 0\n    s = 0.5\n    out = []\n    try:\n        for k in keys:\n            t = t + 1\n            s = s * 2.0\n            out.append(t)\n            d.pop(k)\n    finally:\n        print(t, s, t + s, out)\n    return t\ntry:\n    f({'a': 1, 'b': 2}, ['a', 'b', 'c'])\nexcept KeyError as e:\n    print('KeyError', e)\nprint(f({}, []))\n",
+    // iteration over an owned list, a live list appended in the body, a
+    // tuple, dict keys and a non-ASCII str, with `break` and re-entry
+    "def f(s, xs, d):\n    out = []\n    for rnd in range(3):\n        for c in s:\n            if c == 'é' and rnd == 1:\n                break\n            out.append(c)\n        for x in xs:\n            out.append(x)\n            if len(xs) < 6:\n                xs.append(x * 10)\n        for k in d:\n            out.append(k)\n        for t in (rnd, 'ü'):\n            out.append(t)\n        for w in (s + ' z').split():\n            if w == 'z' and rnd == 2:\n                break\n            out.append(w)\n    return out\nprint(f('aé€b😀', [1, 2], {'k': 1}))\nprint(f('', [], {}))\n",
+    // a free-receiver method call (`d.get` on an enclosing function's
+    // variable): the cell is cached per call, so a rebinding through it is
+    // seen at once, and a new call sees the enclosing function's new value
+    "def outer(keys):\n    d = {'a': 1}\n    def rebind(v):\n        nonlocal d\n        d = v\n    def inner(ks):\n        out = []\n        for k in ks:\n            out.append(d.get(k, 0))\n            rebind({'a': len(out) * 10, 'b': 'x'})\n        out.append(d.get('b', 'none'))\n        return out\n    first = inner(keys)\n    d = {'a': -1}\n    return first, inner(['a']), sorted(d.items())\nprint(outer(['a', 'b', 'a']))\n",
+    "tally = {}\ndef reset(v):\n    global tally\n    tally = v\ndef f(ks):\n    out = []\n    for k in ks:\n        out.append(tally.count(k) if k == 'l' else tally.get(k, 0))\n        reset({'z': len(out)})\n    return out\nprint(f(['z', 'z', 'q']))\nreset(['l', 'l'])\nprint(f(['l']))\nreset('str')\nf(['z'])\n",
+    "def f(k):\n    return nowhere.get(k)\nf(1)\n",
+    "n = 5\ndef f(k):\n    return n.get(k)\nf(1)\n",
 ];
 
 #[test]

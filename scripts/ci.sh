@@ -61,7 +61,8 @@ run cargo test -q -p omp4rs --test task_alloc
 run cargo test -q -p minipy --test object_alloc
 # Interpreted-object lock budget: with stats armed, the same loop takes
 # exactly two object locks per word (the dict's read and write; a list only
-# the loop holds is iterated owned, with no lock per step), in both tiers —
+# the loop holds is iterated owned, with no lock per step), in both tiers,
+# and its warm VM loop runs seven ops with one inline-cache hit per word —
 # its own test binary because stats are process-global.
 run cargo test -q -p minipy --test object_locks
 # Worker-pool lifecycle: a panic poisons the region not the pool,
@@ -121,6 +122,10 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # and a release build would wrap.
     run cargo test -q --release -p minipy --test vm_differential
     run cargo test -q --release -p omp4rs-apps --test vm_differential
+    # The inline object-path handlers are `inline(always)` only in release
+    # builds: hold their semantics and their counts there too.
+    run cargo test -q --release -p minipy --test python_semantics
+    run cargo test -q --release -p minipy --test object_locks
 fi
 
 echo
