@@ -373,11 +373,13 @@ pub fn install(env: &Env) {
         Ok(Value::str(args.req(0)?.type_name()))
     });
 
+    // A shared object's id is its address; an inline string's depends on
+    // its content alone (`Str::id`).
     native(env, "id", |_, args| {
         args.expect_len(1, "id")?;
         let v = args.req(0)?;
         let addr = match v {
-            Value::Str(s) => Arc::as_ptr(s) as *const u8 as usize,
+            Value::Str(s) => s.id() as usize,
             Value::List(l) => Arc::as_ptr(l) as usize,
             Value::Dict(d) => Arc::as_ptr(d) as usize,
             Value::Tuple(t) => Arc::as_ptr(t) as usize,

@@ -14,7 +14,7 @@ use crate::ast::*;
 use crate::env::Env;
 use crate::error::{name_err, type_err, value_err, ErrKind, PyErr};
 use crate::gil::{Gil, GilMode};
-use crate::value::{range_len, Args, FuncValue, HKey, Lookup, Opaque, Value};
+use crate::value::{range_len, Args, FuncValue, HKey, Lookup, Opaque, Str, Value};
 use crate::{builtins, methods, parser};
 
 /// Result of executing a statement.
@@ -1191,12 +1191,7 @@ pub fn binary_op(op: BinOp, l: &Value, r: &Value) -> Result<Value, PyErr> {
     }
     // Sequence/str operations.
     match (op, l, r) {
-        (Add, Value::Str(a), Value::Str(b)) => {
-            let mut s = String::with_capacity(a.len() + b.len());
-            s.push_str(a);
-            s.push_str(b);
-            Ok(Value::str(s))
-        }
+        (Add, Value::Str(a), Value::Str(b)) => Ok(Value::str(Str::concat(a, b))),
         (Add, Value::List(a), Value::List(b)) => {
             let mut out = a.read().clone();
             out.extend(b.read().iter().cloned());
@@ -1567,10 +1562,11 @@ pub enum ValueIter {
         /// Next index.
         idx: usize,
     },
-    /// String iteration (per character, stepped lazily).
+    /// String iteration (per character, stepped lazily; each character is
+    /// an inline string).
     Chars {
-        /// The string (immutable, so sharing it is a snapshot).
-        s: Arc<str>,
+        /// The string (immutable, so a copy is a snapshot).
+        s: Str,
         /// Byte offset of the next character.
         pos: usize,
     },
@@ -1600,7 +1596,7 @@ impl ValueIter {
                 idx: 0,
             },
             Value::Str(s) => ValueIter::Chars {
-                s: Arc::clone(s),
+                s: s.clone(),
                 pos: 0,
             },
             Value::Dict(d) => {

@@ -256,15 +256,29 @@ impl<'a> Lexer<'a> {
                     'n' => out.push('\n'),
                     't' => out.push('\t'),
                     'r' => out.push('\r'),
-                    '0' => out.push('\0'),
+                    'a' => out.push('\u{07}'),
+                    'b' => out.push('\u{08}'),
+                    'f' => out.push('\u{0c}'),
+                    'v' => out.push('\u{0b}'),
                     '\\' => out.push('\\'),
                     '\'' => out.push('\''),
                     '"' => out.push('"'),
+                    '0'..='7' => {
+                        // One to three octal digits, this one included.
+                        self.pos -= 1;
+                        let (code, _) = self.escape_digits(8, 3);
+                        out.push(char::from_u32(code).expect("`\\777` is U+01FF at most"));
+                    }
+                    'x' => out.push(self.hex_escape(2, "\\xXX")?),
+                    'u' => out.push(self.hex_escape(4, "\\uXXXX")?),
+                    'U' => out.push(self.hex_escape(8, "\\UXXXXXXXX")?),
                     '\n' => {
                         self.line += 1;
                     }
                     other => {
-                        // Unknown escapes are kept verbatim, like Python (with a warning).
+                        // Unknown escapes (and `\N{...}`, which needs the
+                        // Unicode name table) are kept verbatim, like Python
+                        // keeps unknown ones (with a warning).
                         out.push('\\');
                         out.push(other);
                     }
@@ -275,6 +289,32 @@ impl<'a> Lexer<'a> {
         }
         self.push(Tok::Str(out));
         Ok(())
+    }
+
+    /// Up to `max` digits in `radix`: their value and how many there were.
+    fn escape_digits(&mut self, radix: u32, max: usize) -> (u32, usize) {
+        let mut code = 0;
+        let mut n = 0;
+        while n < max {
+            match self.peek().and_then(|c| c.to_digit(radix)) {
+                Some(d) => code = code * radix + d,
+                None => break,
+            }
+            self.pos += 1;
+            n += 1;
+        }
+        (code, n)
+    }
+
+    /// The character of a `\x`, `\u` or `\U` escape: exactly `digits` hex
+    /// digits naming a Unicode scalar value.
+    fn hex_escape(&mut self, digits: usize, form: &str) -> Result<char, PyErr> {
+        let (code, n) = self.escape_digits(16, digits);
+        if n < digits {
+            return Err(self.err(format!("truncated {form} escape")));
+        }
+        // Surrogates are valid in a Python `str` but not in a Rust one.
+        char::from_u32(code).ok_or_else(|| self.err(format!("illegal Unicode character {code:#x}")))
     }
 
     fn lex_number(&mut self) -> Result<(), PyErr> {
@@ -538,6 +578,44 @@ mod tests {
     fn string_escapes() {
         assert_eq!(kinds("'a\\nb'\n")[0], Tok::Str("a\nb".into()));
         assert_eq!(kinds("\"q\\\"q\"\n")[0], Tok::Str("q\"q".into()));
+    }
+
+    #[test]
+    fn python_escapes_decode() {
+        let lit = |src: &str| match &kinds(&format!("'{src}'\n"))[0] {
+            Tok::Str(s) => s.clone(),
+            other => panic!("{src}: {other:?}"),
+        };
+        assert_eq!(lit("\\x41"), "A");
+        assert_eq!(lit("x\\xe9y"), "xéy");
+        assert_eq!(lit("\\u20ac\\U0001F600"), "€😀");
+        assert_eq!(lit("\\a\\b\\f\\v"), "\u{07}\u{08}\u{0c}\u{0b}");
+        assert_eq!(lit("a\\vb").chars().count(), 3);
+        // Octal: up to three digits, and `\0` is octal too.
+        assert_eq!(lit("\\012"), "\n");
+        assert_eq!(lit("\\0"), "\0");
+        assert_eq!(lit("\\08"), "\08");
+        assert_eq!(lit("\\1234"), "S4");
+        assert_eq!(lit("\\777"), "\u{1ff}");
+        // Unknown escapes stay verbatim.
+        assert_eq!(lit("\\q\\N{DASH}"), "\\q\\N{DASH}");
+    }
+
+    #[test]
+    fn malformed_escapes_are_syntax_errors() {
+        for src in ["'\\x4'\n", "'\\xg0'\n", "'\\u12'\n", "'\\U0011000'\n"] {
+            let err = tokenize(src).unwrap_err();
+            assert_eq!(err.kind, ErrKind::Syntax, "{src}");
+            assert!(err.msg.contains("truncated"), "{src}: {err}");
+        }
+        // Beyond U+10FFFF, and a surrogate Rust strings cannot hold.
+        for src in ["'\\U00110000'\n", "'\\ud800'\n"] {
+            let err = tokenize(src).unwrap_err();
+            assert!(
+                err.msg.contains("illegal Unicode character"),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

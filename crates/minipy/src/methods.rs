@@ -342,9 +342,12 @@ fn str_method(name: &str) -> Option<BuiltinMethod> {
         "split" => |_, obj, args| {
             let s = string(obj);
             match args.opt(0) {
-                None | Some(Value::None) => {
-                    Ok(Value::list(s.split_whitespace().map(Value::str).collect()))
-                }
+                None | Some(Value::None) => Ok(Value::list(
+                    s.split(py_isspace)
+                        .filter(|w| !w.is_empty())
+                        .map(Value::str)
+                        .collect(),
+                )),
                 Some(sep) => {
                     let sep = sep.as_str()?;
                     if sep.is_empty() {
@@ -404,7 +407,7 @@ fn str_method(name: &str) -> Option<BuiltinMethod> {
         "isdigit" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), |c| c.is_ascii_digit()))),
         "isalpha" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_alphabetic))),
         "isalnum" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_alphanumeric))),
-        "isspace" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), char::is_whitespace))),
+        "isspace" => |_, obj, _| Ok(Value::Bool(all_chars(string(obj), py_isspace))),
         "title" => |_, obj, _| {
             let s = string(obj);
             let mut out = String::with_capacity(s.len());
@@ -434,6 +437,13 @@ fn all_chars(s: &str, pred: impl Fn(char) -> bool) -> bool {
     !s.is_empty() && s.chars().all(pred)
 }
 
+/// Python's whitespace (`str.isspace()`, and what `split()` and `strip()`
+/// with no argument remove): Unicode's `White_Space`, which is Rust's
+/// [`char::is_whitespace`], plus the separators U+001C–U+001F.
+pub(crate) fn py_isspace(c: char) -> bool {
+    c.is_whitespace() || ('\u{1c}'..='\u{1f}').contains(&c)
+}
+
 fn strip(s: &str, args: ArgsRef<'_>, left: bool, right: bool) -> Result<Value, PyErr> {
     let custom: Option<Vec<char>> = match args.opt(0) {
         None | Some(Value::None) => None,
@@ -441,7 +451,7 @@ fn strip(s: &str, args: ArgsRef<'_>, left: bool, right: bool) -> Result<Value, P
     };
     let pred = |c: char| match &custom {
         Some(set) => set.contains(&c),
-        None => c.is_whitespace(),
+        None => py_isspace(c),
     };
     let mut out = s;
     if left {

@@ -228,7 +228,7 @@ pub fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
         Expr::Float(v) => crate::value::format_float(*v),
-        Expr::Str(s) => format!("{:?}", s).replace("\\u{", "\\x{"),
+        Expr::Str(s) => str_literal(s),
         Expr::Bool(true) => "True".into(),
         Expr::Bool(false) => "False".into(),
         Expr::None => "None".into(),
@@ -325,6 +325,26 @@ pub fn print_expr(e: &Expr) -> String {
     }
 }
 
+/// A double-quoted Python literal for `s`: quotes, backslashes and control
+/// characters escaped, everything else as is.
+fn str_literal(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => out.push_str(&format!("\\x{:02x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,6 +376,17 @@ mod tests {
         round_trip("del d[1]\nassert x > 0, 'must be positive'\n");
         round_trip("raise ValueError('bad')\n");
         round_trip("global g\nnonlocal_free = 1\n");
+    }
+
+    #[test]
+    fn string_literals_round_trip() {
+        let text = "q\"'\\ \n\r\t\0\x01\x1f\x7f\u{85}é€😀";
+        let printed = print_expr(&Expr::Str(text.into()));
+        assert_eq!(
+            crate::parser::parse_expr(&printed).unwrap(),
+            Expr::Str(text.into())
+        );
+        round_trip("s = '\\x00' + '1' + '\\a\\b' + \"\\u00e9\"\n");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -101,8 +102,8 @@ pub enum Value {
     Int(i64),
     /// `float`
     Float(f64),
-    /// `str` (immutable, shared; header and bytes in one allocation)
-    Str(Arc<str>),
+    /// `str` (immutable; short strings inline, longer ones shared)
+    Str(Str),
     /// `list` (mutable, shared, per-object lock)
     List(Arc<ObjLock<Vec<Value>>>),
     /// `dict` (mutable, shared, per-object lock)
@@ -117,6 +118,194 @@ pub enum Value {
     Native(Arc<NativeFunc>),
     /// A host-provided opaque object (e.g. a graph handle or lock)
     Opaque(Arc<dyn Opaque>),
+}
+
+// A value is four words: a tag and the largest payload (a `range`'s three
+// `i64`s, or an inline string's length and bytes).
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
+/// The most bytes a `str` holds inline, in its [`Value`]: its tag, length
+/// and bytes fill the 24 bytes a `range` takes.
+pub const INLINE_STR_MAX: usize = 22;
+
+/// The payload of a `str` value.
+///
+/// A string of at most [`INLINE_STR_MAX`] bytes keeps its bytes and length
+/// in the value itself, so making, copying, dropping or splitting one out
+/// allocates nothing and touches no reference count. A longer string is an
+/// `Arc<str>`: its reference counts and bytes in one heap block, shared by
+/// every copy. Every constructor picks the form by length alone, so two
+/// equal strings always have the same form.
+///
+/// It derefs to `&str`. Equality and ordering are by content.
+///
+/// Identity (`is`, `id()`): a heap string is identified by its block, as
+/// any shared object. An inline string has no block, so it is identified
+/// by content, as if every short string were interned: two inline strings
+/// are `is`-identical exactly when they are equal, and `id()` of one is
+/// [`Str::id`], a function of its bytes alone.
+#[derive(Clone)]
+pub struct Str(StrRepr);
+
+#[derive(Clone)]
+enum StrRepr {
+    /// `len` bytes of `buf`, valid UTF-8.
+    Inline {
+        len: u8,
+        buf: [u8; INLINE_STR_MAX],
+    },
+    Heap(Arc<str>),
+}
+
+impl Str {
+    /// The string `s`: inline if it fits, else copied into a new heap block.
+    pub fn new(s: &str) -> Str {
+        Str::inline(s).unwrap_or_else(|| Str(StrRepr::Heap(s.into())))
+    }
+
+    /// `s` in the inline form, if it fits.
+    #[inline]
+    fn inline(s: &str) -> Option<Str> {
+        if s.len() > INLINE_STR_MAX {
+            return None;
+        }
+        let mut buf = [0; INLINE_STR_MAX];
+        buf[..s.len()].copy_from_slice(s.as_bytes());
+        Some(Str(StrRepr::Inline {
+            len: s.len() as u8,
+            buf,
+        }))
+    }
+
+    /// `a` followed by `b` (`+`), built in place when it fits inline.
+    pub fn concat(a: &str, b: &str) -> Str {
+        let len = a.len() + b.len();
+        if len > INLINE_STR_MAX {
+            return Str::new(&[a, b].concat());
+        }
+        let mut buf = [0; INLINE_STR_MAX];
+        buf[..a.len()].copy_from_slice(a.as_bytes());
+        buf[a.len()..len].copy_from_slice(b.as_bytes());
+        Str(StrRepr::Inline {
+            len: len as u8,
+            buf,
+        })
+    }
+
+    /// The string slice.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            StrRepr::Inline { len, buf } => {
+                let bytes = &buf[..*len as usize];
+                // SAFETY: an inline string's first `len` bytes are always
+                // copied whole from one `&str` or two end to end, so they
+                // are valid UTF-8.
+                unsafe { std::str::from_utf8_unchecked(bytes) }
+            }
+            StrRepr::Heap(s) => s,
+        }
+    }
+
+    /// Whether the bytes sit inline (the string is at most
+    /// [`INLINE_STR_MAX`] bytes long).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, StrRepr::Inline { .. })
+    }
+
+    /// The string as an `Arc<str>`: the heap block itself, shared, or a new
+    /// block holding an inline string's bytes.
+    pub fn to_arc(&self) -> Arc<str> {
+        match &self.0 {
+            StrRepr::Inline { .. } => self.as_str().into(),
+            StrRepr::Heap(s) => Arc::clone(s),
+        }
+    }
+
+    /// Identity (`is`): the same heap block, or equal inline strings.
+    pub fn is_identical(&self, other: &Str) -> bool {
+        match (&self.0, &other.0) {
+            (StrRepr::Heap(a), StrRepr::Heap(b)) => Arc::ptr_eq(a, b),
+            (StrRepr::Inline { .. }, StrRepr::Inline { .. }) => self == other,
+            _ => false,
+        }
+    }
+
+    /// `id()`: a heap string's block address, or, for an inline string,
+    /// a 64-bit FNV-1a hash of its bytes folded into `[2^62, 2^63)`, a
+    /// range no heap address reaches. Equal inline strings share it; two
+    /// different ones collide only as their hashes do.
+    pub fn id(&self) -> u64 {
+        match &self.0 {
+            StrRepr::Inline { .. } => {
+                let hash = self.as_str().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                (hash >> 2) | 1 << 62
+            }
+            StrRepr::Heap(s) => Arc::as_ptr(s) as *const u8 as u64,
+        }
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Str {
+    fn from(s: &str) -> Str {
+        Str::new(s)
+    }
+}
+
+impl From<String> for Str {
+    fn from(s: String) -> Str {
+        Str::new(&s)
+    }
+}
+
+impl From<Arc<str>> for Str {
+    /// Keeps a long string's block; a short one moves inline.
+    fn from(s: Arc<str>) -> Str {
+        Str::inline(&s).unwrap_or(Str(StrRepr::Heap(s)))
+    }
+}
+
+impl PartialEq for Str {
+    fn eq(&self, other: &Str) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Str {}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Str) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    fn cmp(&self, other: &Str) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 /// An interpreted function value: AST plus captured environment.
@@ -346,7 +535,8 @@ pub enum HKey {
     Int(i64),
     /// `float` key (bit pattern; `-0.0` normalized to `0.0`).
     FloatBits(u64),
-    /// `str` key.
+    /// `str` key (an inline string's bytes are copied to the heap when it
+    /// becomes a key).
     Str(Arc<str>),
     /// `tuple` key.
     Tuple(Vec<HKey>),
@@ -360,8 +550,8 @@ impl HKey {
     /// Returns a `TypeError` for unhashable values (lists, dicts, functions).
     pub fn from_value(v: &Value) -> Result<HKey, PyErr> {
         Ok(match v {
-            // Share the string's block rather than copy its bytes.
-            Value::Str(s) => HKey::Str(Arc::clone(s)),
+            // Share a heap string's block rather than copy its bytes.
+            Value::Str(s) => HKey::Str(s.to_arc()),
             other => match Lookup::of(other)? {
                 Lookup::Ref(k) => k.to_hkey(),
                 Lookup::Owned(k) => k,
@@ -381,7 +571,7 @@ impl HKey {
             HKey::Bool(b) => Value::Bool(b),
             HKey::Int(i) => Value::Int(i),
             HKey::FloatBits(bits) => Value::Float(f64::from_bits(bits)),
-            HKey::Str(s) => Value::Str(s),
+            HKey::Str(s) => Value::str(s),
             HKey::Tuple(items) => {
                 Value::Tuple(Arc::new(items.into_iter().map(HKey::into_value).collect()))
             }
@@ -537,9 +727,12 @@ impl<'a> Lookup<'a> {
 }
 
 impl Value {
-    /// Build a string value: one allocation holding the reference counts
-    /// and the bytes (a `String` argument is copied into it).
-    pub fn str(s: impl Into<Arc<str>>) -> Value {
+    /// Build a string value from a `&str`, `String`, `Arc<str>` or [`Str`].
+    /// A string of at most [`INLINE_STR_MAX`] bytes is stored inline, with
+    /// no allocation; a longer one is one heap block holding the reference
+    /// counts and the bytes (a `String`'s bytes are copied into it, an
+    /// `Arc<str>` is kept).
+    pub fn str(s: impl Into<Str>) -> Value {
         Value::Str(s.into())
     }
 
@@ -629,18 +822,18 @@ impl Value {
     /// `TypeError` if the value is not a `str`.
     pub fn as_str(&self) -> Result<&str, PyErr> {
         match self {
-            Value::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s.as_str()),
             other => Err(type_err(format!("expected str, got {}", other.type_name()))),
         }
     }
 
-    /// Identity comparison (`is`).
+    /// Identity comparison (`is`); see [`Str`] for strings.
     pub fn is_identical(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::None, Value::None) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b),
+            (Value::Str(a), Value::Str(b)) => a.is_identical(b),
             (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
             (Value::Dict(a), Value::Dict(b)) => Arc::ptr_eq(a, b),
             (Value::Tuple(a), Value::Tuple(b)) => Arc::ptr_eq(a, b),
@@ -737,7 +930,7 @@ impl Value {
     /// Python `str()`.
     pub fn py_str(&self) -> String {
         match self {
-            Value::Str(s) => s.to_string(),
+            Value::Str(s) => s.as_str().to_owned(),
             other => other.repr(),
         }
     }
@@ -938,6 +1131,38 @@ mod tests {
         assert_eq!(range_len(5, 0, 1), 0);
         assert_eq!(range_len(0, 5, -1), 0);
         assert_eq!(range_len(0, 5, 0), 0);
+    }
+
+    #[test]
+    fn str_form_follows_length() {
+        let short = "x".repeat(INLINE_STR_MAX);
+        let long = "x".repeat(INLINE_STR_MAX + 1);
+        assert!(Str::new(&short).is_inline());
+        assert!(!Str::new(&long).is_inline());
+        assert!(Str::from(Arc::<str>::from(short.as_str())).is_inline());
+        assert!(!Str::from(long.clone()).is_inline());
+        assert!(Str::concat(&short, "").is_inline());
+        assert!(!Str::concat(&short, "x").is_inline());
+        assert_eq!(&*Str::concat("ab", "é"), "abé");
+        assert_eq!(&*Str::concat("", ""), "");
+    }
+
+    #[test]
+    fn str_identity_rule() {
+        // Inline: by content, with ids that no heap address reaches.
+        let (a, b) = (Str::new("abc"), Str::concat("a", "bc"));
+        assert!(a.is_identical(&b));
+        assert_eq!(a.id(), b.id());
+        assert_ne!(a.id(), Str::new("abd").id());
+        assert!(a.id() >= 1 << 62 && a.id() < 1 << 63);
+        // Heap: by block.
+        let long = "y".repeat(INLINE_STR_MAX + 1);
+        let (l1, l2) = (Str::new(&long), Str::new(&long));
+        assert!(!l1.is_identical(&l2));
+        assert!(l1.is_identical(&l1.clone()));
+        assert_ne!(l1.id(), l2.id());
+        assert_eq!(l1.id(), l1.clone().id());
+        assert!(l1.id() < 1 << 62);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Heap allocations per word of the wordcount loop, counted by a counting
 //! global allocator.
 //!
-//! A `str` is one heap block (its reference counts and bytes together), a
-//! built-in method call borrows its receiver and arguments from the VM's
-//! registers, and a dict update through an existing key allocates nothing.
-//! So with every key already present, `line.split()` makes one block per
-//! word plus its list's growth, and a loop over words already split makes
-//! none.
+//! A `str` of at most 22 bytes lives inline in its value, a longer one is
+//! one heap block (its reference counts and bytes together); a built-in
+//! method call borrows its receiver and arguments from the VM's registers,
+//! and a dict update through an existing key allocates nothing. So with
+//! every key already present, `line.split()` makes only its list (its block
+//! and its growth) for short words, and one more block per word for words
+//! longer than 22 bytes; a loop over words already split makes nothing.
 //! This binary has its own global allocator, so it is its own test target
 //! with one test: no sibling test can allocate while a call is counted.
 //!
@@ -103,14 +104,22 @@ fn wordcount_loop_allocations_per_word() {
     interp.run(SOURCE).expect("source runs");
 
     let vocab: Vec<String> = (0..64).map(|i| format!("w{i}")).collect();
-    let lines: Vec<Value> = (0..LINES)
-        .map(|l| {
-            let words: Vec<&str> = (0..WORDS_PER_LINE)
-                .map(|k| vocab[(l * 7 + k * 13) % vocab.len()].as_str())
-                .collect();
-            Value::str(words.join(" "))
-        })
+    // 27 bytes each: too long to sit inline.
+    let long_vocab: Vec<String> = (0..64)
+        .map(|i| format!("a_word_longer_than_22_b{i:04}"))
         .collect();
+    let lines_of = |vocab: &[String]| -> Vec<Value> {
+        (0..LINES)
+            .map(|l| {
+                let words: Vec<&str> = (0..WORDS_PER_LINE)
+                    .map(|k| vocab[(l * 7 + k * 13) % vocab.len()].as_str())
+                    .collect();
+                Value::str(words.join(" "))
+            })
+            .collect()
+    };
+    let lines = lines_of(&vocab);
+    let long_lines = lines_of(&long_vocab);
     let words: Vec<Value> = (0..WORDS)
         .map(|i| Value::str(vocab[(i * 13) % vocab.len()].as_str()))
         .collect();
@@ -129,11 +138,18 @@ fn wordcount_loop_allocations_per_word() {
     minipy::stats::set_enabled(false);
     assert_eq!(frames, 2, "both loops run as VM frames");
 
-    // One block per word (its string), plus the split list: its `Arc`
-    // block, and its buffer allocated at 4 items and grown to 8 and 16,
-    // 0.25 per word.
+    // Short words are inline: only the split list allocates, its `Arc`
+    // block and its buffer allocated at 4 items and grown to 8 and 16, 0.25
+    // per word.
     let split = allocs_per_word(&interp, "count_lines", &lines);
-    assert!(split <= 1.3, "split loop: {split:.3} allocations per word");
+    assert!(split <= 0.3, "split loop: {split:.3} allocations per word");
+
+    // Words longer than 22 bytes take one heap block each on top.
+    let split_long = allocs_per_word(&interp, "count_lines", &long_lines);
+    assert!(
+        split_long <= 1.3,
+        "split loop, long words: {split_long:.3} allocations per word"
+    );
 
     // Words already split: the method call, the lookup and the update
     // through an existing key allocate nothing.

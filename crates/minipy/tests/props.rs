@@ -1,7 +1,14 @@
 //! Property-based tests: minipy arithmetic and data structures agree with
 //! reference semantics, and the printer round-trips arbitrary-ish programs.
 
-use minipy::{Interp, Value};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::Arc;
+
+use minipy::interp::py_ordering;
+use minipy::value::{Lookup, INLINE_STR_MAX};
+use minipy::{HKey, Interp, Value};
 use proptest::prelude::*;
 
 fn eval_int(src: &str) -> i64 {
@@ -10,6 +17,16 @@ fn eval_int(src: &str) -> i64 {
         .unwrap_or_else(|e| panic!("{src}: {e}"))
         .as_int()
         .unwrap()
+}
+
+/// The longest prefix of `s` of at most `max` bytes that ends on a
+/// character boundary.
+fn clip(s: &str, max: usize) -> &str {
+    let mut end = max.min(s.len());
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 fn python_floordiv(a: i64, b: i64) -> i64 {
@@ -178,5 +195,46 @@ proptest! {
         prop_assert_eq!(back.as_str().unwrap(), joined.as_str());
         let n = interp.eval_str("len(parts)").unwrap().as_int().unwrap();
         prop_assert_eq!(n as usize, words.len());
+    }
+
+    /// Strings of 0-64 bytes, multi-byte characters included, read back
+    /// as built, and compare, order and key the same whether each sits
+    /// inline (up to 22 bytes) or on the heap. `t` shares a prefix of `s`
+    /// of any length, so pairs straddle the limit both ways.
+    #[test]
+    fn inline_and_heap_strings_agree(a in "[ab é€😀]{0,40}", b in "[ab é€😀]{0,20}", cut in 0usize..65) {
+        let s = clip(&a, 64).to_owned();
+        let t = clip(&format!("{}{b}", clip(&s, cut)), 64).to_owned();
+        let (vs, vt) = (Value::str(s.as_str()), Value::str(t.as_str()));
+        prop_assert_eq!(vs.as_str().unwrap(), s.as_str());
+        prop_assert_eq!(vt.as_str().unwrap(), t.as_str());
+        for (v, text) in [(&vs, &s), (&vt, &t)] {
+            let Value::Str(payload) = v else { panic!("not a str") };
+            prop_assert_eq!(payload.is_inline(), text.len() <= INLINE_STR_MAX);
+            // Every constructor picks the same form.
+            let from_arc = Value::str(Arc::<str>::from(text.as_str()));
+            let from_string = Value::str(text.clone());
+            for other in [&from_arc, &from_string] {
+                let Value::Str(o) = other else { panic!("not a str") };
+                prop_assert_eq!(o.is_inline(), payload.is_inline());
+                prop_assert!(other.py_eq(v));
+            }
+        }
+        prop_assert_eq!(vs.py_eq(&vt), s == t);
+        prop_assert_eq!(vs.is_identical(&vt), s == t && s.len() <= INLINE_STR_MAX);
+        prop_assert_eq!(py_ordering(&vs, &vt).unwrap(), s.cmp(&t));
+
+        // Dict keys: always a heap block, equal to the host's key of the
+        // same text, hashed as the borrowed lookup view.
+        let (ks, kt) = (HKey::from_value(&vs).unwrap(), HKey::from_value(&vt).unwrap());
+        prop_assert_eq!(&ks, &HKey::Str(Arc::from(s.as_str())));
+        prop_assert_eq!(ks == kt, s == t);
+        let state = RandomState::new();
+        let lookup = Lookup::of(&vs).unwrap();
+        prop_assert_eq!(state.hash_one(&ks), state.hash_one(lookup.key()));
+        let mut map = HashMap::new();
+        map.insert(kt.clone(), 1);
+        prop_assert_eq!(map.contains_key(lookup.key()), s == t);
+        prop_assert!(kt.into_value().py_eq(&vt));
     }
 }

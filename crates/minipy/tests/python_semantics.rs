@@ -559,3 +559,156 @@ fn string_methods_detail() {
     assert_eq!(eval("'a b\\nc'.split()").repr(), "['a', 'b', 'c']");
     assert_eq!(eval("'x\\ny'.splitlines()").repr(), "['x', 'y']");
 }
+
+/// What `src` prints.
+fn printed(src: &str) -> String {
+    run(src).output().expect("output captured")
+}
+
+// Strings of up to 22 bytes live inline in their value and longer ones on
+// the heap; these programs cross that limit every way a string is made.
+// The expected output is CPython's.
+
+#[test]
+fn string_ops_across_the_inline_limit() {
+    let src = "def f(parts):\n    out = []\n    for s in parts:\n        t = s + s\n        u = s * 2\n        cs = []\n        for c in s:\n            cs.append(c)\n        out.append((len(s), len(t), t == u, s < t, s in t, t[len(s):] == s, t[1:-1], t[::-1] == u[::-1], ''.join(cs) == s, len(cs)))\n    return out\nprint(f(['', 'a' * 11, 'a' * 12, 'é' * 5 + 'a', 'é' * 6, '€' * 7 + 'é', 'x' * 22, 'x' * 23]))\n";
+    assert_eq!(
+        printed(src),
+        "[(0, 0, True, False, True, True, '', True, True, 0), \
+         (11, 22, True, True, True, True, 'aaaaaaaaaaaaaaaaaaaa', True, True, 11), \
+         (12, 24, True, True, True, True, 'aaaaaaaaaaaaaaaaaaaaaa', True, True, 12), \
+         (6, 12, True, True, True, True, 'ééééaééééé', True, True, 6), \
+         (6, 12, True, True, True, True, 'éééééééééé', True, True, 6), \
+         (8, 16, True, True, True, True, '€€€€€€é€€€€€€€', True, True, 8), \
+         (22, 44, True, True, True, True, 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx', True, True, 22), \
+         (23, 46, True, True, True, True, 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx', True, True, 23)]\n"
+    );
+    // 22 and 23 bytes, and a 2-byte character straddling the limit.
+    assert_eq!(eval("len('x' * 21 + 'é')").as_int().unwrap(), 22);
+    assert_eq!(eval("('x' * 21 + 'é')[-1]").as_str().unwrap(), "é");
+    assert_eq!(eval("('x' * 21 + 'é')[20:]").as_str().unwrap(), "xé");
+    assert!(eval("'x' * 21 + 'é' > 'x' * 22").truthy());
+    assert!(eval("'x' * 23 > 'x' * 22").truthy());
+    assert!(eval("'x' * 22 != 'x' * 23").truthy());
+}
+
+#[test]
+fn split_strip_join_across_the_inline_limit() {
+    let src = "def f(line):\n    words = line.split()\n    out = [len(words)]\n    for w in words:\n        out.append(len(w))\n        out.append(w.strip('xé'))\n    joined = '-'.join(words)\n    out.append(joined)\n    out.append(len(joined))\n    out.append(('  ' + joined + '  ').strip() == joined)\n    out.append(joined.split('-') == words)\n    out.append(' '.join(['ab', 'cd']) + '|' + ''.join([]) + '|' + ','.join(['q' * 11, 'r' * 10]))\n    return out\nprint(f('abc ' + 'x' * 22 + ' ' + 'y' * 23 + ' ' + 'é' * 11 + ' ' + 'ü' * 12 + '  \\t'))\n";
+    assert_eq!(
+        printed(src),
+        "[5, 3, 'abc', 22, '', 23, 'yyyyyyyyyyyyyyyyyyyyyyy', 11, '', 12, 'üüüüüüüüüüüü', \
+         'abc-xxxxxxxxxxxxxxxxxxxxxx-yyyyyyyyyyyyyyyyyyyyyyy-ééééééééééé-üüüüüüüüüüüü', 75, \
+         True, True, 'ab cd||qqqqqqqqqqq,rrrrrrrrrr']\n"
+    );
+}
+
+#[test]
+fn dict_keys_across_the_inline_limit() {
+    // A short key made by slicing a heap string, found through a
+    // concatenation; a long key found through another long string.
+    let src = "def f(d, unit):\n    big = unit * 30\n    d[big] = 1\n    d[big[:5]] = 2\n    d[unit * 2 + unit * 3] = d.get(unit * 5, 0) + 10\n    d[unit * 15 + unit * 15] = d[big] + 100\n    out = []\n    for k in d:\n        out.append((len(k), d[k], k in d))\n    return sorted(out), len(d)\nprint(f({}, 'k'))\nprint(f({}, 'é'))\n";
+    assert_eq!(
+        printed(src),
+        "([(5, 12, True), (30, 101, True)], 2)\n([(5, 12, True), (30, 101, True)], 2)\n"
+    );
+
+    // A key the host inserted as a heap block (`HKey::Str` always is one),
+    // found through inline strings, and handed back inline.
+    let interp = run("def get(d):\n    return d['wo' + 'rd'], d.get('word'), 'word' in d, list(d)[0] == 'word'\n");
+    let d = Value::dict();
+    if let Value::Dict(map) = &d {
+        map.write().insert(
+            minipy::HKey::Str(std::sync::Arc::from("word")),
+            Value::Int(7),
+        );
+    }
+    let get = interp.get_global("get").unwrap();
+    assert_eq!(
+        interp.call(&get, vec![d]).unwrap().repr(),
+        "(7, 7, True, True)"
+    );
+}
+
+#[test]
+fn identity_of_strings() {
+    // An inline string is identified by its content, as if interned: equal
+    // short strings are `is`-identical and share an `id()`, however made.
+    let interp = run(
+        "def f(unit):\n    a = unit * 2 + 'c'\n    b = unit + unit + 'c'\n    x = unit * 30\n    y = unit * 30\n    z = x\n    return a is b, a is not b, id(a) == id(b), id(a) == id(a + ''), a is 'abc', x is y, x is z, id(x) == id(y), id(x) == id(z), x == y, id(a) == id(x[:3])\nr = f('ab')\n",
+    );
+    assert_eq!(
+        interp.get_global("r").unwrap().repr(),
+        "(True, False, True, True, False, False, True, False, True, True, False)"
+    );
+    // Short ids come from their bytes and never equal a heap string's
+    // address.
+    let ids = eval("id('') != id('a'), id('a') == id('a'), id('a') != id('x' * 30), id('a') > 0");
+    assert_eq!(ids.repr(), "(True, True, True, True)");
+}
+
+#[test]
+fn python_whitespace_set() {
+    let interp = run(
+        "def ws(s):\n    return s.split(), s.strip(), s.lstrip(), s.rstrip(), s.isspace(), s.split(None)\n",
+    );
+    let ws = interp.get_global("ws").unwrap();
+    let call = |s: &str| interp.call(&ws, vec![Value::str(s)]).unwrap();
+    // Python's whitespace: Unicode's White_Space plus U+001C-U+001F.
+    for c in [
+        '\u{1c}', '\u{1d}', '\u{1e}', '\u{1f}', ' ', '\t', '\n', '\u{0b}', '\u{0c}', '\r',
+        '\u{85}', '\u{a0}', '\u{2028}', '\u{3000}',
+    ] {
+        let got = call(&format!("{c}a{c}b{c}"));
+        assert_eq!(
+            got.repr(),
+            format!("(['a', 'b'], 'a{c}b', 'a{c}b{c}', '{c}a{c}b', False, ['a', 'b'])"),
+            "U+{:04X}",
+            c as u32
+        );
+        assert!(
+            call(&c.to_string()).repr().contains("True"),
+            "U+{:04X}",
+            c as u32
+        );
+    }
+    // Not whitespace to Python either: ESC, a zero-width space, a letter.
+    for c in ['\u{1b}', '\u{200b}', 'x'] {
+        let got = call(&format!("a{c}b"));
+        assert_eq!(
+            got.repr(),
+            format!("(['a{c}b'], 'a{c}b', 'a{c}b', 'a{c}b', False, ['a{c}b'])"),
+            "U+{:04X}",
+            c as u32
+        );
+    }
+    assert_eq!(eval("'\\x1f'.isspace()").repr(), "True");
+    // `int()` and `float()` strip Unicode's White_Space only, as in Python.
+    assert_eq!(
+        eval("int('\\xa042\\u3000') + float('\\x851.5 ')").repr(),
+        "43.5"
+    );
+    assert!(Interp::new().eval_str("int('\\x1c42')").is_err());
+}
+
+#[test]
+fn string_literal_escapes() {
+    assert_eq!(eval("len('\\x41'), '\\x41'").repr(), "(1, 'A')");
+    assert_eq!(eval("len('\\012'), '\\012' == '\\n'").repr(), "(1, True)");
+    assert_eq!(
+        eval("len('a\\vb'), len('\\a\\b\\f'), ord('\\v')").repr(),
+        "(3, 3, 11)"
+    );
+    assert_eq!(
+        eval("'x\\xe9y' == 'xéy', len('\\u20ac'), '\\U0001F600'").repr(),
+        "(True, 1, '😀')"
+    );
+    assert_eq!(
+        eval("len('\\0'), len('\\08'), ord('\\101')").repr(),
+        "(1, 2, 65)"
+    );
+    // Unknown escapes stay as written.
+    assert_eq!(eval("len('\\q'), '\\q'[0] == '\\\\'").repr(), "(2, True)");
+    let err = Interp::new().eval_str("'\\x4'").unwrap_err();
+    assert_eq!(err.kind, ErrKind::Syntax);
+}

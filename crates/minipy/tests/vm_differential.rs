@@ -251,6 +251,14 @@ const CORPUS: &[&str] = &[
     "tally = {}\ndef reset(v):\n    global tally\n    tally = v\ndef f(ks):\n    out = []\n    for k in ks:\n        out.append(tally.count(k) if k == 'l' else tally.get(k, 0))\n        reset({'z': len(out)})\n    return out\nprint(f(['z', 'z', 'q']))\nreset(['l', 'l'])\nprint(f(['l']))\nreset('str')\nf(['z'])\n",
     "def f(k):\n    return nowhere.get(k)\nf(1)\n",
     "n = 5\ndef f(k):\n    return n.get(k)\nf(1)\n",
+    // -- strings across the inline limit: up to 22 bytes sit in the value,
+    //    longer ones on the heap; every op, split/strip/join, dict keys made
+    //    from either form and `is`/`id()` (by content for inline strings)
+    "def f(parts):\n    out = []\n    for s in parts:\n        t = s + s\n        u = s * 2\n        cs = []\n        for c in s:\n            cs.append(c)\n        out.append((len(s), len(t), t == u, s < t, s in t, t[len(s):] == s, t[1:-1], t[::-1] == u[::-1], ''.join(cs) == s, len(cs)))\n    return out\nprint(f(['', 'a' * 11, 'a' * 12, 'é' * 5 + 'a', 'é' * 6, '€' * 7 + 'é', 'x' * 22, 'x' * 23]))\n",
+    "def f(line):\n    words = line.split()\n    out = [len(words)]\n    for w in words:\n        out.append(len(w))\n        out.append(w.strip('xé'))\n    joined = '-'.join(words)\n    out.append(joined)\n    out.append(len(joined))\n    out.append(('  ' + joined + '  ').strip() == joined)\n    out.append(joined.split('-') == words)\n    out.append(' '.join(['ab', 'cd']) + '|' + ''.join([]) + '|' + ','.join(['q' * 11, 'r' * 10]))\n    return out\nprint(f('abc ' + 'x' * 22 + ' ' + 'y' * 23 + ' ' + 'é' * 11 + ' ' + 'ü' * 12 + '  \\x1c\\t'))\n",
+    "def f(d, unit):\n    big = unit * 30\n    d[big] = 1\n    d[big[:5]] = 2\n    d[unit * 2 + unit * 3] = d.get(unit * 5, 0) + 10\n    d[unit * 15 + unit * 15] = d[big] + 100\n    out = []\n    for k in d:\n        out.append((len(k), d[k], k in d))\n    return sorted(out), len(d)\nprint(f({}, 'k'))\nprint(f({}, 'é'))\n",
+    "def f(unit):\n    a = unit * 2 + 'c'\n    b = unit + unit + 'c'\n    x = unit * 30\n    y = unit * 30\n    z = x\n    return a is b, a is not b, id(a) == id(b), id(a) == id(a + ''), a is 'abc', x is y, x is z, id(x) == id(y), id(x) == id(z), x == y, id('') == id(x[:0])\nprint(f('ab'))\nprint(f('é'))\n",
+    "def f(xs):\n    out = []\n    for x in xs:\n        out.append((len(x), x[-1], x[20:], x.isspace(), '\\x1f\\x41\\101\\u20ac\\v' + x[:1]))\n    return out\nprint(f(['x' * 21 + 'é', 'x' * 22 + 'é', '\\x1c\\x1d']))\n",
 ];
 
 #[test]

@@ -55,9 +55,10 @@ run env OMP_WAIT_POLICY=active cargo test -q -p omp4rs --test fault_injection
 # test binary because it installs its own global allocator.
 run cargo test -q -p omp4rs --test task_alloc
 # Interpreted-object allocation budget: the same kind of counting allocator
-# pins the wordcount loop with every key present (at most 1.3 allocations
-# per word through `line.split()`, fewer than 0.01 per word already split:
-# one block per string, method calls borrowing their arguments).
+# pins the wordcount loop with every key present (at most 0.3 allocations
+# per word through `line.split()` for words of up to 22 bytes, which live
+# inline, and 1.3 for longer ones, one heap block each; fewer than 0.01 per
+# word already split: method calls borrow their arguments).
 run cargo test -q -p minipy --test object_alloc
 # Interpreted-object lock budget: with stats armed, the same loop takes
 # exactly two object locks per word (the dict's read and write; a list only
