@@ -9,18 +9,21 @@
 //! those measured costs.
 
 use omp4rs_apps::{pi, Mode};
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::{measure_primitives, sim_sweep, AppKind, PrimitiveCosts, SWEEP_THREADS};
 
+const SPEC: Spec = Spec {
+    usage: "usage: figure5 [--summary] [--scale <f64>] [--profile]",
+    // `--summary` is accepted for compatibility; the summary always prints.
+    switches: &["--summary", "--profile"],
+    options: &["--scale"],
+    positional: 0..=0,
+};
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "figure5");
-    let summary = args.iter().any(|a| a == "--summary");
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
+    let args = SPEC.parse();
+    let profile = args.profile("figure5");
+    let scale: f64 = args.get("--scale", 0.25);
 
     println!("FIGURE 5 — scalability of the parallel numerical applications");
     println!("measured single-thread per-unit costs on this host; simulated 32-core sweep\n");
@@ -92,8 +95,6 @@ fn main() {
         println!();
     }
 
-    // `--summary` is accepted for compatibility; the summary always prints.
-    let _ = summary;
     {
         println!("— summary (paper §IV-A quantities) —");
         let avg = |mode: Mode| -> f64 {

@@ -4,17 +4,20 @@
 //! Usage: `figure6 [--scale <f64>] [--profile]`
 
 use omp4rs_apps::Mode;
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::{measure_primitives, sim_sweep, AppKind, SWEEP_THREADS};
 
+const SPEC: Spec = Spec {
+    usage: "usage: figure6 [--scale <f64>] [--profile]",
+    switches: &["--profile"],
+    options: &["--scale"],
+    positional: 0..=0,
+};
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "figure6");
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
+    let args = SPEC.parse();
+    let profile = args.profile("figure6");
+    let scale: f64 = args.get("--scale", 0.25);
 
     println!("FIGURE 6 — clustering coefficient and wordcount scalability");
     println!("(PyOMP: clustering → Numba cannot compile NetworkX; wordcount → no dict support)\n");

@@ -7,23 +7,21 @@
 
 use omp4rs::ScheduleKind;
 use omp4rs_apps::Mode;
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::{measure_primitives, sim_sweep, AppKind, SWEEP_THREADS};
 
+const SPEC: Spec = Spec {
+    usage: "usage: figure7 [--scale <f64>] [--chunk <u64>] [--profile]",
+    switches: &["--profile"],
+    options: &["--scale", "--chunk"],
+    positional: 0..=0,
+};
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "figure7");
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    let chunk = args
-        .iter()
-        .position(|a| a == "--chunk")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
+    let args = SPEC.parse();
+    let profile = args.profile("figure7");
+    let scale: f64 = args.get("--scale", 0.25);
+    let chunk: u64 = args.get("--chunk", 300);
 
     println!("FIGURE 7 — scheduling-policy speedups (chunk {chunk}),");
     println!("relative to the Pure / 1 thread / static baseline\n");

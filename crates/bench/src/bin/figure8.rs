@@ -10,25 +10,23 @@
 
 use minimpi::NetModel;
 use omp4rs_apps::{hybrid, Mode};
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::measure_primitives;
+
+const SPEC: Spec = Spec {
+    usage: "usage: figure8 [--n <dim>] [--threads <t>] [--profile]",
+    switches: &["--profile"],
+    options: &["--n", "--threads"],
+    positional: 0..=0,
+};
 
 const NODES: [usize; 5] = [1, 2, 4, 8, 16];
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "figure8");
-    let n = args
-        .iter()
-        .position(|a| a == "--n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(192);
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2);
+    let args = SPEC.parse();
+    let profile = args.profile("figure8");
+    let n: usize = args.get("--n", 192);
+    let threads: usize = args.get("--threads", 2);
 
     println!("FIGURE 8 — hybrid MPI/OpenMP jacobi ({n}x{n} system, {threads} threads/node)");
     println!("real multi-rank runs under an emulated interconnect; simulated 16-thread nodes\n");

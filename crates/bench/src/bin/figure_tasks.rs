@@ -11,20 +11,23 @@
 //! Exits non-zero if an accounting run defers a task it never releases.
 
 use omp4rs_apps::Mode;
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::{measure_primitives, sim_sweep, AppKind, SWEEP_THREADS};
+
+const SPEC: Spec = Spec {
+    usage: "usage: figure_tasks [--scale <f64>] [--profile]",
+    switches: &["--profile"],
+    options: &["--scale"],
+    positional: 0..=0,
+};
 
 /// Team size of the untimed dependence-accounting runs.
 const ACCOUNTING_THREADS: usize = 2;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "figure_tasks");
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
+    let args = SPEC.parse();
+    let profile = args.profile("figure_tasks");
+    let scale: f64 = args.get("--scale", 0.25);
 
     println!("FIGURE (tasks) — wavefront, sparselu, pagerank: depend-ordered task DAGs");
     println!("(PyOMP: no task depend clause or taskgroup — the whole suite is out of envelope)\n");
@@ -46,7 +49,7 @@ fn main() {
             let after = omp4rs::depgraph::counters();
             let deferred = after.deferred - before.deferred;
             let released = after.released - before.released;
-            if ran.is_none() || deferred != released {
+            if ran.is_err() || deferred != released {
                 stranded.push(format!("{} {}", app.name(), mode.name()));
             }
             println!(

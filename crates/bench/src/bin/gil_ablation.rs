@@ -8,8 +8,16 @@
 
 use minipy::{Gil, GilMode, Interp, Value};
 use omp4rs_apps::Mode;
+use omp4rs_bench::cli::Spec;
 use omp4rs_bench::{measure_primitives, sim_sweep, AppKind};
 use omp4rs_pyfront::{ExecMode, Runner};
+
+const SPEC: Spec = Spec {
+    usage: "usage: gil_ablation [--profile]",
+    switches: &["--profile"],
+    options: &[],
+    positional: 0..=0,
+};
 
 const PROGRAM: &str = r#"
 from omp4py import *
@@ -42,9 +50,7 @@ fn run_once(gil_mode: GilMode, threads: i64) -> (f64, u64, i64) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = omp4rs_bench::profile::begin(&mut args, "gil_ablation");
-    let _ = args;
+    let profile = SPEC.parse().profile("gil_ablation");
     println!("GIL ABLATION — why the paper needs free-threaded Python\n");
     println!("-- measured (interpreted sum of squares, n = 40000) --");
     println!(

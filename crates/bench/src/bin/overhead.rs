@@ -22,7 +22,7 @@
 //!    trace footer.
 //!
 //! ```text
-//! overhead [--trials N] [--iters N] [--ring N] [--sustained-ms N] [--json] [--check]
+//! overhead [--trials N] [--iters N] [--ring N] [--sustained-ms N] [--check]
 //! ```
 //!
 //! `--check` exits nonzero unless (a) disabled runs record no events,
@@ -31,25 +31,18 @@
 //! its drops in both the stats and the trace footer, and its trace file
 //! validates. For (c) the flusher
 //! is paused during the run ([`ompt::set_flusher_paused`]) so the tiny ring
-//! deterministically overflows. `--json` writes a machine-readable document
-//! to stdout and moves the human-readable report to stderr.
+//! deterministically overflows.
 
 use omp4rs::exec::{parallel, ForSpec};
 use omp4rs::ompt;
+use omp4rs_bench::cli::Spec;
 
-static JSON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Human-readable output: stdout normally, stderr under `--json` (stdout is
-/// then reserved for the JSON document).
-macro_rules! say {
-    ($($t:tt)*) => {
-        if JSON.load(std::sync::atomic::Ordering::Relaxed) {
-            eprintln!($($t)*);
-        } else {
-            println!($($t)*);
-        }
-    };
-}
+const SPEC: Spec = Spec {
+    usage: "usage: overhead [--trials N] [--iters N] [--ring N] [--sustained-ms N] [--check]",
+    switches: &["--check"],
+    options: &["--trials", "--iters", "--ring", "--sustained-ms"],
+    positional: 0..=0,
+};
 
 /// The event-dense region: a `dynamic,1` loop recording two events per
 /// iteration plus the region's begin/end/barrier events.
@@ -88,7 +81,6 @@ fn mean_sigma(xs: &[f64]) -> (f64, f64) {
 /// One sustained-throughput measurement through the full pipeline.
 struct Sustained {
     ring: usize,
-    threads: usize,
     seconds: f64,
     flushed: u64,
     dropped: u64,
@@ -102,25 +94,6 @@ struct Sustained {
 impl Sustained {
     fn events_per_sec(&self) -> f64 {
         self.flushed as f64 / self.seconds.max(1e-12)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"ring\":{},\"threads\":{},\"seconds\":{:.3},\"flushed\":{},\
-             \"dropped\":{},\"events_per_sec\":{:.0},\"rings\":{},\"bounded_bytes\":{},\
-             \"trace_bytes\":{},\"trace_valid\":{},\"footer_drops\":{}}}",
-            self.ring,
-            self.threads,
-            self.seconds,
-            self.flushed,
-            self.dropped,
-            self.events_per_sec(),
-            self.rings,
-            self.bounded_bytes,
-            self.trace_bytes,
-            self.trace_valid,
-            self.footer_drops
-        )
     }
 }
 
@@ -162,7 +135,6 @@ fn sustained_run(
     let _ = std::fs::remove_file(&path);
     Sustained {
         ring,
-        threads,
         seconds,
         flushed: stats.flushed,
         dropped: stats.dropped,
@@ -175,27 +147,22 @@ fn sustained_run(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let check = args.iter().any(|a| a == "--check");
-    let json = args.iter().any(|a| a == "--json");
-    JSON.store(json, std::sync::atomic::Ordering::Relaxed);
-    let trials = get("--trials", 7).max(2);
-    let iters = get("--iters", 20_000) as i64;
-    let ring = get("--ring", if check { 256 } else { 2048 }).max(1);
+    let args = SPEC.parse();
+    let check = args.switch("--check");
+    let trials = args.get("--trials", 7usize).max(2);
+    let iters = i64::from(args.get("--iters", 20_000u32));
+    let ring = args
+        .get("--ring", if check { 256usize } else { 2048 })
+        .max(1);
     // With the flusher live, the collected stream (and the validator's parse
     // of the trace file) grows with the window by ~100 MB/s on a 2-CPU host:
     // keep the default window short.
-    let sustained_ms = get("--sustained-ms", if check { 300 } else { 100 }) as u64;
+    let sustained_ms: u64 = args.get("--sustained-ms", if check { 300 } else { 100 });
     let threads = 4;
 
-    say!("profiler overhead: {trials} trials, dynamic,1 loop of {iters} iters, {threads} threads");
+    println!(
+        "profiler overhead: {trials} trials, dynamic,1 loop of {iters} iters, {threads} threads"
+    );
 
     // Warm up thread pools and code paths outside any session.
     {
@@ -257,13 +224,13 @@ fn main() {
         0.0
     };
 
-    say!(
+    println!(
         "  disabled: {:.3} ± {:.3} ms/run, {} events recorded",
         dis_mean * 1e3,
         dis_sigma * 1e3,
         disabled_events
     );
-    say!(
+    println!(
         "  enabled:  {:.3} ± {:.3} ms/run, {:.0} ± {:.0} events/run, {} dropped in all",
         en_mean * 1e3,
         en_sigma * 1e3,
@@ -271,31 +238,29 @@ fn main() {
         ev_sigma,
         enabled_dropped
     );
-    say!(
+    println!(
         "  rate:     {:.0} ± {:.0} events/sec while enabled",
-        rate_mean,
-        rate_sigma
+        rate_mean, rate_sigma
     );
-    say!(
+    println!(
         "  overhead: {:+.1}% wall-clock ({:.0} ns per recorded event)",
         100.0 * delta / dis_mean.max(1e-12),
         per_event_ns
     );
     match &trace_result {
-        Ok(stats) => say!(
+        Ok(stats) => println!(
             "  trace:    {} events, {} counters — valid Chrome trace",
-            stats.events,
-            stats.counters
+            stats.events, stats.counters
         ),
-        Err(e) => say!("  trace:    INVALID: {e}"),
+        Err(e) => println!("  trace:    INVALID: {e}"),
     }
 
     // Sustained throughput through the full pipeline (rings -> flusher ->
     // collector -> one trace file). Under --check the flusher is paused so
     // the tiny ring must overflow and drop.
-    say!("sustained pipeline throughput: ring={ring} events/thread, {sustained_ms} ms");
+    println!("sustained pipeline throughput: ring={ring} events/thread, {sustained_ms} ms");
     let row = sustained_run(ring, threads, sustained_ms, iters, check);
-    say!(
+    println!(
         "  drop-newest {:>9.0} events/sec drained, {:>7} dropped, {} rings x {} cap = {:.0} KiB bound, trace file {:.0} KiB{}{}",
         row.events_per_sec(),
         row.dropped,
@@ -306,25 +271,6 @@ fn main() {
         if row.trace_valid { "" } else { " [INVALID TRACE]" },
         if row.footer_drops { " [drops in footer]" } else { "" }
     );
-
-    if json {
-        println!(
-            "{{\n \"benchmark\": \"trace-pipeline\",\n \"threads\": {},\n \"iters\": {},\n \
-             \"overhead\": {{\"disabled_ms\": {:.4}, \"enabled_ms\": {:.4}, \
-             \"events_per_run\": {:.0}, \"dropped\": {}, \"events_per_sec\": {:.0}, \
-             \"per_event_ns\": {:.1}}},\n \
-             \"sustained\": {}\n}}",
-            threads,
-            iters,
-            dis_mean * 1e3,
-            en_mean * 1e3,
-            ev_mean,
-            enabled_dropped,
-            rate_mean,
-            per_event_ns,
-            row.json()
-        );
-    }
 
     if check {
         let mut failed = false;
@@ -373,7 +319,7 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        say!(
+        println!(
             "  check:    OK (disabled records nothing; enabled trace validates and \
              drops nothing; drop-newest drops surface in stats + footer)"
         );

@@ -22,6 +22,14 @@ use minimpi::{MpiError, World};
 use omp4rs::exec::{parallel_region_result, ParallelConfig};
 use omp4rs::faults::{self, FaultPlan, FaultSite};
 use omp4rs::{pool, Backend, Icvs, InjectedFault, OmpError};
+use omp4rs_bench::cli::Spec;
+
+const SPEC: Spec = Spec {
+    usage: "usage: soak [--check] [--clients <list>] [--seconds <s>]",
+    switches: &["--check"],
+    options: &["--clients", "--seconds"],
+    positional: 0..=0,
+};
 
 /// Per-soak outcome tallies. Everything a region can do is one of these —
 /// any panic that is neither an injected fault nor a region timeout is a
@@ -203,20 +211,15 @@ fn arm_hang_monitor(limit: Duration) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let seconds = args
-        .iter()
-        .position(|a| a == "--seconds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(if check { 3.0 } else { 2.0 });
-    let clients: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--clients")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').filter_map(|c| c.parse().ok()).collect())
-        .unwrap_or_else(|| if check { vec![4] } else { vec![1, 2, 4, 8] });
+    let args = SPEC.parse();
+    let check = args.switch("--check");
+    let seconds: f64 = args.get("--seconds", if check { 3.0 } else { 2.0 });
+    // A `Duration` cannot hold a negative or non-finite span.
+    if !seconds.is_finite() || seconds < 0.0 {
+        args.fail(&format!("--seconds: malformed value '{seconds}'"));
+    }
+    let clients: Vec<usize> =
+        args.list("--clients", if check { vec![4] } else { vec![1, 2, 4, 8] });
 
     let cells = clients.len() * if check { 1 } else { 2 };
     arm_hang_monitor(Duration::from_secs_f64(seconds * cells as f64 + 120.0));

@@ -25,11 +25,10 @@
 //!
 //! ```text
 //! syncbench [--threads 1,2,4,8] [--trials N] [--inner N] [--outer N]
-//!           [--scale-limit R] [--json] [--check]
+//!           [--scale-limit R] [--check]
 //! ```
 //!
-//! `--json` emits one row per (construct, backend, policy, threads) for
-//! `scripts/bench.sh` to assemble into `BENCH_sync.json`. `--check` runs a
+//! `--check` runs a
 //! 1..8-thread sweep and exits nonzero unless every construct completed,
 //! every overhead number is finite and positive, and `parallel` *scales*:
 //! the fastest-trial region cost at the widest team stays within
@@ -47,6 +46,15 @@ use std::time::Instant;
 
 use omp4rs::exec::{parallel_region, DepSpec, ForSpec, ParallelConfig};
 use omp4rs::{Backend, Icvs};
+use omp4rs_bench::cli::Spec;
+
+const SPEC: Spec = Spec {
+    usage: "usage: syncbench [--threads 1,2,4,8] [--trials N] [--inner N] [--outer N]\n                 \
+            [--scale-limit R] [--check]",
+    switches: &["--check"],
+    options: &["--threads", "--trials", "--inner", "--outer", "--scale-limit"],
+    positional: 0..=0,
+};
 
 /// Fewest interleaved trial pairs behind each scale-gate floor.
 const GATE_TRIALS: usize = 5;
@@ -282,21 +290,6 @@ struct Row {
     ns_per_op_min: f64,
 }
 
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            "{{\"construct\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",\
-             \"threads\":{},\"ns_per_op\":{:.1},\"ns_per_op_min\":{:.1}}}",
-            self.construct.name(),
-            backend_name(self.backend),
-            self.policy,
-            self.threads,
-            self.ns_per_op,
-            self.ns_per_op_min
-        )
-    }
-}
-
 fn backend_name(b: Backend) -> &'static str {
     match b {
         Backend::Mutex => "mutex",
@@ -331,37 +324,15 @@ fn knobs_for(threads: usize, trials: usize, outer: usize, inner: usize) -> Knobs
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-    let trials = get("--trials", 5).max(1);
-    let outer = get("--outer", 200).max(1);
-    let inner = get("--inner", 200).max(1);
-    let threads: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| {
-            list.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect()
-        })
-        // The check sweep includes 8 threads so the scaling gate below
-        // exercises a team wider than the host.
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let scale_limit = args
-        .iter()
-        .position(|a| a == "--scale-limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(80.0);
+    let args = SPEC.parse();
+    let check = args.switch("--check");
+    let trials = args.get("--trials", 5usize).max(1);
+    let outer = args.get("--outer", 200usize).max(1);
+    let inner = args.get("--inner", 200usize).max(1);
+    // The check sweep includes 8 threads so the scaling gate below
+    // exercises a team wider than the host.
+    let threads: Vec<usize> = args.list("--threads", vec![1, 2, 4, 8]);
+    let scale_limit: f64 = args.get("--scale-limit", 80.0);
 
     let policies: &[&'static str] = &["passive", "active"];
     let backends = [Backend::Atomic, Backend::Mutex];
@@ -403,29 +374,21 @@ fn main() {
     std::env::remove_var("OMP_WAIT_POLICY");
     Icvs::reset(Icvs::from_env());
 
-    if json {
-        let body = rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n  ");
+    println!("construct overhead (ns/op):");
+    println!(
+        "{:<14} {:>7} {:>8} {:>8} {:>12} {:>12}",
+        "construct", "backend", "policy", "threads", "median", "min"
+    );
+    for row in &rows {
         println!(
-            "{{\n \"benchmark\": \"syncbench\",\n \"rows\": [\n  \
-             {body}\n ]\n}}"
+            "{:<14} {:>7} {:>8} {:>8} {:>12.1} {:>12.1}",
+            row.construct.name(),
+            backend_name(row.backend),
+            row.policy,
+            row.threads,
+            row.ns_per_op,
+            row.ns_per_op_min
         );
-    } else {
-        println!("construct overhead (ns/op):");
-        println!(
-            "{:<14} {:>7} {:>8} {:>8} {:>12} {:>12}",
-            "construct", "backend", "policy", "threads", "median", "min"
-        );
-        for row in &rows {
-            println!(
-                "{:<14} {:>7} {:>8} {:>8} {:>12.1} {:>12.1}",
-                row.construct.name(),
-                backend_name(row.backend),
-                row.policy,
-                row.threads,
-                row.ns_per_op,
-                row.ns_per_op_min
-            );
-        }
     }
 
     if check {

@@ -1,8 +1,19 @@
 //! Regenerate Table I: static characteristics of the evaluated benchmarks.
+//!
+//! Usage: `table1` (no arguments)
 
 use omp4rs_apps as apps;
+use omp4rs_bench::cli::Spec;
+
+const SPEC: Spec = Spec {
+    usage: "usage: table1",
+    switches: &[],
+    options: &[],
+    positional: 0..=0,
+};
 
 fn main() {
+    SPEC.parse();
     println!("TABLE I — STATIC CHARACTERISTICS OF EVALUATED BENCHMARKS");
     println!("{:-<78}", "");
     println!(

@@ -69,7 +69,7 @@ impl AppKind {
         [AppKind::Clustering, AppKind::Wordcount]
     }
 
-    /// The task-dependence suite (`BENCH_tasks.json` / `figure_tasks`):
+    /// The task-dependence suite (`figure_tasks`):
     /// applications a loop-parallel runtime cannot run — every one needs
     /// `depend(in/out/inout)` (and `priority`) to order its task DAG.
     pub fn tasks_suite() -> [AppKind; 3] {
@@ -129,6 +129,8 @@ pub struct MeasuredCost {
     pub seconds: f64,
     /// Number of work units the run performed.
     pub units: u64,
+    /// The run's mode-independent result checksum.
+    pub check: f64,
 }
 
 impl MeasuredCost {
@@ -156,8 +158,8 @@ pub fn mode_scale(mode: Mode) -> f64 {
 ///
 /// `scale` scales all problem sizes (1.0 = harness defaults).
 pub fn measure(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
-    let first = run_once(app, mode, scale, 1)?;
-    let second = run_once(app, mode, scale, 1)?;
+    let first = run_once(app, mode, scale, 1).ok()?;
+    let second = run_once(app, mode, scale, 1).ok()?;
     Some(if second.seconds < first.seconds {
         second
     } else {
@@ -166,23 +168,25 @@ pub fn measure(app: AppKind, mode: Mode, scale: f64) -> Option<MeasuredCost> {
 }
 
 /// Run one benchmark once on `threads` threads with the sizes [`measure`]
-/// uses (`None` when the mode cannot run the benchmark). The cost is per
+/// uses; `Err` says why the mode cannot run the benchmark. The cost is per
 /// run, not per thread: [`measure`] calls it at one thread; `figure_tasks`
 /// calls it at two for the dependence-graph accounting, which a one-thread
-/// team never exercises (it runs its tasks included).
-pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<MeasuredCost> {
+/// team never exercises (it runs its tasks included); the `main` CLI calls
+/// it at the team size it is given.
+pub fn run_once(
+    app: AppKind,
+    mode: Mode,
+    scale: f64,
+    threads: usize,
+) -> Result<MeasuredCost, String> {
     let s = scale * mode_scale(mode);
     let f = |v: f64| -> usize { (v * s).max(4.0) as usize };
-    match app {
+    let (out, units) = match app {
         AppKind::Pi => {
             let p = pi::Params {
                 n: f(2_000_000.0) as i64,
             };
-            let out = pi::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: p.n as u64,
-            })
+            (pi::run(mode, threads, &p)?, p.n as u64)
         }
         AppKind::Fft => {
             // Keep power-of-two lengths; scale the exponent.
@@ -191,13 +195,12 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 log2_n,
                 ..fft::Params::default()
             };
-            let out = fft::run(mode, threads, &p).ok()?;
             let n = p.n() as u64;
-            let units = (n / 2) * n.trailing_zeros() as u64; // butterflies
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units,
-            })
+            // Butterflies.
+            (
+                fft::run(mode, threads, &p)?,
+                (n / 2) * n.trailing_zeros() as u64,
+            )
         }
         AppKind::Jacobi => {
             let n = f(120.0);
@@ -207,11 +210,7 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 tol: 0.0,
                 ..jacobi::Params::default()
             };
-            let out = jacobi::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: (p.max_iters * n) as u64,
-            })
+            (jacobi::run(mode, threads, &p)?, (p.max_iters * n) as u64)
         }
         AppKind::Lu => {
             let n = f(96.0);
@@ -219,13 +218,9 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 n,
                 ..lu::Params::default()
             };
-            let out = lu::run(mode, threads, &p).ok()?;
             // Row updates: sum over k of (n-k-1).
             let units: u64 = (0..n as u64).map(|k| n as u64 - k - 1).sum();
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: units.max(1),
-            })
+            (lu::run(mode, threads, &p)?, units.max(1))
         }
         AppKind::Md => {
             let n = f(160.0);
@@ -234,11 +229,7 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 steps: 2,
                 ..md::Params::default()
             };
-            let out = md::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: ((p.steps + 1) * n) as u64,
-            })
+            (md::run(mode, threads, &p)?, ((p.steps + 1) * n) as u64)
         }
         AppKind::Qsort => {
             let n = f(120_000.0);
@@ -247,11 +238,7 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 cutoff: (n / 64).max(16),
                 ..qsort::Params::default()
             };
-            let out = qsort::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: n as u64,
-            })
+            (qsort::run(mode, threads, &p)?, n as u64)
         }
         AppKind::Bfs => {
             let side = f(61.0) | 1; // odd side keeps mazes interesting
@@ -259,33 +246,21 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 side,
                 ..bfs::Params::default()
             };
-            let out = bfs::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: (side * side) as u64,
-            })
+            (bfs::run(mode, threads, &p)?, (side * side) as u64)
         }
         AppKind::Clustering => {
             let p = clustering::Params {
                 nodes: f(2_000.0),
                 ..clustering::Params::default()
             };
-            let out = clustering::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: p.nodes as u64,
-            })
+            (clustering::run(mode, threads, &p)?, p.nodes as u64)
         }
         AppKind::Wordcount => {
             let p = wordcount::Params {
                 lines: f(4_000.0),
                 ..wordcount::Params::default()
             };
-            let out = wordcount::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: p.lines as u64,
-            })
+            (wordcount::run(mode, threads, &p)?, p.lines as u64)
         }
         AppKind::Wavefront => {
             let p = wavefront::Params {
@@ -293,38 +268,34 @@ pub fn run_once(app: AppKind, mode: Mode, scale: f64, threads: usize) -> Option<
                 block: 16,
                 ..wavefront::Params::default()
             };
-            let out = wavefront::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: (p.n * p.n) as u64, // cells
-            })
+            // Cells.
+            (wavefront::run(mode, threads, &p)?, (p.n * p.n) as u64)
         }
         AppKind::SparseLu => {
             let p = sparselu::Params {
                 nb: f(6.0).max(2),
                 ..sparselu::Params::default()
             };
-            let out = sparselu::run(mode, threads, &p).ok()?;
             let n = p.n() as u64;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                units: (n * n * n / 3).max(1), // ~flops of dense LU
-            })
+            // ~Flops of dense LU.
+            (sparselu::run(mode, threads, &p)?, (n * n * n / 3).max(1))
         }
         AppKind::Pagerank => {
             let p = pagerank::Params {
                 nodes: f(600.0),
                 ..pagerank::Params::default()
             };
-            let out = pagerank::run(mode, threads, &p).ok()?;
-            Some(MeasuredCost {
-                seconds: out.seconds,
-                // ~edge traversals (each undirected edge is read twice per
-                // iteration, once from each endpoint).
-                units: (p.iters * p.nodes * p.degree * 2).max(1) as u64,
-            })
+            // ~Edge traversals (each undirected edge is read twice per
+            // iteration, once from each endpoint).
+            let units = (p.iters * p.nodes * p.degree * 2).max(1) as u64;
+            (pagerank::run(mode, threads, &p)?, units)
         }
-    }
+    };
+    Ok(MeasuredCost {
+        seconds: out.seconds,
+        units,
+        check: out.check,
+    })
 }
 
 /// Serialized fraction of interpreted work (shared refcount/lock traffic).

@@ -8,7 +8,13 @@
 //! * `figure6` — clustering & wordcount scalability, 4 OMP4Py modes
 //! * `figure7` — scheduling-policy speedups (static/dynamic/guided)
 //! * `figure8` — hybrid MPI/OpenMP jacobi across nodes
+//! * `figure_tasks` — the task-dependence suite (beyond the paper)
 //! * `gil_ablation` — GIL vs free-threading (the paper's §I motivation)
+//! * `syncbench`, `overhead`, `soak` — construct overheads, profiler cost
+//!   and chaos resilience, each with a `--check` contract
+//!
+//! Every binary parses its command line with [`cli`]: an unknown flag or a
+//! malformed value exits 2 with the binary's usage.
 //!
 //! # Methodology on a small host
 //!
@@ -27,6 +33,7 @@
 #![allow(missing_docs)]
 
 pub mod calibrate;
+pub mod cli;
 pub mod figures;
 pub mod profile;
 

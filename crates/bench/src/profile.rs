@@ -1,10 +1,10 @@
 //! `--profile` support for the figure binaries.
 //!
-//! Every binary in this crate accepts a `--profile` flag (equivalent to
-//! setting `OMP_TOOL=summary,trace:trace_<label>.json`): the run executes
-//! with the [`omp4rs::ompt`] profiler armed, and on exit writes a
-//! Chrome-trace JSON file next to the figure output plus a per-region
-//! summary on stderr. Load the trace in `chrome://tracing` / Perfetto to see
+//! `main`, the `figure*` binaries and `gil_ablation` accept a `--profile`
+//! flag (equivalent to setting `OMP_TOOL=summary,trace:trace_<label>.json`):
+//! the run executes with the [`omp4rs::ompt`] profiler armed, and on exit
+//! writes a Chrome-trace JSON file next to the figure output plus a
+//! per-region summary on stderr. Load the trace in `chrome://tracing` / Perfetto to see
 //! barriers, chunks, and tasks per team thread.
 //!
 //! ```text
@@ -12,11 +12,13 @@
 //! OMP_TOOL=trace:my.json main 0 pi 4   # same, via the environment
 //! ```
 //!
-//! Usage from a binary's `main`:
+//! A binary that lists `--profile` among its [`Spec`](crate::cli::Spec)
+//! switches arms it with [`Args::profile`](crate::cli::Args::profile),
+//! which calls [`begin`], and calls [`Profile::finish`] after the run:
 //!
 //! ```no_run
-//! let mut args: Vec<String> = std::env::args().skip(1).collect();
-//! let profile = omp4rs_bench::profile::begin(&mut args, "figure5");
+//! // What `Args::profile` does for a binary given `--profile`.
+//! let profile = omp4rs_bench::profile::begin(true, "figure5");
 //! // ... run the figure ...
 //! profile.finish();
 //! ```
@@ -29,15 +31,10 @@ pub struct Profile {
     active: bool,
 }
 
-/// Strip `--profile` from `args` and arm the profiler if it was present (or
-/// if `OMP_TOOL` already enabled it). Also arms the interpreter-side GIL and
+/// Arm the profiler if `flagged` (the binary was given `--profile`) or if
+/// `OMP_TOOL` already enabled it. Also arms the interpreter-side GIL and
 /// object-lock counters so Pure-mode runs show their contention.
-pub fn begin(args: &mut Vec<String>, label: &'static str) -> Profile {
-    let flagged = {
-        let before = args.len();
-        args.retain(|a| a != "--profile");
-        args.len() != before
-    };
+pub fn begin(flagged: bool, label: &'static str) -> Profile {
     omp4rs::ompt::ensure_env_init();
     if flagged && !omp4rs::ompt::enabled() {
         omp4rs::ompt::enable(omp4rs::ompt::ToolConfig {

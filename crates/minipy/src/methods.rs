@@ -357,7 +357,7 @@ fn str_method(name: &str) -> Option<BuiltinMethod> {
                 }
             }
         },
-        "splitlines" => |_, obj, _| Ok(Value::list(string(obj).lines().map(Value::str).collect())),
+        "splitlines" => |_, obj, _| Ok(Value::list(splitlines(string(obj)))),
         "strip" => |_, obj, args| strip(string(obj), args, true, true),
         "lstrip" => |_, obj, args| strip(string(obj), args, true, false),
         "rstrip" => |_, obj, args| strip(string(obj), args, false, true),
@@ -442,6 +442,31 @@ fn all_chars(s: &str, pred: impl Fn(char) -> bool) -> bool {
 /// [`char::is_whitespace`], plus the separators U+001C–U+001F.
 pub(crate) fn py_isspace(c: char) -> bool {
     c.is_whitespace() || ('\u{1c}'..='\u{1f}').contains(&c)
+}
+
+/// `str.splitlines()`: Python breaks lines at `\n`, `\r`, `\r\n`, `\v`,
+/// `\f`, U+001C-U+001E, U+0085, U+2028 and U+2029, and a break that ends
+/// the string opens no empty last line.
+fn splitlines(s: &str) -> Vec<Value> {
+    let mut lines = Vec::new();
+    let mut start = 0;
+    let mut chars = s.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        if matches!(
+            c,
+            '\n' | '\r' | '\x0b' | '\x0c' | '\x1c'..='\x1e' | '\u{85}' | '\u{2028}' | '\u{2029}'
+        ) {
+            lines.push(Value::str(&s[start..i]));
+            start = i + c.len_utf8();
+            if c == '\r' && chars.next_if(|&(_, n)| n == '\n').is_some() {
+                start += 1;
+            }
+        }
+    }
+    if start < s.len() {
+        lines.push(Value::str(&s[start..]));
+    }
+    lines
 }
 
 fn strip(s: &str, args: ArgsRef<'_>, left: bool, right: bool) -> Result<Value, PyErr> {

@@ -889,7 +889,7 @@ impl Value {
             Value::Bool(false) => "False".into(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => format_float(*f),
-            Value::Str(s) => format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'")),
+            Value::Str(s) => repr_str(s),
             Value::List(l) => {
                 let items = l.read();
                 let inner: Vec<String> = items.iter().map(Value::repr).collect();
@@ -989,6 +989,39 @@ pub fn range_len(start: i64, stop: i64, step: i64) -> i64 {
     } else {
         0
     }
+}
+
+/// Python's `repr` of a `str`: double quotes when the text has a `'` and no
+/// `"`, `\t` `\n` `\r` as escapes, and the other C0 controls, DEL and the
+/// C1 controls as `\xHH`. Unlike CPython, other non-printable non-ASCII
+/// characters are written as they are.
+fn repr_str(s: &str) -> String {
+    use fmt::Write as _;
+    let quote = if s.contains('\'') && !s.contains('"') {
+        '"'
+    } else {
+        '\''
+    };
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push(quote);
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\0'..='\x1f' | '\x7f'..='\u{9f}' => {
+                let _ = write!(out, "\\x{:02x}", c as u32);
+            }
+            c if c == quote => {
+                out.push('\\');
+                out.push(c);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push(quote);
+    out
 }
 
 /// Format a float the way Python's `repr` does for common cases.
@@ -1113,7 +1146,13 @@ mod tests {
     fn repr_shapes() {
         assert_eq!(Value::Float(1.0).repr(), "1.0");
         assert_eq!(Value::Float(1.5).repr(), "1.5");
-        assert_eq!(Value::str("a'b").repr(), "'a\\'b'");
+        assert_eq!(Value::str("a'b").repr(), "\"a'b\"");
+        assert_eq!(Value::str("a'\"b").repr(), "'a\\'\"b'");
+        assert_eq!(Value::str("\t\n\r\\").repr(), "'\\t\\n\\r\\\\'");
+        assert_eq!(
+            Value::str("\0\x1c\x7f\u{85}é").repr(),
+            "'\\x00\\x1c\\x7f\\x85é'"
+        );
         assert_eq!(Value::tuple(vec![Value::Int(1)]).repr(), "(1,)");
         assert_eq!(
             Value::list(vec![Value::Int(1), Value::Int(2)]).repr(),

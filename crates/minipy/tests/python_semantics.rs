@@ -78,6 +78,63 @@ fn string_operations() {
 }
 
 #[test]
+fn str_splitlines_matches_python() {
+    // Expectations checked against CPython 3.11.
+    assert_eq!(
+        eval("len('a\\rb\\x1cc\\x0bd'.splitlines())")
+            .as_int()
+            .unwrap(),
+        4
+    );
+    assert_eq!(
+        eval("'a\\rb\\x1cc\\x0bd'.splitlines()").repr(),
+        "['a', 'b', 'c', 'd']"
+    );
+    assert_eq!(eval("'a\\nb\\n'.splitlines()").repr(), "['a', 'b']");
+    assert_eq!(eval("'a\\r\\nb\\r\\n'.splitlines()").repr(), "['a', 'b']");
+    assert_eq!(eval("'a\\n\\rb'.splitlines()").repr(), "['a', '', 'b']");
+    assert_eq!(eval("'\\n'.splitlines()").repr(), "['']");
+    assert_eq!(eval("''.splitlines()").repr(), "[]");
+    assert_eq!(eval("'no break'.splitlines()").repr(), "['no break']");
+    assert_eq!(
+        eval("len('a\\fb\\x1dc\\x1ed\\x85e\\u2028f\\u2029g'.splitlines())")
+            .as_int()
+            .unwrap(),
+        7
+    );
+    // Other controls are not line breaks.
+    assert_eq!(
+        eval("len('a\\tb\\x1fc\\x00d'.splitlines())")
+            .as_int()
+            .unwrap(),
+        1
+    );
+}
+
+#[test]
+fn str_repr_matches_python() {
+    // Expectations checked against CPython 3.11.
+    assert_eq!(eval("len(repr('\\x1c'))").as_int().unwrap(), 6);
+    assert_eq!(eval("repr('\\x1c')").as_str().unwrap(), "'\\x1c'");
+    assert_eq!(eval("repr(\"it's\")").as_str().unwrap(), "\"it's\"");
+    assert_eq!(eval("repr('say \"hi\"')").as_str().unwrap(), "'say \"hi\"'");
+    assert_eq!(
+        eval("repr('it\\'s \"x\"')").as_str().unwrap(),
+        "'it\\'s \"x\"'"
+    );
+    assert_eq!(
+        eval("repr('a\\tb\\nc\\rd\\\\e')").as_str().unwrap(),
+        "'a\\tb\\nc\\rd\\\\e'"
+    );
+    assert_eq!(
+        eval("repr('\\x00\\x7f\\x85\\x9f')").as_str().unwrap(),
+        "'\\x00\\x7f\\x85\\x9f'"
+    );
+    assert_eq!(eval("repr('héllo')").as_str().unwrap(), "'héllo'");
+    assert_eq!(eval("[\"it's\"]").repr(), "[\"it's\"]");
+}
+
+#[test]
 fn comparison_chaining() {
     assert!(eval("1 < 2 < 3").truthy());
     assert!(!eval("1 < 2 > 3").truthy());
@@ -654,6 +711,9 @@ fn python_whitespace_set() {
     );
     let ws = interp.get_global("ws").unwrap();
     let call = |s: &str| interp.call(&ws, vec![Value::str(s)]).unwrap();
+    // The expected strings are written through `repr`, which escapes the
+    // control characters among them as Python does.
+    let r = |s: String| Value::str(s).repr();
     // Python's whitespace: Unicode's White_Space plus U+001C-U+001F.
     for c in [
         '\u{1c}', '\u{1d}', '\u{1e}', '\u{1f}', ' ', '\t', '\n', '\u{0b}', '\u{0c}', '\r',
@@ -662,7 +722,12 @@ fn python_whitespace_set() {
         let got = call(&format!("{c}a{c}b{c}"));
         assert_eq!(
             got.repr(),
-            format!("(['a', 'b'], 'a{c}b', 'a{c}b{c}', '{c}a{c}b', False, ['a', 'b'])"),
+            format!(
+                "(['a', 'b'], {}, {}, {}, False, ['a', 'b'])",
+                r(format!("a{c}b")),
+                r(format!("a{c}b{c}")),
+                r(format!("{c}a{c}b"))
+            ),
             "U+{:04X}",
             c as u32
         );
@@ -675,9 +740,10 @@ fn python_whitespace_set() {
     // Not whitespace to Python either: ESC, a zero-width space, a letter.
     for c in ['\u{1b}', '\u{200b}', 'x'] {
         let got = call(&format!("a{c}b"));
+        let s = r(format!("a{c}b"));
         assert_eq!(
             got.repr(),
-            format!("(['a{c}b'], 'a{c}b', 'a{c}b', 'a{c}b', False, ['a{c}b'])"),
+            format!("([{s}], {s}, {s}, {s}, False, [{s}])"),
             "U+{:04X}",
             c as u32
         );

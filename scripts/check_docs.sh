@@ -10,8 +10,8 @@
 #      read by the workspace, so a deleted knob cannot linger (a trailing
 #      `_*`, as in `OMP4RS_TRACE_*`, names a family: some variable read by
 #      the code must start with that prefix). History files (CHANGES.md,
-#      EXPERIMENTS.md, ROADMAP.md) are exempt: they record knobs that are
-#      gone on purpose;
+#      EXPERIMENTS.md, EXPERIMENTS_HISTORY.md, ROADMAP.md) are exempt: they
+#      record knobs that are gone on purpose;
 #   2. every omp4rs.*/minipy.* counter the workspace publishes appears in
 #      docs/OBSERVABILITY.md, and every such counter the document names is
 #      published by the workspace (the dynamic minipy.vm.fallback.<reason>

@@ -13,6 +13,19 @@ run() {
     "$@"
 }
 
+# Run a command that must exit with status $1.
+run_expecting() {
+    local want=$1 got=0
+    shift
+    echo
+    echo "==> $* (must exit $want)"
+    "$@" || got=$?
+    if [[ $got -ne $want ]]; then
+        echo "expected exit status $want, got $got" >&2
+        exit 1
+    fi
+}
+
 if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo build --release
 fi
@@ -118,6 +131,13 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     # untimed two-thread run per app and mode builds the dependence graph,
     # and the bin exits non-zero if it defers a task it never releases.
     run cargo run --release -p omp4rs-bench --bin figure_tasks -- --scale 0.05
+    # Artifact CLI smoke: `main` runs one figure cell (the sizes `figures`
+    # measures with) at the team size it is given, and a mode that cannot
+    # run the test exits 1 with the reason: PyOMP has no task `if` clause,
+    # so it cannot run qsort, as in the paper.
+    run cargo run --release -p omp4rs-bench --bin main -- 1 pi 2 0.05
+    run cargo run --release -p omp4rs-bench --bin main -- 3 sparselu 2 0.05
+    run_expecting 1 cargo run --release -p omp4rs-bench --bin main -- -1 qsort 2
     # Both VM differential suites again in release: the fused loop's raw
     # int arithmetic must bail on overflow where a debug build would trap
     # and a release build would wrap.
